@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -150,7 +151,8 @@ def read_analysis_csv(path: str) -> MetaInput:
                     if has_pre:
                         g = _cell_float(row, "g", line_no)
                         var_g = _cell_float(row, "var_g", line_no)
-                        if abs(study.g - g) > 1e-6 or abs(study.v2 - var_g) > 1e-6:
+                        if not (abs(study.g - g) <= 1e-6
+                                and abs(study.v2 - var_g) <= 1e-6):
                             raise CliError(
                                 f"row {line_no}: precomputed (g, var_g) "
                                 f"disagree with arm summaries by more than "
@@ -178,13 +180,6 @@ def _analysis_payload(est: simlab.ReplicateEstimates,
             out["tau2"][name] = {"estimate": r.value, "status": r.status,
                                  "iterations": r.iterations}
         if name in est.tau2_intervals:
-            ci = est.tau2_intervals[name]
-            out["tau2_intervals"][name] = {
-                "lo": ci.lo, "hi": ci.hi, "flags": list(ci.flags)}
-    # QP/BJ/PL interval methods that have no point-estimator namesake
-    for name in simlab.TAU2_CI:
-        if name in request.tau2_methods and name not in out["tau2_intervals"] \
-                and name in est.tau2_intervals:
             ci = est.tau2_intervals[name]
             out["tau2_intervals"][name] = {
                 "lo": ci.lo, "hi": ci.hi, "flags": list(ci.flags)}
@@ -423,7 +418,9 @@ def cmd_plot(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="smdmeta",
         description="Random-effects meta-analysis of the standardized mean "

@@ -8,6 +8,7 @@ streams are implemented locally.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Union
@@ -164,6 +165,10 @@ class ChiSqMixture:
             raise DomainError("mixture needs at least one positive coefficient")
 
 
+_RUBEN_BLOCK = 32      # power sums computed per block of series terms
+_RUBEN_PY_TERMS = 40   # recurrence on Python floats up to this many terms
+
+
 def _ruben_cdf(x: float, lam: np.ndarray, tol: float, max_terms: int):
     """Ruben's central chi-square series with a certified truncation bound.
 
@@ -175,31 +180,33 @@ def _ruben_cdf(x: float, lam: np.ndarray, tol: float, max_terms: int):
     nu = lam.size
     y = x / beta
     t = 1.0 - beta / lam
-    a = np.empty(max_terms + 1)
+    a_rev = np.empty(max_terms + 1)  # a_k at [max_terms - k]: dots run forward
     g = np.empty(max_terms + 1)
-    a[0] = math.exp(0.5 * float(np.log(beta / lam).sum()))
-    asum = a[0]
-    tpow = np.ones_like(lam)
-    nterms = None
+    a_rev[max_terms] = asum = math.exp(0.5 * float(np.log(beta / lam).sum()))
+    a_list, g_list = [asum], []
     for k in range(1, max_terms + 1):
-        tpow *= t
-        g[k] = tpow.sum()
-        a[k] = float(np.dot(g[1:k + 1], a[k - 1::-1])) / (2.0 * k)
-        asum += a[k]
-        if 1.0 - asum <= 0.5 * tol:
-            nterms = k
+        if k > len(g_list):
+            # power sums g_k = sum t^k for a whole block of k in one call
+            ks = np.arange(k, min(k + _RUBEN_BLOCK, max_terms + 1))
+            g[ks] = np.power.outer(t, ks).sum(axis=0)
+            g_list += g[ks].tolist()
+        # a_k = sum_i g_i a_{k-i} / 2k: Python floats while short, BLAS after
+        if k <= _RUBEN_PY_TERMS:
+            ak = sum(map(operator.mul, g_list, reversed(a_list))) / (2.0 * k)
+            a_list.append(ak)
+        else:
+            ak = float(g[1:k + 1] @ a_rev[max_terms - k + 1:]) / (2.0 * k)
+        a_rev[max_terms - k] = ak
+        asum += ak
+        # every 32 terms also the sharper bound: tail terms <= F_{nu+2k+2}(y)
+        if 1.0 - asum <= 0.5 * tol or k % 32 == 0 and (
+                (1.0 - asum) * chisq_cdf(y, nu + 2 * k + 2) <= 0.5 * tol):
             break
-        if k % 32 == 0:
-            # tail terms are all <= F_{nu+2k+2}(y), cheap sharper bound
-            if (1.0 - asum) * chisq_cdf(y, nu + 2 * k + 2) <= 0.5 * tol:
-                nterms = k
-                break
-    if nterms is None:
+    else:
         return None
-    ks = np.arange(nterms + 1)
-    terms = gammainc(nu / 2.0 + ks, y / 2.0)
-    p = float(np.dot(a[:nterms + 1], terms))
-    bound = (1.0 - asum) * chisq_cdf(y, nu + 2 * nterms + 2)
+    p = float(np.dot(a_rev[max_terms - k:],
+                     gammainc(nu / 2.0 + np.arange(k, -1, -1), y / 2.0)))
+    bound = (1.0 - asum) * chisq_cdf(y, nu + 2 * k + 2)
     return min(1.0, p + 0.5 * bound), 0.5 * bound
 
 

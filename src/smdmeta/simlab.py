@@ -74,9 +74,10 @@ class SimCell:
                 "chunks", f"{self.chunks} does not divide reps={self.reps}")
 
     def coord_parts(self) -> tuple:
-        """Cell coordinates that key the random streams (reps/chunks/seed
-        excluded, so the same seed extends rather than reshuffles)."""
-        return (self.delta, self.tau2, self.k, self.pattern, self.size, self.q)
+        """Cell coordinates that key the random streams, cast so 1 and 1.0
+        agree (reps/chunks/seed excluded: more reps extend, not reshuffle)."""
+        return (float(self.delta), float(self.tau2), int(self.k), self.pattern,
+                int(self.size), float(self.q))
 
 
 def validate_cell(cell: SimCell, allow_custom: bool = False) -> None:

@@ -28,8 +28,9 @@ class ArmSummary:
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"arm size must be >= 2, got {self.n}")
-        if self.sd < 0:
-            raise DomainError(f"arm sd must be >= 0, got {self.sd}")
+        if not (math.isfinite(self.mean) and 0 <= self.sd < math.inf):
+            raise DomainError(f"arm mean must be finite and sd in [0, inf), "
+                              f"got ({self.mean}, {self.sd})")
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,9 @@ class Study:
         if self.n_t < 2 or self.n_c < 2:
             raise DomainError(
                 f"arm sizes must be >= 2, got ({self.n_t}, {self.n_c})")
-        if not self.v2 > 0:
-            raise DomainError(f"variance of g must be > 0, got {self.v2}")
+        if not (math.isfinite(self.g) and 0 < self.v2 < math.inf):
+            raise DomainError(f"need finite g and variance of g in (0, inf), "
+                              f"got ({self.g}, {self.v2})")
 
     @property
     def m(self) -> int:

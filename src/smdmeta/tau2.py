@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
+from scipy.special import gammainc, ndtri
 
 from .numkernel import (
     ChiSqMixture,
@@ -49,8 +50,12 @@ INTERVAL_METHODS = ("QP", "BJ", "J", "PL", "KDB")
 _SERIES_DF_MIN = 1000
 
 # CDF tolerance while inverting the BJ/J mixture distribution over tau2;
-# endpoint precision is dominated by the root-finder tolerances anyway.
+# endpoint precision is set by brentq's xtol 1e-6 and rtol 1e-5 anyway.
+# Bracketing steps out from the seed by _SEED_STEP, then 4x, 16x, ... that.
 _MIX_TOL = 1e-5
+_CAP_POINT = 2.0 ** math.floor(math.log2(BRACKET_CAP))
+_SEED_GRID = np.geomspace(1e-6, _CAP_POINT, 64)
+_SEED_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -398,6 +403,27 @@ def ci_kdb(data: MetaInput, level: float = 0.95,
     return _q_profile(data, level, df, "KDB")
 
 
+def _satterthwaite_roots(weights: np.ndarray, v2: np.ndarray, q_obs: float,
+                         targets: np.ndarray) -> np.ndarray:
+    """tau2 where the two-moment fit Q ~ c chi2_nu, c = tr(M^2)/tr(M) and
+    nu = tr(M)^2/tr(M^2), puts P(Q <= q_obs) at each target.  With
+    d = v^2 + tau2, tr(M) = sum (w - w^2/S) d and tr(M^2) =
+    sum (w^2 - 2 w^3/S) d^2 + (sum w^2 d)^2/S^2 are quadratics in tau2."""
+    s = float(weights.sum())
+    w2 = weights * weights
+    pw = np.vstack((np.ones_like(v2), v2, v2 * v2))
+    a0, a1 = pw[:2] @ (weights - w2 / s)
+    b0, b1, b2 = pw @ (w2 - 2.0 * w2 * weights / s)
+    c0, c1 = pw[:2] @ w2
+    t = _SEED_GRID
+    tr1 = a1 + a0 * t
+    tr2 = b2 + (2.0 * b1 + b0 * t) * t + ((c1 + c0 * t) / s) ** 2
+    cdf = gammainc(0.5 * tr1 * tr1 / tr2, 0.5 * q_obs * tr1 / tr2)
+    # interpolate the probit of the CDF, which is near-linear in log tau2
+    z = ndtri(np.clip(cdf, 1e-15, 1.0 - 1e-15))
+    return np.exp(np.interp(-ndtri(targets), -z, np.log(t)))
+
+
 def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
                            method: str) -> Tau2Interval:
     """Invert the exact CDF of a fixed-weights Q over candidate tau2.
@@ -406,6 +432,11 @@ def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
     g's whose distribution at a given tau2 is a chi-square mixture with
     coefficients equal to the nonzero eigenvalues of
     D(tau2)^{1/2} A D(tau2)^{1/2}, A = diag(w) - w w'/sum w.
+
+    Each endpoint is seeded by the two-moment (Satterthwaite) fit, bracketed
+    by stepping the exact CDF out from the seed in growing steps, and solved
+    by brentq, which finds the bracket ends' CDF values already computed.
+    The upper endpoint is infinite if the CDF is still >= alpha/2 at 2^23.
     """
     alpha = 1.0 - level
     flags: list[str] = []
@@ -416,37 +447,38 @@ def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
         return Tau2Interval(0.0, 0.0, method, level, ("degenerate",))
     a_mat = np.diag(weights) - np.outer(weights, weights) / sum_w
     k = data.k
+    known: dict[float, float] = {}
 
     def cdf_at(tau2: float) -> float:
-        droot = np.sqrt(data.v2 + tau2)
-        m = a_mat * np.outer(droot, droot)
-        lam = symmetric_eigenvalues(m)[:k - 1]
-        lam = lam[lam > 0.0]
-        return mixture_cdf(q_obs, ChiSqMixture(tuple(lam)), tol=_MIX_TOL)
+        if tau2 not in known:
+            droot = np.sqrt(data.v2 + tau2)
+            lam = symmetric_eigenvalues(a_mat * np.outer(droot, droot))[:k - 1]
+            mix = ChiSqMixture(tuple(lam[lam > 0.0].tolist()))
+            known[tau2] = mixture_cdf(q_obs, mix, tol=_MIX_TOL)
+        return known[tau2]
 
     f_at_zero = cdf_at(0.0)
 
-    def solve(target: float, hint: float) -> float:
+    def solve(target: float, seed: float) -> float:
         if f_at_zero <= target:
             return 0.0
-        br_lo, f_lo = 0.0, f_at_zero
-        br_hi = hint
-        while True:
-            f_hi = cdf_at(br_hi)
-            if f_hi > f_lo + 32.0 * _MIX_TOL and "nonmonotone-cdf" not in flags:
-                flags.append("nonmonotone-cdf")
-            if f_hi < target:
-                break
-            br_lo, f_lo = br_hi, f_hi
-            br_hi *= 2.0
-            if br_hi > BRACKET_CAP:
+        x, step = min(seed, _CAP_POINT), _SEED_STEP
+        up = cdf_at(x) >= target
+        prev, sign = x, (1.0 if up else -1.0)
+        while (cdf_at(x) >= target) == up:
+            if up and x >= _CAP_POINT:
                 return math.inf
-        return float(brentq(lambda t: cdf_at(t) - target, br_lo, br_hi,
-                            xtol=1e-6, rtol=1e-5))
+            prev, x = x, min(x * (1.0 + step) ** sign, _CAP_POINT)
+            step *= 4.0
+        return float(brentq(lambda t: cdf_at(t) - target, min(prev, x),
+                            max(prev, x), xtol=1e-6, rtol=1e-5))
 
-    # the upper root also brackets the lower root, saving one search
-    hi = solve(alpha / 2.0, 1.0)
-    lo = solve(1.0 - alpha / 2.0, hi if 0.0 < hi < math.inf else 1.0)
+    targets = (alpha / 2.0, 1.0 - alpha / 2.0)
+    seeds = _satterthwaite_roots(weights, data.v2, q_obs, np.array(targets))
+    hi, lo = (solve(p, float(x)) for p, x in zip(targets, seeds))
+    cdfs = [f for _, f in sorted(known.items())]
+    if any(f1 > f0 + 32.0 * _MIX_TOL for f0, f1 in zip(cdfs, cdfs[1:])):
+        flags.append("nonmonotone-cdf")
     if math.isinf(hi):
         flags.append("upper-beyond-cap")
     return Tau2Interval(lo, hi, method, level, tuple(flags))

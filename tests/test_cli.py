@@ -84,6 +84,42 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "row 2" in err and "'g'" in err
 
+    @pytest.mark.parametrize("cells", ["nan,1", "0.5,inf"])
+    def test_non_finite_precomputed_is_invariant_violation(self, tmp_path,
+                                                           capsys, cells):
+        text = f"study_id,n_t,n_c,g,var_g\ns1,10,10,0,1\ns2,10,10,{cells}\n"
+        path = write(tmp_path / "bad.csv", text)
+        assert main(["analyze", "--input", path, "--format", "json"]) == 3
+        assert "row 3" in capsys.readouterr().err
+
+    def test_non_finite_precomputed_beside_arm_summaries(self, tmp_path):
+        text = ("study_id,n_t,n_c,mean_t,sd_t,mean_c,sd_c,g,var_g\n"
+                "s1,10,10,1.0,1.0,0.0,1.0,nan,nan\n"
+                "s2,10,10,0.0,1.0,0.0,1.0,nan,nan\n")
+        path = write(tmp_path / "bad.csv", text)
+        assert main(["analyze", "--input", path]) == 3
+
+    def test_non_finite_arm_summary_is_invariant_violation(self, tmp_path,
+                                                           capsys):
+        text = ("study_id,n_t,n_c,mean_t,sd_t,mean_c,sd_c\n"
+                "s1,10,10,1.0,inf,0.0,1.0\ns2,10,10,0.0,1.0,0.0,1.0\n")
+        path = write(tmp_path / "bad.csv", text)
+        assert main(["analyze", "--input", path]) == 3
+        assert "row 2" in capsys.readouterr().err
+
+    def test_successive_calls_parse_their_own_flags(self, tmp_path, capsys):
+        path = write(tmp_path / "toy.csv", TOY_PRECOMP)
+        assert main(["analyze", "--input", path, "--format", "json",
+                     "--level", "0.9", "--tau2-methods", "DL"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        out = str(tmp_path / "sim.csv")
+        assert main(["simulate", *SIM_FLAGS, "--reps", "4", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--input", path, "--format", "json"]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert first["level"] == 0.9 and list(first["tau2"]) == ["DL"]
+        assert second["level"] == 0.95 and len(second["tau2"]) == 5
+
     def test_small_arm_is_invariant_violation(self, tmp_path):
         text = "study_id,n_t,n_c,g,var_g\ns1,1,10,0,1\ns2,10,10,0,1\n"
         path = write(tmp_path / "bad.csv", text)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfinv
+from scipy.special import erfinv, gammainc
 
 from smdmeta.numkernel import (
     ChiSqMixture,
+    _ruben_cdf,
     DomainError,
     RandomStream,
     chisq_cdf,
@@ -194,6 +195,88 @@ class TestMixtureCdf:
             ChiSqMixture((1.0, -0.1))
         with pytest.raises(DomainError):
             ChiSqMixture((0.0, 0.0))
+
+
+def reference_ruben_cdf(x, lam, tol, max_terms):
+    """The per-term Ruben series loop that `_ruben_cdf` replaced, kept as its
+    oracle.  Returns (p, bound, number of terms)."""
+    beta = lam.min()
+    nu = lam.size
+    y = x / beta
+    t = 1.0 - beta / lam
+    a = np.empty(max_terms + 1)
+    g = np.empty(max_terms + 1)
+    a[0] = math.exp(0.5 * float(np.log(beta / lam).sum()))
+    asum = a[0]
+    tpow = np.ones_like(lam)
+    nterms = None
+    for k in range(1, max_terms + 1):
+        tpow *= t
+        g[k] = tpow.sum()
+        a[k] = float(np.dot(g[1:k + 1], a[k - 1::-1])) / (2.0 * k)
+        asum += a[k]
+        if 1.0 - asum <= 0.5 * tol:
+            nterms = k
+            break
+        if k % 32 == 0:
+            if (1.0 - asum) * chisq_cdf(y, nu + 2 * k + 2) <= 0.5 * tol:
+                nterms = k
+                break
+    if nterms is None:
+        return None
+    ks = np.arange(nterms + 1)
+    terms = gammainc(nu / 2.0 + ks, y / 2.0)
+    p = float(np.dot(a[:nterms + 1], terms))
+    bound = (1.0 - asum) * chisq_cdf(y, nu + 2 * nterms + 2)
+    return min(1.0, p + 0.5 * bound), 0.5 * bound, nterms
+
+
+def seeded_mixture(k, spread, seed):
+    """K log-uniform coefficients spanning exactly [1, spread], and Monte
+    Carlo draws of the mixture for picking its quantiles."""
+    rng = np.random.default_rng(seed)
+    lam = np.exp(rng.uniform(0.0, math.log(spread), k))
+    lam[0], lam[-1] = 1.0, spread
+    z = rng.standard_normal((20_000, k))
+    return lam, (lam * z * z).sum(axis=1)
+
+
+class TestRubenSeriesOracle:
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 30, 100])
+    @pytest.mark.parametrize("spread", [1.0 + 1e-9, 3.0, 30.0, 1e3])
+    def test_matches_per_term_loop(self, k, spread):
+        lam, draws = seeded_mixture(k, spread, seed=k)
+        for x in np.quantile(draws, [0.01, 0.5, 0.99]):
+            for tol in (1e-6, 1e-5):
+                ref = reference_ruben_cdf(float(x), lam, tol, 8000)
+                new = _ruben_cdf(float(x), lam, tol, 8000)
+                assert (ref is None) == (new is None)
+                if ref is not None:
+                    assert new[0] == pytest.approx(ref[0], abs=1e-13)
+                    assert new[1] == pytest.approx(ref[1], abs=1e-13)
+
+    def test_sharper_bound_stop_at_32_terms(self):
+        lam, draws = seeded_mixture(10, 30.0, seed=1)
+        x = float(np.quantile(draws, 0.01))
+        ref = reference_ruben_cdf(x, lam, 1e-6, 8000)
+        # stopped by the every-32-terms bound, not by 1 - sum(a_k)
+        assert ref[2] == 32 and ref[1] > 0.0
+        assert _ruben_cdf(x, lam, 1e-6, 8000)[0] == pytest.approx(ref[0],
+                                                                  abs=1e-13)
+
+    def test_series_longer_than_one_block(self):
+        lam, draws = seeded_mixture(5, 30.0, seed=2)
+        x = float(np.quantile(draws, 0.99))
+        ref = reference_ruben_cdf(x, lam, 1e-6, 8000)
+        assert ref[2] > 64
+        assert _ruben_cdf(x, lam, 1e-6, 8000)[0] == pytest.approx(ref[0],
+                                                                  abs=1e-13)
+
+    def test_max_terms_exhausted_returns_none(self):
+        lam, draws = seeded_mixture(5, 1e3, seed=3)
+        x = float(np.quantile(draws, 0.99))
+        assert reference_ruben_cdf(x, lam, 1e-6, 40) is None
+        assert _ruben_cdf(x, lam, 1e-6, 40) is None
 
 
 class TestSymmetricEigenvalues:

@@ -98,6 +98,13 @@ class TestSimulateMetaInput:
         b = simulate_meta_input(SimCell(0.5, 1.0, 5, "equal", 20, 0.5, seed=2), 0)
         assert a != b
 
+    def test_number_spelling_does_not_enter_streams(self):
+        a = simulate_meta_input(SimCell(0, 1, 5, "equal", 20, 0.5), 3)
+        b = simulate_meta_input(SimCell(0.0, 1.0, 5, "equal", 20, 0.5), 3)
+        c = simulate_meta_input(
+            SimCell(np.float64(0.0), 1.0, np.int64(5), "equal", 20.0, 0.5), 3)
+        assert a == b == c
+
     def test_chunking_does_not_enter_streams(self):
         a = simulate_meta_input(
             SimCell(0.5, 1.0, 5, "equal", 20, 0.5, reps=100, chunks=1, seed=3), 7)

@@ -79,6 +79,18 @@ class TestStudy:
         with pytest.raises(DomainError):
             Study(10, 10, 0.0, 0.0)
 
+    @pytest.mark.parametrize("g, v2", [(math.nan, 1.0), (math.inf, 1.0),
+                                       (0.0, math.inf), (0.0, math.nan)])
+    def test_rejects_non_finite(self, g, v2):
+        with pytest.raises(DomainError):
+            Study(10, 10, g, v2)
+
+    @pytest.mark.parametrize("mean, sd", [(math.nan, 1.0), (-math.inf, 1.0),
+                                          (0.0, math.inf), (0.0, math.nan)])
+    def test_arm_rejects_non_finite(self, mean, sd):
+        with pytest.raises(DomainError):
+            ArmSummary(10, mean, sd)
+
     def test_effective_size(self):
         assert Study(5, 15, 0.0, 1.0).eff_n == pytest.approx(3.75)
         # matches n q (1 - q) for q = n_c / n

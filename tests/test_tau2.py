@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import erfinv
 
-from smdmeta.numkernel import chisq_cdf, chisq_quantile
-from smdmeta.qstat import MetaInput, q_statistic, iv_weighted_mean
+from smdmeta.numkernel import (
+    ChiSqMixture,
+    chisq_cdf,
+    chisq_quantile,
+    mixture_cdf,
+    symmetric_eigenvalues,
+)
+from smdmeta.qstat import BRACKET_CAP, MetaInput, q_statistic, iv_weighted_mean
 from smdmeta.smd import Study, g_variance
 from smdmeta.tau2 import (
     ci_bj,
@@ -276,6 +283,86 @@ class TestCiJackson:
 
     def test_all_equal_lo_zero(self):
         assert ci_jackson(FLAT).lo == 0.0
+
+
+def reference_fixed_weight_interval(data, level, weights):
+    """The doubling-plus-brentq inversion that the seeded root search
+    replaced, kept as its oracle.  Returns (lo, hi, flags)."""
+    alpha = 1.0 - level
+    flags = []
+    sum_w = float(weights.sum())
+    gbar = float((weights * data.g).sum()) / sum_w
+    q_obs = float((weights * (data.g - gbar) ** 2).sum())
+    if q_obs <= 0.0:
+        return 0.0, 0.0, ("degenerate",)
+    a_mat = np.diag(weights) - np.outer(weights, weights) / sum_w
+
+    def cdf_at(tau2):
+        droot = np.sqrt(data.v2 + tau2)
+        lam = symmetric_eigenvalues(a_mat * np.outer(droot, droot))[:data.k - 1]
+        return mixture_cdf(q_obs, ChiSqMixture(tuple(lam[lam > 0.0])),
+                           tol=1e-5)
+
+    f_at_zero = cdf_at(0.0)
+
+    def solve(target, hint):
+        if f_at_zero <= target:
+            return 0.0
+        br_lo, f_lo = 0.0, f_at_zero
+        br_hi = hint
+        while True:
+            f_hi = cdf_at(br_hi)
+            if f_hi > f_lo + 32e-5 and "nonmonotone-cdf" not in flags:
+                flags.append("nonmonotone-cdf")
+            if f_hi < target:
+                break
+            br_lo, f_lo = br_hi, f_hi
+            br_hi *= 2.0
+            if br_hi > BRACKET_CAP:
+                return math.inf
+        return float(brentq(lambda t: cdf_at(t) - target, br_lo, br_hi,
+                            xtol=1e-6, rtol=1e-5))
+
+    hi = solve(alpha / 2.0, 1.0)
+    lo = solve(1.0 - alpha / 2.0, hi if 0.0 < hi < math.inf else 1.0)
+    if math.isinf(hi):
+        flags.append("upper-beyond-cap")
+    return lo, hi, tuple(flags)
+
+
+def oracle_cases(k):
+    """Seeded inputs from homogeneous to strongly heterogeneous, plus one
+    whose upper endpoint lies beyond the bracket cap."""
+    rng = np.random.default_rng(100 + k)
+    cases = []
+    for scale in (0.0, 0.3, 1.0, 3.0):
+        v2s = rng.uniform(0.02, 0.6, k)
+        gs = rng.standard_normal(k) * np.sqrt(v2s + scale)
+        cases.append(meta(list(gs), list(v2s)))
+    cases.append(meta([0.0] * (k - 1) + [3e4], [0.1] * k))
+    return cases
+
+
+class TestFixedWeightOracle:
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 30, 100])
+    @pytest.mark.parametrize("method", ["BJ", "J"])
+    def test_endpoints_match_doubling_search(self, k, method):
+        fn, wfun = {"BJ": (ci_bj, lambda d: 1.0 / d.v2),
+                    "J": (ci_jackson, lambda d: 1.0 / np.sqrt(d.v2))}[method]
+        for data in oracle_cases(k):
+            lo, hi, flags = reference_fixed_weight_interval(data, 0.95,
+                                                            wfun(data))
+            ci = fn(data)
+            assert ci.flags == flags
+            for ref, new in ((lo, ci.lo), (hi, ci.hi)):
+                if math.isinf(ref):
+                    assert new == ref
+                else:
+                    assert abs(new - ref) <= 2 * (1e-6 + 1e-5 * ref)
+
+    def test_cap_case_flags_upper_beyond_cap(self):
+        ci = ci_bj(oracle_cases(5)[-1])
+        assert math.isinf(ci.hi) and ci.flags == ("upper-beyond-cap",)
 
 
 class TestCiPL:
