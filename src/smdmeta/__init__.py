@@ -1,7 +1,6 @@
 """Random-effects meta-analysis of the standardized mean difference."""
 
 from .numkernel import (
-    ChiSqMixture,
     DomainError,
     NonConvergenceError,
     RandomStream,
@@ -9,7 +8,6 @@ from .numkernel import (
     chisq_quantile,
     ln_gamma,
     mixture_cdf,
-    sample_noncentral_t,
     symmetric_eigenvalues,
     t_quantile,
 )

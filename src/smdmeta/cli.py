@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from . import simlab, svgplot
 from .numkernel import DomainError
@@ -53,36 +52,9 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class AnalysisRequest:
-    input_path: str
-    tau2_methods: tuple[str, ...]
-    delta_methods: tuple[str, ...]
-    level: float
-    output_format: str  # "text" | "json"
-
-    def __post_init__(self):
-        if not 0.5 < self.level < 1.0:
-            raise CliError(f"--level must be in (0.5, 1), got {self.level}",
-                           EXIT_INPUT)
-        if not self.tau2_methods and not self.delta_methods:
-            raise CliError("at least one method must be requested", EXIT_INPUT)
-
-
-@dataclass(frozen=True)
-class ResultsRow:
-    delta: float
-    tau2: float
-    k: int
-    pattern: str
-    n_bar: int
-    q: float
-    estimator: str
-    metric: str
-    value: float
-    mc_se: float
-    reps: int
-    seed: int
+def _check_level(level: float) -> None:
+    if not 0.5 < level < 1.0:
+        raise CliError(f"--level must be in (0.5, 1), got {level}", EXIT_INPUT)
 
 
 def _fmt(x: float) -> str:
@@ -107,10 +79,21 @@ def _cell_float(row: dict, col: str, line_no: int) -> float:
 
 def _cell_int(row: dict, col: str, line_no: int) -> int:
     val = _cell_float(row, col, line_no)
-    if val != int(val):
+    if not val.is_integer():
         raise CliError(f"row {line_no}: column '{col}' must be an integer, "
                        f"got {val}", EXIT_INPUT)
     return int(val)
+
+
+def _read_csv(path: str, what: str) -> tuple[list[str], list[dict]]:
+    """Column names and rows of a UTF-8 CSV file; a file that cannot be
+    opened, decoded or parsed is an input error."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            return reader.fieldnames or [], list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise CliError(f"cannot read {what}: {exc}", EXIT_INPUT)
 
 
 def read_analysis_csv(path: str) -> MetaInput:
@@ -120,61 +103,55 @@ def read_analysis_csv(path: str) -> MetaInput:
     sd_c) and/or precomputed (g, var_g).  When both are present the raw
     summaries win and a mismatch beyond 1e-6 is an invariant violation.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise CliError(f"cannot open input: {exc}", EXIT_INPUT)
-    with fh:
-        reader = csv.DictReader(fh)
-        cols = set(reader.fieldnames or ())
-        for col in ("study_id", "n_t", "n_c"):
-            if col not in cols:
-                raise CliError(f"missing required column '{col}'", EXIT_INPUT)
-        has_raw = all(c in cols for c in RAW_COLUMNS)
-        has_pre = all(c in cols for c in PRECOMP_COLUMNS)
-        if not has_raw and not has_pre:
-            raise CliError(
-                "need either arm-summary columns "
-                f"{RAW_COLUMNS} or precomputed columns {PRECOMP_COLUMNS}",
-                EXIT_INPUT)
-        studies = []
-        for line_no, row in enumerate(reader, start=2):
-            n_t = _cell_int(row, "n_t", line_no)
-            n_c = _cell_int(row, "n_c", line_no)
-            try:
-                if has_raw:
-                    study = hedges_g(
-                        ArmSummary(n_t, _cell_float(row, "mean_t", line_no),
-                                   _cell_float(row, "sd_t", line_no)),
-                        ArmSummary(n_c, _cell_float(row, "mean_c", line_no),
-                                   _cell_float(row, "sd_c", line_no)))
-                    if has_pre:
-                        g = _cell_float(row, "g", line_no)
-                        var_g = _cell_float(row, "var_g", line_no)
-                        if not (abs(study.g - g) <= 1e-6
-                                and abs(study.v2 - var_g) <= 1e-6):
-                            raise CliError(
-                                f"row {line_no}: precomputed (g, var_g) "
-                                f"disagree with arm summaries by more than "
-                                f"1e-6", EXIT_INVARIANT)
-                else:
-                    study = Study(n_t, n_c,
-                                  _cell_float(row, "g", line_no),
-                                  _cell_float(row, "var_g", line_no))
-            except DomainError as exc:
-                raise CliError(f"row {line_no}: {exc}", EXIT_INVARIANT)
-            studies.append(study)
+    cols, rows = _read_csv(path, "input")
+    for col in ("study_id", "n_t", "n_c"):
+        if col not in cols:
+            raise CliError(f"missing required column '{col}'", EXIT_INPUT)
+    has_raw = all(c in cols for c in RAW_COLUMNS)
+    has_pre = all(c in cols for c in PRECOMP_COLUMNS)
+    if not has_raw and not has_pre:
+        raise CliError(
+            "need either arm-summary columns "
+            f"{RAW_COLUMNS} or precomputed columns {PRECOMP_COLUMNS}",
+            EXIT_INPUT)
+    studies = []
+    for line_no, row in enumerate(rows, start=2):
+        n_t = _cell_int(row, "n_t", line_no)
+        n_c = _cell_int(row, "n_c", line_no)
+        try:
+            if has_raw:
+                study = hedges_g(
+                    ArmSummary(n_t, _cell_float(row, "mean_t", line_no),
+                               _cell_float(row, "sd_t", line_no)),
+                    ArmSummary(n_c, _cell_float(row, "mean_c", line_no),
+                               _cell_float(row, "sd_c", line_no)))
+                if has_pre:
+                    g = _cell_float(row, "g", line_no)
+                    var_g = _cell_float(row, "var_g", line_no)
+                    if not (abs(study.g - g) <= 1e-6
+                            and abs(study.v2 - var_g) <= 1e-6):
+                        raise CliError(
+                            f"row {line_no}: precomputed (g, var_g) "
+                            f"disagree with arm summaries by more than "
+                            f"1e-6", EXIT_INVARIANT)
+            else:
+                study = Study(n_t, n_c,
+                              _cell_float(row, "g", line_no),
+                              _cell_float(row, "var_g", line_no))
+        except DomainError as exc:
+            raise CliError(f"row {line_no}: {exc}", EXIT_INVARIANT)
+        studies.append(study)
     if len(studies) < 2:
         raise CliError(f"need at least 2 studies, got {len(studies)}",
                        EXIT_INVARIANT)
     return MetaInput(tuple(studies))
 
 
-def _analysis_payload(est: simlab.ReplicateEstimates,
-                      request: AnalysisRequest) -> dict:
-    out: dict = {"level": request.level, "tau2": {}, "tau2_intervals": {},
+def _analysis_payload(est: simlab.ReplicateEstimates, level: float,
+                      tau2_methods, delta_methods) -> dict:
+    out: dict = {"level": level, "tau2": {}, "tau2_intervals": {},
                  "delta": {}, "delta_intervals": {}, "failures": []}
-    for name in request.tau2_methods:
+    for name in tau2_methods:
         if name in est.tau2_points:
             r = est.tau2_points[name]
             out["tau2"][name] = {"estimate": r.value, "status": r.status,
@@ -185,7 +162,7 @@ def _analysis_payload(est: simlab.ReplicateEstimates,
                 "lo": ci.lo, "hi": ci.hi, "flags": list(ci.flags)}
     for name, res in est.delta_points.items():
         out["delta"][name] = {"estimate": res.value, "variance": res.variance}
-    for name in request.delta_methods:
+    for name in delta_methods:
         if name in est.delta_intervals:
             ci = est.delta_intervals[name]
             out["delta_intervals"][name] = {
@@ -221,23 +198,22 @@ def _print_analysis_text(payload: dict, out=None) -> None:
 
 
 def cmd_analyze(args) -> int:
+    _check_level(args.level)
     tau2_methods = tuple(args.tau2_methods.split(",")) if args.tau2_methods \
         else tuple(dict.fromkeys(simlab.TAU2_POINT + simlab.TAU2_CI))
     delta_methods = tuple(args.delta_methods.split(",")) if args.delta_methods \
         else simlab.DELTA_CI
-    request = AnalysisRequest(args.input, tau2_methods, delta_methods,
-                              args.level, args.format)
-    for name in request.tau2_methods:
+    for name in tau2_methods:
         if name not in set(simlab.TAU2_POINT) | set(simlab.TAU2_CI):
             raise CliError(f"unknown tau^2 method '{name}'", EXIT_INPUT)
-    for name in request.delta_methods:
+    for name in delta_methods:
         if name not in simlab.DELTA_CI:
             raise CliError(f"unknown delta interval method '{name}'",
                            EXIT_INPUT)
-    data = read_analysis_csv(request.input_path)
-    est = simlab.estimate_all(data, request.level)
-    payload = _analysis_payload(est, request)
-    if request.output_format == "json":
+    data = read_analysis_csv(args.input)
+    est = simlab.estimate_all(data, args.level)
+    payload = _analysis_payload(est, args.level, tau2_methods, delta_methods)
+    if args.format == "json":
         json.dump(payload, sys.stdout, indent=2, allow_nan=True)
         sys.stdout.write("\n")
     else:
@@ -263,17 +239,9 @@ def _float_list(text: str, flag: str) -> tuple[float, ...]:
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
     vals = _float_list(text, flag)
-    if any(v != int(v) for v in vals):
+    if not all(v.is_integer() for v in vals):
         raise CliError(f"{flag}: expected integers, got {text!r}", EXIT_INPUT)
     return tuple(int(v) for v in vals)
-
-
-def results_rows(report: simlab.CellReport) -> list[ResultsRow]:
-    cell = report.cell
-    return [ResultsRow(cell.delta, cell.tau2, cell.k, cell.pattern, cell.size,
-                       cell.q, row.estimator, row.metric, row.value, row.mc_se,
-                       cell.reps, cell.seed)
-            for row in report.rows]
 
 
 def write_results_csv(path: str, reports: list[simlab.CellReport]) -> None:
@@ -284,12 +252,12 @@ def write_results_csv(path: str, reports: list[simlab.CellReport]) -> None:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(",".join(RESULTS_HEADER) + "\n")
             for report in reports:
-                for r in results_rows(report):
-                    fh.write(",".join((
-                        _fmt(r.delta), _fmt(r.tau2), str(r.k), r.pattern,
-                        str(r.n_bar), _fmt(r.q), r.estimator, r.metric,
-                        _fmt(r.value), _fmt(r.mc_se), str(r.reps),
-                        str(r.seed))) + "\n")
+                c = report.cell
+                head = (f"{_fmt(c.delta)},{_fmt(c.tau2)},{c.k},{c.pattern},"
+                        f"{c.size},{_fmt(c.q)},")
+                for r in report.rows:
+                    fh.write(f"{head}{r.estimator},{r.metric},{_fmt(r.value)},"
+                             f"{_fmt(r.mc_se)},{c.reps},{c.seed}\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -301,9 +269,7 @@ def cmd_simulate(args) -> int:
     if args.n is None and args.nbar is None:
         raise CliError("need --n (equal sizes) and/or --nbar (unequal sizes)",
                        EXIT_INPUT)
-    if not 0.5 < args.level < 1.0:
-        raise CliError(f"--level must be in (0.5, 1), got {args.level}",
-                       EXIT_INPUT)
+    _check_level(args.level)
     config = simlab.GridConfig(
         deltas=_float_list(args.delta, "--delta"),
         tau2s=_float_list(args.tau2, "--tau2"),
@@ -316,8 +282,14 @@ def cmd_simulate(args) -> int:
         cells = simlab.expand_grid(config, allow_custom=args.allow_custom)
     except simlab.GridValidationError as exc:
         raise CliError(str(exc), EXIT_INPUT)
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):
+        raise CliError(f"--out: no such directory {out_dir}", EXIT_INPUT)
     reports = simlab.run_grid(cells, level=args.level, threads=args.threads)
-    write_results_csv(args.out, reports)
+    try:
+        write_results_csv(args.out, reports)
+    except OSError as exc:
+        raise CliError(f"cannot write results: {exc}", EXIT_INPUT)
     print(f"wrote {sum(len(r.rows) for r in reports)} rows "
           f"for {len(cells)} cell(s) to {args.out}")
     return EXIT_OK
@@ -328,17 +300,12 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_results(path: str) -> list[dict]:
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise CliError(f"cannot open results: {exc}", EXIT_INPUT)
-    with fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != RESULTS_HEADER:
-            raise CliError(
-                f"results header mismatch: expected {','.join(RESULTS_HEADER)}",
-                EXIT_INPUT)
-        return list(reader)
+    columns, rows = _read_csv(path, "results")
+    if tuple(columns) != RESULTS_HEADER:
+        raise CliError(
+            f"results header mismatch: expected {','.join(RESULTS_HEADER)}",
+            EXIT_INPUT)
+    return rows
 
 
 def cmd_plot(args) -> int:
@@ -349,15 +316,19 @@ def cmd_plot(args) -> int:
                        f"{sorted(METRIC_ESTIMATORS)}", EXIT_INPUT)
     estimators = METRIC_ESTIMATORS[metric]
     data: dict = {}
-    for r in rows:
+    for line_no, r in enumerate(rows, start=2):
         if r["metric"] != metric:
             continue
-        key = (float(r["delta"]), float(r["q"]), r["pattern"], int(r["n_bar"]),
-               int(r["k"]), r["estimator"])
-        data.setdefault(key, []).append((float(r["tau2"]), float(r["value"])))
+        try:
+            key = (float(r["delta"]), float(r["q"]), r["pattern"],
+                   int(r["n_bar"]), int(r["k"]), r["estimator"])
+            point = (float(r["tau2"]), float(r["value"]))
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"results row {line_no}: {exc}", EXIT_INPUT)
+        data.setdefault(key, []).append(point)
 
     if args.delta is not None and args.q is not None and args.family:
-        combos = [(float(args.delta), float(args.q), args.family)]
+        combos = [(args.delta, args.q, args.family)]
     else:
         combos = sorted({
             (d, q, fam)
@@ -365,15 +336,18 @@ def cmd_plot(args) -> int:
             for fam, (fpattern, fsizes) in FAMILIES.items()
             if pattern == fpattern and size in fsizes})
         if args.delta is not None:
-            combos = [c for c in combos if c[0] == float(args.delta)]
+            combos = [c for c in combos if c[0] == args.delta]
         if args.q is not None:
-            combos = [c for c in combos if c[1] == float(args.q)]
+            combos = [c for c in combos if c[1] == args.q]
         if args.family:
             combos = [c for c in combos if c[2] == args.family]
     if not combos:
         raise CliError("no matching figures in the results file", EXIT_INPUT)
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create --out-dir: {exc}", EXIT_INPUT)
     written = []
     for delta, q, family in combos:
         pattern, sizes = FAMILIES[family]
@@ -462,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", required=True)
     p.add_argument("--metric", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--q", default=None)
+    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--q", type=float, default=None)
     p.add_argument("--family", default=None, choices=sorted(FAMILIES))
     p.add_argument("--level", type=float, default=0.95)
     p.set_defaults(func=cmd_plot)

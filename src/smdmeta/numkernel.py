@@ -132,38 +132,9 @@ def _as_generator(stream: StreamLike) -> Generator:
     return stream
 
 
-def sample_noncentral_t(stream: StreamLike, df: int, ncp: float) -> float:
-    """One draw of (Z + ncp) / sqrt(X / df), Z standard normal, X chi-squared(df).
-
-    Accepts either a RandomStream (one deterministic draw per stream) or an
-    already-positioned Generator (consumes two variates from it).
-    """
-    if df < 1:
-        raise DomainError(f"sample_noncentral_t requires df >= 1, got {df}")
-    gen = _as_generator(stream)
-    z = gen.standard_normal()
-    x = gen.chisquare(df)
-    return (z + ncp) / math.sqrt(x / df)
-
-
 # ---------------------------------------------------------------------------
 # chi-square mixtures:  P(sum_i lambda_i chi2_1 <= x)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChiSqMixture:
-    """Positive linear combination of independent chi-squared(1) variables."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) == 0:
-            raise DomainError("mixture needs at least one coefficient")
-        if any(c < 0 for c in self.coefficients):
-            raise DomainError("mixture coefficients must be >= 0")
-        if not any(c > 0 for c in self.coefficients):
-            raise DomainError("mixture needs at least one positive coefficient")
-
 
 _RUBEN_BLOCK = 32      # power sums computed per block of series terms
 _RUBEN_PY_TERMS = 40   # recurrence on Python floats up to this many terms
@@ -238,14 +209,22 @@ def _imhof_cdf(x: float, lam: np.ndarray, tol: float):
     return min(1.0, max(0.0, p)), bound
 
 
-def mixture_cdf(x: float, mix: ChiSqMixture, tol: float = 1e-6) -> float:
-    """CDF of a positive linear combination of chi-squared(1) variables.
+def mixture_cdf(x: float, coefficients, tol: float = 1e-6) -> float:
+    """CDF of sum_i c_i chi-squared(1), for coefficients c_i >= 0 that are
+    not all zero (a sequence or array; zero coefficients drop out).
 
     Absolute error is certified to be <= tol.  Raises NonConvergenceError,
     carrying the achieved bound, if neither the series nor the quadrature
     route can certify it.
     """
-    lam = np.asarray([c for c in mix.coefficients if c > 0.0], dtype=float)
+    lam = np.asarray(coefficients, dtype=float)
+    if lam.size == 0:
+        raise DomainError("mixture needs at least one coefficient")
+    if (lam < 0).any():
+        raise DomainError("mixture coefficients must be >= 0")
+    lam = lam[lam > 0.0]
+    if lam.size == 0:
+        raise DomainError("mixture needs at least one positive coefficient")
     if x <= 0.0:
         return 0.0
     if lam.size == 1:

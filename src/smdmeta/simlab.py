@@ -9,6 +9,7 @@ and all aggregation happens once, in global replicate order.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -67,11 +68,19 @@ class SimCell:
     def __post_init__(self):
         if self.pattern not in ("equal", "unequal"):
             raise GridValidationError("pattern", self.pattern)
+        if not self.tau2 >= 0:
+            raise GridValidationError("tau2", self.tau2)
         if self.reps <= 0 or self.chunks <= 0:
             raise GridValidationError("reps/chunks", (self.reps, self.chunks))
         if self.reps % self.chunks != 0:
             raise GridValidationError(
                 "chunks", f"{self.chunks} does not divide reps={self.reps}")
+        if self.pattern == "unequal":
+            if self.size not in UNEQUAL_SIZES:
+                raise GridValidationError("size (unequal nbar)", self.size)
+            if self.k % 5 != 0:
+                raise GridValidationError("k", f"{self.k} not divisible by 5 "
+                                               "under the unequal pattern")
 
     def coord_parts(self) -> tuple:
         """Cell coordinates that key the random streams, cast so 1 and 1.0
@@ -81,12 +90,8 @@ class SimCell:
 
 
 def validate_cell(cell: SimCell, allow_custom: bool = False) -> None:
-    if cell.pattern == "unequal":
-        if cell.size not in UNEQUAL_SIZES:
-            raise GridValidationError("size (unequal nbar)", cell.size)
-        if cell.k % 5 != 0:
-            raise GridValidationError("k", f"{cell.k} not divisible by 5 "
-                                           "under the unequal pattern")
+    """Reject values outside the built-in grid unless allow_custom is set
+    (the unequal-pattern checks already ran when the SimCell was built)."""
     if allow_custom:
         return
     if cell.delta not in DELTAS:
@@ -111,12 +116,7 @@ def study_sizes(cell: SimCell) -> tuple[tuple[int, int], ...]:
     if cell.pattern == "equal":
         totals = (cell.size,) * cell.k
     else:
-        base = UNEQUAL_SIZES.get(cell.size)
-        if base is None:
-            raise GridValidationError("size (unequal nbar)", cell.size)
-        if cell.k % 5 != 0:
-            raise GridValidationError("k", cell.k)
-        totals = base * (cell.k // 5)
+        totals = UNEQUAL_SIZES[cell.size] * (cell.k // 5)
     out = []
     for n in totals:
         n_t = math.ceil((1.0 - cell.q) * n)
@@ -171,83 +171,51 @@ class ReplicateEstimates:
 
 def estimate_all(data: MetaInput, level: float = 0.95) -> ReplicateEstimates:
     """Run the full battery; non-convergent estimators are recorded in
-    ``failures`` (never silently dropped) and omitted from the dicts."""
+    ``failures`` (never silently dropped) and omitted from the dicts.
+
+    Failures are named after the estimator, except that the J and KDB tau^2
+    intervals fail as "J-interval" and "KDB-interval".  A failed corrected
+    E[Q] is recorded once as "KDB"; an estimator whose input failed is
+    recorded with the message "prerequisite failed".
+    """
     failures: list[tuple[str, str]] = []
 
-    def attempt(name, fn, into):
+    def attempt(name, fn, *args):
+        """fn(data, *args), or None with the failure recorded; a None
+        argument is a prerequisite that failed."""
+        if any(arg is None for arg in args):
+            if all(name != failed for failed, _ in failures):
+                failures.append((name, "prerequisite failed"))
+            return None
         try:
-            into[name] = fn()
+            return fn(data, *args)
         except NonConvergenceError as exc:
             failures.append((name, str(exc)))
+            return None
 
-    tau2_points: dict[str, t2.Tau2Result] = {}
-    attempt("DL", lambda: t2.tau2_dl(data), tau2_points)
-    attempt("MP", lambda: t2.tau2_mp(data), tau2_points)
-    attempt("REML", lambda: t2.tau2_reml(data), tau2_points)
-    attempt("J", lambda: t2.tau2_jackson(data), tau2_points)
-
-    try:
-        expected_q = t2.corrected_expected_q(data)
-    except NonConvergenceError as exc:
-        expected_q = None
-        failures.append(("KDB", str(exc)))
-    if expected_q is not None:
-        attempt("KDB", lambda: t2.tau2_kdb(data, expected_q), tau2_points)
-
-    tau2_intervals: dict[str, t2.Tau2Interval] = {}
-    attempt("QP", lambda: t2.ci_qp(data, level), tau2_intervals)
-    attempt("BJ", lambda: t2.ci_bj(data, level), tau2_intervals)
-    attempt("J", lambda: t2.ci_jackson(data, level), tau2_intervals)
-    if "REML" in tau2_points:
-        attempt("PL", lambda: t2.ci_pl(data, level, tau2_points["REML"]),
-                tau2_intervals)
-    else:
-        failures.append(("PL", "REML prerequisite failed"))
-    if expected_q is not None:
-        attempt("KDB", lambda: t2.ci_kdb(data, level, expected_q),
-                tau2_intervals)
-    else:
-        failures.append(("KDB-interval", "corrected E[Q] failed"))
-
-    delta_points: dict[str, eff.EffectResult] = {}
-    for name in TAU2_POINT:
-        if name in tau2_points:
-            attempt(f"IV-{name}",
-                    lambda name=name: eff.effect_iv(data, tau2_points[name]),
-                    delta_points)
-        else:
-            failures.append((f"IV-{name}", "tau^2 prerequisite failed"))
-    if "KDB" in tau2_points:
-        kdb_value = tau2_points["KDB"].value
-        attempt("SSW", lambda: eff.effect_ssw(data, kdb_value), delta_points)
-    else:
-        kdb_value = None
-        failures.append(("SSW", "KDB prerequisite failed"))
-
-    delta_intervals: dict[str, eff.EffectInterval] = {}
-    for name in TAU2_POINT:
-        if name in tau2_points:
-            attempt(f"Z-{name}",
-                    lambda name=name: eff.ci_z(data, tau2_points[name], level),
-                    delta_intervals)
-        else:
-            failures.append((f"Z-{name}", "tau^2 prerequisite failed"))
-    if "DL" in tau2_points:
-        attempt("HKSJ", lambda: eff.ci_hksj(data, tau2_points["DL"], level),
-                delta_intervals)
-    if "KDB" in tau2_points:
-        attempt("HKSJ-KDB",
-                lambda: eff.ci_hksj(data, tau2_points["KDB"], level),
-                delta_intervals)
-        attempt("SSW-KDB",
-                lambda: eff.ci_ssw_kdb(data, level, kdb_value),
-                delta_intervals)
-    else:
-        failures.append(("HKSJ-KDB", "KDB prerequisite failed"))
-        failures.append(("SSW-KDB", "KDB prerequisite failed"))
-
-    return ReplicateEstimates(tau2_points, tau2_intervals, delta_points,
-                              delta_intervals, tuple(failures))
+    tau2_pt = {"DL": attempt("DL", t2.tau2_dl),
+               "MP": attempt("MP", t2.tau2_mp),
+               "REML": attempt("REML", t2.tau2_reml),
+               "J": attempt("J", t2.tau2_jackson)}
+    expected_q = attempt("KDB", t2.corrected_expected_q)
+    tau2_pt["KDB"] = kdb = attempt("KDB", t2.tau2_kdb, expected_q)
+    tau2_ci = {"QP": attempt("QP", t2.ci_qp, level),
+               "BJ": attempt("BJ", t2.ci_bj, level),
+               "J": attempt("J-interval", t2.ci_jackson, level),
+               "PL": attempt("PL", t2.ci_pl, level, tau2_pt["REML"]),
+               "KDB": attempt("KDB-interval", t2.ci_kdb, level, expected_q)}
+    kdb_value = None if kdb is None else kdb.value
+    delta_pt = {f"IV-{m}": attempt(f"IV-{m}", eff.effect_iv, tau2_pt[m])
+                for m in TAU2_POINT}
+    delta_pt["SSW"] = attempt("SSW", eff.effect_ssw, kdb_value)
+    delta_ci = {f"Z-{m}": attempt(f"Z-{m}", eff.ci_z, tau2_pt[m], level)
+                for m in TAU2_POINT}
+    delta_ci["HKSJ"] = attempt("HKSJ", eff.ci_hksj, tau2_pt["DL"], level)
+    delta_ci["HKSJ-KDB"] = attempt("HKSJ-KDB", eff.ci_hksj, kdb, level)
+    delta_ci["SSW-KDB"] = attempt("SSW-KDB", eff.ci_ssw_kdb, level, kdb_value)
+    found = [{name: res for name, res in d.items() if res is not None}
+             for d in (tau2_pt, tau2_ci, delta_pt, delta_ci)]
+    return ReplicateEstimates(*found, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +224,9 @@ def estimate_all(data: MetaInput, level: float = 0.95) -> ReplicateEstimates:
 
 @dataclass
 class RawCellResult:
-    """Per-replicate estimator outputs for one cell, in global replicate
-    order; NaN marks a non-convergent replicate for that estimator."""
+    """Per-replicate estimator outputs for one cell (or one chunk of it), in
+    replicate order; NaN marks a non-convergent replicate for that
+    estimator."""
 
     cell: SimCell
     tau2_est: dict[str, np.ndarray]
@@ -266,6 +235,11 @@ class RawCellResult:
     delta_est: dict[str, np.ndarray]
     delta_cover: dict[str, np.ndarray]
     n_failed: dict[str, int]
+
+
+_ARRAYS = (("tau2_est", TAU2_POINT), ("tau2_trunc", TAU2_POINT),
+           ("tau2_cover", TAU2_CI), ("delta_est", DELTA_POINT),
+           ("delta_cover", DELTA_CI))
 
 
 def simulate_meta_input(cell: SimCell, replicate: int) -> MetaInput:
@@ -280,29 +254,25 @@ def simulate_meta_input(cell: SimCell, replicate: int) -> MetaInput:
     return MetaInput(studies)
 
 
-def _run_chunk(cell: SimCell, rep_lo: int, rep_hi: int, level: float):
+def _run_chunk(cell: SimCell, rep_lo: int, rep_hi: int,
+               level: float) -> RawCellResult:
     n = rep_hi - rep_lo
-    tau2_est = {m: np.full(n, np.nan) for m in TAU2_POINT}
-    tau2_trunc = {m: np.full(n, np.nan) for m in TAU2_POINT}
-    tau2_cover = {m: np.full(n, np.nan) for m in TAU2_CI}
-    delta_est = {m: np.full(n, np.nan) for m in DELTA_POINT}
-    delta_cover = {m: np.full(n, np.nan) for m in DELTA_CI}
-    n_failed: dict[str, int] = {}
+    raw = RawCellResult(cell, n_failed={}, **{
+        fld: {m: np.full(n, np.nan) for m in names} for fld, names in _ARRAYS})
     for idx in range(n):
-        data = simulate_meta_input(cell, rep_lo + idx)
-        est = estimate_all(data, level)
+        est = estimate_all(simulate_meta_input(cell, rep_lo + idx), level)
         for name, res in est.tau2_points.items():
-            tau2_est[name][idx] = res.value
-            tau2_trunc[name][idx] = 1.0 if res.status == "truncated_at_zero" else 0.0
+            raw.tau2_est[name][idx] = res.value
+            raw.tau2_trunc[name][idx] = res.status == "truncated_at_zero"
         for name, ci in est.tau2_intervals.items():
-            tau2_cover[name][idx] = 1.0 if ci.contains(cell.tau2) else 0.0
+            raw.tau2_cover[name][idx] = ci.contains(cell.tau2)
         for name, res in est.delta_points.items():
-            delta_est[name][idx] = res.value
+            raw.delta_est[name][idx] = res.value
         for name, ci in est.delta_intervals.items():
-            delta_cover[name][idx] = 1.0 if ci.contains(cell.delta) else 0.0
+            raw.delta_cover[name][idx] = ci.contains(cell.delta)
         for name, _msg in est.failures:
-            n_failed[name] = n_failed.get(name, 0) + 1
-    return tau2_est, tau2_trunc, tau2_cover, delta_est, delta_cover, n_failed
+            raw.n_failed[name] = raw.n_failed.get(name, 0) + 1
+    return raw
 
 
 def _chunk_task(args):
@@ -315,33 +285,24 @@ def run_cell_raw(cell: SimCell, level: float = 0.95,
 
     The concatenation happens in chunk order, and each replicate's stream
     depends only on (seed, cell, replicate), so the result is identical
-    for any chunk count and any worker count.
+    for any chunk count and any worker count.  A REML estimate that stopped
+    at max_iter is pooled into bias and coverage as an ordinary estimate,
+    and PL is built around it.
     """
     per = cell.reps // cell.chunks
-    ranges = [(i * per, (i + 1) * per) for i in range(cell.chunks)]
+    tasks = [(cell, i * per, (i + 1) * per, level) for i in range(cell.chunks)]
     if threads > 1 and cell.chunks > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_chunk_task,
-                                  [(cell, lo, hi, level) for lo, hi in ranges]))
+            parts = list(pool.map(_chunk_task, tasks))
     else:
-        parts = [_run_chunk(cell, lo, hi, level) for lo, hi in ranges]
-
-    def cat(which: int, names) -> dict[str, np.ndarray]:
-        return {m: np.concatenate([p[which][m] for p in parts]) for m in names}
-
+        parts = [_run_chunk(*task) for task in tasks]
     n_failed: dict[str, int] = {}
-    for p in parts:
-        for name, cnt in p[5].items():
+    for part in parts:
+        for name, cnt in part.n_failed.items():
             n_failed[name] = n_failed.get(name, 0) + cnt
-    return RawCellResult(
-        cell=cell,
-        tau2_est=cat(0, TAU2_POINT),
-        tau2_trunc=cat(1, TAU2_POINT),
-        tau2_cover=cat(2, TAU2_CI),
-        delta_est=cat(3, DELTA_POINT),
-        delta_cover=cat(4, DELTA_CI),
-        n_failed=n_failed,
-    )
+    return RawCellResult(cell, n_failed=n_failed, **{
+        fld: {m: np.concatenate([getattr(p, fld)[m] for p in parts])
+              for m in names} for fld, names in _ARRAYS})
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +322,15 @@ class CellReport:
     cell: SimCell
     rows: tuple[MetricRow, ...]
 
+    @functools.cached_property
+    def _rows_by_key(self) -> dict[tuple[str, str], MetricRow]:
+        return {(row.estimator, row.metric): row for row in self.rows}
+
     def value(self, estimator: str, metric: str) -> float:
-        for row in self.rows:
-            if row.estimator == estimator and row.metric == metric:
-                return row.value
-        raise KeyError((estimator, metric))
+        return self._rows_by_key[estimator, metric].value
 
     def se(self, estimator: str, metric: str) -> float:
-        for row in self.rows:
-            if row.estimator == estimator and row.metric == metric:
-                return row.mc_se
-        raise KeyError((estimator, metric))
+        return self._rows_by_key[estimator, metric].mc_se
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float, int]:
@@ -394,7 +353,12 @@ def _prop_se(x: np.ndarray) -> tuple[float, float]:
 
 def metrics(raw: RawCellResult) -> CellReport:
     """Aggregate per-replicate outputs into bias / coverage / MSE rows with
-    Monte-Carlo standard errors (coverage SE is sqrt(p(1-p)/R))."""
+    Monte-Carlo standard errors (coverage SE is sqrt(p(1-p)/R)).
+
+    NaN entries (failed estimators) are left out.  A REML estimate that
+    stopped at max_iter is not NaN: it counts in REML's bias and in PL's
+    coverage like any other estimate.
+    """
     cell = raw.cell
     rows: list[MetricRow] = []
     for name in TAU2_POINT:

@@ -24,7 +24,6 @@ from scipy.optimize import brentq
 from scipy.special import gammainc, ndtri
 
 from .numkernel import (
-    ChiSqMixture,
     DomainError,
     NonConvergenceError,
     chisq_quantile,
@@ -453,8 +452,7 @@ def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
         if tau2 not in known:
             droot = np.sqrt(data.v2 + tau2)
             lam = symmetric_eigenvalues(a_mat * np.outer(droot, droot))[:k - 1]
-            mix = ChiSqMixture(tuple(lam[lam > 0.0].tolist()))
-            known[tau2] = mixture_cdf(q_obs, mix, tol=_MIX_TOL)
+            known[tau2] = mixture_cdf(q_obs, lam[lam > 0.0], tol=_MIX_TOL)
         return known[tau2]
 
     f_at_zero = cdf_at(0.0)

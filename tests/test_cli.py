@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -146,12 +147,63 @@ class TestAnalyze:
         path = write(tmp_path / "toy.csv", TOY_PRECOMP)
         assert main(["analyze", "--input", path, "--level", "0.4"]) == 2
 
+    @pytest.mark.parametrize("col", ["n_t", "n_c"])
+    @pytest.mark.parametrize("val", ["inf", "nan", "1e400"])
+    def test_non_finite_size_is_input_error(self, tmp_path, capsys, col, val):
+        sizes = {"n_t": "10", "n_c": "10", col: val}
+        text = ("study_id,n_t,n_c,g,var_g\ns1,10,10,0,1\n"
+                f"s2,{sizes['n_t']},{sizes['n_c']},0,1\n")
+        path = write(tmp_path / "bad.csv", text)
+        assert main(["analyze", "--input", path]) == 2
+        assert f"row 3: column '{col}' must be an integer" in \
+            capsys.readouterr().err
+
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("study_id,n_t,n_c,g,var_g\nm\xfcller,10,10,0,1\n"
+                         "s2,10,10,2,1\n".encode("latin-1"))
+        assert main(["analyze", "--input", str(path)]) == 2
+        assert "cannot read input" in capsys.readouterr().err
+
+    def test_oversized_field_is_input_error(self, tmp_path, capsys):
+        text = TOY_PRECOMP + "s3" + "x" * 140_000 + ",10,10,0,1\n"
+        path = write(tmp_path / "big.csv", text)
+        assert main(["analyze", "--input", path]) == 2
+        assert "cannot read input" in capsys.readouterr().err
+
 
 SIM_FLAGS = ["--delta", "0", "--tau2", "0", "--k", "5", "--n", "20",
              "--q", "0.5", "--reps", "40", "--chunks", "4", "--seed", "7"]
 
 
+# SHA-256 of the CSV from GOLDEN_FLAGS; any change to a simulated number or
+# to the CSV format changes it.
+GOLDEN_FLAGS = ["--delta", "0.5", "--tau2", "0,1.5", "--k", "5", "--n", "20",
+                "--q", "0.5", "--reps", "20", "--chunks", "2", "--seed", "1"]
+GOLDEN_SHA256 = \
+    "47032589e80062c437b572f257f67cc56bccc9d78a74c52dba012b83b5f30004"
+
+
 class TestSimulate:
+    def test_golden_bytes(self, tmp_path, capsys):
+        path = tmp_path / "golden.csv"
+        assert main(["simulate", *GOLDEN_FLAGS, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+    @pytest.mark.parametrize("flag, value", [("--k", "inf"),
+                                             ("--tau2", "-1")])
+    def test_bad_grid_value_is_input_error(self, tmp_path, flag, value):
+        args = ["simulate", *SIM_FLAGS, "--allow-custom", flag, value,
+                "--out", str(tmp_path / "r.csv")]
+        assert main(args) == 2
+
+    def test_missing_out_directory_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "nowhere" / "r.csv"
+        assert main(["simulate", *SIM_FLAGS, "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["simulate", *SIM_FLAGS, "--out", p1]) == 0
@@ -245,3 +297,28 @@ class TestPlot:
     def test_unknown_metric(self, tmp_path, results_csv):
         assert main(["plot", "--results", results_csv, "--metric", "nope",
                      "--out-dir", str(tmp_path / "f")]) == 2
+
+    def test_out_dir_below_a_file_is_input_error(self, tmp_path, results_csv,
+                                                 capsys):
+        blocker = write(tmp_path / "file", "")
+        assert main(["plot", "--results", results_csv,
+                     "--metric", "tau2_bias",
+                     "--out-dir", os.path.join(blocker, "figs")]) == 2
+        assert "--out-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--delta", "--q"])
+    def test_non_numeric_figure_flag_is_usage_error(self, tmp_path,
+                                                    results_csv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", "--results", results_csv, "--metric", "tau2_bias",
+                  "--out-dir", str(tmp_path / "f"), flag, "abc"])
+        assert exc.value.code == 2
+
+    def test_non_numeric_results_value_is_input_error(self, tmp_path,
+                                                      results_csv, capsys):
+        lines = open(results_csv).read().splitlines()
+        lines[1] = "abc" + lines[1][lines[1].index(","):]
+        bad = write(tmp_path / "bad.csv", "\n".join(lines) + "\n")
+        assert main(["plot", "--results", bad, "--metric", "tau2_bias",
+                     "--out-dir", str(tmp_path / "f")]) == 2
+        assert "results row 2" in capsys.readouterr().err

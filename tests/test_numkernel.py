@@ -5,7 +5,6 @@ import pytest
 from scipy.special import erfinv, gammainc
 
 from smdmeta.numkernel import (
-    ChiSqMixture,
     _ruben_cdf,
     DomainError,
     RandomStream,
@@ -15,11 +14,10 @@ from smdmeta.numkernel import (
     ln_gamma,
     mixture_cdf,
     normal_quantile,
-    sample_noncentral_t,
     symmetric_eigenvalues,
     t_quantile,
 )
-from smdmeta.smd import j_factor
+from smdmeta.smd import j_factor, sample_g
 
 
 class TestLnGamma:
@@ -116,15 +114,27 @@ class TestRandomStream:
             RandomStream(-1, 0)
 
 
+def t_draws(stream, n_t, n_c, ncp, n):
+    """n draws of sqrt(ntilde) g / J(m) from sample_g, ntilde = n_t n_c /
+    (n_t + n_c): noncentral t with m = n_t + n_c - 2 df and the given ncp
+    (the true effect is ncp / sqrt(ntilde))."""
+    root_n = math.sqrt(n_t * n_c / (n_t + n_c))
+    scale = root_n / j_factor(n_t + n_c - 2)
+    return np.array([scale * sample_g(stream, n_t, n_c, ncp / root_n).g
+                     for _ in range(n)])
+
+
 class TestNoncentralT:
+    """The noncentral t draw inside sample_g."""
+
     def test_deterministic_per_stream(self):
         s = RandomStream(5, 99)
-        assert sample_noncentral_t(s, 7, 1.2) == sample_noncentral_t(s, 7, 1.2)
+        assert sample_g(s, 4, 5, 1.2) == sample_g(s, 4, 5, 1.2)
 
     def test_mean_zero_when_central(self):
         gen = RandomStream(11, 0).generator()
         n = 100_000
-        draws = np.array([sample_noncentral_t(gen, 40, 0.0) for _ in range(n)])
+        draws = t_draws(gen, 21, 21, 0.0, n)
         se = draws.std(ddof=1) / math.sqrt(n)
         assert abs(draws.mean()) < 4 * se
 
@@ -133,7 +143,7 @@ class TestNoncentralT:
         m, ncp = 12, 1.3
         gen = RandomStream(12, 1).generator()
         n = 100_000
-        draws = np.array([sample_noncentral_t(gen, m, ncp) for _ in range(n)])
+        draws = t_draws(gen, 7, 7, ncp, n)
         se = draws.std(ddof=1) / math.sqrt(n)
         assert draws.mean() == pytest.approx(ncp / j_factor(m), abs=4 * se)
 
@@ -141,7 +151,7 @@ class TestNoncentralT:
         m, ncp = 10, 0.8
         gen = RandomStream(13, 2).generator()
         n = 100_000
-        draws = np.array([sample_noncentral_t(gen, m, ncp) for _ in range(n)])
+        draws = t_draws(gen, 6, 6, ncp, n)
         var_exact = m * (1 + ncp ** 2) / (m - 2) - (ncp / j_factor(m)) ** 2
         # SE of the sample variance from the exact fourth moment
         e4 = (ncp ** 4 + 6 * ncp ** 2 + 3) * m * m / ((m - 2) * (m - 4))
@@ -153,48 +163,47 @@ class TestNoncentralT:
         assert draws.var(ddof=1) == pytest.approx(var_exact, abs=5 * se_var)
 
     def test_df_domain(self):
+        # an arm of 1 leaves m = 1 df
         with pytest.raises(DomainError):
-            sample_noncentral_t(RandomStream(1, 1), 0, 0.0)
+            sample_g(RandomStream(1, 1), 1, 2, 0.0)
 
 
 class TestMixtureCdf:
     def test_single_unit_coefficient_equals_chisq1(self):
-        mix = ChiSqMixture((1.0,))
         for x in np.linspace(0.05, 12.0, 25):
-            assert mixture_cdf(float(x), mix) == pytest.approx(
+            assert mixture_cdf(float(x), [1.0]) == pytest.approx(
                 chisq_cdf(float(x), 1.0), abs=1e-6)
-        assert mixture_cdf(3.841, mix) == pytest.approx(0.95, abs=1e-4)
+        assert mixture_cdf(3.841, [1.0]) == pytest.approx(0.95, abs=1e-4)
 
     def test_equal_pair_collapses_to_chisq2(self):
-        mix = ChiSqMixture((1.0, 1.0))
         for x in (0.1, 1.0, 2.5, 4.2, 9.0):
-            assert mixture_cdf(x, mix) == pytest.approx(chisq_cdf(x, 2.0),
-                                                        abs=1e-6)
+            assert mixture_cdf(x, [1.0, 1.0]) == pytest.approx(
+                chisq_cdf(x, 2.0), abs=1e-6)
 
     def test_against_monte_carlo(self):
         lam = (2.0, 1.0, 0.5)
         rng = np.random.default_rng(202)
         z = rng.standard_normal((200_000, 3))
         q = (np.array(lam) * z * z).sum(axis=1)
-        mix = ChiSqMixture(lam)
         for x in (1.0, 3.0, 5.0, 9.0):
             emp = float((q <= x).mean())
-            assert mixture_cdf(x, mix) == pytest.approx(emp, abs=0.005)
+            assert mixture_cdf(x, lam) == pytest.approx(emp, abs=0.005)
 
     def test_scaling_consistency(self):
         # P(sum c*lam chi2 <= c*x) is scale-free
         lam = (3.0, 0.7, 1.4, 0.2)
-        a = mixture_cdf(4.0, ChiSqMixture(lam))
-        b = mixture_cdf(10.0, ChiSqMixture(tuple(2.5 * c for c in lam)))
+        a = mixture_cdf(4.0, lam)
+        b = mixture_cdf(10.0, 2.5 * np.array(lam))
         assert a == pytest.approx(b, abs=1e-6)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            ChiSqMixture(())
-        with pytest.raises(DomainError):
-            ChiSqMixture((1.0, -0.1))
-        with pytest.raises(DomainError):
-            ChiSqMixture((0.0, 0.0))
+        for bad in ([], [1.0, -0.1], [0.0, 0.0]):
+            with pytest.raises(DomainError):
+                mixture_cdf(1.0, np.array(bad))
+
+    def test_zero_coefficients_drop_out(self):
+        assert mixture_cdf(2.0, np.array([0.0, 1.5, 0.0, 0.4])) == \
+            mixture_cdf(2.0, np.array([1.5, 0.4]))
 
 
 def reference_ruben_cdf(x, lam, tol, max_terms):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from smdmeta import tau2 as t2
+from smdmeta.numkernel import NonConvergenceError
 from smdmeta.qstat import MetaInput
 from smdmeta.simlab import (
     CellReport,
@@ -73,8 +75,12 @@ class TestStudySizes:
 
     def test_unequal_k_must_divide(self):
         with pytest.raises(GridValidationError):
-            study_sizes(SimCell(0.0, 0.0, 6, "unequal", 30, 0.5,
-                                reps=6, chunks=1))
+            SimCell(0.0, 0.0, 6, "unequal", 30, 0.5, reps=6, chunks=1)
+
+    def test_unequal_nbar_must_be_tabled(self):
+        with pytest.raises(GridValidationError) as exc:
+            SimCell(0.0, 0.0, 5, "unequal", 31, 0.5)
+        assert "nbar" in exc.value.field
 
     def test_odd_total_with_q_half(self):
         cell = SimCell(0.0, 0.0, 5, "unequal", 30, 0.5)
@@ -113,6 +119,10 @@ class TestSimulateMetaInput:
         assert a == b
 
 
+def _fail(*args):
+    raise NonConvergenceError("forced")
+
+
 class TestEstimateAll:
     def test_full_battery_present(self):
         data = simulate_meta_input(
@@ -126,6 +136,48 @@ class TestEstimateAll:
                                             "Z-KDB", "HKSJ", "HKSJ-KDB",
                                             "SSW-KDB"}
         assert est.failures == ()
+
+    def test_interval_failures_are_named_apart(self, monkeypatch):
+        monkeypatch.setattr(t2, "ci_jackson", _fail)
+        monkeypatch.setattr(t2, "ci_kdb", _fail)
+        data = simulate_meta_input(
+            SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
+        est = estimate_all(data)
+        assert est.failures == (("J-interval", "forced"),
+                                ("KDB-interval", "forced"))
+        assert {"J", "KDB"} <= set(est.tau2_points)
+        assert set(est.tau2_intervals) == {"QP", "BJ", "PL"}
+
+    def test_failed_prerequisite_fails_its_dependents(self, monkeypatch):
+        monkeypatch.setattr(t2, "corrected_expected_q", _fail)
+        data = simulate_meta_input(
+            SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
+        est = estimate_all(data)
+        assert est.failures == (
+            ("KDB", "forced"), ("KDB-interval", "prerequisite failed"),
+            ("IV-KDB", "prerequisite failed"), ("SSW", "prerequisite failed"),
+            ("Z-KDB", "prerequisite failed"),
+            ("HKSJ-KDB", "prerequisite failed"),
+            ("SSW-KDB", "prerequisite failed"))
+        assert "KDB" not in est.tau2_points and "HKSJ" in est.delta_intervals
+
+    def test_reml_stopped_at_max_iter_is_kept(self, monkeypatch):
+        def stopped(data):
+            return t2.Tau2Result(0.7, "REML", "max_iter", 200)
+
+        monkeypatch.setattr(t2, "tau2_reml", stopped)
+        cell = SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=4, chunks=2,
+                       seed=4)
+        est = estimate_all(simulate_meta_input(cell, 0))
+        assert est.tau2_points["REML"].status == "max_iter"
+        assert est.tau2_intervals["PL"] == t2.ci_pl(
+            simulate_meta_input(cell, 0), 0.95, stopped(None))
+        raw = run_cell_raw(cell)
+        assert np.array_equal(raw.tau2_est["REML"], np.full(4, 0.7))
+        assert not np.isnan(raw.tau2_cover["PL"]).any()
+        assert "REML" not in raw.n_failed
+        report = metrics(raw)
+        assert report.value("REML", "tau2_bias") == pytest.approx(0.2)
 
     def test_homogeneous_input_flags(self):
         data = MetaInput(tuple(Study(10, 10, 0.4, 0.25) for _ in range(4)))

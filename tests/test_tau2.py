@@ -6,7 +6,6 @@ from scipy.optimize import brentq
 from scipy.special import erfinv
 
 from smdmeta.numkernel import (
-    ChiSqMixture,
     chisq_cdf,
     chisq_quantile,
     mixture_cdf,
@@ -300,8 +299,7 @@ def reference_fixed_weight_interval(data, level, weights):
     def cdf_at(tau2):
         droot = np.sqrt(data.v2 + tau2)
         lam = symmetric_eigenvalues(a_mat * np.outer(droot, droot))[:data.k - 1]
-        return mixture_cdf(q_obs, ChiSqMixture(tuple(lam[lam > 0.0])),
-                           tol=1e-5)
+        return mixture_cdf(q_obs, lam[lam > 0.0], tol=1e-5)
 
     f_at_zero = cdf_at(0.0)
 
