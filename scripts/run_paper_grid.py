@@ -25,7 +25,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from smdmeta import cli  # noqa: E402
-from smdmeta.simlab import DELTAS, KS, QS, TAU2S  # noqa: E402
+from smdmeta.simlab import (  # noqa: E402
+    DELTAS, EQUAL_SIZES, KS, QS, TAU2S, UNEQUAL_SIZES)
 
 
 def main() -> int:
@@ -45,8 +46,8 @@ def main() -> int:
         "--delta", args.deltas,
         "--tau2", ",".join(f"{t:g}" for t in TAU2S),
         "--k", ",".join(str(k) for k in KS),
-        "--n", "20,40,100,250,30,50,60,70",
-        "--nbar", "30,60,100,160",
+        "--n", ",".join(str(n) for n in EQUAL_SIZES),
+        "--nbar", ",".join(str(n) for n in UNEQUAL_SIZES),
         "--q", ",".join(f"{q:g}" for q in QS),
         "--reps", str(args.reps),
         "--chunks", str(args.chunks),

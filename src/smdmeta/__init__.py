@@ -8,7 +8,6 @@ from .numkernel import (
     chisq_quantile,
     ln_gamma,
     mixture_cdf,
-    symmetric_eigenvalues,
     t_quantile,
 )
 from .smd import ArmSummary, Study, g_variance, hedges_g, j_factor, sample_g

@@ -31,9 +31,9 @@ RAW_COLUMNS = ("mean_t", "sd_t", "mean_c", "sd_c")
 PRECOMP_COLUMNS = ("g", "var_g")
 
 FAMILIES = {
-    "equal-main": ("equal", (20, 40, 100, 250)),
-    "equal-small": ("equal", (30, 50, 60, 70)),
-    "unequal": ("unequal", (30, 60, 100, 160)),
+    "equal-main": ("equal", simlab.EQUAL_SIZES[:4]),
+    "equal-small": ("equal", simlab.EQUAL_SIZES[4:]),
+    "unequal": ("unequal", tuple(simlab.UNEQUAL_SIZES)),
 }
 
 METRIC_ESTIMATORS = {
@@ -351,7 +351,7 @@ def cmd_plot(args) -> int:
     written = []
     for delta, q, family in combos:
         pattern, sizes = FAMILIES[family]
-        ks = [5, 10, 30]
+        ks = list(simlab.KS)
         series = {}
         missing = []
         for size in sizes:

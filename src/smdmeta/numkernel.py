@@ -242,14 +242,3 @@ def mixture_cdf(x: float, coefficients, tol: float = 1e-6) -> float:
         f"with spread {lam.max() / lam.min():.3g}",
         error_bound=tol * 4,
     )
-
-
-def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, descending."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
-        raise DomainError("matrix is not symmetric to 1e-12 relative tolerance")
-    return np.linalg.eigvalsh(a)[::-1]

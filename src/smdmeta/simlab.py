@@ -43,12 +43,19 @@ MSE_RATIOS = (("SSW/IV-KDB", "SSW", "IV-KDB"), ("SSW/IV-MP", "SSW", "IV-MP"))
 
 
 class GridValidationError(ValueError):
-    """A grid value is outside the supported parameter table."""
+    """A cell value is invalid, or outside the supported parameter table."""
+
+    hint = ""
 
     def __init__(self, fld: str, value):
-        super().__init__(f"unsupported value for {fld}: {value!r} "
-                         f"(pass allow_custom to override)")
+        super().__init__(f"unsupported value for {fld}: {value!r}{self.hint}")
         self.field = fld
+
+
+class OffGridError(GridValidationError):
+    """A valid value outside the built-in grid table; allow_custom lifts it."""
+
+    hint = " (pass allow_custom to override)"
 
 
 @dataclass(frozen=True)
@@ -95,15 +102,15 @@ def validate_cell(cell: SimCell, allow_custom: bool = False) -> None:
     if allow_custom:
         return
     if cell.delta not in DELTAS:
-        raise GridValidationError("delta", cell.delta)
+        raise OffGridError("delta", cell.delta)
     if cell.tau2 not in TAU2S:
-        raise GridValidationError("tau2", cell.tau2)
+        raise OffGridError("tau2", cell.tau2)
     if cell.k not in KS:
-        raise GridValidationError("k", cell.k)
+        raise OffGridError("k", cell.k)
     if cell.q not in QS:
-        raise GridValidationError("q", cell.q)
+        raise OffGridError("q", cell.q)
     if cell.pattern == "equal" and cell.size not in EQUAL_SIZES:
-        raise GridValidationError("size (equal n)", cell.size)
+        raise OffGridError("size (equal n)", cell.size)
 
 
 def study_sizes(cell: SimCell) -> tuple[tuple[int, int], ...]:
@@ -292,7 +299,7 @@ def run_cell_raw(cell: SimCell, level: float = 0.95,
     per = cell.reps // cell.chunks
     tasks = [(cell, i * per, (i + 1) * per, level) for i in range(cell.chunks)]
     if threads > 1 and cell.chunks > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(min(threads, cell.chunks)) as pool:
             parts = list(pool.map(_chunk_task, tasks))
     else:
         parts = [_run_chunk(*task) for task in tasks]

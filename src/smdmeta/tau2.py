@@ -14,6 +14,7 @@ profile likelihood interval (PL).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,7 +30,6 @@ from .numkernel import (
     chisq_quantile,
     ln_gamma,
     mixture_cdf,
-    symmetric_eigenvalues,
 )
 from .qstat import (
     BRACKET_CAP,
@@ -193,16 +193,6 @@ def tau2_jackson(data: MetaInput) -> Tau2Result:
 # truncation left.
 
 
-def _gauss_raw_moment(j: int, mu: float, s2: float) -> float:
-    if j == 0:
-        return 1.0
-    if j == 1:
-        return mu
-    if j == 2:
-        return mu * mu + s2
-    raise DomainError(f"unsupported raw-moment order {j}")
-
-
 def _e_gj_psip_quad(j: int, p: int, m: int, eff_n: float, jf: float,
                     b: float, d: float) -> float:
     """E[g^j psi^p] by quadrature of the Laplace-transform representation."""
@@ -218,8 +208,9 @@ def _e_gj_psip_quad(j: int, p: int, m: int, eff_n: float, jf: float,
 
     def integrand(t: float) -> float:
         opb = 1.0 + 2.0 * bk * t
+        mu = c / opb  # raw moments 0..2 of N(mu, 1/opb) below
         gj = (opb ** -0.5 * math.exp(-c * c * bk * t / opb)
-              * _gauss_raw_moment(j, c / opb, 1.0 / opb))
+              * (1.0, mu, mu * mu + 1.0 / opb)[j])
         return t ** (p - 1) * (1.0 + 2.0 * a * t) ** -mhalf_rho * gj
 
     with warnings.catch_warnings():
@@ -238,16 +229,12 @@ _MOMENT_KEYS = ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
 
 
 def _psi_x_moments_quad(m, eff_n, jf, b, d):
-    raw = {}
-    out = {}
-    for p, r in _MOMENT_KEYS:
-        s = 0.0
-        for j in range(r + 1):
-            if (j, p) not in raw:
-                raw[(j, p)] = _e_gj_psip_quad(j, p, m, eff_n, jf, b, d)
-            s += math.comb(r, j) * (-d) ** (r - j) * raw[(j, p)]
-        out[(p, r)] = s
-    return out
+    @functools.cache
+    def raw(j, p):  # E[g^j psi^p], shared by the central moments below
+        return _e_gj_psip_quad(j, p, m, eff_n, jf, b, d)
+
+    return [sum(math.comb(r, j) * (-d) ** (r - j) * raw(j, p)
+                for j in range(r + 1)) for p, r in _MOMENT_KEYS]
 
 
 def _psi_x_moments_series(m, eff_n, jf, b, d):
@@ -271,28 +258,17 @@ def _psi_x_moments_series(m, eff_n, jf, b, d):
     c2 = 4.0 * d * d * be * be - be
     c3 = 4.0 * d * be * be - 8.0 * d ** 3 * be ** 3
     c4 = be * be - 12.0 * d * d * be ** 3 + 16.0 * d ** 4 * be ** 4
-    # coefficients of x^s in (psi/w)^p for s = 0..4
-    coef = {
-        1: (1.0, c1, c2, c3, c4),
-        2: (1.0, 2 * c1, 2 * c2 + c1 ** 2, 2 * c3 + 2 * c1 * c2,
-            2 * c4 + 2 * c1 * c3 + c2 ** 2),
-        3: (1.0, 3 * c1, 3 * c2 + 3 * c1 ** 2,
-            3 * c3 + 6 * c1 * c2 + c1 ** 3,
-            3 * c4 + 6 * c1 * c3 + 3 * c2 ** 2 + 3 * c1 ** 2 * c2),
-        4: (1.0, 4 * c1, 4 * c2 + 6 * c1 ** 2,
-            4 * c3 + 12 * c1 * c2 + 4 * c1 ** 3,
-            4 * c4 + 12 * c1 * c3 + 6 * c2 ** 2 + 12 * c1 ** 2 * c2
-            + c1 ** 4),
-    }
-    out = {}
-    for p, r in _MOMENT_KEYS:
-        cs = coef[p]
-        # truncate at total moment order 4; remainder is O(1/n^2) relative
-        out[(p, r)] = w ** p * sum(cs[s] * mu[s + r] for s in range(5 - r))
-    return out
+    # coefficients of x^s in (psi/w)^p for s = 0..4: the p-th power of the
+    # p = 1 series, truncated at x^4
+    coef = {1: np.array([1.0, c1, c2, c3, c4])}
+    for p in (2, 3, 4):
+        coef[p] = np.convolve(coef[p - 1], coef[1])[:5]
+    # truncate at total moment order 4; remainder is O(1/n^2) relative
+    return [w ** p * sum(coef[p][s] * mu[s + r] for s in range(5 - r))
+            for p, r in _MOMENT_KEYS]
 
 
-def _study_psi_moments(n_t: int, n_c: int, d: float) -> dict:
+def _study_psi_moments(n_t: int, n_c: int, d: float) -> list:
     m = n_t + n_c - 2
     eff_n = n_t * n_c / (n_t + n_c)
     jf = j_factor(m)
@@ -316,30 +292,17 @@ def corrected_expected_q(data: MetaInput, effect: float | None = None) -> float:
     """
     if effect is None:
         effect = float((data.eff_n * data.g).sum() / data.eff_n.sum())
-    k = data.k
-    ep = np.empty(k)
-    er = np.empty(k)
-    es = np.empty(k)
-    var_r = np.empty(k)
-    cov_rp = np.empty(k)
-    cov_r2p = np.empty(k)
-    e_rp2 = np.empty(k)
-    var_p = np.empty(k)
-    t4 = np.empty(k)
-    memo: dict = {}
-    for i, (n_t, n_c) in enumerate(data.arm_sizes):
-        if (n_t, n_c) not in memo:
-            memo[(n_t, n_c)] = _study_psi_moments(n_t, n_c, effect)
-        mom = memo[(n_t, n_c)]
-        ep[i] = mom[(1, 0)]
-        er[i] = mom[(1, 1)]
-        es[i] = mom[(1, 2)]
-        var_r[i] = mom[(2, 2)] - er[i] ** 2
-        cov_rp[i] = mom[(2, 1)] - er[i] * ep[i]
-        cov_r2p[i] = mom[(3, 2)] - mom[(2, 2)] * ep[i]
-        e_rp2[i] = mom[(3, 1)] - 2.0 * ep[i] * mom[(2, 1)] + ep[i] ** 2 * er[i]
-        var_p[i] = mom[(2, 0)] - ep[i] ** 2
-        t4[i] = mom[(4, 2)] - 2.0 * ep[i] * mom[(3, 2)] + ep[i] ** 2 * mom[(2, 2)]
+    memo = {sizes: _study_psi_moments(*sizes, effect)
+            for sizes in dict.fromkeys(data.arm_sizes)}
+    # one row per study, columns E[psi^p x^r] in _MOMENT_KEYS order
+    ep, er, es, e20, e21, e22, e31, e32, e42 = \
+        np.array([memo[sizes] for sizes in data.arm_sizes]).T
+    var_r = e22 - er ** 2
+    cov_rp = e21 - er * ep
+    cov_r2p = e32 - e22 * ep
+    e_rp2 = e31 - 2.0 * ep * e21 + ep ** 2 * er
+    var_p = e20 - ep ** 2
+    t4 = e42 - 2.0 * ep * e32 + ep ** 2 * e22
     w_tot = float(ep.sum())
     a1 = float(er.sum())
     v_r = float(var_r.sum())
@@ -445,13 +408,14 @@ def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
     if q_obs <= 0.0:
         return Tau2Interval(0.0, 0.0, method, level, ("degenerate",))
     a_mat = np.diag(weights) - np.outer(weights, weights) / sum_w
-    k = data.k
     known: dict[float, float] = {}
 
     def cdf_at(tau2: float) -> float:
         if tau2 not in known:
             droot = np.sqrt(data.v2 + tau2)
-            lam = symmetric_eigenvalues(a_mat * np.outer(droot, droot))[:k - 1]
+            # the K - 1 largest eigenvalues (the smallest is 0), descending:
+            # Ruben's series sums them in this order
+            lam = np.linalg.eigvalsh(a_mat * np.outer(droot, droot))[:0:-1]
             known[tau2] = mixture_cdf(q_obs, lam[lam > 0.0], tol=_MIX_TOL)
         return known[tau2]
 

@@ -165,6 +165,13 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(path)]) == 2
         assert "cannot read input" in capsys.readouterr().err
 
+    def test_golden_json_bytes(self, tmp_path, capsys):
+        path = write(tmp_path / "golden.csv", GOLDEN_ANALYSIS)
+        assert main(["analyze", "--input", path, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            GOLDEN_ANALYSIS_SHA256
+
     def test_oversized_field_is_input_error(self, tmp_path, capsys):
         text = TOY_PRECOMP + "s3" + "x" * 140_000 + ",10,10,0,1\n"
         path = write(tmp_path / "big.csv", text)
@@ -183,6 +190,26 @@ GOLDEN_FLAGS = ["--delta", "0.5", "--tau2", "0,1.5", "--k", "5", "--n", "20",
 GOLDEN_SHA256 = \
     "47032589e80062c437b572f257f67cc56bccc9d78a74c52dba012b83b5f30004"
 
+# SHA-256 of `analyze --format json` stdout on GOLDEN_ANALYSIS: K = 12 with
+# distinct arm sizes, the last with m >= 1000 (the large-m series branch of
+# the corrected E[Q]); any change to an estimate or the JSON changes it.
+GOLDEN_ANALYSIS = """study_id,n_t,n_c,g,var_g
+s1,8,9,0.91,0.260467
+s2,10,12,-0.12,0.183661
+s3,14,11,0.48,0.166946
+s4,20,18,1.35,0.129536
+s5,25,30,0.27,0.0739961
+s6,33,40,0.66,0.0582866
+s7,47,41,-0.31,0.0462129
+s8,60,55,0.83,0.0378437
+s9,75,90,0.15,0.0245126
+s10,120,100,0.52,0.0189479
+s11,150,180,0.38,0.012441
+s12,600,700,0.44,0.0031697
+"""
+GOLDEN_ANALYSIS_SHA256 = \
+    "9a73b685c34e73628742c04a2c1ef4b8d78e2bc539a20b1e0ba03db291c01adb"
+
 
 class TestSimulate:
     def test_golden_bytes(self, tmp_path, capsys):
@@ -197,6 +224,24 @@ class TestSimulate:
         args = ["simulate", *SIM_FLAGS, "--allow-custom", flag, value,
                 "--out", str(tmp_path / "r.csv")]
         assert main(args) == 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--allow-custom", "--tau2", "-1"],
+        ["--allow-custom", "--k", "6", "--nbar", "30"],
+        ["--reps", "3", "--chunks", "2"]])
+    def test_unliftable_value_has_no_allow_custom_hint(self, tmp_path,
+                                                       capsys, extra):
+        args = ["simulate", *SIM_FLAGS, *extra,
+                "--out", str(tmp_path / "r.csv")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "unsupported value" in err and "allow_custom" not in err
+
+    def test_off_grid_value_has_allow_custom_hint(self, tmp_path, capsys):
+        args = ["simulate", *SIM_FLAGS, "--delta", "0.3",
+                "--out", str(tmp_path / "r.csv")]
+        assert main(args) == 2
+        assert "(pass allow_custom to override)" in capsys.readouterr().err
 
     def test_missing_out_directory_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "nowhere" / "r.csv"

@@ -14,7 +14,6 @@ from smdmeta.numkernel import (
     ln_gamma,
     mixture_cdf,
     normal_quantile,
-    symmetric_eigenvalues,
     t_quantile,
 )
 from smdmeta.smd import j_factor, sample_g
@@ -287,29 +286,3 @@ class TestRubenSeriesOracle:
         assert reference_ruben_cdf(x, lam, 1e-6, 40) is None
         assert _ruben_cdf(x, lam, 1e-6, 40) is None
 
-
-class TestSymmetricEigenvalues:
-    def test_identity(self):
-        assert np.allclose(symmetric_eigenvalues(np.eye(3)), [1, 1, 1])
-
-    def test_diagonal_sorted_descending(self):
-        ev = symmetric_eigenvalues(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(ev, [3.0, 2.0, 1.0])
-
-    def test_two_by_two_closed_form(self):
-        ev = symmetric_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(ev, [3.0, 1.0], atol=1e-12)
-
-    def test_trace_identity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = rng.integers(2, 9)
-            b = rng.standard_normal((n, n))
-            a = b + b.T
-            ev = symmetric_eigenvalues(a)
-            assert ev.sum() == pytest.approx(np.trace(a),
-                                             rel=1e-9, abs=1e-9)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(DomainError):
-            symmetric_eigenvalues(np.array([[1.0, 2.0], [1.0, 1.0]]))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from smdmeta import simlab
 from smdmeta import tau2 as t2
 from smdmeta.numkernel import NonConvergenceError
 from smdmeta.qstat import MetaInput
@@ -207,6 +208,33 @@ class TestRunCell:
         for name in a.delta_est:
             assert np.array_equal(a.delta_est[name], b.delta_est[name],
                                   equal_nan=True)
+
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simlab, "ProcessPoolExecutor", SerialPool)
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=4, chunks=4,
+                       seed=12)
+        pooled = run_cell_raw(cell, threads=64)
+        run_cell_raw(cell, threads=2)
+        assert sizes == [4, 2]
+        serial = run_cell_raw(cell, threads=1)
+        for name in serial.delta_est:
+            assert np.array_equal(pooled.delta_est[name],
+                                  serial.delta_est[name], equal_nan=True)
 
     def test_report_shape(self):
         report = run_cell(SimCell(0.5, 0.5, 5, "equal", 20, 0.5,

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,14 +6,10 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import erfinv
 
-from smdmeta.numkernel import (
-    chisq_cdf,
-    chisq_quantile,
-    mixture_cdf,
-    symmetric_eigenvalues,
-)
+from smdmeta import tau2
+from smdmeta.numkernel import chisq_cdf, chisq_quantile, mixture_cdf
 from smdmeta.qstat import BRACKET_CAP, MetaInput, q_statistic, iv_weighted_mean
-from smdmeta.smd import Study, g_variance
+from smdmeta.smd import Study, g_variance, j_factor
 from smdmeta.tau2 import (
     ci_bj,
     ci_jackson,
@@ -164,6 +161,126 @@ class TestCorrectedExpectedQ:
         assert c_hi == pytest.approx(c_lo, rel=0.05)
 
 
+
+def reference_series_moments(m, eff_n, jf, b, d):
+    """The large-m moments with the hand-expanded coefficient table that
+    repeated np.convolve replaced, kept as its oracle; keyed by (p, r)."""
+    j2 = jf * jf
+    lam2 = j2 * m / (m - 2)
+    lam3 = j2 * m / (m - 3)
+    lam4 = j2 * j2 * m * m / ((m - 2) * (m - 4))
+    eg2 = lam2 * (1.0 / eff_n + d * d)
+    eg3 = lam3 * (d ** 3 + 3.0 * d / eff_n)
+    eg4 = lam4 * (d ** 4 + 6.0 * d * d / eff_n + 3.0 / eff_n ** 2)
+    mu = [1.0, 0.0,
+          eg2 - d * d,
+          eg3 - 3 * d * eg2 + 2 * d ** 3,
+          eg4 - 4 * d * eg3 + 6 * d * d * eg2 - 3 * d ** 4]
+    a = 1.0 / eff_n
+    w = 1.0 / (a + b * d * d)
+    be = b * w
+    c1 = -2.0 * d * be
+    c2 = 4.0 * d * d * be * be - be
+    c3 = 4.0 * d * be * be - 8.0 * d ** 3 * be ** 3
+    c4 = be * be - 12.0 * d * d * be ** 3 + 16.0 * d ** 4 * be ** 4
+    coef = {
+        1: (1.0, c1, c2, c3, c4),
+        2: (1.0, 2 * c1, 2 * c2 + c1 ** 2, 2 * c3 + 2 * c1 * c2,
+            2 * c4 + 2 * c1 * c3 + c2 ** 2),
+        3: (1.0, 3 * c1, 3 * c2 + 3 * c1 ** 2,
+            3 * c3 + 6 * c1 * c2 + c1 ** 3,
+            3 * c4 + 6 * c1 * c3 + 3 * c2 ** 2 + 3 * c1 ** 2 * c2),
+        4: (1.0, 4 * c1, 4 * c2 + 6 * c1 ** 2,
+            4 * c3 + 12 * c1 * c2 + 4 * c1 ** 3,
+            4 * c4 + 12 * c1 * c3 + 6 * c2 ** 2 + 12 * c1 ** 2 * c2
+            + c1 ** 4),
+    }
+    return {(p, r): w ** p * sum(coef[p][s] * mu[s + r] for s in range(5 - r))
+            for p, r in tau2._MOMENT_KEYS}
+
+
+def reference_corrected_expected_q(data, moments, effect):
+    """The per-study assembly of E[Q] from nine buffers that the (K, 9)
+    array code replaced, kept as its oracle.  `moments(n_t, n_c, d)` maps
+    (p, r) to E[psi^p x^r]."""
+    k = data.k
+    ep, er, es, var_r, cov_rp, cov_r2p, e_rp2, var_p, t4 = np.empty((9, k))
+    for i, (n_t, n_c) in enumerate(data.arm_sizes):
+        mom = moments(n_t, n_c, effect)
+        ep[i] = mom[(1, 0)]
+        er[i] = mom[(1, 1)]
+        es[i] = mom[(1, 2)]
+        var_r[i] = mom[(2, 2)] - er[i] ** 2
+        cov_rp[i] = mom[(2, 1)] - er[i] * ep[i]
+        cov_r2p[i] = mom[(3, 2)] - mom[(2, 2)] * ep[i]
+        e_rp2[i] = mom[(3, 1)] - 2.0 * ep[i] * mom[(2, 1)] + ep[i] ** 2 * er[i]
+        var_p[i] = mom[(2, 0)] - ep[i] ** 2
+        t4[i] = mom[(4, 2)] - 2.0 * ep[i] * mom[(3, 2)] + ep[i] ** 2 * mom[(2, 2)]
+    w_tot = float(ep.sum())
+    a1 = float(er.sum())
+    v_r = float(var_r.sum())
+    e_n = v_r + a1 * a1
+    e_nd = float((cov_r2p + 2.0 * cov_rp * (a1 - er)).sum())
+    c_sum = float(cov_rp.sum())
+    c_sq = float((cov_rp ** 2).sum())
+    e_nd2 = float((t4 + 2.0 * e_rp2 * (a1 - er)
+                   + var_p * (v_r - var_r + (a1 - er) ** 2)).sum()) \
+        + 2.0 * (c_sum * c_sum - c_sq)
+    return float(es.sum()) - (e_n / w_tot - e_nd / w_tot ** 2
+                              + e_nd2 / w_tot ** 3)
+
+
+def series_args(n_t, n_c):
+    m = n_t + n_c - 2
+    jf = j_factor(m)
+    return m, n_t * n_c / (n_t + n_c), jf, 1.0 - (m - 2) / (m * jf * jf)
+
+
+class TestCorrectedExpectedQOracle:
+    def test_series_matches_hand_expanded_table(self):
+        for n in np.geomspace(1002, 1e6, 25).astype(int):
+            for q in (0.5, 0.75):
+                n_t = math.ceil((1 - q) * n)
+                args = series_args(n_t, int(n) - n_t)
+                assert args[0] >= tau2._SERIES_DF_MIN
+                for d in np.linspace(-6.0, 6.0, 9):
+                    new = tau2._psi_x_moments_series(*args, float(d))
+                    ref = reference_series_moments(*args, float(d))
+                    np.testing.assert_allclose(
+                        new, [ref[key] for key in tau2._MOMENT_KEYS],
+                        rtol=1e-14, atol=0.0)
+
+    def test_array_assembly_matches_per_study_loop(self, monkeypatch):
+        # one moment cache serves both sides; the oracle takes its m >= 1000
+        # moments from the hand-expanded table instead
+        moments = functools.cache(tau2._study_psi_moments)
+        monkeypatch.setattr(tau2, "_study_psi_moments", moments)
+
+        def ref_moments(n_t, n_c, d):
+            args = series_args(n_t, n_c)
+            if args[0] >= tau2._SERIES_DF_MIN:
+                return reference_series_moments(*args, d)
+            return dict(zip(tau2._MOMENT_KEYS, moments(n_t, n_c, d)))
+
+        rng = np.random.default_rng(17)
+        arms = [(int(a), int(b)) for a, b in rng.integers(2, 300, (60, 2))]
+        arms += [(int(a), int(b)) for a, b in rng.integers(500, 5000, (20, 2))]
+        ks = [2, 3, 100] + [int(k) for k in rng.integers(2, 101, 237)]
+        for i, k in enumerate(ks):
+            if i % 2:  # distinct sizes, drawn study by study
+                sizes = [arms[j] for j in rng.integers(len(arms), size=k)]
+            else:  # a few sizes shared by all studies
+                pool = [arms[j] for j in rng.integers(len(arms), size=3)]
+                sizes = [pool[j] for j in rng.integers(3, size=k)]
+            d = (0.0, 0.6, -1.4)[i % 3]
+            gs = d + 0.3 * rng.standard_normal(k)
+            data = MetaInput(tuple(Study(a, b, float(g), g_variance(g, a, b))
+                                   for (a, b), g in zip(sizes, gs)))
+            ref = reference_corrected_expected_q(data, ref_moments, d)
+            assert corrected_expected_q(data, effect=d) == \
+                pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 class TestKDB:
     def test_matches_mp_for_huge_n(self):
         gs = [0.1, 0.6, -0.2, 0.9, 0.4]
@@ -237,12 +354,11 @@ class TestCiBJ:
 
     def test_eigenvalue_sum_is_df(self):
         # equal v^2 at tau2 = 0: coefficients of the Q mixture sum to K - 1
-        from smdmeta.numkernel import symmetric_eigenvalues
         k, v = 6, 0.7
         w = np.full(k, 1.0 / v)
         a = np.diag(w) - np.outer(w, w) / w.sum()
         droot = np.sqrt(np.full(k, v))
-        lam = symmetric_eigenvalues(a * np.outer(droot, droot))
+        lam = np.linalg.eigvalsh(a * np.outer(droot, droot))[::-1]
         assert lam[:k - 1].sum() == pytest.approx(k - 1, rel=1e-12)
 
     def test_matches_simulated_quadratic_form(self):
@@ -298,7 +414,8 @@ def reference_fixed_weight_interval(data, level, weights):
 
     def cdf_at(tau2):
         droot = np.sqrt(data.v2 + tau2)
-        lam = symmetric_eigenvalues(a_mat * np.outer(droot, droot))[:data.k - 1]
+        lam = np.linalg.eigvalsh(a_mat * np.outer(droot, droot))[::-1]
+        lam = lam[:data.k - 1]
         return mixture_cdf(q_obs, lam[lam > 0.0], tol=1e-5)
 
     f_at_zero = cdf_at(0.0)
