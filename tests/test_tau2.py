@@ -1,13 +1,21 @@
-import functools
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 from scipy.special import erfinv
 
 from smdmeta import tau2
-from smdmeta.numkernel import chisq_cdf, chisq_quantile, mixture_cdf
+from smdmeta.numkernel import (
+    NonConvergenceError,
+    chisq_cdf,
+    chisq_quantile,
+    ln_gamma,
+    mixture_cdf,
+)
 from smdmeta.qstat import BRACKET_CAP, MetaInput, q_statistic, iv_weighted_mean
 from smdmeta.smd import Study, g_variance, j_factor
 from smdmeta.tau2 import (
@@ -251,16 +259,24 @@ class TestCorrectedExpectedQOracle:
                         rtol=1e-14, atol=0.0)
 
     def test_array_assembly_matches_per_study_loop(self, monkeypatch):
-        # one moment cache serves both sides; the oracle takes its m >= 1000
-        # moments from the hand-expanded table instead
-        moments = functools.cache(tau2._study_psi_moments)
-        monkeypatch.setattr(tau2, "_study_psi_moments", moments)
+        # the oracle reads the rows the batched moment function returned for
+        # the same call; its m >= 1000 moments come from the hand-expanded
+        # table instead
+        batched = tau2._psi_moments
+        rows = {}
+
+        def moments(arm_sizes, d):
+            out = batched(arm_sizes, d)
+            rows.update(zip(arm_sizes, out))
+            return out
+
+        monkeypatch.setattr(tau2, "_psi_moments", moments)
 
         def ref_moments(n_t, n_c, d):
             args = series_args(n_t, n_c)
             if args[0] >= tau2._SERIES_DF_MIN:
                 return reference_series_moments(*args, d)
-            return dict(zip(tau2._MOMENT_KEYS, moments(n_t, n_c, d)))
+            return dict(zip(tau2._MOMENT_KEYS, rows[n_t, n_c]))
 
         rng = np.random.default_rng(17)
         arms = [(int(a), int(b)) for a, b in rng.integers(2, 300, (60, 2))]
@@ -276,9 +292,125 @@ class TestCorrectedExpectedQOracle:
             gs = d + 0.3 * rng.standard_normal(k)
             data = MetaInput(tuple(Study(a, b, float(g), g_variance(g, a, b))
                                    for (a, b), g in zip(sizes, gs)))
+            new = corrected_expected_q(data, effect=d)
             ref = reference_corrected_expected_q(data, ref_moments, d)
-            assert corrected_expected_q(data, effect=d) == \
-                pytest.approx(ref, rel=1e-14, abs=0.0)
+            assert new == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def reference_e_gj_psip_quad(j: int, p: int, m: int, eff_n: float, jf: float,
+                             b: float, d: float) -> float:
+    """E[g^j psi^p] by adaptive quadrature of the Laplace-transform
+    representation: the route the fixed Gauss-Laguerre rule replaced, kept
+    as its oracle."""
+    kappa = jf * jf * m / eff_n
+    c = math.sqrt(eff_n) * d
+    a = 1.0 / eff_n
+    rho = p - 0.5 * j
+    log_pref = (0.5 * j * math.log(kappa) + rho * math.log(2.0)
+                + ln_gamma(m / 2.0 + rho) - ln_gamma(m / 2.0) - ln_gamma(p))
+    pref = math.exp(log_pref)
+    bk = b * kappa
+    mhalf_rho = m / 2.0 + rho
+
+    def integrand(t: float) -> float:
+        opb = 1.0 + 2.0 * bk * t
+        mu = c / opb  # raw moments 0..2 of N(mu, 1/opb) below
+        gj = (opb ** -0.5 * math.exp(-c * c * bk * t / opb)
+              * (1.0, mu, mu * mu + 1.0 / opb)[j])
+        return t ** (p - 1) * (1.0 + 2.0 * a * t) ** -mhalf_rho * gj
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, abserr = quad(integrand, 0.0, np.inf,
+                           epsabs=1e-13, epsrel=1e-11, limit=400)
+    if not math.isfinite(val) or abserr > 1e-7 * max(1.0, abs(val)):
+        raise NonConvergenceError(
+            f"moment quadrature for (j={j}, p={p}, m={m}, d={d}) achieved "
+            f"only {abserr:g}", error_bound=abserr)
+    return pref * val
+
+
+def mpmath_e_gj_psip(j, p, m, eff_n, jf, b, d):
+    """The same Laplace-transform integral in 30-digit mpmath arithmetic,
+    split at multiples of the width of the integrand's peak."""
+    with mpmath.workdps(30):
+        m, eff_n, jf, b, d = map(mpmath.mpf, (m, eff_n, jf, b, d))
+        kappa = jf * jf * m / eff_n
+        c = mpmath.sqrt(eff_n) * d
+        a = 1 / eff_n
+        rho = p - mpmath.mpf(j) / 2
+        pref = (kappa ** (mpmath.mpf(j) / 2) * 2 ** rho
+                * mpmath.gamma(m / 2 + rho)
+                / (mpmath.gamma(m / 2) * mpmath.gamma(p)))
+        bk = b * kappa
+
+        def integrand(t):
+            opb = 1 + 2 * bk * t
+            mu = c / opb
+            return (t ** (p - 1) * (1 + 2 * a * t) ** -(m / 2 + rho)
+                    * opb ** -0.5 * mpmath.exp(-c * c * bk * t / opb)
+                    * (1, mu, mu * mu + 1 / opb)[j])
+
+        width = 1 / (a * m + c * c * bk)
+        return float(pref * mpmath.quad(
+            integrand, [0, width, 64 * width, mpmath.inf]))
+
+
+def laguerre_and_reference(n_t, n_c, d, reference):
+    """The (3, 4) array E[g^j psi^p] from the fixed rule and from
+    `reference(j, p, m, eff_n, jf, b, d)`."""
+    m, eff_n, jf, b = series_args(n_t, n_c)
+    got = tau2._e_gj_psip(*np.reshape([m, eff_n, jf, b], (4, 1, 1, 1)), d)[0]
+    ref = np.array([[reference(j, p, m, eff_n, jf, b, d) for p in range(1, 5)]
+                    for j in range(3)])
+    return got, ref
+
+
+class TestLaguerreMoments:
+    def test_matches_adaptive_quadrature(self):
+        rng = np.random.default_rng(29)
+        arms = [(2, 2), (2, 3), (3, 3), (2, 4), (499, 499)]
+        arms += [tuple(int(x) for x in rng.integers(2, 500, 2))
+                 for _ in range(495)]
+        for i, (n_t, n_c) in enumerate(arms):
+            d = 0.0 if i % 7 == 0 else float(rng.uniform(-6.0, 6.0))
+            got, ref = laguerre_and_reference(n_t, n_c, d,
+                                              reference_e_gj_psip_quad)
+            # E[g psi^p] is 0 at d = 0: measure it against the largest moment
+            scale = np.maximum(np.abs(ref), 1e-12 * np.abs(ref).max())
+            assert (np.abs(got - ref) <= 1e-10 * scale).all(), (n_t, n_c, d)
+
+    @pytest.mark.parametrize("n_t,n_c", [(2, 2), (2, 3), (3, 3), (50, 50),
+                                         (499, 499)])
+    def test_matches_30_digit_quadrature_at_large_effects(self, n_t, n_c):
+        # the adaptive route is off by 1.3e-5 at 3 + 3 arms and d = 50
+        for d in (10.0, 20.0, 50.0):
+            got, ref = laguerre_and_reference(n_t, n_c, d, mpmath_e_gj_psip)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_corrected_expected_q_matches_30_digit_moments(self):
+        # near m = 1000 the raw-to-central conversion amplifies a raw moment
+        # error about 1000-fold; the adaptive route's log-gamma prefactor was
+        # 1.4e-9 off here
+        d = 3.0
+        central = {}
+        for n_t, n_c in ((480, 490), (20, 25)):
+            m, eff_n, jf, b = series_args(n_t, n_c)
+            raw = [[mpmath.mpf(mpmath_e_gj_psip(j, p, m, eff_n, jf, b, d))
+                    for p in range(1, 5)] for j in range(3)]
+            with mpmath.workdps(30):
+                central[n_t, n_c] = {
+                    (p, r): float(sum(math.comb(r, j) * (-d) ** (r - j)
+                                      * raw[j][p - 1] for j in range(r + 1)))
+                    for p, r in tau2._MOMENT_KEYS}
+        sizes = [(480, 490), (20, 25)] * 3
+        gs = d + 0.3 * np.sin(np.arange(len(sizes)))
+        data = MetaInput(tuple(Study(a, b, float(g), g_variance(g, a, b))
+                               for (a, b), g in zip(sizes, gs)))
+        ref = reference_corrected_expected_q(
+            data, lambda n_t, n_c, _: central[n_t, n_c], d)
+        assert corrected_expected_q(data, effect=d) == \
+            pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 class TestKDB:
