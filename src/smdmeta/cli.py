@@ -36,6 +36,8 @@ FAMILIES = {
     "unequal": ("unequal", tuple(simlab.UNEQUAL_SIZES)),
 }
 
+TAU2_METHODS = tuple(dict.fromkeys(simlab.TAU2_POINT + simlab.TAU2_CI))
+
 METRIC_ESTIMATORS = {
     "tau2_bias": list(simlab.TAU2_POINT),
     "tau2_trunc_rate": list(simlab.TAU2_POINT),
@@ -147,29 +149,26 @@ def read_analysis_csv(path: str) -> MetaInput:
     return MetaInput(tuple(studies))
 
 
-def _analysis_payload(est: simlab.ReplicateEstimates, level: float,
+def _analysis_payload(results: dict, failures, level: float,
                       tau2_methods, delta_methods) -> dict:
-    out: dict = {"level": level, "tau2": {}, "tau2_intervals": {},
-                 "delta": {}, "delta_intervals": {}, "failures": []}
-    for name in tau2_methods:
-        if name in est.tau2_points:
-            r = est.tau2_points[name]
-            out["tau2"][name] = {"estimate": r.value, "status": r.status,
-                                 "iterations": r.iterations}
-        if name in est.tau2_intervals:
-            ci = est.tau2_intervals[name]
-            out["tau2_intervals"][name] = {
-                "lo": ci.lo, "hi": ci.hi, "flags": list(ci.flags)}
-    for name, res in est.delta_points.items():
-        out["delta"][name] = {"estimate": res.value, "variance": res.variance}
-    for name in delta_methods:
-        if name in est.delta_intervals:
-            ci = est.delta_intervals[name]
-            out["delta_intervals"][name] = {
-                "center": ci.center, "half_width": ci.half_width,
-                "lo": ci.lo, "hi": ci.hi, "flags": list(ci.flags)}
-    out["failures"] = [{"estimator": n, "message": m} for n, m in est.failures]
-    return out
+    def found(kind, names):
+        return [(n, results[kind, n]) for n in names if (kind, n) in results]
+
+    return {
+        "level": level,
+        "tau2": {n: {"estimate": r.value, "status": r.status,
+                     "iterations": r.iterations}
+                 for n, r in found("tau2_est", tau2_methods)},
+        "tau2_intervals": {n: {"lo": ci.lo, "hi": ci.hi,
+                               "flags": list(ci.flags)}
+                           for n, ci in found("tau2_cover", tau2_methods)},
+        "delta": {n: {"estimate": r.value, "variance": r.variance}
+                  for n, r in found("delta_est", simlab.DELTA_POINT)},
+        "delta_intervals": {n: {"center": ci.center,
+                                "half_width": ci.half_width, "lo": ci.lo,
+                                "hi": ci.hi, "flags": list(ci.flags)}
+                            for n, ci in found("delta_cover", delta_methods)},
+        "failures": [{"estimator": n, "message": m} for n, m in failures]}
 
 
 def _print_analysis_text(payload: dict, out=None) -> None:
@@ -200,26 +199,27 @@ def _print_analysis_text(payload: dict, out=None) -> None:
 def cmd_analyze(args) -> int:
     _check_level(args.level)
     tau2_methods = tuple(args.tau2_methods.split(",")) if args.tau2_methods \
-        else tuple(dict.fromkeys(simlab.TAU2_POINT + simlab.TAU2_CI))
+        else TAU2_METHODS
     delta_methods = tuple(args.delta_methods.split(",")) if args.delta_methods \
         else simlab.DELTA_CI
     for name in tau2_methods:
-        if name not in set(simlab.TAU2_POINT) | set(simlab.TAU2_CI):
+        if name not in TAU2_METHODS:
             raise CliError(f"unknown tau^2 method '{name}'", EXIT_INPUT)
     for name in delta_methods:
         if name not in simlab.DELTA_CI:
             raise CliError(f"unknown delta interval method '{name}'",
                            EXIT_INPUT)
     data = read_analysis_csv(args.input)
-    est = simlab.estimate_all(data, args.level)
-    payload = _analysis_payload(est, args.level, tau2_methods, delta_methods)
+    results, failures = simlab.estimate_all(data, args.level)
+    payload = _analysis_payload(results, failures, args.level, tau2_methods,
+                                delta_methods)
     if args.format == "json":
         json.dump(payload, sys.stdout, indent=2, allow_nan=True)
         sys.stdout.write("\n")
     else:
         _print_analysis_text(payload)
-    if est.failures:
-        print(f"{len(est.failures)} estimator(s) did not converge",
+    if failures:
+        print(f"{len(failures)} estimator(s) did not converge",
               file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return EXIT_OK
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--tau2-methods", default="",
-                   help="comma list from DL,MP,REML,J,KDB,QP,BJ,PL")
+                   help="comma list from " + ",".join(TAU2_METHODS))
     p.add_argument("--delta-methods", default="",
                    help="comma list from " + ",".join(simlab.DELTA_CI))
     p.set_defaults(func=cmd_analyze)

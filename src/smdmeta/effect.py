@@ -19,11 +19,7 @@ import numpy as np
 
 from .numkernel import DomainError, normal_quantile, t_quantile
 from .qstat import MetaInput, iv_weighted_mean
-from .tau2 import Tau2Result, tau2_kdb
-
-POINT_METHODS = ("IV-DL", "IV-MP", "IV-REML", "IV-J", "IV-KDB", "SSW")
-INTERVAL_METHODS = ("Z-DL", "Z-MP", "Z-REML", "Z-J", "Z-KDB",
-                    "HKSJ", "HKSJ-KDB", "SSW-KDB")
+from .tau2 import Tau2Result
 
 
 @dataclass(frozen=True)
@@ -80,56 +76,48 @@ def ssw_variance(data: MetaInput, tau2: float) -> float:
     return float((en * en * (data.v2 + tau2)).sum()) / float(en.sum()) ** 2
 
 
-def effect_ssw(data: MetaInput, tau2: float | None = None) -> EffectResult:
+def effect_ssw(data: MetaInput, kdb: Tau2Result) -> EffectResult:
     """Sample-size-weighted mean, weights ntilde_i.
 
-    The reported variance uses the KDB tau^2 estimate by default; pass tau2
-    explicitly for sensitivity runs.  The point estimate itself never
-    depends on the variances.
+    The reported variance is `ssw_variance` at kdb, the `tau2_kdb` estimate;
+    the point estimate itself never depends on the variances.
     """
-    if tau2 is None:
-        tau2 = tau2_kdb(data).value
     en = data.eff_n
     value = float((en * data.g).sum()) / float(en.sum())
-    return EffectResult(value, ssw_variance(data, tau2), en, "SSW-none")
+    return EffectResult(value, ssw_variance(data, kdb.value), en, "SSW-none")
 
 
-def ci_z(data: MetaInput, tau2: Tau2Result, level: float = 0.95) -> EffectInterval:
-    """Normal-quantile interval around the inverse-variance mean."""
-    est = effect_iv(data, tau2)
+def ci_z(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInterval:
+    """Normal-quantile interval around iv, an `effect_iv` mean."""
     z = normal_quantile(1.0 - (1.0 - level) / 2.0)
-    return EffectInterval(est.value, z * math.sqrt(est.variance),
-                          f"Z-{tau2.method}", level)
+    return EffectInterval(iv.value, z * math.sqrt(iv.variance),
+                          f"Z-{iv.tau2_method}", level)
 
 
-def ci_hksj(data: MetaInput, tau2: Tau2Result, level: float = 0.95) -> EffectInterval:
-    """Hartung-Knapp-Sidik-Jonkman interval: the inverse-variance center with
-    the weighted residual variance sum w (g - center)^2 / ((K-1) sum w) and a
-    t quantile on K - 1 degrees of freedom.
+def ci_hksj(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInterval:
+    """Hartung-Knapp-Sidik-Jonkman interval around iv, an `effect_iv` mean:
+    the weighted residual variance sum w (g - center)^2 / ((K-1) sum w) of
+    iv's weights and a t quantile on K - 1 degrees of freedom.
 
     All-equal inputs give a zero half-width, flagged "degenerate" rather
     than raised, so simulation coverage accounting can proceed.
     """
-    fit = iv_weighted_mean(data, tau2.value)
-    resid = data.g - fit.mean
-    var_star = float((fit.weights * resid * resid).sum()) \
-        / ((data.k - 1) * fit.sum_w)
-    method = "HKSJ" if tau2.method == "DL" else f"HKSJ-{tau2.method}"
-    degenerate = float(np.abs(resid).max()) <= 1e-12 * max(1.0, abs(fit.mean))
+    resid = data.g - iv.value
+    var_star = float((iv.weights * resid * resid).sum()) \
+        / ((data.k - 1) * float(iv.weights.sum()))
+    method = "HKSJ" if iv.tau2_method == "DL" else f"HKSJ-{iv.tau2_method}"
+    degenerate = float(np.abs(resid).max()) <= 1e-12 * max(1.0, abs(iv.value))
     if degenerate:
         var_star = 0.0
     flags = ("degenerate",) if degenerate else ()
     t = t_quantile(1.0 - (1.0 - level) / 2.0, data.k - 1)
-    return EffectInterval(fit.mean, t * math.sqrt(var_star), method, level, flags)
+    return EffectInterval(iv.value, t * math.sqrt(var_star), method, level, flags)
 
 
-def ci_ssw_kdb(data: MetaInput, level: float = 0.95,
-               tau2_kdb_value: float | None = None) -> EffectInterval:
-    """t interval centered at SSW with its sample-size-weight variance,
-    evaluated at the KDB tau^2 estimate."""
-    if tau2_kdb_value is None:
-        tau2_kdb_value = tau2_kdb(data).value
-    est = effect_ssw(data, tau2_kdb_value)
+def ci_ssw_kdb(data: MetaInput, ssw: EffectResult,
+               level: float = 0.95) -> EffectInterval:
+    """t interval centered at ssw, the `effect_ssw` mean, with its
+    sample-size-weight variance at the KDB tau^2 estimate."""
     t = t_quantile(1.0 - (1.0 - level) / 2.0, data.k - 1)
-    return EffectInterval(est.value, t * math.sqrt(est.variance),
+    return EffectInterval(ssw.value, t * math.sqrt(ssw.variance),
                           "SSW-KDB", level)

@@ -34,10 +34,6 @@ UNEQUAL_SIZES = {
 }
 QS = (0.5, 0.75)
 
-TAU2_POINT = t2.POINT_METHODS
-TAU2_CI = t2.INTERVAL_METHODS
-DELTA_POINT = eff.POINT_METHODS
-DELTA_CI = eff.INTERVAL_METHODS
 MSE_ESTIMATORS = ("SSW", "IV-KDB", "IV-MP")
 MSE_RATIOS = (("SSW/IV-KDB", "SSW", "IV-KDB"), ("SSW/IV-MP", "SSW", "IV-MP"))
 
@@ -165,64 +161,69 @@ def expand_grid(config: GridConfig, allow_custom: bool = False) -> list[SimCell]
 # the estimator battery (shared verbatim by the analyze command)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReplicateEstimates:
-    """Every estimator's output for one meta-analysis input."""
+# One row per estimator, in run order: (failure name, kind, output name,
+# module, function, prerequisites).  A row's key is (kind, output name); its
+# prerequisites, keys of earlier rows, follow the data as arguments, then the
+# level on "_cover" rows.  Functions are looked up by name on each call, so a
+# patched module attribute (a tracing span, a test double) is what runs.
+ESTIMATORS = (
+    ("DL", "tau2_est", "DL", t2, "tau2_dl", []),
+    ("MP", "tau2_est", "MP", t2, "tau2_mp", []),
+    ("REML", "tau2_est", "REML", t2, "tau2_reml", []),
+    ("J", "tau2_est", "J", t2, "tau2_jackson", []),
+    ("KDB", "expected_q", "KDB", t2, "corrected_expected_q", []),
+    ("KDB", "tau2_est", "KDB", t2, "tau2_kdb", [("expected_q", "KDB")]),
+    ("QP", "tau2_cover", "QP", t2, "ci_qp", []),
+    ("BJ", "tau2_cover", "BJ", t2, "ci_bj", []),
+    ("J-interval", "tau2_cover", "J", t2, "ci_jackson", []),
+    ("PL", "tau2_cover", "PL", t2, "ci_pl", [("tau2_est", "REML")]),
+    ("KDB-interval", "tau2_cover", "KDB", t2, "ci_kdb", [("expected_q", "KDB")]),
+    ("IV-DL", "delta_est", "IV-DL", eff, "effect_iv", [("tau2_est", "DL")]),
+    ("IV-MP", "delta_est", "IV-MP", eff, "effect_iv", [("tau2_est", "MP")]),
+    ("IV-REML", "delta_est", "IV-REML", eff, "effect_iv", [("tau2_est", "REML")]),
+    ("IV-J", "delta_est", "IV-J", eff, "effect_iv", [("tau2_est", "J")]),
+    ("IV-KDB", "delta_est", "IV-KDB", eff, "effect_iv", [("tau2_est", "KDB")]),
+    ("SSW", "delta_est", "SSW", eff, "effect_ssw", [("tau2_est", "KDB")]),
+    ("Z-DL", "delta_cover", "Z-DL", eff, "ci_z", [("delta_est", "IV-DL")]),
+    ("Z-MP", "delta_cover", "Z-MP", eff, "ci_z", [("delta_est", "IV-MP")]),
+    ("Z-REML", "delta_cover", "Z-REML", eff, "ci_z", [("delta_est", "IV-REML")]),
+    ("Z-J", "delta_cover", "Z-J", eff, "ci_z", [("delta_est", "IV-J")]),
+    ("Z-KDB", "delta_cover", "Z-KDB", eff, "ci_z", [("delta_est", "IV-KDB")]),
+    ("HKSJ", "delta_cover", "HKSJ", eff, "ci_hksj", [("delta_est", "IV-DL")]),
+    ("HKSJ-KDB", "delta_cover", "HKSJ-KDB", eff, "ci_hksj", [("delta_est", "IV-KDB")]),
+    ("SSW-KDB", "delta_cover", "SSW-KDB", eff, "ci_ssw_kdb", [("delta_est", "SSW")]),
+)
+_OUTPUT_NAMES = {kind: tuple(row[2] for row in ESTIMATORS if row[1] == kind)
+                 for kind in ("tau2_est", "tau2_cover", "delta_est",
+                              "delta_cover")}
+TAU2_POINT, TAU2_CI, DELTA_POINT, DELTA_CI = _OUTPUT_NAMES.values()
 
-    tau2_points: dict[str, t2.Tau2Result]
-    tau2_intervals: dict[str, t2.Tau2Interval]
-    delta_points: dict[str, eff.EffectResult]
-    delta_intervals: dict[str, eff.EffectInterval]
-    failures: tuple[tuple[str, str], ...]
 
+def estimate_all(data: MetaInput, level: float = 0.95) -> tuple[dict, tuple]:
+    """Run every row of ESTIMATORS; returns (results, failures), results
+    keyed by (kind, output name).
 
-def estimate_all(data: MetaInput, level: float = 0.95) -> ReplicateEstimates:
-    """Run the full battery; non-convergent estimators are recorded in
-    ``failures`` (never silently dropped) and omitted from the dicts.
-
-    Failures are named after the estimator, except that the J and KDB tau^2
-    intervals fail as "J-interval" and "KDB-interval".  A failed corrected
-    E[Q] is recorded once as "KDB"; an estimator whose input failed is
-    recorded with the message "prerequisite failed".
+    A row that raises NonConvergenceError is recorded in failures under its
+    failure name, never silently dropped, and has no result.  A row whose
+    prerequisite has no result is recorded as "prerequisite failed", unless
+    its failure name is already recorded (a failed corrected E[Q] is
+    recorded once, as "KDB").
     """
+    results: dict[tuple[str, str], object] = {}
     failures: list[tuple[str, str]] = []
-
-    def attempt(name, fn, *args):
-        """fn(data, *args), or None with the failure recorded; a None
-        argument is a prerequisite that failed."""
-        if any(arg is None for arg in args):
-            if all(name != failed for failed, _ in failures):
-                failures.append((name, "prerequisite failed"))
-            return None
+    for failure, kind, name, module, function, prereqs in ESTIMATORS:
+        if not all(key in results for key in prereqs):
+            if all(failure != failed for failed, _ in failures):
+                failures.append((failure, "prerequisite failed"))
+            continue
+        args = [results[key] for key in prereqs]
+        if kind.endswith("_cover"):
+            args.append(level)
         try:
-            return fn(data, *args)
+            results[kind, name] = getattr(module, function)(data, *args)
         except NonConvergenceError as exc:
-            failures.append((name, str(exc)))
-            return None
-
-    tau2_pt = {"DL": attempt("DL", t2.tau2_dl),
-               "MP": attempt("MP", t2.tau2_mp),
-               "REML": attempt("REML", t2.tau2_reml),
-               "J": attempt("J", t2.tau2_jackson)}
-    expected_q = attempt("KDB", t2.corrected_expected_q)
-    tau2_pt["KDB"] = kdb = attempt("KDB", t2.tau2_kdb, expected_q)
-    tau2_ci = {"QP": attempt("QP", t2.ci_qp, level),
-               "BJ": attempt("BJ", t2.ci_bj, level),
-               "J": attempt("J-interval", t2.ci_jackson, level),
-               "PL": attempt("PL", t2.ci_pl, level, tau2_pt["REML"]),
-               "KDB": attempt("KDB-interval", t2.ci_kdb, level, expected_q)}
-    kdb_value = None if kdb is None else kdb.value
-    delta_pt = {f"IV-{m}": attempt(f"IV-{m}", eff.effect_iv, tau2_pt[m])
-                for m in TAU2_POINT}
-    delta_pt["SSW"] = attempt("SSW", eff.effect_ssw, kdb_value)
-    delta_ci = {f"Z-{m}": attempt(f"Z-{m}", eff.ci_z, tau2_pt[m], level)
-                for m in TAU2_POINT}
-    delta_ci["HKSJ"] = attempt("HKSJ", eff.ci_hksj, tau2_pt["DL"], level)
-    delta_ci["HKSJ-KDB"] = attempt("HKSJ-KDB", eff.ci_hksj, kdb, level)
-    delta_ci["SSW-KDB"] = attempt("SSW-KDB", eff.ci_ssw_kdb, level, kdb_value)
-    found = [{name: res for name, res in d.items() if res is not None}
-             for d in (tau2_pt, tau2_ci, delta_pt, delta_ci)]
-    return ReplicateEstimates(*found, tuple(failures))
+            failures.append((failure, str(exc)))
+    return results, tuple(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +245,8 @@ class RawCellResult:
     n_failed: dict[str, int]
 
 
-_ARRAYS = (("tau2_est", TAU2_POINT), ("tau2_trunc", TAU2_POINT),
-           ("tau2_cover", TAU2_CI), ("delta_est", DELTA_POINT),
-           ("delta_cover", DELTA_CI))
+# RawCellResult's array fields: the output kinds, plus tau^2 truncation
+_FIELDS = dict(_OUTPUT_NAMES, tau2_trunc=TAU2_POINT)
 
 
 def simulate_meta_input(cell: SimCell, replicate: int) -> MetaInput:
@@ -265,19 +265,20 @@ def _run_chunk(cell: SimCell, rep_lo: int, rep_hi: int,
                level: float) -> RawCellResult:
     n = rep_hi - rep_lo
     raw = RawCellResult(cell, n_failed={}, **{
-        fld: {m: np.full(n, np.nan) for m in names} for fld, names in _ARRAYS})
+        fld: {m: np.full(n, np.nan) for m in names}
+        for fld, names in _FIELDS.items()})
+    truth = {"tau2_cover": cell.tau2, "delta_cover": cell.delta}
     for idx in range(n):
-        est = estimate_all(simulate_meta_input(cell, rep_lo + idx), level)
-        for name, res in est.tau2_points.items():
-            raw.tau2_est[name][idx] = res.value
-            raw.tau2_trunc[name][idx] = res.status == "truncated_at_zero"
-        for name, ci in est.tau2_intervals.items():
-            raw.tau2_cover[name][idx] = ci.contains(cell.tau2)
-        for name, res in est.delta_points.items():
-            raw.delta_est[name][idx] = res.value
-        for name, ci in est.delta_intervals.items():
-            raw.delta_cover[name][idx] = ci.contains(cell.delta)
-        for name, _msg in est.failures:
+        results, failures = estimate_all(
+            simulate_meta_input(cell, rep_lo + idx), level)
+        for (kind, name), res in results.items():
+            if kind in truth:
+                getattr(raw, kind)[name][idx] = res.contains(truth[kind])
+            elif kind in _OUTPUT_NAMES:
+                getattr(raw, kind)[name][idx] = res.value
+            if kind == "tau2_est":
+                raw.tau2_trunc[name][idx] = res.status == "truncated_at_zero"
+        for name, _msg in failures:
             raw.n_failed[name] = raw.n_failed.get(name, 0) + 1
     return raw
 
@@ -309,7 +310,7 @@ def run_cell_raw(cell: SimCell, level: float = 0.95,
             n_failed[name] = n_failed.get(name, 0) + cnt
     return RawCellResult(cell, n_failed=n_failed, **{
         fld: {m: np.concatenate([getattr(p, fld)[m] for p in parts])
-              for m in names} for fld, names in _ARRAYS})
+              for m in names} for fld, names in _FIELDS.items()})
 
 
 # ---------------------------------------------------------------------------

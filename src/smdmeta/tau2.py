@@ -39,12 +39,13 @@ from .qstat import (
 )
 from .smd import j_factor
 
-POINT_METHODS = ("DL", "MP", "REML", "J", "KDB")
-INTERVAL_METHODS = ("QP", "BJ", "J", "PL", "KDB")
-
 # The Gauss-Laguerre moment branch runs below this df; the weight-expansion
 # series (O(1/n^2) apart) avoids its raw-to-central cancellation at large n.
 _SERIES_DF_MIN = 1000
+
+# REML converges when a step moves tau2 by <= _REML_TOL (1 + tau2)
+_REML_TOL = 1e-8
+_REML_MAX_ITER = 200
 
 # CDF tolerance while inverting the BJ/J mixture distribution over tau2;
 # endpoint precision is set by brentq's xtol 1e-6 and rtol 1e-5 anyway.
@@ -123,8 +124,7 @@ def restricted_loglik(data: MetaInput, tau2: float) -> float:
                    + q_statistic(data, tau2))
 
 
-def tau2_reml(data: MetaInput, tol: float = 1e-8,
-              max_iter: int = 200) -> Tau2Result:
+def tau2_reml(data: MetaInput) -> Tau2Result:
     """REML via the damped fixed-point iteration
 
         tau2 <- max(0, sum w^2 ((g - mean)^2 - v^2) / sum w^2 + 1 / sum w),
@@ -134,7 +134,7 @@ def tau2_reml(data: MetaInput, tol: float = 1e-8,
     """
     t = tau2_dl(data).value
     l_cur = restricted_loglik(data, t)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _REML_MAX_ITER + 1):
         fit = iv_weighted_mean(data, t)
         w2 = fit.weights ** 2
         resid2 = (data.g - fit.mean) ** 2
@@ -147,12 +147,12 @@ def tau2_reml(data: MetaInput, tol: float = 1e-8,
             prop = 0.5 * (prop + t)
             l_prop = restricted_loglik(data, prop)
             halvings += 1
-        done = abs(prop - t) <= tol * (1.0 + prop)
+        done = abs(prop - t) <= _REML_TOL * (1.0 + prop)
         t, l_cur = prop, l_prop
         if done:
             status = "truncated_at_zero" if t == 0.0 else "interior"
             return Tau2Result(t, "REML", status, it)
-    return Tau2Result(t, "REML", "max_iter", max_iter)
+    return Tau2Result(t, "REML", "max_iter", _REML_MAX_ITER)
 
 
 def tau2_jackson(data: MetaInput) -> Tau2Result:
@@ -323,15 +323,15 @@ def corrected_expected_q(data: MetaInput, effect: float | None = None) -> float:
     return expected
 
 
-def tau2_kdb(data: MetaInput, expected_q: float | None = None) -> Tau2Result:
-    """Corrected-moment estimator: solves Q(tau2) = corrected E[Q].
+def tau2_kdb(data: MetaInput, expected_q: float) -> Tau2Result:
+    """Corrected-moment estimator: solves Q(tau2) = expected_q, the value of
+    `corrected_expected_q(data)`.
 
     The target is the tau^2-free homogeneity moment of Kulinskaya,
     Dollinger and Bjorkestol (2011, Biometrics 67:203), used unchanged at
     every tau^2 the root search visits.
     """
-    target = corrected_expected_q(data) if expected_q is None else expected_q
-    root = solve_q_equals(data, target)
+    root = solve_q_equals(data, expected_q)
     status = "truncated_at_zero" if root.status == "truncated" else "interior"
     return Tau2Result(root.value, "KDB", status, root.iterations)
 
@@ -358,11 +358,11 @@ def ci_qp(data: MetaInput, level: float = 0.95) -> Tau2Interval:
     return _q_profile(data, level, float(data.k - 1), "QP")
 
 
-def ci_kdb(data: MetaInput, level: float = 0.95,
-           expected_q: float | None = None) -> Tau2Interval:
-    """Q-profile interval at fractional-df quantiles, df = corrected E[Q]."""
-    df = corrected_expected_q(data) if expected_q is None else expected_q
-    return _q_profile(data, level, df, "KDB")
+def ci_kdb(data: MetaInput, expected_q: float,
+           level: float = 0.95) -> Tau2Interval:
+    """Q-profile interval at fractional-df quantiles, df = expected_q, the
+    value of `corrected_expected_q(data)`."""
+    return _q_profile(data, level, expected_q, "KDB")
 
 
 def _satterthwaite_roots(weights: np.ndarray, v2: np.ndarray, q_obs: float,
@@ -457,14 +457,12 @@ def ci_jackson(data: MetaInput, level: float = 0.95) -> Tau2Interval:
     return _fixed_weight_interval(data, level, 1.0 / np.sqrt(data.v2), "J")
 
 
-def ci_pl(data: MetaInput, level: float = 0.95,
-          reml: Tau2Result | None = None) -> Tau2Interval:
-    """Profile-likelihood interval around the REML estimate:
+def ci_pl(data: MetaInput, reml: Tau2Result,
+          level: float = 0.95) -> Tau2Interval:
+    """Profile-likelihood interval around reml, the tau2_reml(data) estimate:
 
         { tau2 >= 0 : 2 (l(tau2_REML) - l(tau2)) <= chi2_{1; level} }.
     """
-    if reml is None:
-        reml = tau2_reml(data)
     crit = chisq_quantile(level, 1.0)
     center = reml.value
     l_hat = restricted_loglik(data, center)

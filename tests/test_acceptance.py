@@ -104,7 +104,7 @@ def test_c01_analytic_oracles():
     qp = ci_qp(two)
     q025 = 2 * erfinv(0.025) ** 2
     checks.append(qp.lo == 0.0 and abs(qp.hi - (2 / q025 - 1)) < 1e-3 * qp.hi)
-    hksj = ci_hksj(two, tau2_dl(two))
+    hksj = ci_hksj(two, effect_iv(two, tau2_dl(two)))
     checks.append(abs(hksj.half_width - t_quantile(0.975, 1)) < 1e-9)
     report(1, all(checks), f"analytic oracles: {sum(checks)}/{len(checks)} ok")
 
@@ -259,7 +259,8 @@ def test_c11_simulate_determinism(tmp_path, capsys):
 def test_c12_property_suites():
     rng = np.random.default_rng(SEED)
     total = 10_000
-    interval_fns = (ci_qp, ci_kdb, ci_bj, ci_jackson, ci_pl)
+    interval_fns = (ci_qp, lambda d: ci_kdb(d, corrected_expected_q(d)),
+                    ci_bj, ci_jackson, lambda d: ci_pl(d, tau2_reml(d)))
     violations = 0
 
     def rand_meta(k_max=6):
@@ -284,8 +285,8 @@ def test_c12_property_suites():
             if abs(effect_iv(shifted, dl_b).value
                    - effect_iv(data, dl_a).value - c) > 1e-9:
                 violations += 1
-            if abs(ci_z(shifted, dl_b).half_width
-                   - ci_z(data, dl_a).half_width) > 1e-9:
+            if abs(ci_z(shifted, effect_iv(shifted, dl_b)).half_width
+                   - ci_z(data, effect_iv(data, dl_a)).half_width) > 1e-9:
                 violations += 1
         elif kind == 2:  # equal-variance DL = MP = Jackson
             v = float(rng.uniform(0.1, 2.0))

@@ -14,12 +14,20 @@ from smdmeta.effect import (
 from smdmeta.numkernel import normal_quantile, t_quantile
 from smdmeta.qstat import MetaInput
 from smdmeta.smd import Study
-from smdmeta.tau2 import Tau2Result, tau2_dl, tau2_kdb
+from smdmeta.tau2 import Tau2Result, corrected_expected_q, tau2_dl, tau2_kdb
 
 
 def meta(gs, v2s, n=20):
     n_t = n // 2
     return MetaInput(tuple(Study(n_t, n - n_t, g, v) for g, v in zip(gs, v2s)))
+
+
+def kdb_at(tau2):
+    return Tau2Result(tau2, "KDB", "interior")
+
+
+def kdb_of(data):
+    return tau2_kdb(data, corrected_expected_q(data))
 
 
 TWO = meta([0.0, 2.0], [1.0, 1.0])
@@ -46,23 +54,24 @@ class TestEffectIV:
 
 class TestSSW:
     def test_plain_average_when_sizes_equal(self):
-        r = effect_ssw(TWO, tau2=0.0)
+        r = effect_ssw(TWO, kdb_at(0.0))
         assert r.value == pytest.approx(1.0, rel=1e-14)
 
     def test_weighting_by_effective_size(self):
         data = MetaInput((Study(6, 6, 1.0, 0.2), Study(42, 42, 2.0, 0.2)))
-        r = effect_ssw(data, tau2=0.0)
+        r = effect_ssw(data, kdb_at(0.0))
         assert r.value == pytest.approx((3 * 1.0 + 21 * 2.0) / 24, rel=1e-14)
 
     def test_point_never_depends_on_variances_or_tau2(self):
         a = MetaInput((Study(6, 6, 1.0, 0.2), Study(42, 42, 2.0, 0.2)))
         b = MetaInput((Study(6, 6, 1.0, 5.0), Study(42, 42, 2.0, 0.01)))
-        assert effect_ssw(a, tau2=0.0).value == effect_ssw(b, tau2=3.0).value
+        assert effect_ssw(a, kdb_at(0.0)).value == \
+            effect_ssw(b, kdb_at(3.0)).value
 
     def test_default_variance_uses_kdb(self):
         data = meta([0.1, 0.8, -0.2, 1.4], [0.3, 0.5, 0.4, 0.6])
-        kdb = tau2_kdb(data).value
-        r = effect_ssw(data)
+        kdb = kdb_of(data).value
+        r = effect_ssw(data, kdb_of(data))
         assert r.variance == pytest.approx(ssw_variance(data, kdb), rel=1e-12)
 
 
@@ -81,7 +90,7 @@ class TestSSWVariance:
 
 class TestCiZ:
     def test_hand_case(self):
-        ci = ci_z(TWO, tau2_dl(TWO))
+        ci = ci_z(TWO, effect_iv(TWO, tau2_dl(TWO)))
         assert tau2_dl(TWO).value == pytest.approx(1.0)
         assert ci.center == pytest.approx(1.0)
         assert ci.half_width == pytest.approx(1.959964, abs=1e-6)
@@ -92,7 +101,7 @@ class TestCiZ:
 
 class TestCiHKSJ:
     def test_df1_half_width(self):
-        ci = ci_hksj(TWO, Tau2Result(1.0, "DL", "interior"))
+        ci = ci_hksj(TWO, effect_iv(TWO, Tau2Result(1.0, "DL", "interior")))
         assert ci.center == pytest.approx(1.0)
         assert ci.half_width == pytest.approx(t_quantile(0.975, 1), rel=1e-10)
         assert ci.half_width == pytest.approx(12.7062, abs=1e-4)
@@ -100,14 +109,15 @@ class TestCiHKSJ:
 
     def test_degenerate_flagged(self):
         flat = meta([0.4, 0.4, 0.4], [1.0, 0.5, 2.0])
-        ci = ci_hksj(flat, tau2_dl(flat))
+        ci = ci_hksj(flat, effect_iv(flat, tau2_dl(flat)))
         assert ci.half_width == 0.0
         assert "degenerate" in ci.flags
 
     def test_equal_variance_half_width_free_of_tau2(self):
         data = meta([0.1, 0.9, -0.5, 1.2], [0.8, 0.8, 0.8, 0.8])
-        a = ci_hksj(data, Tau2Result(0.0, "DL", "truncated_at_zero"))
-        b = ci_hksj(data, Tau2Result(2.5, "KDB", "interior"))
+        a = ci_hksj(data, effect_iv(
+            data, Tau2Result(0.0, "DL", "truncated_at_zero")))
+        b = ci_hksj(data, effect_iv(data, Tau2Result(2.5, "KDB", "interior")))
         assert a.half_width == pytest.approx(b.half_width, rel=1e-12)
         assert b.method == "HKSJ-KDB"
 
@@ -115,16 +125,17 @@ class TestCiHKSJ:
 class TestCiSSWKDB:
     def test_center_and_width(self):
         data = meta([0.1, 0.8, -0.2, 1.4], [0.3, 0.5, 0.4, 0.6])
-        kdb = tau2_kdb(data).value
-        ci = ci_ssw_kdb(data)
+        kdb = kdb_of(data)
+        ci = ci_ssw_kdb(data, effect_ssw(data, kdb))
         assert ci.center == pytest.approx(effect_ssw(data, kdb).value)
         assert ci.half_width == pytest.approx(
-            t_quantile(0.975, data.k - 1) * math.sqrt(ssw_variance(data, kdb)),
+            t_quantile(0.975, data.k - 1)
+            * math.sqrt(ssw_variance(data, kdb.value)),
             rel=1e-10)
 
     def test_zero_tau2_collapse(self):
         data = meta([0.2, 0.2, 0.2], [0.4, 0.4, 0.4])
-        ci = ci_ssw_kdb(data)
+        ci = ci_ssw_kdb(data, effect_ssw(data, kdb_of(data)))
         assert ci.half_width == pytest.approx(
             t_quantile(0.975, 2) * math.sqrt(ssw_variance(data, 0.0)),
             rel=1e-10)
@@ -142,11 +153,13 @@ class TestShiftEquivariance:
         assert dl_b.value == pytest.approx(dl_a.value, abs=1e-12)
         assert effect_iv(b, dl_b).value - effect_iv(a, dl_a).value == \
             pytest.approx(c, abs=1e-12)
-        assert effect_ssw(b, 0.0).value - effect_ssw(a, 0.0).value == \
+        assert effect_ssw(b, kdb_at(0.0)).value \
+            - effect_ssw(a, kdb_at(0.0)).value == \
             pytest.approx(c, abs=1e-12)
-        za, zb = ci_z(a, dl_a), ci_z(b, dl_b)
+        iv_a, iv_b = effect_iv(a, dl_a), effect_iv(b, dl_b)
+        za, zb = ci_z(a, iv_a), ci_z(b, iv_b)
         assert zb.center - za.center == pytest.approx(c, abs=1e-12)
         assert zb.half_width == pytest.approx(za.half_width, abs=1e-12)
-        ha, hb = ci_hksj(a, dl_a), ci_hksj(b, dl_b)
+        ha, hb = ci_hksj(a, iv_a), ci_hksj(b, iv_b)
         assert hb.center - ha.center == pytest.approx(c, abs=1e-12)
         assert hb.half_width == pytest.approx(ha.half_width, abs=1e-12)

@@ -6,7 +6,14 @@ from smdmeta.effect import ci_hksj, ci_z, effect_iv, effect_ssw
 from smdmeta.numkernel import chisq_cdf, chisq_quantile, mixture_cdf
 from smdmeta.qstat import MetaInput, iv_weighted_mean, q_statistic
 from smdmeta.smd import Study, j_factor
-from smdmeta.tau2 import ci_qp, tau2_dl, tau2_jackson, tau2_mp, tau2_reml
+from smdmeta.tau2 import (
+    Tau2Result,
+    ci_qp,
+    tau2_dl,
+    tau2_jackson,
+    tau2_mp,
+    tau2_reml,
+)
 
 
 @st.composite
@@ -82,11 +89,12 @@ def test_effect_shift_equivariance(data, shift):
     dl_a, dl_b = tau2_dl(data), tau2_dl(shifted)
     a, b = effect_iv(data, dl_a), effect_iv(shifted, dl_b)
     assert abs((b.value - a.value) - shift) <= 1e-9
-    assert abs(effect_ssw(shifted, 0.0).value
-               - effect_ssw(data, 0.0).value - shift) <= 1e-9
-    za, zb = ci_z(data, dl_a), ci_z(shifted, dl_b)
+    kdb = Tau2Result(0.0, "KDB", "truncated_at_zero")
+    assert abs(effect_ssw(shifted, kdb).value
+               - effect_ssw(data, kdb).value - shift) <= 1e-9
+    za, zb = ci_z(data, a), ci_z(shifted, b)
     assert abs(zb.half_width - za.half_width) <= 1e-9
-    ha, hb = ci_hksj(data, dl_a), ci_hksj(shifted, dl_b)
+    ha, hb = ci_hksj(data, a), ci_hksj(shifted, b)
     assert abs(hb.half_width - ha.half_width) <= 1e-9 * (1.0 + ha.half_width)
 
 

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -124,43 +125,48 @@ def _fail(*args):
     raise NonConvergenceError("forced")
 
 
+def _names(results, kind):
+    return {name for k, name in results if k == kind}
+
+
 class TestEstimateAll:
     def test_full_battery_present(self):
         data = simulate_meta_input(
             SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
-        est = estimate_all(data)
-        assert set(est.tau2_points) == {"DL", "MP", "REML", "J", "KDB"}
-        assert set(est.tau2_intervals) == {"QP", "BJ", "J", "PL", "KDB"}
-        assert set(est.delta_points) == {"IV-DL", "IV-MP", "IV-REML", "IV-J",
-                                         "IV-KDB", "SSW"}
-        assert set(est.delta_intervals) == {"Z-DL", "Z-MP", "Z-REML", "Z-J",
-                                            "Z-KDB", "HKSJ", "HKSJ-KDB",
-                                            "SSW-KDB"}
-        assert est.failures == ()
+        results, failures = estimate_all(data)
+        assert _names(results, "tau2_est") == {"DL", "MP", "REML", "J", "KDB"}
+        assert _names(results, "tau2_cover") == {"QP", "BJ", "J", "PL", "KDB"}
+        assert _names(results, "delta_est") == {"IV-DL", "IV-MP", "IV-REML",
+                                                "IV-J", "IV-KDB", "SSW"}
+        assert _names(results, "delta_cover") == {
+            "Z-DL", "Z-MP", "Z-REML", "Z-J", "Z-KDB", "HKSJ", "HKSJ-KDB",
+            "SSW-KDB"}
+        assert failures == ()
 
     def test_interval_failures_are_named_apart(self, monkeypatch):
         monkeypatch.setattr(t2, "ci_jackson", _fail)
         monkeypatch.setattr(t2, "ci_kdb", _fail)
         data = simulate_meta_input(
             SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
-        est = estimate_all(data)
-        assert est.failures == (("J-interval", "forced"),
-                                ("KDB-interval", "forced"))
-        assert {"J", "KDB"} <= set(est.tau2_points)
-        assert set(est.tau2_intervals) == {"QP", "BJ", "PL"}
+        results, failures = estimate_all(data)
+        assert failures == (("J-interval", "forced"),
+                            ("KDB-interval", "forced"))
+        assert {"J", "KDB"} <= _names(results, "tau2_est")
+        assert _names(results, "tau2_cover") == {"QP", "BJ", "PL"}
 
     def test_failed_prerequisite_fails_its_dependents(self, monkeypatch):
         monkeypatch.setattr(t2, "corrected_expected_q", _fail)
         data = simulate_meta_input(
             SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
-        est = estimate_all(data)
-        assert est.failures == (
+        results, failures = estimate_all(data)
+        assert failures == (
             ("KDB", "forced"), ("KDB-interval", "prerequisite failed"),
             ("IV-KDB", "prerequisite failed"), ("SSW", "prerequisite failed"),
             ("Z-KDB", "prerequisite failed"),
             ("HKSJ-KDB", "prerequisite failed"),
             ("SSW-KDB", "prerequisite failed"))
-        assert "KDB" not in est.tau2_points and "HKSJ" in est.delta_intervals
+        assert ("tau2_est", "KDB") not in results \
+            and ("delta_cover", "HKSJ") in results
 
     def test_reml_stopped_at_max_iter_is_kept(self, monkeypatch):
         def stopped(data):
@@ -169,10 +175,10 @@ class TestEstimateAll:
         monkeypatch.setattr(t2, "tau2_reml", stopped)
         cell = SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=4, chunks=2,
                        seed=4)
-        est = estimate_all(simulate_meta_input(cell, 0))
-        assert est.tau2_points["REML"].status == "max_iter"
-        assert est.tau2_intervals["PL"] == t2.ci_pl(
-            simulate_meta_input(cell, 0), 0.95, stopped(None))
+        results, _ = estimate_all(simulate_meta_input(cell, 0))
+        assert results["tau2_est", "REML"].status == "max_iter"
+        assert results["tau2_cover", "PL"] == t2.ci_pl(
+            simulate_meta_input(cell, 0), stopped(None), 0.95)
         raw = run_cell_raw(cell)
         assert np.array_equal(raw.tau2_est["REML"], np.full(4, 0.7))
         assert not np.isnan(raw.tau2_cover["PL"]).any()
@@ -182,9 +188,46 @@ class TestEstimateAll:
 
     def test_homogeneous_input_flags(self):
         data = MetaInput(tuple(Study(10, 10, 0.4, 0.25) for _ in range(4)))
-        est = estimate_all(data)
-        assert all(r.value == 0.0 for r in est.tau2_points.values())
-        assert "degenerate" in est.delta_intervals["HKSJ"].flags
+        results = estimate_all(data)[0]
+        assert all(r.value == 0.0 for (kind, _), r in results.items()
+                   if kind == "tau2_est")
+        assert "degenerate" in results["delta_cover", "HKSJ"].flags
+
+    def test_each_estimator_runs_once_per_row(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(fn, name):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module, name in {(row[3], row[4]) for row in simlab.ESTIMATORS}:
+            monkeypatch.setattr(module, name,
+                                counted(getattr(module, name), name))
+        data = simulate_meta_input(
+            SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
+        estimate_all(data)
+        expected = collections.Counter(row[4] for row in simlab.ESTIMATORS)
+        expected["tau2_dl"] += 1  # tau2_reml starts from the DL estimate
+        assert calls == expected
+        assert calls["effect_iv"] == 5 and calls["effect_ssw"] == 1
+
+    def test_prerequisites_are_earlier_rows(self):
+        keys = set()
+        for _, kind, name, module, function, prereqs in simlab.ESTIMATORS:
+            assert all(key in keys for key in prereqs), (kind, name)
+            assert (kind, name) not in keys
+            assert callable(getattr(module, function))
+            keys.add((kind, name))
+
+    def test_derived_name_orders(self):
+        assert simlab.TAU2_POINT == ("DL", "MP", "REML", "J", "KDB")
+        assert simlab.TAU2_CI == ("QP", "BJ", "J", "PL", "KDB")
+        assert simlab.DELTA_POINT == ("IV-DL", "IV-MP", "IV-REML", "IV-J",
+                                      "IV-KDB", "SSW")
+        assert simlab.DELTA_CI == ("Z-DL", "Z-MP", "Z-REML", "Z-J", "Z-KDB",
+                                   "HKSJ", "HKSJ-KDB", "SSW-KDB")
 
 
 class TestRunCell:

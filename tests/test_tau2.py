@@ -46,6 +46,10 @@ def random_meta(rng, k=None):
     return meta(list(gs), list(v2s))
 
 
+def kdb_of(data):
+    return tau2_kdb(data, corrected_expected_q(data))
+
+
 SPREAD = meta([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
 FLAT = meta([0.4, 0.4, 0.4], [1.0, 0.5, 2.0])
 
@@ -420,12 +424,12 @@ class TestKDB:
         data = MetaInput(tuple(Study(n // 2, n // 2, g,
                                      g_variance(g, n // 2, n // 2))
                                for g in gs))
-        kdb, mp = tau2_kdb(data), tau2_mp(data)
+        kdb, mp = kdb_of(data), tau2_mp(data)
         assert kdb.value == pytest.approx(mp.value, rel=1e-3, abs=1e-9)
 
     def test_truncation(self):
         data = kdb_input(5, 20, 0.5, 0.5)  # all g equal -> Q == 0
-        r = tau2_kdb(data)
+        r = kdb_of(data)
         assert r.value == 0.0 and r.status == "truncated_at_zero"
 
 
@@ -459,7 +463,7 @@ class TestCiKDB:
         data = MetaInput(tuple(Study(n // 2, n // 2, g,
                                      g_variance(g, n // 2, n // 2))
                                for g in gs))
-        a, b = ci_kdb(data), ci_qp(data)
+        a, b = ci_kdb(data, corrected_expected_q(data)), ci_qp(data)
         assert a.lo == pytest.approx(b.lo, abs=1e-6)
         assert a.hi == pytest.approx(b.hi, abs=1e-6)
 
@@ -467,9 +471,9 @@ class TestCiKDB:
         rng = np.random.default_rng(29)
         for _ in range(8):
             data = random_meta(rng)
-            ci = ci_kdb(data)
+            ci = ci_kdb(data, corrected_expected_q(data))
             assert ci.lo <= ci.hi
-            kdb = tau2_kdb(data)
+            kdb = kdb_of(data)
             assert ci.lo - 1e-9 <= kdb.value <= ci.hi + 1e-9
 
 
@@ -623,13 +627,13 @@ class TestCiPL:
             <= l_hat + 1e-7
 
     def test_all_equal_lo_zero(self):
-        assert ci_pl(FLAT).lo == 0.0
+        assert ci_pl(FLAT, tau2_reml(FLAT)).lo == 0.0
 
     def test_endpoints_on_likelihood_contour(self):
         rng = np.random.default_rng(43)
         data = meta(list(rng.standard_normal(6) * 1.4),
                     list(rng.uniform(0.2, 1.0, 6)))
-        ci = ci_pl(data)
+        ci = ci_pl(data, tau2_reml(data))
         r = tau2_reml(data)
         l_hat = restricted_loglik(data, r.value)
         crit = chisq_quantile(0.95, 1.0)
@@ -643,7 +647,7 @@ class TestCiPL:
 
 class TestHomogeneousInputs:
     def test_all_point_estimators_zero(self):
-        for fn in (tau2_dl, tau2_mp, tau2_reml, tau2_jackson, tau2_kdb):
+        for fn in (tau2_dl, tau2_mp, tau2_reml, tau2_jackson, kdb_of):
             assert fn(FLAT).value == 0.0
 
     def test_monotone_response_to_spread(self):
