@@ -80,43 +80,83 @@ def iv_weighted_mean(data: MetaInput, tau2: float) -> WeightedFit:
                        sum_w=sum_w)
 
 
+def _q_terms(data: MetaInput, tau2: float) -> tuple[WeightedFit, np.ndarray]:
+    """The fit at tau2 and the terms w_i (g_i - mean)^2 that sum to Q(tau2)."""
+    fit = iv_weighted_mean(data, tau2)
+    resid = data.g - fit.mean
+    return fit, fit.weights * resid * resid
+
+
 def q_statistic(data: MetaInput, tau2: float) -> float:
     """Generalized Cochran statistic Q(tau2) = sum w_i (g_i - mean)^2 with the
     mean recomputed at the same tau2.  Non-increasing in tau2."""
-    fit = iv_weighted_mean(data, tau2)
-    resid = data.g - fit.mean
-    return float((fit.weights * resid * resid).sum())
+    return float(_q_terms(data, tau2)[1].sum())
 
 
 def solve_q_equals(data: MetaInput, target: float) -> QRoot:
     """Solve Q(tau2) = target for tau2 >= 0 on the strictly decreasing branch.
 
     Returns tau2 = 0 with status "truncated" when Q(0) <= target.  Otherwise
-    brackets by doubling and bisects until |Q - target| <= 1e-8 * target.
-    Raises BracketCapExceeded if Q is still above target at tau2 = 1e7.
+    doubles from min(max(1, Q(0) max v^2), 1e7) to a bracket, or raises
+    BracketCapExceeded past 1e7, and bisects until |Q - target| <= tol =
+    1e-8 target.  Midpoints, stop rule and result are plain bisection's, but
+    Q is evaluated only where monotonicity cannot decide: Newton on 1/Q and
+    two probes find a < b with computed Q(a) > target + tol + margin and
+    Q(b) < target - tol - margin, and midpoints <= a or >= b are passed.  A
+    computed Q is within rho Q + S0 e^2 of the exact one: rho = (K + 6) eps
+    (weights, sum of K nonnegative terms), e = (K + 1) eps max|g| (the
+    mean), S0 = sum 1/v^2 >= sum w.  margin = 4 rho target + 2 S0 e^2.
     """
     if not target > 0:
         raise DomainError(f"target must be > 0, got {target}")
-    q0 = q_statistic(data, 0.0)
-    if q0 <= target:
+    tol = _REL_TOL * target
+    e_mean = (data.k + 1) * np.finfo(float).eps * float(np.abs(data.g).max())
+    margin = 4.0 * (data.k + 6) * np.finfo(float).eps * target \
+        + 2.0 * float((1.0 / data.v2).sum()) * e_mean * e_mean
+    a, b = 0.0, BRACKET_CAP  # no midpoint reaches either
+
+    def evaluate(tau2: float) -> tuple[float, float]:
+        nonlocal a, b
+        fit, terms = _q_terms(data, tau2)
+        q = float(terms.sum())
+        a = tau2 if q > target + tol + margin else a
+        b = tau2 if q < target - tol - margin else b
+        return q, -float((fit.weights * terms).sum())
+
+    q, dq = evaluate(0.0)
+    if q <= target:
         return QRoot(0.0, "truncated", 0)
 
-    hi = max(1.0, q0 * float(data.v2.max()))
-    lo = 0.0
-    while q_statistic(data, hi) >= target:
-        lo = hi
+    lo, hi = 0.0, min(max(1.0, q * float(data.v2.max())), BRACKET_CAP)
+    while (q_hi := evaluate(hi))[0] >= target:
+        lo, (q, dq) = hi, q_hi
         hi *= 2.0
         if hi > BRACKET_CAP:
             raise BracketCapExceeded(
                 f"Q({BRACKET_CAP:g}) still >= target {target:g}")
 
-    tol = _REL_TOL * target
+    # Newton on 1/Q from Q >= target does not overshoot where 1/Q is concave.
+    # Its error squares: within 1e-4 target, probe at Q ~ target -+ 1.5 tol.
+    x = lo
+    for _ in range(8):
+        if not dq < 0.0:
+            break
+        x_next = x + (target - q) / target * q / dq
+        if abs(q - target) <= 1e-4 * target:
+            for probe in (x_next - 1.5 * tol / dq, x_next + 1.5 * tol / dq):
+                if a < probe < b:
+                    evaluate(probe)
+            break
+        x = x_next if a < x_next < b else 0.5 * (a + b)
+        q, dq = evaluate(x)
+
     for it in range(1, _MAX_BISECT + 1):
         mid = 0.5 * (lo + hi)
-        q = q_statistic(data, mid)
-        if abs(q - target) <= tol:
-            return QRoot(mid, "interior", it)
-        if q > target:
+        if a < mid < b:
+            q = evaluate(mid)[0]
+            if abs(q - target) <= tol:
+                return QRoot(mid, "interior", it)
+        if mid <= a or (mid < b and q > target):
             lo = mid
         else:
             hi = mid

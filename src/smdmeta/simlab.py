@@ -169,7 +169,7 @@ def expand_grid(config: GridConfig, allow_custom: bool = False) -> list[SimCell]
 ESTIMATORS = (
     ("DL", "tau2_est", "DL", t2, "tau2_dl", []),
     ("MP", "tau2_est", "MP", t2, "tau2_mp", []),
-    ("REML", "tau2_est", "REML", t2, "tau2_reml", []),
+    ("REML", "tau2_est", "REML", t2, "tau2_reml", [("tau2_est", "DL")]),
     ("J", "tau2_est", "J", t2, "tau2_jackson", []),
     ("KDB", "expected_q", "KDB", t2, "corrected_expected_q", []),
     ("KDB", "tau2_est", "KDB", t2, "tau2_kdb", [("expected_q", "KDB")]),

@@ -33,7 +33,7 @@ from .qstat import (
     BRACKET_CAP,
     BracketCapExceeded,
     MetaInput,
-    iv_weighted_mean,
+    _q_terms,
     q_statistic,
     solve_q_equals,
 )
@@ -114,41 +114,41 @@ def tau2_mp(data: MetaInput) -> Tau2Result:
     return Tau2Result(root.value, "MP", status, root.iterations)
 
 
+def _loglik_and_fit(data: MetaInput, tau2: float):
+    fit, q_terms = _q_terms(data, tau2)
+    return -0.5 * (float(np.log(data.v2 + tau2).sum()) + math.log(fit.sum_w)
+                   + float(q_terms.sum())), fit
+
+
 def restricted_loglik(data: MetaInput, tau2: float) -> float:
     """Restricted profile log-likelihood of tau2 (constants dropped)."""
-    if tau2 < 0:
-        raise DomainError(f"tau2 must be >= 0, got {tau2}")
-    sigma2 = data.v2 + tau2
-    fit = iv_weighted_mean(data, tau2)
-    return -0.5 * (float(np.log(sigma2).sum()) + math.log(fit.sum_w)
-                   + q_statistic(data, tau2))
+    return _loglik_and_fit(data, tau2)[0]
 
 
-def tau2_reml(data: MetaInput) -> Tau2Result:
+def tau2_reml(data: MetaInput, dl: Tau2Result) -> Tau2Result:
     """REML via the damped fixed-point iteration
 
         tau2 <- max(0, sum w^2 ((g - mean)^2 - v^2) / sum w^2 + 1 / sum w),
 
-    started at the DL estimate; steps that decrease the restricted
-    log-likelihood are halved toward the current iterate.
+    started at dl, the tau2_dl(data) estimate; steps that decrease the
+    restricted log-likelihood are halved toward the current iterate.
     """
-    t = tau2_dl(data).value
-    l_cur = restricted_loglik(data, t)
+    t = dl.value
+    l_cur, fit = _loglik_and_fit(data, t)
     for it in range(1, _REML_MAX_ITER + 1):
-        fit = iv_weighted_mean(data, t)
         w2 = fit.weights ** 2
         resid2 = (data.g - fit.mean) ** 2
         prop = float((w2 * (resid2 - data.v2)).sum()) / float(w2.sum()) \
             + 1.0 / fit.sum_w
         prop = max(0.0, prop)
-        l_prop = restricted_loglik(data, prop)
+        l_prop, fit_prop = _loglik_and_fit(data, prop)
         halvings = 0
         while l_prop < l_cur - 1e-13 and halvings < 30:
             prop = 0.5 * (prop + t)
-            l_prop = restricted_loglik(data, prop)
+            l_prop, fit_prop = _loglik_and_fit(data, prop)
             halvings += 1
         done = abs(prop - t) <= _REML_TOL * (1.0 + prop)
-        t, l_cur = prop, l_prop
+        t, l_cur, fit = prop, l_prop, fit_prop
         if done:
             status = "truncated_at_zero" if t == 0.0 else "interior"
             return Tau2Result(t, "REML", status, it)
@@ -459,7 +459,7 @@ def ci_jackson(data: MetaInput, level: float = 0.95) -> Tau2Interval:
 
 def ci_pl(data: MetaInput, reml: Tau2Result,
           level: float = 0.95) -> Tau2Interval:
-    """Profile-likelihood interval around reml, the tau2_reml(data) estimate:
+    """Profile-likelihood interval around reml, a tau2_reml(data, dl) result:
 
         { tau2 >= 0 : 2 (l(tau2_REML) - l(tau2)) <= chi2_{1; level} }.
     """

@@ -91,7 +91,7 @@ def test_c01_analytic_oracles():
     spread = meta([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
     checks.append(abs(tau2_dl(spread).value - 3.0) < 1e-10)
     checks.append(abs(tau2_mp(spread).value - 3.0) < 1e-6)
-    checks.append(abs(tau2_reml(spread).value - 3.0) < 1e-6)
+    checks.append(abs(tau2_reml(spread, tau2_dl(spread)).value - 3.0) < 1e-6)
     jx = tau2_jackson(meta([0.0, 2.0], [1.0, 4.0]))
     checks.append(jx.value == 0.0 and jx.status == "truncated_at_zero")
     checks.append(abs(j_factor(2) - 1 / math.sqrt(math.pi)) < 1e-12)
@@ -260,7 +260,8 @@ def test_c12_property_suites():
     rng = np.random.default_rng(SEED)
     total = 10_000
     interval_fns = (ci_qp, lambda d: ci_kdb(d, corrected_expected_q(d)),
-                    ci_bj, ci_jackson, lambda d: ci_pl(d, tau2_reml(d)))
+                    ci_bj, ci_jackson,
+                    lambda d: ci_pl(d, tau2_reml(d, tau2_dl(d))))
     violations = 0
 
     def rand_meta(k_max=6):

@@ -65,8 +65,8 @@ def test_equal_variance_collapse(data):
 @given(meta_inputs())
 @settings(max_examples=80, deadline=None)
 def test_point_estimators_nonnegative_and_flagged(data):
-    for fn in (tau2_dl, tau2_mp, tau2_reml, tau2_jackson):
-        r = fn(data)
+    for r in (tau2_dl(data), tau2_mp(data),
+              tau2_reml(data, tau2_dl(data)), tau2_jackson(data)):
         assert r.value >= 0.0
         if r.status == "truncated_at_zero":
             assert r.value == 0.0

@@ -1,15 +1,25 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from smdmeta.numkernel import DomainError
+from smdmeta import qstat
+from smdmeta.numkernel import DomainError, NonConvergenceError, chisq_quantile
 from smdmeta.qstat import (
+    _MAX_BISECT,
+    _REL_TOL,
+    BRACKET_CAP,
     BracketCapExceeded,
     MetaInput,
+    QRoot,
     iv_weighted_mean,
     q_statistic,
     solve_q_equals,
 )
+from smdmeta.simlab import SimCell, simulate_meta_input
 from smdmeta.smd import Study
+from smdmeta.tau2 import corrected_expected_q
 
 
 def meta(gs, v2s, n=20):
@@ -117,6 +127,170 @@ class TestSolveQEquals:
         with pytest.raises(BracketCapExceeded):
             solve_q_equals(data, 1e-4)
 
+    def test_first_bracket_end_is_capped(self):
+        # Q(0) max v^2 is about 8e8: an uncapped first bracket end would
+        # bisect past the cap and return tau2 = 5e7
+        data = meta([0.0, 2e4, -2e4], [1.0, 1e3, 1e3])
+        assert first_bracket_past_cap(data)
+        with pytest.raises(BracketCapExceeded):
+            solve_q_equals(data, q_statistic(data, 5e7))
+        root = solve_q_equals(data, q_statistic(data, 5e6))
+        assert abs(q_statistic(data, root.value) - q_statistic(data, 5e6)) \
+            <= 1e-8 * q_statistic(data, 5e6)
+
     def test_target_domain(self):
         with pytest.raises(DomainError):
             solve_q_equals(meta([0.0, 1.0], [1.0, 1.0]), 0.0)
+
+
+def reference_solve_q_equals(data: MetaInput, target: float) -> QRoot:
+    """Plain bisection, evaluating Q at every midpoint and not capping its
+    first bracket end: the oracle for solve_q_equals."""
+    if not target > 0:
+        raise DomainError(f"target must be > 0, got {target}")
+    q0 = q_statistic(data, 0.0)
+    if q0 <= target:
+        return QRoot(0.0, "truncated", 0)
+
+    hi = max(1.0, q0 * float(data.v2.max()))
+    lo = 0.0
+    while q_statistic(data, hi) >= target:
+        lo = hi
+        hi *= 2.0
+        if hi > BRACKET_CAP:
+            raise BracketCapExceeded(
+                f"Q({BRACKET_CAP:g}) still >= target {target:g}")
+
+    tol = _REL_TOL * target
+    for it in range(1, _MAX_BISECT + 1):
+        mid = 0.5 * (lo + hi)
+        q = q_statistic(data, mid)
+        if abs(q - target) <= tol:
+            return QRoot(mid, "interior", it)
+        if q > target:
+            lo = mid
+        else:
+            hi = mid
+    raise NonConvergenceError(
+        f"bisection did not reach |Q - target| <= {tol:g} in {_MAX_BISECT} "
+        f"steps; bracket [{lo:g}, {hi:g}]")
+
+
+def first_bracket_past_cap(data):
+    """The inputs on which the reference, which does not cap its first
+    bracket end, may return a root above the cap."""
+    return max(1.0, q_statistic(data, 0.0) * float(data.v2.max())) \
+        > BRACKET_CAP
+
+
+def outcome(solve, data, target):
+    try:
+        return solve(data, target)
+    except NonConvergenceError as exc:
+        return type(exc)
+
+
+def stress_input(rng):
+    """K in {2, ..., 100}, |g| up to 1e3, v^2 over four decades."""
+    k = int(rng.choice([2, 3, 5, 10, 30, 100]))
+    loc = rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-2.0, 2.7)
+    g = loc + 10 ** rng.uniform(-3.0, 2.7) * rng.uniform(-1.0, 1.0, k)
+    v2 = 10 ** rng.uniform(-2.0, 2.0, k) * 10 ** rng.uniform(-1.0, 1.0)
+    n = rng.integers(2, 300, (k, 2))
+    return MetaInput(tuple(Study(int(a), int(b), float(x), float(v))
+                           for (a, b), x, v in zip(n, g, v2)))
+
+
+def stress_targets(data, rng):
+    k, q0 = data.k, q_statistic(data, 0.0)
+    targets = [k - 1.0, chisq_quantile(0.025, k - 1),
+               chisq_quantile(0.975, k - 1), q0 * (1.0 - 1e-9),
+               q0 * (1.0 - 1e-6), q0, 1.5 * q0, q0 * rng.uniform(),
+               0.5 * q_statistic(data, BRACKET_CAP),
+               2.0 * q_statistic(data, BRACKET_CAP)]
+    try:
+        targets.append(corrected_expected_q(data))
+    except NonConvergenceError:
+        pass
+    return [t for t in targets if t > 0.0]
+
+
+def grid_inputs():
+    for k in (5, 10, 30):
+        for pattern, size in (("equal", 40), ("unequal", 30)):
+            for tau2 in (0.0, 0.5, 2.0):
+                cell = SimCell(0.5, tau2, k, pattern, size, 0.5, seed=19)
+                for rep in range(3):
+                    yield simulate_meta_input(cell, rep)
+
+
+def battery_targets(data):
+    """The six targets one replicate solves for: MP, KDB, QP and the
+    corrected Q-profile (KDB) interval."""
+    expected_q = corrected_expected_q(data)
+    return [data.k - 1.0, expected_q] + [
+        chisq_quantile(p, df) for df in (data.k - 1.0, expected_q)
+        for p in (0.025, 0.975)]
+
+
+class TestSolverMatchesPlainBisection:
+    def test_seeded_stress_inputs(self):
+        rng = np.random.default_rng(2024)
+        statuses = set()
+        for _ in range(300):
+            data = stress_input(rng)
+            if first_bracket_past_cap(data):
+                continue
+            for target in stress_targets(data, rng):
+                expected = outcome(reference_solve_q_equals, data, target)
+                assert outcome(solve_q_equals, data, target) == expected, \
+                    (data.g, data.v2, target)
+                statuses.add(getattr(expected, "status", expected))
+        assert statuses == {"interior", "truncated", BracketCapExceeded}
+
+    def test_grid_replicates(self):
+        for data in grid_inputs():
+            for target in battery_targets(data):
+                assert solve_q_equals(data, target) == \
+                    reference_solve_q_equals(data, target)
+
+    @given(st.integers(2, 30).flatmap(lambda k: st.tuples(
+               st.lists(st.floats(-1e3, 1e3), min_size=k, max_size=k),
+               st.lists(st.floats(1e-2, 1e2), min_size=k, max_size=k))),
+           st.floats(1e-6, 2.0))
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, gv, fraction):
+        gs, v2s = gv
+        # shrink the spread of g until the first bracket end is inside the
+        # cap, rather than filter out the many draws that are not
+        excess = q_statistic(meta(gs, v2s), 0.0) * max(v2s) / BRACKET_CAP
+        data = meta([g / math.sqrt(2.0 * excess) for g in gs] if excess > 0.5
+                    else gs, v2s)
+        assume(not first_bracket_past_cap(data))
+        target = fraction * q_statistic(data, 0.0)
+        assume(target > 0.0)
+        assert outcome(solve_q_equals, data, target) == \
+            outcome(reference_solve_q_equals, data, target)
+
+    def test_few_q_evaluations_per_solve(self, monkeypatch):
+        evaluations = [0]
+        original = qstat.iv_weighted_mean
+
+        def counted(data, tau2):
+            evaluations[0] += 1
+            return original(data, tau2)
+
+        monkeypatch.setattr(qstat, "iv_weighted_mean", counted)
+        mean_evaluations = {}
+        for solve in (solve_q_equals, reference_solve_q_equals):
+            evaluations[0] = solves = 0
+            for data in grid_inputs():
+                for target in battery_targets(data):
+                    before = evaluations[0]
+                    if solve(data, target).status != "interior":
+                        evaluations[0] = before
+                        continue
+                    solves += 1
+            mean_evaluations[solve] = evaluations[0] / solves
+        assert mean_evaluations[solve_q_equals] <= 10.0
+        assert mean_evaluations[reference_solve_q_equals] > 25.0

@@ -169,7 +169,7 @@ class TestEstimateAll:
             and ("delta_cover", "HKSJ") in results
 
     def test_reml_stopped_at_max_iter_is_kept(self, monkeypatch):
-        def stopped(data):
+        def stopped(data, dl):
             return t2.Tau2Result(0.7, "REML", "max_iter", 200)
 
         monkeypatch.setattr(t2, "tau2_reml", stopped)
@@ -178,7 +178,7 @@ class TestEstimateAll:
         results, _ = estimate_all(simulate_meta_input(cell, 0))
         assert results["tau2_est", "REML"].status == "max_iter"
         assert results["tau2_cover", "PL"] == t2.ci_pl(
-            simulate_meta_input(cell, 0), stopped(None), 0.95)
+            simulate_meta_input(cell, 0), stopped(None, None), 0.95)
         raw = run_cell_raw(cell)
         assert np.array_equal(raw.tau2_est["REML"], np.full(4, 0.7))
         assert not np.isnan(raw.tau2_cover["PL"]).any()
@@ -209,7 +209,6 @@ class TestEstimateAll:
             SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
         estimate_all(data)
         expected = collections.Counter(row[4] for row in simlab.ESTIMATORS)
-        expected["tau2_dl"] += 1  # tau2_reml starts from the DL estimate
         assert calls == expected
         assert calls["effect_iv"] == 5 and calls["effect_ssw"] == 1
 

@@ -50,6 +50,10 @@ def kdb_of(data):
     return tau2_kdb(data, corrected_expected_q(data))
 
 
+def reml_of(data):
+    return tau2_reml(data, tau2_dl(data))
+
+
 SPREAD = meta([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
 FLAT = meta([0.4, 0.4, 0.4], [1.0, 0.5, 2.0])
 
@@ -88,17 +92,17 @@ class TestMP:
 
 class TestREML:
     def test_balanced_closed_form(self):
-        assert tau2_reml(SPREAD).value == pytest.approx(3.0, rel=1e-7)
+        assert reml_of(SPREAD).value == pytest.approx(3.0, rel=1e-7)
 
     def test_homogeneous(self):
-        assert tau2_reml(FLAT).value == 0.0
+        assert reml_of(FLAT).value == 0.0
 
     def test_score_equation_residual(self):
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 10:
             data = random_meta(rng)
-            r = tau2_reml(data)
+            r = reml_of(data)
             if r.status != "interior":
                 continue
             fit = iv_weighted_mean(data, r.value)
@@ -112,7 +116,7 @@ class TestREML:
     def test_objective_is_maximized(self):
         rng = np.random.default_rng(13)
         data = random_meta(rng, k=6)
-        r = tau2_reml(data)
+        r = reml_of(data)
         l_hat = restricted_loglik(data, r.value)
         grid = np.linspace(0.0, max(4 * r.value + 1.0, 2.0), 500)
         assert all(restricted_loglik(data, float(t)) <= l_hat + 1e-7
@@ -447,6 +451,14 @@ class TestCiQP:
         ci = ci_qp(FLAT)
         assert ci.lo == 0.0 and ci.hi == 0.0
 
+    def test_upper_beyond_cap_from_a_capped_first_bracket(self):
+        # Q(0) max v^2 = 2e9 is past the 1e7 cap, and Q(1e7) = 0.2 is still
+        # above the upper target chi2_2(0.025) = 0.051, as BJ also finds
+        data = meta([1e3, -1e3, 0.0], [1e-3, 1e-3, 1.0])
+        ci = ci_qp(data)
+        assert math.isinf(ci.hi) and ci.flags == ("upper-beyond-cap",)
+        assert 0.0 < ci.lo < BRACKET_CAP and math.isinf(ci_bj(data).hi)
+
     def test_contains_mp(self):
         rng = np.random.default_rng(23)
         for _ in range(15):
@@ -620,21 +632,21 @@ class TestCiPL:
     def test_center_maximizes_likelihood_on_grid(self):
         rng = np.random.default_rng(41)
         data = random_meta(rng, k=7)
-        r = tau2_reml(data)
+        r = reml_of(data)
         l_hat = restricted_loglik(data, r.value)
         grid = np.linspace(0.0, 4 * (r.value + 1.0), 1000)
         assert max(restricted_loglik(data, float(t)) for t in grid) \
             <= l_hat + 1e-7
 
     def test_all_equal_lo_zero(self):
-        assert ci_pl(FLAT, tau2_reml(FLAT)).lo == 0.0
+        assert ci_pl(FLAT, reml_of(FLAT)).lo == 0.0
 
     def test_endpoints_on_likelihood_contour(self):
         rng = np.random.default_rng(43)
         data = meta(list(rng.standard_normal(6) * 1.4),
                     list(rng.uniform(0.2, 1.0, 6)))
-        ci = ci_pl(data, tau2_reml(data))
-        r = tau2_reml(data)
+        ci = ci_pl(data, reml_of(data))
+        r = reml_of(data)
         l_hat = restricted_loglik(data, r.value)
         crit = chisq_quantile(0.95, 1.0)
         if ci.lo > 0.0:
@@ -647,13 +659,13 @@ class TestCiPL:
 
 class TestHomogeneousInputs:
     def test_all_point_estimators_zero(self):
-        for fn in (tau2_dl, tau2_mp, tau2_reml, tau2_jackson, kdb_of):
+        for fn in (tau2_dl, tau2_mp, reml_of, tau2_jackson, kdb_of):
             assert fn(FLAT).value == 0.0
 
     def test_monotone_response_to_spread(self):
         base = np.array([-1.0, 0.2, 1.1, -0.4])
         v2s = [0.4, 0.8, 0.6, 1.0]
-        for fn in (tau2_dl, tau2_mp, tau2_reml, tau2_jackson):
+        for fn in (tau2_dl, tau2_mp, reml_of, tau2_jackson):
             prev = -1.0
             for c in (1.0, 1.5, 2.5):
                 gbar = base.mean()
