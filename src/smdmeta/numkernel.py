@@ -138,29 +138,30 @@ def _as_generator(stream: StreamLike) -> Generator:
 
 _RUBEN_BLOCK = 32      # power sums computed per block of series terms
 _RUBEN_PY_TERMS = 40   # recurrence on Python floats up to this many terms
+_RUBEN_BOUND_EVERY = 8  # terms between checks of the sharper tail bound
 
 
 def _ruben_cdf(x: float, lam: np.ndarray, tol: float, max_terms: int):
     """Ruben's central chi-square series with a certified truncation bound.
 
     Returns (p, bound) or None when max_terms is not enough.  With the scale
-    set to min(lam) all series coefficients are nonnegative and sum to one,
-    so 1 - sum(a_k) bounds the tail exactly.
+    set to min(lam) all series coefficients are nonnegative and sum to one:
+    1 - sum(a_k) bounds the tail, and so does (1 - sum(a_k)) F_{nu+2k+2}(y).
     """
     beta = lam.min()
     nu = lam.size
-    y = x / beta
-    t = 1.0 - beta / lam
+    half_y = 0.5 * x / beta  # y / 2, y = x / beta
+    t = 1.0 - (ratio := beta / lam)
     a_rev = np.empty(max_terms + 1)  # a_k at [max_terms - k]: dots run forward
     g = np.empty(max_terms + 1)
-    a_rev[max_terms] = asum = math.exp(0.5 * float(np.log(beta / lam).sum()))
+    a_rev[max_terms] = asum = math.exp(0.5 * float(np.log(ratio).sum()))
     a_list, g_list = [asum], []
     for k in range(1, max_terms + 1):
         if k > len(g_list):
             # power sums g_k = sum t^k for a whole block of k in one call
-            ks = np.arange(k, min(k + _RUBEN_BLOCK, max_terms + 1))
-            g[ks] = np.power.outer(t, ks).sum(axis=0)
-            g_list += g[ks].tolist()
+            end = min(k + _RUBEN_BLOCK, max_terms + 1)
+            g[k:end] = np.power.outer(t, np.arange(k, end)).sum(axis=0)
+            g_list += g[k:end].tolist()
         # a_k = sum_i g_i a_{k-i} / 2k: Python floats while short, BLAS after
         if k <= _RUBEN_PY_TERMS:
             ak = sum(map(operator.mul, g_list, reversed(a_list))) / (2.0 * k)
@@ -169,15 +170,15 @@ def _ruben_cdf(x: float, lam: np.ndarray, tol: float, max_terms: int):
             ak = float(g[1:k + 1] @ a_rev[max_terms - k + 1:]) / (2.0 * k)
         a_rev[max_terms - k] = ak
         asum += ak
-        # every 32 terms also the sharper bound: tail terms <= F_{nu+2k+2}(y)
-        if 1.0 - asum <= 0.5 * tol or k % 32 == 0 and (
-                (1.0 - asum) * chisq_cdf(y, nu + 2 * k + 2) <= 0.5 * tol):
+        # every few terms the sharper bound too, as F_{nu+2j}(y) falls with j
+        if 1.0 - asum <= 0.5 * tol or k % _RUBEN_BOUND_EVERY == 0 and (
+                (1.0 - asum) * gammainc(0.5 * nu + k + 1, half_y) <= 0.5 * tol):
             break
     else:
         return None
     p = float(np.dot(a_rev[max_terms - k:],
-                     gammainc(nu / 2.0 + np.arange(k, -1, -1), y / 2.0)))
-    bound = (1.0 - asum) * chisq_cdf(y, nu + 2 * k + 2)
+                     gammainc(0.5 * nu + np.arange(k, -1, -1), half_y)))
+    bound = (1.0 - asum) * float(gammainc(0.5 * nu + k + 1, half_y))
     return min(1.0, p + 0.5 * bound), 0.5 * bound
 
 
@@ -210,26 +211,26 @@ def _imhof_cdf(x: float, lam: np.ndarray, tol: float):
 
 
 def mixture_cdf(x: float, coefficients, tol: float = 1e-6) -> float:
-    """CDF of sum_i c_i chi-squared(1), for coefficients c_i >= 0 that are
-    not all zero (a sequence or array; zero coefficients drop out).
+    """CDF at a finite x of sum_i c_i chi-squared(1), for finite c_i >= 0 that
+    are not all zero (a sequence or array; zero coefficients drop out).
 
     Absolute error is certified to be <= tol.  Raises NonConvergenceError,
     carrying the achieved bound, if neither the series nor the quadrature
-    route can certify it.
+    route can certify it, and DomainError for any other x or coefficients.
     """
-    lam = np.asarray(coefficients, dtype=float)
-    if lam.size == 0:
-        raise DomainError("mixture needs at least one coefficient")
-    if (lam < 0).any():
-        raise DomainError("mixture coefficients must be >= 0")
-    lam = lam[lam > 0.0]
-    if lam.size == 0:
-        raise DomainError("mixture needs at least one positive coefficient")
+    lam = np.asarray(coefficients, dtype=float).ravel()
+    lo, hi = lam.min(initial=math.inf), lam.max(initial=0.0)  # NaN if any is
+    if not (math.isfinite(x) and 0.0 <= lo and 0.0 < hi < math.inf):
+        raise DomainError(f"mixture needs a finite x and finite coefficients "
+                          f">= 0, not all 0; got x={x}, range [{lo}, {hi}]")
+    if lo == 0.0:
+        lam = lam[lam > 0.0]
+        lo = lam.min()
     if x <= 0.0:
         return 0.0
     if lam.size == 1:
         return chisq_cdf(x / lam[0], 1.0)
-    if np.ptp(lam) <= 1e-12 * lam[0]:
+    if hi - lo <= 1e-12 * lam[0]:
         return chisq_cdf(x / lam.mean(), float(lam.size))
     res = _ruben_cdf(x, lam, tol, max_terms=8000)
     if res is not None:

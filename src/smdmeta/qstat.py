@@ -50,6 +50,14 @@ class MetaInput:
     def arm_sizes(self) -> tuple[tuple[int, int], ...]:
         return tuple((s.n_t, s.n_c) for s in self.studies)
 
+    @cached_property
+    def q_terms_at_zero(self) -> tuple[WeightedFit, np.ndarray]:
+        return _q_terms(self, 0.0)  # DL and every Q-root solve start here
+
+    @cached_property
+    def max_abs_g(self) -> float:
+        return float(np.abs(self.g).max())
+
 
 @dataclass(frozen=True)
 class WeightedFit:
@@ -110,14 +118,14 @@ def solve_q_equals(data: MetaInput, target: float) -> QRoot:
     if not target > 0:
         raise DomainError(f"target must be > 0, got {target}")
     tol = _REL_TOL * target
-    e_mean = (data.k + 1) * np.finfo(float).eps * float(np.abs(data.g).max())
+    e_mean = (data.k + 1) * np.finfo(float).eps * data.max_abs_g
     margin = 4.0 * (data.k + 6) * np.finfo(float).eps * target \
-        + 2.0 * float((1.0 / data.v2).sum()) * e_mean * e_mean
+        + 2.0 * data.q_terms_at_zero[0].sum_w * e_mean * e_mean
     a, b = 0.0, BRACKET_CAP  # no midpoint reaches either
 
     def evaluate(tau2: float) -> tuple[float, float]:
         nonlocal a, b
-        fit, terms = _q_terms(data, tau2)
+        fit, terms = _q_terms(data, tau2) if tau2 else data.q_terms_at_zero
         q = float(terms.sum())
         a = tau2 if q > target + tol + margin else a
         b = tau2 if q < target - tol - margin else b

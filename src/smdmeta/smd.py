@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .numkernel import DomainError, StreamLike, _as_generator, ln_gamma
 
@@ -60,6 +61,7 @@ class Study:
         return self.n_t * self.n_c / (self.n_t + self.n_c)
 
 
+@cache
 def j_factor(m: int) -> float:
     """Exact bias-correction factor Gamma(m/2) / (sqrt(m/2) Gamma((m-1)/2)).
 

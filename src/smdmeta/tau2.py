@@ -34,7 +34,6 @@ from .qstat import (
     BracketCapExceeded,
     MetaInput,
     _q_terms,
-    q_statistic,
     solve_q_equals,
 )
 from .smd import j_factor
@@ -94,14 +93,11 @@ class Tau2Interval:
 
 def tau2_dl(data: MetaInput) -> Tau2Result:
     """DerSimonian-Laird moment estimator (closed form, truncated at zero)."""
-    w = 1.0 / data.v2
-    s1 = float(w.sum())
-    s2 = float((w * w).sum())
-    denom = s1 - s2 / s1
+    fit, terms = data.q_terms_at_zero
+    denom = fit.sum_w - float((fit.weights * fit.weights).sum()) / fit.sum_w
     if denom <= 0:
         raise DomainError("degenerate DL denominator; needs K >= 2")
-    q0 = q_statistic(data, 0.0)
-    raw = (q0 - (data.k - 1)) / denom
+    raw = (float(terms.sum()) - (data.k - 1)) / denom
     if raw <= 0:
         return Tau2Result(0.0, "DL", "truncated_at_zero")
     return Tau2Result(raw, "DL", "interior")
@@ -387,13 +383,13 @@ def _satterthwaite_roots(weights: np.ndarray, v2: np.ndarray, q_obs: float,
 
 
 def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
-                           method: str) -> Tau2Interval:
+                           method: str, coefficients) -> Tau2Interval:
     """Invert the exact CDF of a fixed-weights Q over candidate tau2.
 
     Under the model, Q_obs = sum w (g - gbar_w)^2 is a quadratic form in the
     g's whose distribution at a given tau2 is a chi-square mixture with
-    coefficients equal to the nonzero eigenvalues of
-    D(tau2)^{1/2} A D(tau2)^{1/2}, A = diag(w) - w w'/sum w.
+    coefficients `coefficients(tau2)`: the nonzero eigenvalues, descending,
+    of D(tau2)^{1/2} A D(tau2)^{1/2}, A = diag(w) - w w'/sum w.
 
     Each endpoint is seeded by the two-moment (Satterthwaite) fit, bracketed
     by stepping the exact CDF out from the seed in growing steps, and solved
@@ -407,16 +403,11 @@ def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
     q_obs = float((weights * (data.g - gbar) ** 2).sum())
     if q_obs <= 0.0:
         return Tau2Interval(0.0, 0.0, method, level, ("degenerate",))
-    a_mat = np.diag(weights) - np.outer(weights, weights) / sum_w
     known: dict[float, float] = {}
 
     def cdf_at(tau2: float) -> float:
         if tau2 not in known:
-            droot = np.sqrt(data.v2 + tau2)
-            # the K - 1 largest eigenvalues (the smallest is 0), descending:
-            # Ruben's series sums them in this order
-            lam = np.linalg.eigvalsh(a_mat * np.outer(droot, droot))[:0:-1]
-            known[tau2] = mixture_cdf(q_obs, lam[lam > 0.0], tol=_MIX_TOL)
+            known[tau2] = mixture_cdf(q_obs, coefficients(tau2), tol=_MIX_TOL)
         return known[tau2]
 
     f_at_zero = cdf_at(0.0)
@@ -447,14 +438,26 @@ def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
 
 
 def ci_bj(data: MetaInput, level: float = 0.95) -> Tau2Interval:
-    """Biggerstaff-Jackson interval: exact CDF inversion of Q with
-    inverse-variance weights w_i = 1/v_i^2."""
-    return _fixed_weight_interval(data, level, 1.0 / data.v2, "BJ")
+    """Biggerstaff-Jackson interval: as W^{1/2} D W^{1/2} = I + tau2 W for
+    weights w_i = 1/v_i^2, the coefficients are 1 + tau2 mu, mu the K - 1
+    nonzero eigenvalues of A: one eigendecomposition per interval."""
+    w = 1.0 / data.v2
+    mu = np.linalg.eigvalsh(np.diag(w) - np.outer(w, w) / w.sum())[:0:-1]
+    return _fixed_weight_interval(data, level, w, "BJ", lambda t: 1.0 + t * mu)
 
 
 def ci_jackson(data: MetaInput, level: float = 0.95) -> Tau2Interval:
-    """Jackson's interval: as BJ but with weights u_i = 1/v_i."""
-    return _fixed_weight_interval(data, level, 1.0 / np.sqrt(data.v2), "J")
+    """Jackson's interval: as BJ but with weights u_i = 1/v_i, whose
+    coefficients take one eigendecomposition per tau2."""
+    u = 1.0 / np.sqrt(data.v2)
+    a_mat = np.diag(u) - np.outer(u, u) / u.sum()
+
+    def coefficients(tau2: float) -> np.ndarray:
+        droot = np.sqrt(data.v2 + tau2)
+        lam = np.linalg.eigvalsh(a_mat * np.outer(droot, droot))[:0:-1]
+        return lam[lam > 0.0]
+
+    return _fixed_weight_interval(data, level, u, "J", coefficients)
 
 
 def ci_pl(data: MetaInput, reml: Tau2Result,

@@ -208,7 +208,7 @@ s11,150,180,0.38,0.012441
 s12,600,700,0.44,0.0031697
 """
 GOLDEN_ANALYSIS_SHA256 = \
-    "9a73b685c34e73628742c04a2c1ef4b8d78e2bc539a20b1e0ba03db291c01adb"
+    "c7976277d276a6472373034aadee49f1a2ff83eb6d4c2b515cc4a07ebbb76f10"
 
 
 class TestSimulate:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfinv, gammainc
@@ -200,6 +201,14 @@ class TestMixtureCdf:
             with pytest.raises(DomainError):
                 mixture_cdf(1.0, np.array(bad))
 
+    @pytest.mark.parametrize("x, lam", [(2.0, [math.nan, 1.0]),
+                                        (2.0, [1.0, math.inf]),
+                                        (math.nan, [1.0, 2.0]),
+                                        (math.inf, [1.0, 2.0])])
+    def test_non_finite_input_raises(self, x, lam):
+        with pytest.raises(DomainError):
+            mixture_cdf(x, lam)
+
     def test_zero_coefficients_drop_out(self):
         assert mixture_cdf(2.0, np.array([0.0, 1.5, 0.0, 0.4])) == \
             mixture_cdf(2.0, np.array([1.5, 0.4]))
@@ -207,7 +216,8 @@ class TestMixtureCdf:
 
 def reference_ruben_cdf(x, lam, tol, max_terms):
     """The per-term Ruben series loop that `_ruben_cdf` replaced, kept as its
-    oracle.  Returns (p, bound, number of terms)."""
+    oracle, checking the sharper tail bound every 8 terms.  Returns (p, bound,
+    number of terms, 1 - sum of the series coefficients)."""
     beta = lam.min()
     nu = lam.size
     y = x / beta
@@ -226,7 +236,7 @@ def reference_ruben_cdf(x, lam, tol, max_terms):
         if 1.0 - asum <= 0.5 * tol:
             nterms = k
             break
-        if k % 32 == 0:
+        if k % 8 == 0:
             if (1.0 - asum) * chisq_cdf(y, nu + 2 * k + 2) <= 0.5 * tol:
                 nterms = k
                 break
@@ -236,7 +246,7 @@ def reference_ruben_cdf(x, lam, tol, max_terms):
     terms = gammainc(nu / 2.0 + ks, y / 2.0)
     p = float(np.dot(a[:nterms + 1], terms))
     bound = (1.0 - asum) * chisq_cdf(y, nu + 2 * nterms + 2)
-    return min(1.0, p + 0.5 * bound), 0.5 * bound, nterms
+    return min(1.0, p + 0.5 * bound), 0.5 * bound, nterms, 1.0 - asum
 
 
 def seeded_mixture(k, spread, seed):
@@ -263,14 +273,16 @@ class TestRubenSeriesOracle:
                     assert new[0] == pytest.approx(ref[0], abs=1e-13)
                     assert new[1] == pytest.approx(ref[1], abs=1e-13)
 
-    def test_sharper_bound_stop_at_32_terms(self):
+    def test_sharper_bound_stop_between_checks_32_terms_apart(self):
         lam, draws = seeded_mixture(10, 30.0, seed=1)
         x = float(np.quantile(draws, 0.01))
         ref = reference_ruben_cdf(x, lam, 1e-6, 8000)
-        # stopped by the every-32-terms bound, not by 1 - sum(a_k)
-        assert ref[2] == 32 and ref[1] > 0.0
-        assert _ruben_cdf(x, lam, 1e-6, 8000)[0] == pytest.approx(ref[0],
-                                                                  abs=1e-13)
+        # stopped by the sharper bound at 24 terms, with 1 - sum(a_k) far
+        # above tol/2: a check every 32 terms would have gone on to 32
+        assert ref[2] == 24 and ref[3] > 0.5 and ref[1] > 0.0
+        new = _ruben_cdf(x, lam, 1e-6, 8000)
+        assert new[0] == pytest.approx(ref[0], abs=1e-13)
+        assert new[1] == pytest.approx(ref[1], abs=1e-13)
 
     def test_series_longer_than_one_block(self):
         lam, draws = seeded_mixture(5, 30.0, seed=2)
@@ -286,3 +298,44 @@ class TestRubenSeriesOracle:
         assert reference_ruben_cdf(x, lam, 1e-6, 40) is None
         assert _ruben_cdf(x, lam, 1e-6, 40) is None
 
+
+
+def mpmath_ruben_cdf(x, lam, tail=1e-12):
+    """Ruben's series summed with 40 significant digits, to a remainder
+    below `tail`.  Its convolution sum_j g_j a_{k-j}, g_j = sum_i t_i^j, is
+    regrouped by coefficient as sum_i h_i with h_i <- t_i (h_i + a_{k-1}):
+    K nonnegative terms per coefficient, so no cancellation, and a summation
+    order that `_ruben_cdf` does not share."""
+    with mpmath.workdps(40):
+        lam = [mpmath.mpf(float(v)) for v in lam]
+        beta = min(lam)
+        t = [1 - beta / v for v in lam]
+        half_nu, half_y = mpmath.mpf(len(lam)) / 2, mpmath.mpf(x) / beta / 2
+        a = mpmath.fprod(mpmath.sqrt(beta / v) for v in lam)
+        h = [mpmath.mpf(0)] * len(lam)
+        # F_{nu+2m}(y), and F_{nu+2m}(y) - F_{nu+2m+2}(y) as `step`
+        f = mpmath.gammainc(half_nu, 0, half_y, regularized=True)
+        step = mpmath.exp(half_nu * mpmath.log(half_y) - half_y
+                          - mpmath.loggamma(half_nu + 1))
+        p = asum = mpmath.mpf(0)
+        for m in range(100_000):
+            p += a * f
+            asum += a
+            f -= step
+            step *= half_y / (half_nu + m + 1)
+            if (1 - asum) * f <= tail:  # bounds the terms after the m-th
+                return float(p)
+            h = [ti * (hi + a) for ti, hi in zip(t, h)]
+            a = mpmath.fsum(h) / (2 * (m + 1))
+        raise AssertionError("the 40-digit series did not converge")
+
+
+class TestMixtureCdfCertificate:
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 30])
+    @pytest.mark.parametrize("spread", [1.0, 3.0, 30.0, 1e3])
+    def test_within_tol_of_40_digit_series(self, k, spread):
+        lam, draws = seeded_mixture(k, spread, seed=k)
+        for x in np.quantile(draws, [0.01, 0.5, 0.99]):
+            exact = mpmath_ruben_cdf(float(x), lam)
+            for tol in (1e-6, 1e-5):
+                assert abs(mixture_cdf(float(x), lam, tol) - exact) <= tol

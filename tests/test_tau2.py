@@ -548,6 +548,54 @@ class TestCiJackson:
         assert ci_jackson(FLAT).lo == 0.0
 
 
+def spread_v2(k, seed):
+    """K variances log-uniform over four decades, both ends included."""
+    v2 = np.exp(np.random.default_rng(seed).uniform(math.log(1e-3),
+                                                    math.log(10.0), k))
+    v2[0], v2[-1] = 1e-3, 10.0
+    return v2
+
+
+class TestBJCoefficients:
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 30, 100])
+    def test_affine_in_tau2_matches_dense_eigenvalues(self, k, monkeypatch):
+        # ci_bj hands its coefficient function to the inversion: take it
+        monkeypatch.setattr(tau2, "_fixed_weight_interval",
+                            lambda *args: args[-1])
+        v2 = spread_v2(k, seed=k)
+        gs = np.random.default_rng(k).standard_normal(k) * np.sqrt(v2 + 1.0)
+        coefficients = ci_bj(meta(list(gs), list(v2)))
+        assert (coefficients(0.0) == 1.0).all()
+        w = 1.0 / v2
+        a = np.diag(w) - np.outer(w, w) / w.sum()
+        for t in (0.0, 1e-3, 1.0, 1e3, 2.0 ** 23):
+            droot = np.sqrt(v2 + t)
+            dense = np.linalg.eigvalsh(a * np.outer(droot, droot))[:0:-1]
+            assert np.abs(coefficients(t) - dense).max() <= 1e-12 * dense[0]
+
+    def test_eigvalsh_once_per_bj_interval_and_per_j_evaluation(
+            self, monkeypatch):
+        counts = {"eigvalsh": 0, "mixture_cdf": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(tau2, "mixture_cdf",
+                            counted("mixture_cdf", tau2.mixture_cdf))
+        for data in oracle_cases(10)[1:]:  # heterogeneous: several CDFs
+            for fn, per_interval in ((ci_bj, True), (ci_jackson, False)):
+                counts.update(eigvalsh=0, mixture_cdf=0)
+                fn(data)
+                assert counts["mixture_cdf"] > 1
+                assert counts["eigvalsh"] == (
+                    1 if per_interval else counts["mixture_cdf"])
+
+
 def reference_fixed_weight_interval(data, level, weights):
     """The doubling-plus-brentq inversion that the seeded root search
     replaced, kept as its oracle.  Returns (lo, hi, flags)."""
