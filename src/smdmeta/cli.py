@@ -171,8 +171,8 @@ def _analysis_payload(results: dict, failures, level: float,
         "failures": [{"estimator": n, "message": m} for n, m in failures]}
 
 
-def _print_analysis_text(payload: dict, out=None) -> None:
-    w = (out or sys.stdout).write
+def _print_analysis_text(payload: dict) -> None:
+    w = sys.stdout.write
     w(f"confidence level: {payload['level']:g}\n\n")
     w("tau^2 point estimates\n")
     for name, r in payload["tau2"].items():

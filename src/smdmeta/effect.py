@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkernel import DomainError, normal_quantile, t_quantile
-from .qstat import MetaInput, iv_weighted_mean
-from .tau2 import Tau2Result
+from .qstat import MetaInput, Tau2Result, iv_weighted_mean
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,6 @@ class EffectResult:
     value: float
     variance: float
     weights: np.ndarray
-    tau2_method: str  # one of DL/REML/MP/J/KDB or "SSW-none"
 
     def __post_init__(self):
         if not self.variance > 0:
@@ -38,7 +36,6 @@ class EffectResult:
 class EffectInterval:
     center: float
     half_width: float
-    method: str
     level: float = 0.95
     flags: tuple[str, ...] = field(default=())
 
@@ -64,7 +61,7 @@ def effect_iv(data: MetaInput, tau2: Tau2Result) -> EffectResult:
     """Inverse-variance weighted mean with weights 1/(v_i^2 + tau2);
     variance estimated conventionally as 1/sum(w)."""
     fit = iv_weighted_mean(data, tau2.value)
-    return EffectResult(fit.mean, 1.0 / fit.sum_w, fit.weights, tau2.method)
+    return EffectResult(fit.mean, 1.0 / fit.sum_w, fit.weights)
 
 
 def ssw_variance(data: MetaInput, tau2: float) -> float:
@@ -84,14 +81,13 @@ def effect_ssw(data: MetaInput, kdb: Tau2Result) -> EffectResult:
     """
     en = data.eff_n
     value = float((en * data.g).sum()) / float(en.sum())
-    return EffectResult(value, ssw_variance(data, kdb.value), en, "SSW-none")
+    return EffectResult(value, ssw_variance(data, kdb.value), en)
 
 
 def ci_z(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInterval:
     """Normal-quantile interval around iv, an `effect_iv` mean."""
     z = normal_quantile(1.0 - (1.0 - level) / 2.0)
-    return EffectInterval(iv.value, z * math.sqrt(iv.variance),
-                          f"Z-{iv.tau2_method}", level)
+    return EffectInterval(iv.value, z * math.sqrt(iv.variance), level)
 
 
 def ci_hksj(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInterval:
@@ -105,13 +101,12 @@ def ci_hksj(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInt
     resid = data.g - iv.value
     var_star = float((iv.weights * resid * resid).sum()) \
         / ((data.k - 1) * float(iv.weights.sum()))
-    method = "HKSJ" if iv.tau2_method == "DL" else f"HKSJ-{iv.tau2_method}"
     degenerate = float(np.abs(resid).max()) <= 1e-12 * max(1.0, abs(iv.value))
     if degenerate:
         var_star = 0.0
     flags = ("degenerate",) if degenerate else ()
     t = t_quantile(1.0 - (1.0 - level) / 2.0, data.k - 1)
-    return EffectInterval(iv.value, t * math.sqrt(var_star), method, level, flags)
+    return EffectInterval(iv.value, t * math.sqrt(var_star), level, flags)
 
 
 def ci_ssw_kdb(data: MetaInput, ssw: EffectResult,
@@ -119,5 +114,4 @@ def ci_ssw_kdb(data: MetaInput, ssw: EffectResult,
     """t interval centered at ssw, the `effect_ssw` mean, with its
     sample-size-weight variance at the KDB tau^2 estimate."""
     t = t_quantile(1.0 - (1.0 - level) / 2.0, data.k - 1)
-    return EffectInterval(ssw.value, t * math.sqrt(ssw.variance),
-                          "SSW-KDB", level)
+    return EffectInterval(ssw.value, t * math.sqrt(ssw.variance), level)

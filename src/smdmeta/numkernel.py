@@ -11,7 +11,6 @@ import math
 import operator
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Union
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -121,15 +120,6 @@ def derive_stream_id(*parts: int | float | str) -> int:
         h.update(repr(part).encode())
         h.update(b"|")
     return int.from_bytes(h.digest(), "little")
-
-
-StreamLike = Union[RandomStream, Generator]
-
-
-def _as_generator(stream: StreamLike) -> Generator:
-    if isinstance(stream, RandomStream):
-        return stream.generator()
-    return stream
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Inverse-variance weighted means, the generalized Cochran Q statistic, and
-the monotone root solver shared by every moment-type tau^2 estimator."""
+"""Inverse-variance means, the generalized Cochran Q statistic, Tau2Result
+and the monotone root solver shared by every moment-type tau^2 estimator."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,10 +70,18 @@ class WeightedFit:
 
 
 @dataclass(frozen=True)
-class QRoot:
+class Tau2Result:
     value: float
-    status: str  # "interior" | "truncated"
-    iterations: int
+    status: str  # "interior" | "truncated_at_zero" | "max_iter"
+    iterations: int = 0
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):  # overflowed: no estimate reached
+            raise NonConvergenceError(f"tau^2 estimate is {self.value}")
+        if self.value < 0:
+            raise DomainError("tau^2 estimate must be >= 0")
+        if self.status == "truncated_at_zero" and self.value != 0.0:
+            raise DomainError("truncated_at_zero implies value == 0")
 
 
 def iv_weighted_mean(data: MetaInput, tau2: float) -> WeightedFit:
@@ -101,19 +110,19 @@ def q_statistic(data: MetaInput, tau2: float) -> float:
     return float(_q_terms(data, tau2)[1].sum())
 
 
-def solve_q_equals(data: MetaInput, target: float) -> QRoot:
+def solve_q_equals(data: MetaInput, target: float) -> Tau2Result:
     """Solve Q(tau2) = target for tau2 >= 0 on the strictly decreasing branch.
 
-    Returns tau2 = 0 with status "truncated" when Q(0) <= target.  Otherwise
-    doubles from min(max(1, Q(0) max v^2), 1e7) to a bracket, or raises
-    BracketCapExceeded past 1e7, and bisects until |Q - target| <= tol =
-    1e-8 target.  Midpoints, stop rule and result are plain bisection's, but
-    Q is evaluated only where monotonicity cannot decide: Newton on 1/Q and
-    two probes find a < b with computed Q(a) > target + tol + margin and
-    Q(b) < target - tol - margin, and midpoints <= a or >= b are passed.  A
-    computed Q is within rho Q + S0 e^2 of the exact one: rho = (K + 6) eps
-    (weights, sum of K nonnegative terms), e = (K + 1) eps max|g| (the
-    mean), S0 = sum 1/v^2 >= sum w.  margin = 4 rho target + 2 S0 e^2.
+    Returns tau2 = 0 with status "truncated_at_zero" when Q(0) <= target.
+    Otherwise doubles from min(max(1, Q(0) max v^2), 1e7) to a bracket, or
+    raises BracketCapExceeded past 1e7, and bisects until |Q - target| <= tol =
+    1e-8 target.  Midpoints, stop rule and result are plain bisection's, but Q
+    is evaluated only where monotonicity cannot decide: Newton on 1/Q and two
+    probes find a < b with computed Q(a) > target + tol + margin and Q(b) <
+    target - tol - margin, and midpoints <= a or >= b are passed.  A computed Q
+    is within rho Q + S0 e^2 of the exact one: rho = (K + 6) eps (weights, sum
+    of K nonnegative terms), e = (K + 1) eps max|g| (the mean), S0 = sum 1/v^2
+    >= sum w.  margin = 4 rho target + 2 S0 e^2.
     """
     if not target > 0:
         raise DomainError(f"target must be > 0, got {target}")
@@ -133,7 +142,7 @@ def solve_q_equals(data: MetaInput, target: float) -> QRoot:
 
     q, dq = evaluate(0.0)
     if q <= target:
-        return QRoot(0.0, "truncated", 0)
+        return Tau2Result(0.0, "truncated_at_zero")
 
     lo, hi = 0.0, min(max(1.0, q * float(data.v2.max())), BRACKET_CAP)
     while (q_hi := evaluate(hi))[0] >= target:
@@ -163,7 +172,7 @@ def solve_q_equals(data: MetaInput, target: float) -> QRoot:
         if a < mid < b:
             q = evaluate(mid)[0]
             if abs(q - target) <= tol:
-                return QRoot(mid, "interior", it)
+                return Tau2Result(mid, "interior", it)
         if mid <= a or (mid < b and q > target):
             lo = mid
         else:

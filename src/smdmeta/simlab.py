@@ -71,8 +71,16 @@ class SimCell:
     def __post_init__(self):
         if self.pattern not in ("equal", "unequal"):
             raise GridValidationError("pattern", self.pattern)
-        if not self.tau2 >= 0:
+        if not math.isfinite(self.delta):
+            raise GridValidationError("delta", self.delta)
+        if not 0 <= self.tau2 < math.inf:
             raise GridValidationError("tau2", self.tau2)
+        if self.k < 2:
+            raise GridValidationError("k", self.k)
+        if not 0 < self.q < 1:
+            raise GridValidationError("q", self.q)
+        if not 0 <= self.seed < 2**64:
+            raise GridValidationError("seed", self.seed)
         if self.reps <= 0 or self.chunks <= 0:
             raise GridValidationError("reps/chunks", (self.reps, self.chunks))
         if self.reps % self.chunks != 0:
@@ -84,6 +92,9 @@ class SimCell:
             if self.k % 5 != 0:
                 raise GridValidationError("k", f"{self.k} not divisible by 5 "
                                                "under the unequal pattern")
+        for n_t, n_c in study_sizes(self):  # g_variance needs m >= 3
+            if min(n_t, n_c) < 2 or n_t + n_c < 5:
+                raise GridValidationError("arm sizes", (n_t, n_c))
 
     def coord_parts(self) -> tuple:
         """Cell coordinates that key the random streams, cast so 1 and 1.0
@@ -94,7 +105,7 @@ class SimCell:
 
 def validate_cell(cell: SimCell, allow_custom: bool = False) -> None:
     """Reject values outside the built-in grid unless allow_custom is set
-    (the unequal-pattern checks already ran when the SimCell was built)."""
+    (the checks it cannot lift already ran when the SimCell was built)."""
     if allow_custom:
         return
     if cell.delta not in DELTAS:

@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .numkernel import DomainError, StreamLike, _as_generator, ln_gamma
+from numpy.random import Generator
+
+from .numkernel import DomainError, ln_gamma
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,9 @@ def hedges_g(treatment: ArmSummary, control: ArmSummary) -> Study:
     return Study(n_t=n_t, n_c=n_c, g=g, v2=g_variance(g, n_t, n_c))
 
 
-def sample_g(stream: StreamLike, n_t: int, n_c: int, delta_i: float) -> Study:
-    """Draw one study exactly from the sampling model of g.
+def sample_g(gen: Generator, n_t: int, n_c: int, delta_i: float) -> Study:
+    """Draw one study exactly from the sampling model of g, taking one
+    normal and one chi-square variate from gen.
 
     With effective size ntilde = n_t n_c / (n_t + n_c),
 
@@ -111,7 +114,6 @@ def sample_g(stream: StreamLike, n_t: int, n_c: int, delta_i: float) -> Study:
         raise DomainError(f"arm sizes must be >= 2, got ({n_t}, {n_c})")
     m = n_t + n_c - 2
     eff_n = n_t * n_c / (n_t + n_c)
-    gen = _as_generator(stream)
     z = gen.standard_normal()
     x = gen.chisquare(m)
     t = (z + math.sqrt(eff_n) * delta_i) / math.sqrt(x / m)

@@ -33,6 +33,7 @@ from .qstat import (
     BRACKET_CAP,
     BracketCapExceeded,
     MetaInput,
+    Tau2Result,
     _q_terms,
     solve_q_equals,
 )
@@ -56,24 +57,9 @@ _SEED_STEP = 0.05
 
 
 @dataclass(frozen=True)
-class Tau2Result:
-    value: float
-    method: str
-    status: str  # "interior" | "truncated_at_zero" | "max_iter"
-    iterations: int = 0
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise DomainError("tau^2 estimate must be >= 0")
-        if self.status == "truncated_at_zero" and self.value != 0.0:
-            raise DomainError("truncated_at_zero implies value == 0")
-
-
-@dataclass(frozen=True)
 class Tau2Interval:
     lo: float
     hi: float  # math.inf when the upper endpoint exceeds the bracket cap
-    method: str
     level: float = 0.95
     flags: tuple[str, ...] = field(default=())
 
@@ -99,15 +85,13 @@ def tau2_dl(data: MetaInput) -> Tau2Result:
         raise DomainError("degenerate DL denominator; needs K >= 2")
     raw = (float(terms.sum()) - (data.k - 1)) / denom
     if raw <= 0:
-        return Tau2Result(0.0, "DL", "truncated_at_zero")
-    return Tau2Result(raw, "DL", "interior")
+        return Tau2Result(0.0, "truncated_at_zero")
+    return Tau2Result(raw, "interior")
 
 
 def tau2_mp(data: MetaInput) -> Tau2Result:
     """Mandel-Paule estimator: solves Q(tau2) = K - 1."""
-    root = solve_q_equals(data, float(data.k - 1))
-    status = "truncated_at_zero" if root.status == "truncated" else "interior"
-    return Tau2Result(root.value, "MP", status, root.iterations)
+    return solve_q_equals(data, float(data.k - 1))
 
 
 def _loglik_and_fit(data: MetaInput, tau2: float):
@@ -133,8 +117,11 @@ def tau2_reml(data: MetaInput, dl: Tau2Result) -> Tau2Result:
     l_cur, fit = _loglik_and_fit(data, t)
     for it in range(1, _REML_MAX_ITER + 1):
         w2 = fit.weights ** 2
+        sum_w2 = float(w2.sum())
+        if not sum_w2 > 0:
+            raise NonConvergenceError(f"sum w^2 underflowed at tau2 = {t:g}")
         resid2 = (data.g - fit.mean) ** 2
-        prop = float((w2 * (resid2 - data.v2)).sum()) / float(w2.sum()) \
+        prop = float((w2 * (resid2 - data.v2)).sum()) / sum_w2 \
             + 1.0 / fit.sum_w
         prop = max(0.0, prop)
         l_prop, fit_prop = _loglik_and_fit(data, prop)
@@ -147,8 +134,8 @@ def tau2_reml(data: MetaInput, dl: Tau2Result) -> Tau2Result:
         t, l_cur, fit = prop, l_prop, fit_prop
         if done:
             status = "truncated_at_zero" if t == 0.0 else "interior"
-            return Tau2Result(t, "REML", status, it)
-    return Tau2Result(t, "REML", "max_iter", _REML_MAX_ITER)
+            return Tau2Result(t, status, it)
+    return Tau2Result(t, "max_iter", _REML_MAX_ITER)
 
 
 def tau2_jackson(data: MetaInput) -> Tau2Result:
@@ -164,8 +151,8 @@ def tau2_jackson(data: MetaInput) -> Tau2Result:
     c = u - u * u / big_u
     raw = (q_gen - float((c * data.v2).sum())) / float(c.sum())
     if raw <= 0:
-        return Tau2Result(0.0, "J", "truncated_at_zero")
-    return Tau2Result(raw, "J", "interior")
+        return Tau2Result(0.0, "truncated_at_zero")
+    return Tau2Result(raw, "interior")
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +314,14 @@ def tau2_kdb(data: MetaInput, expected_q: float) -> Tau2Result:
     Dollinger and Bjorkestol (2011, Biometrics 67:203), used unchanged at
     every tau^2 the root search visits.
     """
-    root = solve_q_equals(data, expected_q)
-    status = "truncated_at_zero" if root.status == "truncated" else "interior"
-    return Tau2Result(root.value, "KDB", status, root.iterations)
+    return solve_q_equals(data, expected_q)
 
 
 # ---------------------------------------------------------------------------
 # interval estimators
 # ---------------------------------------------------------------------------
 
-def _q_profile(data: MetaInput, level: float, df: float,
-               method: str) -> Tau2Interval:
+def _q_profile(data: MetaInput, level: float, df: float) -> Tau2Interval:
     alpha = 1.0 - level
     flags: list[str] = []
     lo = solve_q_equals(data, chisq_quantile(1.0 - alpha / 2.0, df)).value
@@ -346,19 +330,19 @@ def _q_profile(data: MetaInput, level: float, df: float,
     except BracketCapExceeded:
         hi = math.inf
         flags.append("upper-beyond-cap")
-    return Tau2Interval(lo, hi, method, level, tuple(flags))
+    return Tau2Interval(lo, hi, level, tuple(flags))
 
 
 def ci_qp(data: MetaInput, level: float = 0.95) -> Tau2Interval:
     """Q-profile interval: inverts Q(tau2) at chi-squared(K-1) quantiles."""
-    return _q_profile(data, level, float(data.k - 1), "QP")
+    return _q_profile(data, level, float(data.k - 1))
 
 
 def ci_kdb(data: MetaInput, expected_q: float,
            level: float = 0.95) -> Tau2Interval:
     """Q-profile interval at fractional-df quantiles, df = expected_q, the
     value of `corrected_expected_q(data)`."""
-    return _q_profile(data, level, expected_q, "KDB")
+    return _q_profile(data, level, expected_q)
 
 
 def _satterthwaite_roots(weights: np.ndarray, v2: np.ndarray, q_obs: float,
@@ -383,7 +367,7 @@ def _satterthwaite_roots(weights: np.ndarray, v2: np.ndarray, q_obs: float,
 
 
 def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
-                           method: str, coefficients) -> Tau2Interval:
+                           coefficients) -> Tau2Interval:
     """Invert the exact CDF of a fixed-weights Q over candidate tau2.
 
     Under the model, Q_obs = sum w (g - gbar_w)^2 is a quadratic form in the
@@ -402,7 +386,7 @@ def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
     gbar = float((weights * data.g).sum()) / sum_w
     q_obs = float((weights * (data.g - gbar) ** 2).sum())
     if q_obs <= 0.0:
-        return Tau2Interval(0.0, 0.0, method, level, ("degenerate",))
+        return Tau2Interval(0.0, 0.0, level, ("degenerate",))
     known: dict[float, float] = {}
 
     def cdf_at(tau2: float) -> float:
@@ -434,7 +418,7 @@ def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
         flags.append("nonmonotone-cdf")
     if math.isinf(hi):
         flags.append("upper-beyond-cap")
-    return Tau2Interval(lo, hi, method, level, tuple(flags))
+    return Tau2Interval(lo, hi, level, tuple(flags))
 
 
 def ci_bj(data: MetaInput, level: float = 0.95) -> Tau2Interval:
@@ -443,7 +427,7 @@ def ci_bj(data: MetaInput, level: float = 0.95) -> Tau2Interval:
     nonzero eigenvalues of A: one eigendecomposition per interval."""
     w = 1.0 / data.v2
     mu = np.linalg.eigvalsh(np.diag(w) - np.outer(w, w) / w.sum())[:0:-1]
-    return _fixed_weight_interval(data, level, w, "BJ", lambda t: 1.0 + t * mu)
+    return _fixed_weight_interval(data, level, w, lambda t: 1.0 + t * mu)
 
 
 def ci_jackson(data: MetaInput, level: float = 0.95) -> Tau2Interval:
@@ -457,7 +441,7 @@ def ci_jackson(data: MetaInput, level: float = 0.95) -> Tau2Interval:
         lam = np.linalg.eigvalsh(a_mat * np.outer(droot, droot))[:0:-1]
         return lam[lam > 0.0]
 
-    return _fixed_weight_interval(data, level, u, "J", coefficients)
+    return _fixed_weight_interval(data, level, u, coefficients)
 
 
 def ci_pl(data: MetaInput, reml: Tau2Result,
@@ -500,4 +484,4 @@ def ci_pl(data: MetaInput, reml: Tau2Result,
     if abs(l_hat - l_zero) < 1e-12 and (math.isinf(br)
                                         or abs(l_hat - restricted_loglik(data, br)) < 1e-12):
         flags.append("flat-likelihood")
-    return Tau2Interval(lo, hi, "PL", level, tuple(flags))
+    return Tau2Interval(lo, hi, level, tuple(flags))

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from smdmeta import simlab
 from smdmeta.cli import RESULTS_HEADER, main
 
 TOY_PRECOMP = """study_id,n_t,n_c,g,var_g
@@ -172,6 +173,30 @@ class TestAnalyze:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             GOLDEN_ANALYSIS_SHA256
 
+    def test_golden_text_bytes(self, tmp_path, capsys):
+        path = write(tmp_path / "golden.csv", GOLDEN_ANALYSIS)
+        assert main(["analyze", "--input", path]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            GOLDEN_ANALYSIS_TEXT_SHA256
+
+    @pytest.mark.parametrize("rows", [
+        [("1e200", "1"), ("-1e200", "1"), ("0", "1")],  # Q(0) overflows
+        [("1e154", "1"), ("-1e154", "1")],
+        [("1e300", "1"), ("-1e300", "1")],
+        [("1e100", "1"), ("-1e100", "1"), ("0", "1")],  # REML's sum w^2 = 0
+        [("0.3", "1e300"), ("1.2", "1e300")],
+    ])
+    def test_extreme_finite_input_exits_with_message(self, tmp_path, capsys,
+                                                     rows):
+        text = "study_id,n_t,n_c,g,var_g\n" + "".join(
+            f"s{i},10,10,{g},{v}\n" for i, (g, v) in enumerate(rows))
+        path = write(tmp_path / "extreme.csv", text)
+        code = main(["analyze", "--input", path])
+        err = capsys.readouterr().err
+        assert code in (3, 4)
+        assert ("error: " if code == 3 else "did not converge") in err
+
     def test_oversized_field_is_input_error(self, tmp_path, capsys):
         text = TOY_PRECOMP + "s3" + "x" * 140_000 + ",10,10,0,1\n"
         path = write(tmp_path / "big.csv", text)
@@ -209,6 +234,10 @@ s12,600,700,0.44,0.0031697
 """
 GOLDEN_ANALYSIS_SHA256 = \
     "c7976277d276a6472373034aadee49f1a2ff83eb6d4c2b515cc4a07ebbb76f10"
+# SHA-256 of the default text stdout on GOLDEN_ANALYSIS, which prints every
+# output name of the estimator table beside its numbers
+GOLDEN_ANALYSIS_TEXT_SHA256 = \
+    "43a47d748ca488bf77991bc134fe6af97e2ac8cd37332e739ad6a56747e71257"
 
 
 class TestSimulate:
@@ -218,9 +247,17 @@ class TestSimulate:
         capsys.readouterr()
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
 
-    @pytest.mark.parametrize("flag, value", [("--k", "inf"),
-                                             ("--tau2", "-1")])
-    def test_bad_grid_value_is_input_error(self, tmp_path, flag, value):
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "inf"), ("--tau2", "-1"), ("--q", "nan"), ("--q", "0"),
+        ("--q", "1.5"), ("--k", "1"), ("--n", "3"), ("--n", "4"),
+        ("--delta", "nan"), ("--delta", "0,nan"), ("--tau2", "inf"),
+        ("--seed", "-3"), ("--seed", str(2**64))])
+    def test_bad_grid_value_is_input_error(self, tmp_path, monkeypatch,
+                                           flag, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell ran before the grid was checked")
+
+        monkeypatch.setattr(simlab, "run_grid", no_run)
         args = ["simulate", *SIM_FLAGS, "--allow-custom", flag, value,
                 "--out", str(tmp_path / "r.csv")]
         assert main(args) == 2
@@ -228,7 +265,11 @@ class TestSimulate:
     @pytest.mark.parametrize("extra", [
         ["--allow-custom", "--tau2", "-1"],
         ["--allow-custom", "--k", "6", "--nbar", "30"],
-        ["--reps", "3", "--chunks", "2"]])
+        ["--reps", "3", "--chunks", "2"],
+        ["--allow-custom", "--q", "nan"], ["--allow-custom", "--k", "1"],
+        ["--allow-custom", "--n", "4"], ["--allow-custom", "--delta", "nan"],
+        ["--allow-custom", "--tau2", "inf"], ["--seed", "-3"],
+        ["--allow-custom", "--nbar", "30", "--q", "0.95"]])
     def test_unliftable_value_has_no_allow_custom_hint(self, tmp_path,
                                                        capsys, extra):
         args = ["simulate", *SIM_FLAGS, *extra,

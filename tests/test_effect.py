@@ -13,6 +13,7 @@ from smdmeta.effect import (
 )
 from smdmeta.numkernel import normal_quantile, t_quantile
 from smdmeta.qstat import MetaInput
+from smdmeta.simlab import estimate_all
 from smdmeta.smd import Study
 from smdmeta.tau2 import Tau2Result, corrected_expected_q, tau2_dl, tau2_kdb
 
@@ -23,7 +24,7 @@ def meta(gs, v2s, n=20):
 
 
 def kdb_at(tau2):
-    return Tau2Result(tau2, "KDB", "interior")
+    return Tau2Result(tau2, "interior")
 
 
 def kdb_of(data):
@@ -35,20 +36,20 @@ TWO = meta([0.0, 2.0], [1.0, 1.0])
 
 class TestEffectIV:
     def test_equal_variance_average(self):
-        r = effect_iv(TWO, Tau2Result(0.7, "DL", "interior"))
+        r = effect_iv(TWO, Tau2Result(0.7, "interior"))
         assert r.value == pytest.approx(1.0, rel=1e-14)
 
     def test_hand_case(self):
         data = meta([0.0, 1.0], [1.0, 3.0])
-        r = effect_iv(data, Tau2Result(1.0, "MP", "interior"))
+        r = effect_iv(data, Tau2Result(1.0, "interior"))
         assert r.value == pytest.approx(1 / 3, rel=1e-14)
         assert r.variance == pytest.approx(4 / 3, rel=1e-14)
 
     def test_weight_rescaling_invariance(self):
         data = meta([0.2, 0.9, -0.3], [0.5, 1.0, 2.0])
-        a = effect_iv(data, Tau2Result(0.0, "DL", "truncated_at_zero"))
+        a = effect_iv(data, Tau2Result(0.0, "truncated_at_zero"))
         scaled = meta([0.2, 0.9, -0.3], [1.5, 3.0, 6.0])
-        b = effect_iv(scaled, Tau2Result(0.0, "DL", "truncated_at_zero"))
+        b = effect_iv(scaled, Tau2Result(0.0, "truncated_at_zero"))
         assert b.value == pytest.approx(a.value, rel=1e-12)
 
 
@@ -101,11 +102,10 @@ class TestCiZ:
 
 class TestCiHKSJ:
     def test_df1_half_width(self):
-        ci = ci_hksj(TWO, effect_iv(TWO, Tau2Result(1.0, "DL", "interior")))
+        ci = ci_hksj(TWO, effect_iv(TWO, Tau2Result(1.0, "interior")))
         assert ci.center == pytest.approx(1.0)
         assert ci.half_width == pytest.approx(t_quantile(0.975, 1), rel=1e-10)
         assert ci.half_width == pytest.approx(12.7062, abs=1e-4)
-        assert ci.method == "HKSJ"
 
     def test_degenerate_flagged(self):
         flat = meta([0.4, 0.4, 0.4], [1.0, 0.5, 2.0])
@@ -116,10 +116,20 @@ class TestCiHKSJ:
     def test_equal_variance_half_width_free_of_tau2(self):
         data = meta([0.1, 0.9, -0.5, 1.2], [0.8, 0.8, 0.8, 0.8])
         a = ci_hksj(data, effect_iv(
-            data, Tau2Result(0.0, "DL", "truncated_at_zero")))
-        b = ci_hksj(data, effect_iv(data, Tau2Result(2.5, "KDB", "interior")))
+            data, Tau2Result(0.0, "truncated_at_zero")))
+        b = ci_hksj(data, effect_iv(data, Tau2Result(2.5, "interior")))
         assert a.half_width == pytest.approx(b.half_width, rel=1e-12)
-        assert b.method == "HKSJ-KDB"
+
+    def test_battery_rows_wrap_iv_at_dl_and_kdb(self):
+        # unequal variances, so DL and KDB weights give different intervals
+        data = meta([0.1, 1.9, -1.5, 2.2, 0.3], [0.2, 0.5, 0.9, 1.4, 0.3])
+        results, failures = estimate_all(data)
+        assert failures == ()
+        at_dl = ci_hksj(data, effect_iv(data, tau2_dl(data)))
+        at_kdb = ci_hksj(data, effect_iv(data, kdb_of(data)))
+        assert results["delta_cover", "HKSJ"] == at_dl
+        assert results["delta_cover", "HKSJ-KDB"] == at_kdb
+        assert at_dl != at_kdb
 
 
 class TestCiSSWKDB:

@@ -114,13 +114,13 @@ class TestRandomStream:
             RandomStream(-1, 0)
 
 
-def t_draws(stream, n_t, n_c, ncp, n):
+def t_draws(gen, n_t, n_c, ncp, n):
     """n draws of sqrt(ntilde) g / J(m) from sample_g, ntilde = n_t n_c /
     (n_t + n_c): noncentral t with m = n_t + n_c - 2 df and the given ncp
     (the true effect is ncp / sqrt(ntilde))."""
     root_n = math.sqrt(n_t * n_c / (n_t + n_c))
     scale = root_n / j_factor(n_t + n_c - 2)
-    return np.array([scale * sample_g(stream, n_t, n_c, ncp / root_n).g
+    return np.array([scale * sample_g(gen, n_t, n_c, ncp / root_n).g
                      for _ in range(n)])
 
 
@@ -129,7 +129,8 @@ class TestNoncentralT:
 
     def test_deterministic_per_stream(self):
         s = RandomStream(5, 99)
-        assert sample_g(s, 4, 5, 1.2) == sample_g(s, 4, 5, 1.2)
+        assert sample_g(s.generator(), 4, 5, 1.2) == \
+            sample_g(s.generator(), 4, 5, 1.2)
 
     def test_mean_zero_when_central(self):
         gen = RandomStream(11, 0).generator()
@@ -165,7 +166,7 @@ class TestNoncentralT:
     def test_df_domain(self):
         # an arm of 1 leaves m = 1 df
         with pytest.raises(DomainError):
-            sample_g(RandomStream(1, 1), 1, 2, 0.0)
+            sample_g(RandomStream(1, 1).generator(), 1, 2, 0.0)
 
 
 class TestMixtureCdf:

@@ -89,7 +89,7 @@ def test_effect_shift_equivariance(data, shift):
     dl_a, dl_b = tau2_dl(data), tau2_dl(shifted)
     a, b = effect_iv(data, dl_a), effect_iv(shifted, dl_b)
     assert abs((b.value - a.value) - shift) <= 1e-9
-    kdb = Tau2Result(0.0, "KDB", "truncated_at_zero")
+    kdb = Tau2Result(0.0, "truncated_at_zero")
     assert abs(effect_ssw(shifted, kdb).value
                - effect_ssw(data, kdb).value - shift) <= 1e-9
     za, zb = ci_z(data, a), ci_z(shifted, b)

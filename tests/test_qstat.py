@@ -12,7 +12,7 @@ from smdmeta.qstat import (
     BRACKET_CAP,
     BracketCapExceeded,
     MetaInput,
-    QRoot,
+    Tau2Result,
     iv_weighted_mean,
     q_statistic,
     solve_q_equals,
@@ -105,7 +105,7 @@ class TestSolveQEquals:
     def test_truncation(self):
         data = meta([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
         root = solve_q_equals(data, 2.0)  # Q(0) == target
-        assert root.status == "truncated"
+        assert root.status == "truncated_at_zero"
         assert root.value == 0.0
 
     def test_residual_tolerance(self):
@@ -143,14 +143,14 @@ class TestSolveQEquals:
             solve_q_equals(meta([0.0, 1.0], [1.0, 1.0]), 0.0)
 
 
-def reference_solve_q_equals(data: MetaInput, target: float) -> QRoot:
+def reference_solve_q_equals(data: MetaInput, target: float) -> Tau2Result:
     """Plain bisection, evaluating Q at every midpoint and not capping its
     first bracket end: the oracle for solve_q_equals."""
     if not target > 0:
         raise DomainError(f"target must be > 0, got {target}")
     q0 = q_statistic(data, 0.0)
     if q0 <= target:
-        return QRoot(0.0, "truncated", 0)
+        return Tau2Result(0.0, "truncated_at_zero")
 
     hi = max(1.0, q0 * float(data.v2.max()))
     lo = 0.0
@@ -166,7 +166,7 @@ def reference_solve_q_equals(data: MetaInput, target: float) -> QRoot:
         mid = 0.5 * (lo + hi)
         q = q_statistic(data, mid)
         if abs(q - target) <= tol:
-            return QRoot(mid, "interior", it)
+            return Tau2Result(mid, "interior", it)
         if q > target:
             lo = mid
         else:
@@ -246,7 +246,8 @@ class TestSolverMatchesPlainBisection:
                 assert outcome(solve_q_equals, data, target) == expected, \
                     (data.g, data.v2, target)
                 statuses.add(getattr(expected, "status", expected))
-        assert statuses == {"interior", "truncated", BracketCapExceeded}
+        assert statuses == {"interior", "truncated_at_zero",
+                            BracketCapExceeded}
 
     def test_grid_replicates(self):
         for data in grid_inputs():

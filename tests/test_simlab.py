@@ -1,5 +1,7 @@
+import ast
 import collections
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,7 +172,7 @@ class TestEstimateAll:
 
     def test_reml_stopped_at_max_iter_is_kept(self, monkeypatch):
         def stopped(data, dl):
-            return t2.Tau2Result(0.7, "REML", "max_iter", 200)
+            return t2.Tau2Result(0.7, "max_iter", 200)
 
         monkeypatch.setattr(t2, "tau2_reml", stopped)
         cell = SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=4, chunks=2,
@@ -227,6 +229,17 @@ class TestEstimateAll:
                                       "IV-KDB", "SSW")
         assert simlab.DELTA_CI == ("Z-DL", "Z-MP", "Z-REML", "Z-J", "Z-KDB",
                                    "HKSJ", "HKSJ-KDB", "SSW-KDB")
+
+    def test_names_are_spelled_only_in_the_tables(self):
+        # Results carry numbers; names come from ESTIMATORS (simlab.py, with
+        # the MSE lists) and the plot styles (svgplot.py), and nowhere else.
+        names = {row[i] for row in simlab.ESTIMATORS for i in (0, 2)}
+        found = [(path.name, node.lineno, node.value)
+                 for path in sorted(Path(simlab.__file__).parent.glob("*.py"))
+                 if path.name not in ("simlab.py", "svgplot.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Constant) and node.value in names]
+        assert found == []
 
 
 class TestRunCell:

@@ -103,7 +103,8 @@ class TestStudy:
 class TestSampleG:
     def test_reproducible(self):
         s = RandomStream(3, 8)
-        assert sample_g(s, 10, 10, 0.7) == sample_g(s, 10, 10, 0.7)
+        assert sample_g(s.generator(), 10, 10, 0.7) == \
+            sample_g(s.generator(), 10, 10, 0.7)
 
     @pytest.mark.parametrize("n_t,n_c", [(10, 10), (3, 9)])
     @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0])
@@ -115,5 +116,5 @@ class TestSampleG:
         assert draws.mean() == pytest.approx(delta, abs=4 * se)
 
     def test_variance_populated(self):
-        s = sample_g(RandomStream(4, 4), 6, 14, 0.2)
+        s = sample_g(RandomStream(4, 4).generator(), 6, 14, 0.2)
         assert s.v2 == pytest.approx(g_variance(s.g, 6, 14), rel=1e-14)
