@@ -11,7 +11,15 @@ from .numkernel import (
     t_quantile,
 )
 from .smd import ArmSummary, Study, g_variance, hedges_g, j_factor, sample_g
-from .qstat import MetaInput, WeightedFit, iv_weighted_mean, q_statistic, solve_q_equals
+from .qstat import (
+    MetaBatch,
+    MetaInput,
+    WeightedFit,
+    iv_weighted_mean,
+    q_statistic,
+    solve_q_equals,
+    solve_q_roots,
+)
 from .tau2 import (
     Tau2Interval,
     Tau2Result,

@@ -8,17 +8,19 @@ estimated variances.
 Interval estimators: normal-quantile intervals around each inverse-variance
 mean, the Hartung-Knapp-Sidik-Jonkman t interval (with DL or KDB weights),
 and the t interval centered at SSW with the sample-size-weight variance.
+
+The `*_batch` functions are the battery's rows over a MetaBatch, one result
+per replicate; the others are the same estimators on a batch of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numkernel import DomainError, normal_quantile, t_quantile
-from .qstat import MetaInput, Tau2Result, iv_weighted_mean
+from .qstat import MetaBatch, MetaInput, Tau2Result
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,21 @@ class EffectInterval:
         return abs(delta - self.center) <= self.half_width
 
 
-def effect_iv(data: MetaInput, tau2: Tau2Result) -> EffectResult:
-    """Inverse-variance weighted mean with weights 1/(v_i^2 + tau2);
-    variance estimated conventionally as 1/sum(w)."""
-    fit = iv_weighted_mean(data, tau2.value)
-    return EffectResult(fit.mean, 1.0 / fit.sum_w, fit.weights)
+def effect_iv_batch(batch: MetaBatch, tau2s: list[Tau2Result]) -> list:
+    """Inverse-variance weighted means, weights 1/(v_i^2 + tau2) at each
+    tau2 estimate; variance estimated conventionally as 1/sum(w)."""
+    w = 1.0 / (batch.v2 + np.array([[t.value] for t in tau2s]))
+    sum_w = w.sum(-1)
+    mean = (w * batch.g).sum(-1) / sum_w
+    return [EffectResult(*args) for args in zip(mean.tolist(),
+                                                 (1.0 / sum_w).tolist(), w)]
+
+
+def _ssw_variance(eff_n: np.ndarray, v2: np.ndarray,
+                  tau2: np.ndarray) -> np.ndarray:
+    # the square as numpy scalars: libm pow, as a Python float takes it
+    sq = np.array([s ** 2 for s in eff_n.sum(-1)])
+    return (eff_n * eff_n * (v2 + tau2[:, None])).sum(-1) / sq
 
 
 def ssw_variance(data: MetaInput, tau2: float) -> float:
@@ -69,49 +81,81 @@ def ssw_variance(data: MetaInput, tau2: float) -> float:
     sum ntilde^2 (v^2 + tau2) / (sum ntilde)^2."""
     if tau2 < 0:
         raise DomainError(f"tau2 must be >= 0, got {tau2}")
-    en = data.eff_n
-    return float((en * en * (data.v2 + tau2)).sum()) / float(en.sum()) ** 2
+    return float(_ssw_variance(data.eff_n[None], data.v2[None],
+                               np.array([tau2]))[0])
 
 
-def effect_ssw(data: MetaInput, kdb: Tau2Result) -> EffectResult:
-    """Sample-size-weighted mean, weights ntilde_i.
-
-    The reported variance is `ssw_variance` at kdb, the `tau2_kdb` estimate;
-    the point estimate itself never depends on the variances.
-    """
-    en = data.eff_n
-    value = float((en * data.g).sum()) / float(en.sum())
-    return EffectResult(value, ssw_variance(data, kdb.value), en)
-
-
-def ci_z(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInterval:
-    """Normal-quantile interval around iv, an `effect_iv` mean."""
-    z = normal_quantile(1.0 - (1.0 - level) / 2.0)
-    return EffectInterval(iv.value, z * math.sqrt(iv.variance), level)
+def effect_ssw_batch(batch: MetaBatch, kdbs: list[Tau2Result]) -> list:
+    """Sample-size-weighted means, weights ntilde_i, with `ssw_variance` at
+    each `tau2_kdb` estimate; the point never depends on the variances."""
+    en = batch.eff_n
+    value = (en * batch.g).sum(-1) / en.sum(-1)
+    variance = _ssw_variance(en, batch.v2, np.array([t.value for t in kdbs]))
+    return [EffectResult(*args)
+            for args in zip(value.tolist(), variance.tolist(), en)]
 
 
-def ci_hksj(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInterval:
-    """Hartung-Knapp-Sidik-Jonkman interval around iv, an `effect_iv` mean:
-    the weighted residual variance sum w (g - center)^2 / ((K-1) sum w) of
-    iv's weights and a t quantile on K - 1 degrees of freedom.
+def _intervals(centers: list[EffectResult], quantile: float, level: float):
+    half = quantile * np.sqrt([c.variance for c in centers])
+    return [EffectInterval(c.value, h, level)
+            for c, h in zip(centers, half.tolist())]
+
+
+def ci_z_batch(batch: MetaBatch, ivs: list[EffectResult],
+               level: float) -> list:
+    """Normal-quantile intervals around `effect_iv` means."""
+    return _intervals(ivs, normal_quantile(1.0 - (1.0 - level) / 2.0), level)
+
+
+def ci_hksj_batch(batch: MetaBatch, ivs: list[EffectResult],
+                  level: float) -> list:
+    """Hartung-Knapp-Sidik-Jonkman intervals around `effect_iv` means: the
+    weighted residual variance sum w (g - center)^2 / ((K-1) sum w) of
+    each mean's weights and a t quantile on K - 1 degrees of freedom.
 
     All-equal inputs give a zero half-width, flagged "degenerate" rather
     than raised, so simulation coverage accounting can proceed.
     """
-    resid = data.g - iv.value
-    var_star = float((iv.weights * resid * resid).sum()) \
-        / ((data.k - 1) * float(iv.weights.sum()))
-    degenerate = float(np.abs(resid).max()) <= 1e-12 * max(1.0, abs(iv.value))
-    if degenerate:
-        var_star = 0.0
-    flags = ("degenerate",) if degenerate else ()
-    t = t_quantile(1.0 - (1.0 - level) / 2.0, data.k - 1)
-    return EffectInterval(iv.value, t * math.sqrt(var_star), level, flags)
+    center = np.array([iv.value for iv in ivs])
+    w = np.array([iv.weights for iv in ivs])
+    resid = batch.g - center[:, None]
+    var_star = (w * resid * resid).sum(-1) / ((batch.k - 1) * w.sum(-1))
+    degenerate = np.abs(resid).max(-1) \
+        <= 1e-12 * np.maximum(1.0, np.abs(center))
+    t = t_quantile(1.0 - (1.0 - level) / 2.0, batch.k - 1)
+    half = t * np.sqrt(np.where(degenerate, 0.0, var_star))
+    return [EffectInterval(iv.value, h, level, ("degenerate",) if d else ())
+            for iv, h, d in zip(ivs, half.tolist(), degenerate.tolist())]
+
+
+def ci_ssw_kdb_batch(batch: MetaBatch, ssws: list[EffectResult],
+                     level: float) -> list:
+    """t intervals centered at `effect_ssw` means, with their
+    sample-size-weight variance at the KDB tau^2 estimate."""
+    return _intervals(ssws, t_quantile(1.0 - (1.0 - level) / 2.0, batch.k - 1),
+                      level)
+
+
+def _one(batch_fn, data: MetaInput, *args):
+    return batch_fn(MetaBatch((data,)), [args[0]], *args[1:])[0]
+
+
+def effect_iv(data: MetaInput, tau2: Tau2Result) -> EffectResult:
+    return _one(effect_iv_batch, data, tau2)
+
+
+def effect_ssw(data: MetaInput, kdb: Tau2Result) -> EffectResult:
+    return _one(effect_ssw_batch, data, kdb)
+
+
+def ci_z(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInterval:
+    return _one(ci_z_batch, data, iv, level)
+
+
+def ci_hksj(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInterval:
+    return _one(ci_hksj_batch, data, iv, level)
 
 
 def ci_ssw_kdb(data: MetaInput, ssw: EffectResult,
                level: float = 0.95) -> EffectInterval:
-    """t interval centered at ssw, the `effect_ssw` mean, with its
-    sample-size-weight variance at the KDB tau^2 estimate."""
-    t = t_quantile(1.0 - (1.0 - level) / 2.0, data.k - 1)
-    return EffectInterval(ssw.value, t * math.sqrt(ssw.variance), level)
+    return _one(ci_ssw_kdb_batch, data, ssw, level)

@@ -1,5 +1,7 @@
-"""Inverse-variance means, the generalized Cochran Q statistic, Tau2Result
-and the monotone root solver shared by every moment-type tau^2 estimator."""
+"""Inverse-variance means, the generalized Cochran Q statistic, Tau2Result,
+the replicate batch, and the lock-step solver of Q(tau^2) = target shared by
+every moment-type tau^2 estimator.  A MetaInput is a batch of one.
+"""
 
 from __future__ import annotations
 
@@ -51,13 +53,24 @@ class MetaInput:
     def arm_sizes(self) -> tuple[tuple[int, int], ...]:
         return tuple((s.n_t, s.n_c) for s in self.studies)
 
-    @cached_property
-    def q_terms_at_zero(self) -> tuple[WeightedFit, np.ndarray]:
-        return _q_terms(self, 0.0)  # DL and every Q-root solve start here
 
-    @cached_property
-    def max_abs_g(self) -> float:
-        return float(np.abs(self.g).max())
+@dataclass(frozen=True)
+class MetaBatch:
+    """R meta-analyses of the same K arm sizes, estimated at once; g, v2 and
+    eff_n stack the inputs' arrays as (R, K)."""
+
+    inputs: tuple[MetaInput, ...]
+
+    def __post_init__(self):
+        if len({d.arm_sizes for d in self.inputs}) != 1:
+            raise DomainError("a batch needs the same arm sizes throughout")
+
+    k = property(lambda self: self.inputs[0].k)
+    arm_sizes = property(lambda self: self.inputs[0].arm_sizes)
+    g = cached_property(lambda self: np.array([d.g for d in self.inputs]))
+    v2 = cached_property(lambda self: np.array([d.v2 for d in self.inputs]))
+    eff_n = cached_property(
+        lambda self: np.array([d.eff_n for d in self.inputs]))
 
 
 @dataclass(frozen=True)
@@ -82,6 +95,21 @@ class Tau2Result:
             raise DomainError("tau^2 estimate must be >= 0")
         if self.status == "truncated_at_zero" and self.value != 0.0:
             raise DomainError("truncated_at_zero implies value == 0")
+
+
+def _outcome(make, *args):
+    """make(*args), or the NonConvergenceError it raised: batches return one
+    result or failure per replicate."""
+    try:
+        return make(*args)
+    except NonConvergenceError as exc:
+        return exc
+
+
+def _unwrap(result):
+    if isinstance(result, NonConvergenceError):
+        raise result
+    return result
 
 
 def iv_weighted_mean(data: MetaInput, tau2: float) -> WeightedFit:
@@ -110,73 +138,127 @@ def q_statistic(data: MetaInput, tau2: float) -> float:
     return float(_q_terms(data, tau2)[1].sum())
 
 
-def solve_q_equals(data: MetaInput, target: float) -> Tau2Result:
-    """Solve Q(tau2) = target for tau2 >= 0 on the strictly decreasing branch.
+def _row_fits(g: np.ndarray, v2: np.ndarray, tau2: np.ndarray):
+    """Weights, their sums, means and the terms w (g - mean)^2 of Q for the
+    rows of g, v2 (n, K) at tau2 (n,).  Sums along the contiguous last axis
+    equal the 1-D sums bit for bit."""
+    w = 1.0 / (v2 + tau2[:, None])
+    sum_w = w.sum(-1)
+    mean = (w * g).sum(-1) / sum_w
+    resid = g - mean[:, None]
+    return w, sum_w, mean, w * resid * resid
 
-    Returns tau2 = 0 with status "truncated_at_zero" when Q(0) <= target.
-    Otherwise doubles from min(max(1, Q(0) max v^2), 1e7) to a bracket, or
-    raises BracketCapExceeded past 1e7, and bisects until |Q - target| <= tol =
-    1e-8 target.  Midpoints, stop rule and result are plain bisection's, but Q
-    is evaluated only where monotonicity cannot decide: Newton on 1/Q and two
-    probes find a < b with computed Q(a) > target + tol + margin and Q(b) <
-    target - tol - margin, and midpoints <= a or >= b are passed.  A computed Q
-    is within rho Q + S0 e^2 of the exact one: rho = (K + 6) eps (weights, sum
-    of K nonnegative terms), e = (K + 1) eps max|g| (the mean), S0 = sum 1/v^2
-    >= sum w.  margin = 4 rho target + 2 S0 e^2.
+
+def solve_q_roots(g: np.ndarray, v2: np.ndarray, targets) -> list:
+    """Solve Q(tau2) = target on the rows of g, v2 (n, K), in lock-step;
+    returns per row a Tau2Result or the NonConvergenceError it ends in.
+
+    Each answer is plain bisection's: tau2 = 0 ("truncated_at_zero") when
+    Q(0) <= target; else doubling from min(max(1, Q(0) max v^2), 1e7) to a
+    bracket (BracketCapExceeded past 1e7) and bisection until |Q - target|
+    <= tol = 1e-8 target.  Up to 8 Newton steps on 1/Q from 0 and two probes
+    around the root find a < b with computed Q(a) > target + tol + margin
+    and Q(b) < target - tol - margin; doubling and bisection points <= a or
+    >= b are decided without Q.  A computed Q is within rho Q + S0 e^2 of
+    the exact one: rho = (K + 6) eps (weights, sum of K nonnegative terms),
+    e = (K + 1) eps max|g| (the mean), S0 = sum 1/v^2 >= sum w; margin =
+    4 rho target + 2 S0 e^2.  A round evaluates every row's next points in
+    one (n, K) call; the rows walk on floats.
     """
-    if not target > 0:
-        raise DomainError(f"target must be > 0, got {target}")
+    targets = [float(t) for t in targets]
+    for target in targets:
+        if not target > 0:
+            raise DomainError(f"target must be > 0, got {target}")
+    eps, k = np.finfo(float).eps, g.shape[1]
+    results, walks = [None] * len(targets), {}
+    with np.errstate(all="ignore"):
+        w, sum_w, _, terms = _row_fits(g, v2, np.zeros(len(targets)))
+        e_mean = (k + 1) * eps * np.abs(g).max(-1)
+        margins = 4.0 * (k + 6) * eps * np.array(targets) \
+            + 2.0 * sum_w * e_mean * e_mean
+        for i, (target, margin, q, dq, v2_max) in enumerate(zip(
+                targets, margins.tolist(), terms.sum(-1).tolist(),
+                (-(w * terms).sum(-1)).tolist(), v2.max(-1).tolist())):
+            if q <= target:
+                results[i] = Tau2Result(0.0, "truncated_at_zero")
+            else:
+                walks[i] = _walk(target, margin, q, dq,
+                                 min(max(1.0, q * v2_max), BRACKET_CAP))
+        asks = {i: next(walk) for i, walk in walks.items()}
+        while asks:
+            w, _, _, terms = _row_fits(
+                g[[i for i in asks for _ in asks[i]]],
+                v2[[i for i in asks for _ in asks[i]]],
+                np.array([t for points in asks.values() for t in points]))
+            values = zip(terms.sum(-1).tolist(),
+                         (-(w * terms).sum(-1)).tolist())
+            for i, points in list(asks.items()):
+                try:
+                    asks[i] = walks[i].send([next(values) for _ in points])
+                except StopIteration as stop:
+                    results[i] = stop.value
+                    del asks[i]
+    return results
+
+
+def _walk(target: float, margin: float, q: float, dq: float, hi: float):
+    """One row of solve_q_roots from Q(0) = q > target, of slope dq, and the
+    first doubling point hi: yields the points it needs Q at, is sent their
+    (Q, dQ) pairs, and returns its outcome."""
     tol = _REL_TOL * target
-    e_mean = (data.k + 1) * np.finfo(float).eps * data.max_abs_g
-    margin = 4.0 * (data.k + 6) * np.finfo(float).eps * target \
-        + 2.0 * data.q_terms_at_zero[0].sum_w * e_mean * e_mean
-    a, b = 0.0, BRACKET_CAP  # no midpoint reaches either
+    a, b = 0.0, math.inf  # proven: Q(a) above and Q(b) below target -+ tol
 
-    def evaluate(tau2: float) -> tuple[float, float]:
+    def prove(points, values):
         nonlocal a, b
-        fit, terms = _q_terms(data, tau2) if tau2 else data.q_terms_at_zero
-        q = float(terms.sum())
-        a = tau2 if q > target + tol + margin else a
-        b = tau2 if q < target - tol - margin else b
-        return q, -float((fit.weights * terms).sum())
-
-    q, dq = evaluate(0.0)
-    if q <= target:
-        return Tau2Result(0.0, "truncated_at_zero")
-
-    lo, hi = 0.0, min(max(1.0, q * float(data.v2.max())), BRACKET_CAP)
-    while (q_hi := evaluate(hi))[0] >= target:
-        lo, (q, dq) = hi, q_hi
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            raise BracketCapExceeded(
-                f"Q({BRACKET_CAP:g}) still >= target {target:g}")
+        for t, (qt, _) in zip(points, values):
+            if qt > target + tol + margin:
+                a = max(a, t)
+            elif qt < target - tol - margin:
+                b = min(b, t)
 
     # Newton on 1/Q from Q >= target does not overshoot where 1/Q is concave.
     # Its error squares: within 1e-4 target, probe at Q ~ target -+ 1.5 tol.
-    x = lo
+    x = 0.0
     for _ in range(8):
         if not dq < 0.0:
             break
         x_next = x + (target - q) / target * q / dq
         if abs(q - target) <= 1e-4 * target:
-            for probe in (x_next - 1.5 * tol / dq, x_next + 1.5 * tol / dq):
-                if a < probe < b:
-                    evaluate(probe)
+            probes = [t for t in (x_next - 1.5 * tol / dq,
+                                  x_next + 1.5 * tol / dq) if a < t < b]
+            if probes:
+                prove(probes, (yield probes))
             break
-        x = x_next if a < x_next < b else 0.5 * (a + b)
-        q, dq = evaluate(x)
+        top = min(b, BRACKET_CAP)
+        x = x_next if a < x_next < top else 0.5 * (a + top)
+        prove([x], values := (yield [x]))
+        (q, dq), = values
+
+    lo = 0.0
+    while not hi >= b:  # double while Q(hi) >= target
+        if not hi <= a:
+            prove([hi], values := (yield [hi]))
+            if not values[0][0] >= target:
+                break
+        lo, hi = hi, 2.0 * hi
+        if hi > BRACKET_CAP:
+            return BracketCapExceeded(
+                f"Q({BRACKET_CAP:g}) still >= target {target:g}")
 
     for it in range(1, _MAX_BISECT + 1):
         mid = 0.5 * (lo + hi)
+        above = mid <= a
         if a < mid < b:
-            q = evaluate(mid)[0]
-            if abs(q - target) <= tol:
+            prove([mid], values := (yield [mid]))
+            if abs(values[0][0] - target) <= tol:
                 return Tau2Result(mid, "interior", it)
-        if mid <= a or (mid < b and q > target):
-            lo = mid
-        else:
-            hi = mid
-    raise NonConvergenceError(
+            above = values[0][0] > target
+        lo, hi = (mid, hi) if above else (lo, mid)
+    return NonConvergenceError(
         f"bisection did not reach |Q - target| <= {tol:g} in {_MAX_BISECT} "
         f"steps; bracket [{lo:g}, {hi:g}]")
+
+
+def solve_q_equals(data: MetaInput, target: float) -> Tau2Result:
+    """`solve_q_roots` on one input and target; raises the failure."""
+    return _unwrap(solve_q_roots(data.g[None], data.v2[None], [target])[0])

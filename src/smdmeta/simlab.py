@@ -3,8 +3,10 @@ deterministic chunked replication, and bias/coverage/MSE metrics.
 
 Replicate streams are keyed by (seed, cell coordinates, replicate index)
 only, so results are bit-identical for a fixed seed no matter how the
-replications are chunked or scheduled.  Chunks return per-replicate arrays
-and all aggregation happens once, in global replicate order.
+replications are chunked or scheduled.  Each chunk is estimated as one
+MetaBatch, whose rows are bit-identical to one replicate at a time.
+Chunks return per-replicate arrays and all aggregation happens once, in
+global replicate order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import effect as eff
 from . import tau2 as t2
 from .numkernel import NonConvergenceError, RandomStream, derive_stream_id
-from .qstat import MetaInput
+from .qstat import MetaBatch, MetaInput, _outcome
 from .smd import sample_g
 
 DELTAS = (0.0, 0.2, 0.5, 1.0, 2.0)
@@ -175,34 +177,40 @@ def expand_grid(config: GridConfig, allow_custom: bool = False) -> list[SimCell]
 # One row per estimator, in run order: (failure name, kind, output name,
 # module, function, prerequisites).  A row's key is (kind, output name); its
 # prerequisites, keys of earlier rows, follow the data as arguments, then the
-# level on "_cover" rows.  Functions are looked up by name on each call, so a
-# patched module attribute (a tracing span, a test double) is what runs.
+# level on "_cover" rows and on the Q-root row, which solves every Q(tau^2) =
+# target of a replicate for the rows that read it.  A `*_batch` function
+# takes the MetaBatch and a list per prerequisite, and returns a result or
+# NonConvergenceError per replicate; the others take one MetaInput.
+# Functions are looked up by name on each call, so a patched module
+# attribute (a tracing span, a test double) is what runs.
+ROOTS = ("q_roots", "Q-roots")
 ESTIMATORS = (
-    ("DL", "tau2_est", "DL", t2, "tau2_dl", []),
-    ("MP", "tau2_est", "MP", t2, "tau2_mp", []),
+    ("DL", "tau2_est", "DL", t2, "tau2_dl_batch", []),
+    ("Q-roots", *ROOTS, t2, "q_roots_batch", []),
+    ("MP", "tau2_est", "MP", t2, "tau2_mp_batch", [ROOTS]),
     ("REML", "tau2_est", "REML", t2, "tau2_reml", [("tau2_est", "DL")]),
-    ("J", "tau2_est", "J", t2, "tau2_jackson", []),
-    ("KDB", "expected_q", "KDB", t2, "corrected_expected_q", []),
-    ("KDB", "tau2_est", "KDB", t2, "tau2_kdb", [("expected_q", "KDB")]),
-    ("QP", "tau2_cover", "QP", t2, "ci_qp", []),
+    ("J", "tau2_est", "J", t2, "tau2_jackson_batch", []),
+    ("KDB", "expected_q", "KDB", t2, "expected_q_batch", [ROOTS]),
+    ("KDB", "tau2_est", "KDB", t2, "tau2_kdb_batch", [ROOTS, ("expected_q", "KDB")]),
+    ("QP", "tau2_cover", "QP", t2, "ci_qp_batch", [ROOTS]),
     ("BJ", "tau2_cover", "BJ", t2, "ci_bj", []),
     ("J-interval", "tau2_cover", "J", t2, "ci_jackson", []),
     ("PL", "tau2_cover", "PL", t2, "ci_pl", [("tau2_est", "REML")]),
-    ("KDB-interval", "tau2_cover", "KDB", t2, "ci_kdb", [("expected_q", "KDB")]),
-    ("IV-DL", "delta_est", "IV-DL", eff, "effect_iv", [("tau2_est", "DL")]),
-    ("IV-MP", "delta_est", "IV-MP", eff, "effect_iv", [("tau2_est", "MP")]),
-    ("IV-REML", "delta_est", "IV-REML", eff, "effect_iv", [("tau2_est", "REML")]),
-    ("IV-J", "delta_est", "IV-J", eff, "effect_iv", [("tau2_est", "J")]),
-    ("IV-KDB", "delta_est", "IV-KDB", eff, "effect_iv", [("tau2_est", "KDB")]),
-    ("SSW", "delta_est", "SSW", eff, "effect_ssw", [("tau2_est", "KDB")]),
-    ("Z-DL", "delta_cover", "Z-DL", eff, "ci_z", [("delta_est", "IV-DL")]),
-    ("Z-MP", "delta_cover", "Z-MP", eff, "ci_z", [("delta_est", "IV-MP")]),
-    ("Z-REML", "delta_cover", "Z-REML", eff, "ci_z", [("delta_est", "IV-REML")]),
-    ("Z-J", "delta_cover", "Z-J", eff, "ci_z", [("delta_est", "IV-J")]),
-    ("Z-KDB", "delta_cover", "Z-KDB", eff, "ci_z", [("delta_est", "IV-KDB")]),
-    ("HKSJ", "delta_cover", "HKSJ", eff, "ci_hksj", [("delta_est", "IV-DL")]),
-    ("HKSJ-KDB", "delta_cover", "HKSJ-KDB", eff, "ci_hksj", [("delta_est", "IV-KDB")]),
-    ("SSW-KDB", "delta_cover", "SSW-KDB", eff, "ci_ssw_kdb", [("delta_est", "SSW")]),
+    ("KDB-interval", "tau2_cover", "KDB", t2, "ci_kdb_batch", [ROOTS, ("expected_q", "KDB")]),
+    ("IV-DL", "delta_est", "IV-DL", eff, "effect_iv_batch", [("tau2_est", "DL")]),
+    ("IV-MP", "delta_est", "IV-MP", eff, "effect_iv_batch", [("tau2_est", "MP")]),
+    ("IV-REML", "delta_est", "IV-REML", eff, "effect_iv_batch", [("tau2_est", "REML")]),
+    ("IV-J", "delta_est", "IV-J", eff, "effect_iv_batch", [("tau2_est", "J")]),
+    ("IV-KDB", "delta_est", "IV-KDB", eff, "effect_iv_batch", [("tau2_est", "KDB")]),
+    ("SSW", "delta_est", "SSW", eff, "effect_ssw_batch", [("tau2_est", "KDB")]),
+    ("Z-DL", "delta_cover", "Z-DL", eff, "ci_z_batch", [("delta_est", "IV-DL")]),
+    ("Z-MP", "delta_cover", "Z-MP", eff, "ci_z_batch", [("delta_est", "IV-MP")]),
+    ("Z-REML", "delta_cover", "Z-REML", eff, "ci_z_batch", [("delta_est", "IV-REML")]),
+    ("Z-J", "delta_cover", "Z-J", eff, "ci_z_batch", [("delta_est", "IV-J")]),
+    ("Z-KDB", "delta_cover", "Z-KDB", eff, "ci_z_batch", [("delta_est", "IV-KDB")]),
+    ("HKSJ", "delta_cover", "HKSJ", eff, "ci_hksj_batch", [("delta_est", "IV-DL")]),
+    ("HKSJ-KDB", "delta_cover", "HKSJ-KDB", eff, "ci_hksj_batch", [("delta_est", "IV-KDB")]),
+    ("SSW-KDB", "delta_cover", "SSW-KDB", eff, "ci_ssw_kdb_batch", [("delta_est", "SSW")]),
 )
 _OUTPUT_NAMES = {kind: tuple(row[2] for row in ESTIMATORS if row[1] == kind)
                  for kind in ("tau2_est", "tau2_cover", "delta_est",
@@ -210,31 +218,48 @@ _OUTPUT_NAMES = {kind: tuple(row[2] for row in ESTIMATORS if row[1] == kind)
 TAU2_POINT, TAU2_CI, DELTA_POINT, DELTA_CI = _OUTPUT_NAMES.values()
 
 
-def estimate_all(data: MetaInput, level: float = 0.95) -> tuple[dict, tuple]:
-    """Run every row of ESTIMATORS; returns (results, failures), results
+def estimate_all(data: MetaInput | MetaBatch, level: float = 0.95):
+    """Run every row of ESTIMATORS on one input, or on a batch at once;
+    returns (results, failures), or a list of them in batch order, results
     keyed by (kind, output name).
 
-    A row that raises NonConvergenceError is recorded in failures under its
-    failure name, never silently dropped, and has no result.  A row whose
-    prerequisite has no result is recorded as "prerequisite failed", unless
-    its failure name is already recorded (a failed corrected E[Q] is
+    A row that fails with NonConvergenceError is recorded in failures under
+    its failure name, never silently dropped, and has no result.  A row
+    whose prerequisite has no result is recorded as "prerequisite failed",
+    unless its failure name is already recorded (a failed corrected E[Q] is
     recorded once, as "KDB").
     """
-    results: dict[tuple[str, str], object] = {}
-    failures: list[tuple[str, str]] = []
+    batch = data if isinstance(data, MetaBatch) else MetaBatch((data,))
+    everyone = range(len(batch.inputs))
+    results: list[dict] = [{} for _ in everyone]
+    failures: list[list[tuple[str, str]]] = [[] for _ in everyone]
     for failure, kind, name, module, function, prereqs in ESTIMATORS:
-        if not all(key in results for key in prereqs):
-            if all(failure != failed for failed, _ in failures):
-                failures.append((failure, "prerequisite failed"))
+        ready = [i for i in everyone
+                 if all(key in results[i] for key in prereqs)]
+        for i in set(everyone) - set(ready):
+            if all(failure != failed for failed, _ in failures[i]):
+                failures[i].append((failure, "prerequisite failed"))
+        if not ready:
             continue
-        args = [results[key] for key in prereqs]
-        if kind.endswith("_cover"):
-            args.append(level)
-        try:
-            results[kind, name] = getattr(module, function)(data, *args)
-        except NonConvergenceError as exc:
-            failures.append((failure, str(exc)))
-    return results, tuple(failures)
+        args = [[results[i][key] for i in ready] for key in prereqs]
+        extra = (level,) if kind.endswith("_cover") or kind == ROOTS[0] else ()
+        fn = getattr(module, function)
+        if not function.endswith("_batch"):
+            outs = [_outcome(fn, batch.inputs[i], *row, *extra)
+                    for i, *row in zip(ready, *args)]
+        else:
+            try:
+                outs = fn(batch if len(ready) == len(everyone) else MetaBatch(
+                    tuple(batch.inputs[i] for i in ready)), *args, *extra)
+            except NonConvergenceError as exc:
+                outs = [exc] * len(ready)
+        for i, out in zip(ready, outs):
+            if isinstance(out, NonConvergenceError):
+                failures[i].append((failure, str(out)))
+            else:
+                results[i][kind, name] = out
+    pairs = [(done, tuple(failed)) for done, failed in zip(results, failures)]
+    return pairs if isinstance(data, MetaBatch) else pairs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +304,9 @@ def _run_chunk(cell: SimCell, rep_lo: int, rep_hi: int,
         fld: {m: np.full(n, np.nan) for m in names}
         for fld, names in _FIELDS.items()})
     truth = {"tau2_cover": cell.tau2, "delta_cover": cell.delta}
-    for idx in range(n):
-        results, failures = estimate_all(
-            simulate_meta_input(cell, rep_lo + idx), level)
+    batch = MetaBatch(tuple(simulate_meta_input(cell, rep_lo + idx)
+                            for idx in range(n)))
+    for idx, (results, failures) in enumerate(estimate_all(batch, level)):
         for (kind, name), res in results.items():
             if kind in truth:
                 getattr(raw, kind)[name][idx] = res.contains(truth[kind])

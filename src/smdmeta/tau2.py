@@ -10,6 +10,10 @@ Interval estimators: Q-profile (QP), the corrected Q-profile (KDB),
 Biggerstaff-Jackson (BJ) and Jackson (J) intervals based on the exact
 chi-square-mixture distribution of a fixed-weights Q, and the REML-based
 profile likelihood interval (PL).
+
+The `*_batch` functions are the battery's array code over a MetaBatch, one
+result or failure per replicate; the other estimators of the battery (REML,
+PL, BJ, J interval) take one MetaInput, and the rest are a batch of one.
 """
 
 from __future__ import annotations
@@ -32,10 +36,15 @@ from .numkernel import (
 from .qstat import (
     BRACKET_CAP,
     BracketCapExceeded,
+    MetaBatch,
     MetaInput,
     Tau2Result,
+    _outcome,
     _q_terms,
+    _row_fits,
+    _unwrap,
     solve_q_equals,
+    solve_q_roots,
 )
 from .smd import j_factor
 
@@ -77,16 +86,26 @@ class Tau2Interval:
 # point estimators
 # ---------------------------------------------------------------------------
 
-def tau2_dl(data: MetaInput) -> Tau2Result:
-    """DerSimonian-Laird moment estimator (closed form, truncated at zero)."""
-    fit, terms = data.q_terms_at_zero
-    denom = fit.sum_w - float((fit.weights * fit.weights).sum()) / fit.sum_w
-    if denom <= 0:
-        raise DomainError("degenerate DL denominator; needs K >= 2")
-    raw = (float(terms.sum()) - (data.k - 1)) / denom
+def _estimate(raw: float):
+    """A moment estimate truncated at zero, or the failure of an overflow."""
     if raw <= 0:
         return Tau2Result(0.0, "truncated_at_zero")
-    return Tau2Result(raw, "interior")
+    return _outcome(Tau2Result, raw, "interior")
+
+
+def tau2_dl_batch(batch: MetaBatch) -> list:
+    """DerSimonian-Laird moment estimator (closed form, truncated at zero)."""
+    w, sum_w, _, terms = _row_fits(batch.g, batch.v2,
+                                   np.zeros(len(batch.inputs)))
+    denom = sum_w - (w * w).sum(-1) / sum_w
+    raw = (terms.sum(-1) - (batch.k - 1)) / denom
+    if (denom <= 0).any():
+        raise DomainError("degenerate DL denominator; needs K >= 2")
+    return [_estimate(x) for x in raw.tolist()]
+
+
+def tau2_dl(data: MetaInput) -> Tau2Result:
+    return _unwrap(tau2_dl_batch(MetaBatch((data,)))[0])
 
 
 def tau2_mp(data: MetaInput) -> Tau2Result:
@@ -138,21 +157,23 @@ def tau2_reml(data: MetaInput, dl: Tau2Result) -> Tau2Result:
     return Tau2Result(t, "max_iter", _REML_MAX_ITER)
 
 
-def tau2_jackson(data: MetaInput) -> Tau2Result:
+def tau2_jackson_batch(batch: MetaBatch) -> list:
     """Jackson's moment estimator with fixed weights u_i = 1/v_i.
 
     With U = sum u and c_i = u_i - u_i^2/U, E[Q_gen] = sum c_i (v_i^2 + tau2),
     so tau2 is estimated by (Q_gen - sum c_i v_i^2) / sum c_i, truncated at 0.
     """
-    u = 1.0 / np.sqrt(data.v2)
-    big_u = float(u.sum())
-    gbar = float((u * data.g).sum()) / big_u
-    q_gen = float((u * (data.g - gbar) ** 2).sum())
-    c = u - u * u / big_u
-    raw = (q_gen - float((c * data.v2).sum())) / float(c.sum())
-    if raw <= 0:
-        return Tau2Result(0.0, "truncated_at_zero")
-    return Tau2Result(raw, "interior")
+    u = 1.0 / np.sqrt(batch.v2)
+    big_u = u.sum(-1)
+    gbar = (u * batch.g).sum(-1) / big_u
+    q_gen = (u * (batch.g - gbar[:, None]) ** 2).sum(-1)
+    c = u - u * u / big_u[:, None]
+    raw = (q_gen - (c * batch.v2).sum(-1)) / c.sum(-1)
+    return [_estimate(x) for x in raw.tolist()]
+
+
+def tau2_jackson(data: MetaInput) -> Tau2Result:
+    return _unwrap(tau2_jackson_batch(MetaBatch((data,)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +210,9 @@ for _m in range(2, _SERIES_DF_MIN - 2):
     _GAMMA_RATIO[_m + 2] = _GAMMA_RATIO[_m] * (_m - 1) / _m
 
 
-def _e_gj_psip(m, eff_n, jf, b, d: float) -> np.ndarray:
-    """E[g^j psi^p], j = 0..2, p = 1..4, as (S, 3, 4) from (S, 1, 1) args."""
+def _e_gj_psip(m, eff_n, jf, b, d) -> np.ndarray:
+    """E[g^j psi^p], j = 0..2, p = 1..4, as (..., S, 3, 4) from (S, 1, 1)
+    args and plug-in effects d that broadcast against them."""
     c = np.sqrt(eff_n) * d
     r = b * jf * jf * m
     half_c2r = 0.5 * c * c * r
@@ -201,10 +223,12 @@ def _e_gj_psip(m, eff_n, jf, b, d: float) -> np.ndarray:
     one_s = np.exp(-v)
     h = one_s + r * s
     f = np.exp(np.log(_LAGUERRE_W) + half_c2r * (v - s / h) - 1.5 * np.log(h))
-    f *= np.concatenate([h[:, :1], np.broadcast_to(c, h[:, 1:2].shape),
-                         1.0 + c * c * one_s[:, 2:] / h[:, 2:]], axis=1)
+    f *= np.concatenate([h[..., :1, :],
+                         np.broadcast_to(c, h[..., 1:2, :].shape),
+                         1.0 + c * c * one_s[..., 2:, :] / h[..., 2:, :]],
+                        axis=-2)
     powers = np.stack([np.ones_like(s), s, s * s, s * s * s], axis=-2)
-    integral = (powers @ f[..., None])[..., 0]  # (S, 3, 4): p - 1 = 0..3
+    integral = (powers @ f[..., None])[..., 0]  # (..., S, 3, 4): p - 1 = 0..3
     # pref (2a)^{-p} / beta_j, its gamma ratio as a rising factorial
     scale = ((jf * jf * m / (2.0 * eff_n)) ** (j / 2.0)
              * _GAMMA_RATIO[m.astype(int)] ** (j % 2))
@@ -247,73 +271,88 @@ def _psi_x_moments_series(m, eff_n, jf, b, d):
             for p, r in _MOMENT_KEYS]
 
 
-def _psi_moments(arm_sizes, d: float) -> np.ndarray:
-    """E[psi^p x^r] in _MOMENT_KEYS order, one row per (n_t, n_c) pair."""
-    sizes, study = np.unique(arm_sizes, axis=0, return_inverse=True)
-    n_t, n_c = sizes.T
+def _psi_moments(arm_sizes, d: np.ndarray) -> np.ndarray:
+    """E[psi^p x^r] in _MOMENT_KEYS order at the plug-in effects d (R,), as
+    (9, R, K) over the (n_t, n_c) pairs of arm_sizes, C-contiguous so that
+    sums over K are pairwise, as for one replicate."""
+    pairs = sorted(set(arm_sizes))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    n_t, n_c = np.array(pairs, dtype=float).T
     m = n_t + n_c - 2.0
     jf = np.array([j_factor(int(k)) for k in m])
     args = np.array([m, n_t * n_c / (n_t + n_c), jf,
                      1.0 - (m - 2) / (m * jf * jf)])
     series = m >= _SERIES_DF_MIN
-    raw = _e_gj_psip(*args[:, ~series, None, None], d)
-    out = np.empty((len(m), len(_MOMENT_KEYS)))
-    out[~series] = np.stack([sum(math.comb(r, j) * (-d) ** (r - j)
-                                 * raw[:, j, p - 1] for j in range(r + 1))
-                             for p, r in _MOMENT_KEYS], axis=1)
+    raw = _e_gj_psip(*args[:, ~series, None, None], d[:, None, None, None])
+    # sum_j C(r, j) (-d)^(r-j) E[g^j psi^p], added over j in order; (-d)^e
+    # as numpy scalars: the libm pow of Python floats, but inf, not
+    # OverflowError, past the float range (array powers differ in the ulp)
+    neg = np.array([[(-x) ** e for e in range(3)] for x in d])
+    p, r = np.array(_MOMENT_KEYS).T
+    moments = np.zeros(raw.shape[:-2] + (len(_MOMENT_KEYS),))
+    for j in range(3):
+        key = r >= j
+        coef = np.array([math.comb(k, j) for k in r[key]]) * neg[:, r[key] - j]
+        moments[..., key] += coef[:, None] * raw[..., j, p[key] - 1]
+    out = np.empty((len(d), len(m), len(_MOMENT_KEYS)))
+    out[:, ~series] = moments
     for i in np.flatnonzero(series):
-        out[i] = _psi_x_moments_series(*args[:, i].tolist(), d)
-    return out[study]
+        for t, x in enumerate(d):
+            out[t, i] = _psi_x_moments_series(*args[:, i].tolist(), x)
+    study = [index[pair] for pair in arm_sizes]
+    return np.ascontiguousarray(np.moveaxis(out[:, study], -1, 0))
 
 
-def corrected_expected_q(data: MetaInput, effect: float | None = None) -> float:
+def corrected_expected_q_batch(batch: MetaBatch, effect=None) -> list:
     """First moment of Q(0) corrected for the coupling between g and its
-    estimated-variance weight, evaluated at a plug-in common effect.
+    estimated-variance weight, evaluated at a plug-in common effect; per
+    replicate the value, or the failure of a non-finite or non-positive one.
 
     The plug-in defaults to the sample-size-weighted mean, which does not
-    depend on the estimated variances.  Tends to K - 1 as all n_i grow.
+    depend on the estimated variances; `effect` (R,) overrides it.  Tends to
+    K - 1 as all n_i grow.
 
     This is the homogeneity (tau^2 = 0) moment that Kulinskaya, Dollinger
     and Bjorkestol (2011, Biometrics 67:203) derive, so `tau2_kdb` and
     `ci_kdb` use the same value whatever tau^2 they test.
     """
     if effect is None:
-        effect = float((data.eff_n * data.g).sum() / data.eff_n.sum())
-    ep, er, es, e20, e21, e22, e31, e32, e42 = \
-        _psi_moments(data.arm_sizes, effect).T
-    var_r = e22 - er ** 2
-    cov_rp = e21 - er * ep
-    cov_r2p = e32 - e22 * ep
-    e_rp2 = e31 - 2.0 * ep * e21 + ep ** 2 * er
-    var_p = e20 - ep ** 2
-    t4 = e42 - 2.0 * ep * e32 + ep ** 2 * e22
-    w_tot = float(ep.sum())
-    a1 = float(er.sum())
-    v_r = float(var_r.sum())
-    e_n = v_r + a1 * a1
-    e_nd = float((cov_r2p + 2.0 * cov_rp * (a1 - er)).sum())
-    c_sum = float(cov_rp.sum())
-    c_sq = float((cov_rp ** 2).sum())
-    e_nd2 = float((t4 + 2.0 * e_rp2 * (a1 - er)
-                   + var_p * (v_r - var_r + (a1 - er) ** 2)).sum()) \
-        + 2.0 * (c_sum * c_sum - c_sq)
-    expected = float(es.sum()) - (e_n / w_tot - e_nd / w_tot ** 2
-                                  + e_nd2 / w_tot ** 3)
-    if not (math.isfinite(expected) and expected > 0):
-        raise NonConvergenceError(
-            f"corrected E[Q] came out non-positive ({expected}) at "
-            f"effect={effect}")
-    return expected
+        effect = (batch.eff_n * batch.g).sum(-1) / batch.eff_n.sum(-1)
+    with np.errstate(all="ignore"):
+        ep, er, es, e20, e21, e22, e31, e32, e42 = \
+            _psi_moments(batch.arm_sizes, effect)
+        var_r = e22 - er ** 2
+        cov_rp = e21 - er * ep
+        cov_r2p = e32 - e22 * ep
+        e_rp2 = e31 - 2.0 * ep * e21 + ep ** 2 * er
+        var_p = e20 - ep ** 2
+        t4 = e42 - 2.0 * ep * e32 + ep ** 2 * e22
+        w_tot = ep.sum(-1)
+        a1 = er.sum(-1)
+        v_r = var_r.sum(-1)
+        a1_er = a1[:, None] - er
+        e_n = v_r + a1 * a1
+        e_nd = (cov_r2p + 2.0 * cov_rp * a1_er).sum(-1)
+        c_sum = cov_rp.sum(-1)
+        e_nd2 = (t4 + 2.0 * e_rp2 * a1_er
+                 + var_p * (v_r[:, None] - var_r + a1_er ** 2)).sum(-1) \
+            + 2.0 * (c_sum * c_sum - (cov_rp ** 2).sum(-1))
+        w2, w3 = (np.array([x ** p for x in w_tot]) for p in (2, 3))
+        expected = es.sum(-1) - (e_n / w_tot - e_nd / w2 + e_nd2 / w3)
+    return [x if math.isfinite(x) and x > 0 else NonConvergenceError(
+                f"corrected E[Q] came out non-positive ({x}) at effect={d}")
+            for x, d in zip(expected.tolist(), effect.tolist())]
+
+
+def corrected_expected_q(data: MetaInput, effect: float | None = None) -> float:
+    return _unwrap(corrected_expected_q_batch(
+        MetaBatch((data,)), None if effect is None else np.array([effect]))[0])
 
 
 def tau2_kdb(data: MetaInput, expected_q: float) -> Tau2Result:
     """Corrected-moment estimator: solves Q(tau2) = expected_q, the value of
-    `corrected_expected_q(data)`.
-
-    The target is the tau^2-free homogeneity moment of Kulinskaya,
-    Dollinger and Bjorkestol (2011, Biometrics 67:203), used unchanged at
-    every tau^2 the root search visits.
-    """
+    `corrected_expected_q(data)`, the tau^2-free homogeneity moment used
+    unchanged at every tau^2 the root search visits."""
     return solve_q_equals(data, expected_q)
 
 
@@ -321,28 +360,76 @@ def tau2_kdb(data: MetaInput, expected_q: float) -> Tau2Result:
 # interval estimators
 # ---------------------------------------------------------------------------
 
-def _q_profile(data: MetaInput, level: float, df: float) -> Tau2Interval:
+def _profile_targets(df: float, level: float) -> list[float]:
+    """df, and the chi2_df quantiles whose roots are the Q-profile's lower
+    and upper endpoints."""
     alpha = 1.0 - level
-    flags: list[str] = []
-    lo = solve_q_equals(data, chisq_quantile(1.0 - alpha / 2.0, df)).value
-    try:
-        hi = solve_q_equals(data, chisq_quantile(alpha / 2.0, df)).value
-    except BracketCapExceeded:
-        hi = math.inf
-        flags.append("upper-beyond-cap")
-    return Tau2Interval(lo, hi, level, tuple(flags))
+    return [df, chisq_quantile(1.0 - alpha / 2.0, df),
+            chisq_quantile(alpha / 2.0, df)]
+
+
+def _q_profile(lo, hi, level: float):
+    """The Q-profile interval from its endpoint roots: a failed lower root
+    fails it, an upper root past the bracket cap makes it unbounded."""
+    if isinstance(hi, BracketCapExceeded) and isinstance(lo, Tau2Result):
+        return Tau2Interval(lo.value, math.inf, level, ("upper-beyond-cap",))
+    for root in (lo, hi):
+        if isinstance(root, NonConvergenceError):
+            return root
+    return Tau2Interval(lo.value, hi.value, level)
+
+
+def q_roots_batch(batch: MetaBatch, level: float) -> list[tuple]:
+    """Every Q(tau2) = target of each replicate in one `solve_q_roots` call:
+    K - 1 (MP) and the QP endpoints at df K - 1, the corrected E[Q] (KDB)
+    and the KDB interval's endpoints at df E[Q].  Per replicate: (E[Q], MP,
+    QP, KDB, KDB interval), each a result or its failure; the KDB ones are
+    absent where E[Q] failed."""
+    expected = corrected_expected_q_batch(batch)
+    rows, targets = [], []
+    for i, eq in enumerate(expected):
+        for df in [batch.k - 1.0, eq][:1 + isinstance(eq, float)]:
+            rows += [i] * 3
+            targets += _profile_targets(df, level)
+    roots = iter(solve_q_roots(batch.g[rows], batch.v2[rows], targets))
+    out = []
+    for eq in expected:
+        row = [eq]
+        for _ in range(1 + isinstance(eq, float)):
+            point, lo, hi = next(roots), next(roots), next(roots)
+            row += [point, _q_profile(lo, hi, level)]
+        out.append(tuple(row))
+    return out
+
+
+def _reader(entry: int):
+    def read(batch: MetaBatch, roots: list, *more) -> list:
+        return [r[entry] for r in roots]
+    return read
+
+
+# The battery's rows that read q_roots_batch, in its order; each takes the
+# roots as its first prerequisite.
+expected_q_batch, tau2_mp_batch, ci_qp_batch, tau2_kdb_batch, ci_kdb_batch = \
+    map(_reader, range(5))
+
+
+def _q_profile_of(data: MetaInput, df: float, level: float) -> Tau2Interval:
+    lo, hi = solve_q_roots(np.tile(data.g, (2, 1)), np.tile(data.v2, (2, 1)),
+                           _profile_targets(df, level)[1:])
+    return _unwrap(_q_profile(lo, hi, level))
 
 
 def ci_qp(data: MetaInput, level: float = 0.95) -> Tau2Interval:
     """Q-profile interval: inverts Q(tau2) at chi-squared(K-1) quantiles."""
-    return _q_profile(data, level, float(data.k - 1))
+    return _q_profile_of(data, float(data.k - 1), level)
 
 
 def ci_kdb(data: MetaInput, expected_q: float,
            level: float = 0.95) -> Tau2Interval:
     """Q-profile interval at fractional-df quantiles, df = expected_q, the
     value of `corrected_expected_q(data)`."""
-    return _q_profile(data, level, expected_q)
+    return _q_profile_of(data, expected_q, level)
 
 
 def _satterthwaite_roots(weights: np.ndarray, v2: np.ndarray, q_obs: float,
@@ -385,13 +472,22 @@ def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
     sum_w = float(weights.sum())
     gbar = float((weights * data.g).sum()) / sum_w
     q_obs = float((weights * (data.g - gbar) ** 2).sum())
+    if not math.isfinite(q_obs):
+        raise NonConvergenceError(f"fixed-weight Q is {q_obs}")
     if q_obs <= 0.0:
         return Tau2Interval(0.0, 0.0, level, ("degenerate",))
     known: dict[float, float] = {}
 
     def cdf_at(tau2: float) -> float:
         if tau2 not in known:
-            known[tau2] = mixture_cdf(q_obs, coefficients(tau2), tol=_MIX_TOL)
+            try:
+                lam = coefficients(tau2)
+            except np.linalg.LinAlgError:  # from a matrix that overflowed
+                lam = np.array([math.nan])
+            if not np.isfinite(lam).all():
+                raise NonConvergenceError(
+                    f"mixture coefficients at tau2 = {tau2:g} overflowed")
+            known[tau2] = mixture_cdf(q_obs, lam, tol=_MIX_TOL)
         return known[tau2]
 
     f_at_zero = cdf_at(0.0)

@@ -1,0 +1,278 @@
+"""The replicate-batched battery against the scalar oracle in oracles.py:
+values, statuses, iteration counts, flags and failures bit for bit, at any
+batch size."""
+
+import contextlib
+import dataclasses
+import io
+import math
+
+import numpy as np
+import pytest
+
+import oracles
+from smdmeta import effect, qstat, simlab, tau2
+from smdmeta.cli import main
+from smdmeta.numkernel import NonConvergenceError
+from smdmeta.qstat import (
+    BRACKET_CAP,
+    BracketCapExceeded,
+    MetaBatch,
+    MetaInput,
+    q_statistic,
+    solve_q_roots,
+)
+from smdmeta.simlab import SimCell, simulate_meta_input
+from smdmeta.smd import Study, g_variance
+
+
+def key(obj):
+    """Everything an outcome holds, floats and arrays by their bits."""
+    if isinstance(obj, NonConvergenceError):
+        return type(obj).__name__, str(obj)
+    if isinstance(obj, float):
+        return float(obj).hex()
+    if isinstance(obj, np.ndarray):
+        return obj.tobytes()
+    if isinstance(obj, (tuple, list)):
+        return tuple(key(x) for x in obj)
+    if isinstance(obj, dict):
+        return {k: key(v) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj):
+        return tuple(key(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return obj
+
+
+def oracle(fn, *args):
+    try:
+        return fn(*args)
+    except NonConvergenceError as exc:
+        return exc
+
+
+def meta(gs, v2s, sizes=None):
+    sizes = sizes or [(10, 10)] * len(gs)
+    return MetaInput(tuple(Study(a, b, float(g), float(v))
+                           for (a, b), g, v in zip(sizes, gs, v2s)))
+
+
+def solver_input(rng, k, kind):
+    """One input of K studies: ordinary, stress (wide g and v^2), or
+    extreme (equal huge g, v^2 over 600 decades: Q is all rounding noise,
+    and bisection runs out of steps)."""
+    if kind == "ordinary":
+        return meta(rng.standard_normal(k) * rng.uniform(0.3, 3.0),
+                    rng.uniform(0.1, 3.0, k))
+    if kind == "stress":
+        loc = rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-2.0, 2.7)
+        return meta(loc + 10 ** rng.uniform(-3.0, 2.7) * rng.uniform(-1, 1, k),
+                    10 ** rng.uniform(-2.0, 2.0, k) * 10 ** rng.uniform(-1, 1))
+    return meta(np.full(k, -8.038537714388613e+143),
+                10 ** rng.uniform(-300.0, 300.0, k))
+
+
+def solver_targets(data, rng):
+    q0, q_cap = q_statistic(data, 0.0), q_statistic(data, BRACKET_CAP)
+    targets = [data.k - 1.0, 1.5 * q0, q0 * rng.uniform(0.05, 0.95),
+               q0 * (1.0 - 1e-9), 0.5 * q_cap, 2.0 * q_cap]
+    return [t for t in targets if t > 0.0 and math.isfinite(t)]
+
+
+class TestSolveQRoots:
+    @pytest.mark.parametrize("r", [1, 5, 37])
+    def test_matches_scalar_oracle(self, r):
+        rng = np.random.default_rng(r)
+        outcomes = set()
+        for trial in range(12 if r < 37 else 4):
+            k = int(rng.choice([2, 3, 5, 10, 30]))
+            kinds = rng.choice(["ordinary", "stress", "extreme"], r,
+                               p=[0.45, 0.45, 0.1])
+            inputs = [solver_input(rng, k, kind) for kind in kinds]
+            rows = [(d, t) for d in inputs for t in solver_targets(d, rng)]
+            got = solve_q_roots(np.array([d.g for d, _ in rows]),
+                                np.array([d.v2 for d, _ in rows]),
+                                [t for _, t in rows])
+            for (data, target), out in zip(rows, got):
+                expected = oracle(oracles.solve_q_equals, data, target)
+                assert key(out) == key(expected), (data, target)
+                outcomes.add(getattr(out, "status", type(out)))
+        assert outcomes == {"interior", "truncated_at_zero",
+                            BracketCapExceeded, NonConvergenceError}
+
+    def test_few_q_evaluations_for_far_roots(self, monkeypatch):
+        # targets Q(1e5) to Q(1e7): doubling from max(1, Q(0) max v^2) used
+        # to evaluate Q at every doubling point, 22.6 evaluations per solve
+        evaluations = [0]
+        original = qstat._row_fits
+
+        def counted(g, v2, tau2):
+            evaluations[0] += len(tau2)
+            return original(g, v2, tau2)
+
+        monkeypatch.setattr(qstat, "_row_fits", counted)
+        rng = np.random.default_rng(2024)
+        solves = 0
+        for _ in range(100):
+            data = solver_input(rng, int(rng.choice([2, 3, 5, 10, 30])),
+                                "stress")
+            for t in 10 ** rng.uniform(5.0, 7.0, 3):
+                before = evaluations[0]
+                out = solve_q_roots(data.g[None], data.v2[None],
+                                    [q_statistic(data, t)])[0]
+                if getattr(out, "status", None) != "interior":
+                    evaluations[0] = before
+                    continue
+                solves += 1
+        assert solves > 200
+        assert evaluations[0] / solves <= 8.0
+
+
+def batch_of(sizes, rng, r, d):
+    inputs = []
+    for _ in range(r):
+        gs = d + 0.4 * rng.standard_normal(len(sizes))
+        inputs.append(MetaInput(tuple(Study(a, b, float(g), g_variance(g, a, b))
+                                      for (a, b), g in zip(sizes, gs))))
+    return MetaBatch(tuple(inputs))
+
+
+# below m = 1000 (Laguerre rule), at and above it (series), and both mixed
+SIZE_SETS = [[(10, 10)] * 5, [(6, 14), (12, 9), (30, 31), (6, 14)],
+             [(600, 700), (900, 950)], [(500, 600), (10, 12), (480, 490)]]
+
+
+class TestBatchedRows:
+    @pytest.mark.parametrize("r", [1, 5])
+    @pytest.mark.parametrize("sizes", SIZE_SETS)
+    def test_point_and_effect_rows_match_scalar_oracle(self, r, sizes):
+        rng = np.random.default_rng(len(sizes) * r)
+        for d in (0.0, 0.7, -2.5):
+            batch = batch_of(sizes, rng, r, d)
+            level = 0.9 if d < 0 else 0.95
+            dl = tau2.tau2_dl_batch(batch)
+            roots = tau2.q_roots_batch(batch, level)
+            kdb = tau2.tau2_kdb_batch(batch, roots)
+            ivs = effect.effect_iv_batch(batch, dl)
+            ssws = effect.effect_ssw_batch(batch, kdb)
+            got = [tau2.tau2_jackson_batch(batch),
+                   tau2.corrected_expected_q_batch(batch),
+                   tau2.tau2_mp_batch(batch, roots), kdb,
+                   tau2.ci_qp_batch(batch, roots, level),
+                   tau2.ci_kdb_batch(batch, roots, None, level),
+                   dl, ivs, ssws, effect.ci_z_batch(batch, ivs, level),
+                   effect.ci_hksj_batch(batch, ivs, level),
+                   effect.ci_ssw_kdb_batch(batch, ssws, level)]
+            for i, data in enumerate(batch.inputs):
+                eq = oracles.corrected_expected_q(data)
+                o_dl = oracles.tau2_dl(data)
+                o_kdb = oracles.tau2_kdb(data, eq)
+                o_iv = oracles.effect_iv(data, o_dl)
+                o_ssw = oracles.effect_ssw(data, o_kdb)
+                expected = [
+                    oracles.tau2_jackson(data), eq, oracles.tau2_mp(data),
+                    o_kdb, oracle(oracles.ci_qp, data, level),
+                    oracle(oracles.ci_kdb, data, eq, level), o_dl, o_iv,
+                    o_ssw, oracles.ci_z(data, o_iv, level),
+                    oracles.ci_hksj(data, o_iv, level),
+                    oracles.ci_ssw_kdb(data, o_ssw, level)]
+                assert key([row[i] for row in got]) == key(expected)
+
+    def test_adapters_are_a_batch_of_one(self):
+        rng = np.random.default_rng(7)
+        for sizes in SIZE_SETS:
+            data = batch_of(sizes, rng, 1, 0.4).inputs[0]
+            eq = oracles.corrected_expected_q(data)
+            assert key(tau2.corrected_expected_q(data)) == key(eq)
+            assert key(tau2.ci_kdb(data, eq)) == key(oracles.ci_kdb(data, eq))
+            assert key(tau2.ci_qp(data)) == key(oracles.ci_qp(data))
+            assert key(effect.ssw_variance(data, 0.3)) \
+                == key(oracles.ssw_variance(data, 0.3))
+
+
+CELLS = [SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=6, chunks=1, seed=3),
+         SimCell(1.0, 2.0, 10, "unequal", 30, 0.75, reps=6, chunks=1, seed=3),
+         SimCell(0.0, 0.0, 5, "unequal", 160, 0.5, reps=6, chunks=1, seed=3)]
+
+
+class TestEstimateAllBatch:
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_chunk_as_one_batch_matches_each_replicate(self, cell):
+        inputs = [simulate_meta_input(cell, i) for i in range(cell.reps)]
+        batched = simlab.estimate_all(MetaBatch(tuple(inputs)))
+        for data, pair in zip(inputs, batched):
+            assert key(pair) == key(simlab.estimate_all(data))
+            results, failures = pair
+            o_results, o_failures = oracles.estimate_all(data)
+            assert failures == o_failures
+            assert {k: key(v) for k, v in results.items()
+                    if k[0] not in ("q_roots", "expected_q")} \
+                == {k: key(v) for k, v in o_results.items()
+                    if k[0] != "expected_q"}
+            assert key(results["expected_q", "KDB"]) \
+                == key(o_results["expected_q", "KDB"])
+
+    def test_failures_stay_with_their_replicate(self):
+        # one replicate's overflowing input fails its own rows only
+        ok = meta([0.1, 0.9, -0.4], [0.2, 0.3, 0.25])
+        bad = meta([1e200, -1e200, 0.0], [1.0, 1.0, 1.0])
+        batched = simlab.estimate_all(MetaBatch((ok, bad, ok)))
+        assert key(batched[0]) == key(batched[2]) \
+            == key(simlab.estimate_all(ok))
+        assert batched[0][1] == ()
+        assert key(batched[1]) == key(simlab.estimate_all(bad))
+        assert batched[1][1][:2] == (("DL", "tau^2 estimate is inf"),
+                                     ("MP", "Q(1e+07) still >= target 2"))
+
+    def test_batch_needs_shared_arm_sizes(self):
+        with pytest.raises(Exception, match="same arm sizes"):
+            MetaBatch((meta([0.0, 1.0], [1.0, 1.0]),
+                       meta([0.0, 1.0], [1.0, 1.0], [(10, 10), (5, 6)])))
+
+
+def analyze(tmp_path, rows):
+    path = tmp_path / "in.csv"
+    path.write_text("study_id,n_t,n_c,g,var_g\n" + "".join(
+        f"s{i},{n_t},{n_c},{g!r},{v!r}\n"
+        for i, (n_t, n_c, g, v) in enumerate(rows)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExtremeInputs:
+    def test_overflowing_corrected_expected_q_fails_kdb(self, tmp_path):
+        rows = [(10, 10, g, 1.23e-72) for g in (-3.07e-172, 3.84e204, 0.0)]
+        code, out, err = analyze(tmp_path, rows)
+        assert code == 4 and "did not converge" in err
+        assert "  KDB: corrected E[Q] came out non-positive (nan)" in out
+
+    def test_overflowing_fixed_weight_q_fails_bj_and_j_rows(self, tmp_path):
+        rows = [(10, 10, g, 1.0) for g in (1e200, -1e200, 0.0)]
+        code, out, err = analyze(tmp_path, rows)
+        assert code == 4 and "did not converge" in err
+        assert "  BJ: fixed-weight Q is inf\n" in out
+        assert "  J-interval: fixed-weight Q is inf\n" in out
+        assert "  QP: Q(1e+07) still >= target" in out
+
+    def test_seeded_fuzz_ends_with_documented_exit_codes(self, tmp_path):
+        # K 2-5, |g| up to 1e307, var_g from 1e-300 to 1e308 (one value per
+        # input, or one per study), arms of 2 to 3000
+        rng = np.random.default_rng(11)
+        codes = []
+        for _ in range(300):
+            k = int(rng.integers(2, 6))
+            shared = 10 ** rng.uniform(-300.0, 308.0)
+            rows = []
+            for _ in range(k):
+                g = float(rng.choice([-1.0, 1.0])
+                          * 10 ** rng.uniform(-300.0, 307.0))
+                if rng.uniform() < 0.3:
+                    g = float(rng.standard_normal())
+                v = shared if rng.uniform() < 0.7 \
+                    else 10 ** rng.uniform(-300.0, 308.0)
+                n_t, n_c = (int(x) for x in rng.choice([2, 5, 10, 600, 3000], 2))
+                rows.append((n_t, n_c, g, float(v)))
+            codes.append(analyze(tmp_path, rows)[0])
+        assert set(codes) <= {0, 2, 3, 4}
+        assert codes.count(4) > 100

@@ -274,14 +274,22 @@ class TestSolverMatchesPlainBisection:
             outcome(reference_solve_q_equals, data, target)
 
     def test_few_q_evaluations_per_solve(self, monkeypatch):
+        # the reference evaluates Q through iv_weighted_mean, the solver
+        # through _row_fits, one row per Q value
         evaluations = [0]
         original = qstat.iv_weighted_mean
+        original_rows = qstat._row_fits
 
         def counted(data, tau2):
             evaluations[0] += 1
             return original(data, tau2)
 
+        def counted_rows(g, v2, tau2):
+            evaluations[0] += len(tau2)
+            return original_rows(g, v2, tau2)
+
         monkeypatch.setattr(qstat, "iv_weighted_mean", counted)
+        monkeypatch.setattr(qstat, "_row_fits", counted_rows)
         mean_evaluations = {}
         for solve in (solve_q_equals, reference_solve_q_equals):
             evaluations[0] = solves = 0

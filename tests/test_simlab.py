@@ -147,7 +147,7 @@ class TestEstimateAll:
 
     def test_interval_failures_are_named_apart(self, monkeypatch):
         monkeypatch.setattr(t2, "ci_jackson", _fail)
-        monkeypatch.setattr(t2, "ci_kdb", _fail)
+        monkeypatch.setattr(t2, "ci_kdb_batch", _fail)
         data = simulate_meta_input(
             SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
         results, failures = estimate_all(data)
@@ -157,7 +157,7 @@ class TestEstimateAll:
         assert _names(results, "tau2_cover") == {"QP", "BJ", "PL"}
 
     def test_failed_prerequisite_fails_its_dependents(self, monkeypatch):
-        monkeypatch.setattr(t2, "corrected_expected_q", _fail)
+        monkeypatch.setattr(t2, "expected_q_batch", _fail)
         data = simulate_meta_input(
             SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
         results, failures = estimate_all(data)
@@ -212,7 +212,7 @@ class TestEstimateAll:
         estimate_all(data)
         expected = collections.Counter(row[4] for row in simlab.ESTIMATORS)
         assert calls == expected
-        assert calls["effect_iv"] == 5 and calls["effect_ssw"] == 1
+        assert calls["effect_iv_batch"] == 5 and calls["effect_ssw_batch"] == 1
 
     def test_prerequisites_are_earlier_rows(self):
         keys = set()

@@ -268,14 +268,14 @@ class TestCorrectedExpectedQOracle:
 
     def test_array_assembly_matches_per_study_loop(self, monkeypatch):
         # the oracle reads the rows the batched moment function returned for
-        # the same call; its m >= 1000 moments come from the hand-expanded
-        # table instead
+        # the same call (a batch of one: (9, 1, K)); its m >= 1000 moments
+        # come from the hand-expanded table instead
         batched = tau2._psi_moments
         rows = {}
 
         def moments(arm_sizes, d):
             out = batched(arm_sizes, d)
-            rows.update(zip(arm_sizes, out))
+            rows.update(zip(arm_sizes, out[:, 0].T))
             return out
 
         monkeypatch.setattr(tau2, "_psi_moments", moments)
