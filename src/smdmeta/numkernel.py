@@ -7,8 +7,10 @@ streams are implemented locally.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from hashlib import blake2b
 
@@ -31,6 +33,21 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, error_bound: float | None = None):
         super().__init__(message)
         self.error_bound = error_bound
+
+
+def _outcome(make, *args):
+    """make(*args), or the NonConvergenceError it raised: batches return one
+    result or failure per replicate."""
+    try:
+        return make(*args)
+    except NonConvergenceError as exc:
+        return exc
+
+
+def _unwrap(result):
+    if isinstance(result, NonConvergenceError):
+        raise result
+    return result
 
 
 _U64 = 2**64
@@ -84,6 +101,18 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
+def symmetric_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each symmetric matrix of a stack (..., K, K),
+    each as if alone; NaN for a matrix that is not finite, whose LAPACK
+    answer is not reliable and can fail the whole stack."""
+    finite = np.isfinite(mats).all((-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(mats)
+    out = np.full(mats.shape[:-1], np.nan)
+    out[finite] = np.linalg.eigvalsh(mats[finite])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # random streams
 # ---------------------------------------------------------------------------
@@ -126,50 +155,91 @@ def derive_stream_id(*parts: int | float | str) -> int:
 # chi-square mixtures:  P(sum_i lambda_i chi2_1 <= x)
 # ---------------------------------------------------------------------------
 
+# sum_in_order(floats, 0) adds one after another.  sum() does up to Python
+# 3.11; from 3.12 on it compensates, which would move the bits.  reduce adds
+# in order on every version, but made the series 20-30% slower than sum()
+# on 3.11 (x86-64), so it runs only where sum() no longer can
+_sum_in_order = sum if sys.version_info < (3, 12) \
+    else functools.partial(functools.reduce, operator.add)
+
 _RUBEN_BLOCK = 32      # power sums computed per block of series terms
 _RUBEN_PY_TERMS = 40   # recurrence on Python floats up to this many terms
 _RUBEN_BOUND_EVERY = 8  # terms between checks of the sharper tail bound
+_RUBEN_POWERS = np.arange(1.0, _RUBEN_BLOCK + 1)  # of the first block
+# j of the F_{nu+2j}(y) in the bound checks at k = j - 1 <= _RUBEN_PY_TERMS
+_RUBEN_CHECKS = np.arange(_RUBEN_BOUND_EVERY + 1.0, _RUBEN_PY_TERMS + 2,
+                          _RUBEN_BOUND_EVERY)
 
 
-def _ruben_cdf(x: float, lam: np.ndarray, tol: float, max_terms: int):
-    """Ruben's central chi-square series with a certified truncation bound.
+def _ruben_cdf(x, lam: np.ndarray, tol: float, max_terms: int):
+    """Ruben's central chi-square series with a certified truncation bound, on
+    the rows of lam (M, nu) at x (M,), or on one vector lam at x.
 
-    Returns (p, bound) or None when max_terms is not enough.  With the scale
-    set to min(lam) all series coefficients are nonnegative and sum to one:
-    1 - sum(a_k) bounds the tail, and so does (1 - sum(a_k)) F_{nu+2k+2}(y).
+    Returns per row (p, bound), or None when max_terms is not enough.  With
+    the scale set to min(lam) all series coefficients are nonnegative and
+    sum to one: 1 - sum(a_k) bounds the tail, and so does (1 - sum(a_k))
+    F_{nu+2k+2}(y).  The log-sums, the first block of power sums and the
+    F_{nu+2j}(y) of the bounds and of the sum are array code over all rows;
+    each row runs the recurrence on its own, as a row alone would.
     """
-    beta = lam.min()
-    nu = lam.size
-    half_y = 0.5 * x / beta  # y / 2, y = x / beta
-    t = 1.0 - (ratio := beta / lam)
-    a_rev = np.empty(max_terms + 1)  # a_k at [max_terms - k]: dots run forward
-    g = np.empty(max_terms + 1)
-    a_rev[max_terms] = asum = math.exp(0.5 * float(np.log(ratio).sum()))
-    a_list, g_list = [asum], []
-    for k in range(1, max_terms + 1):
-        if k > len(g_list):
-            # power sums g_k = sum t^k for a whole block of k in one call
-            end = min(k + _RUBEN_BLOCK, max_terms + 1)
-            g[k:end] = np.power.outer(t, np.arange(k, end)).sum(axis=0)
-            g_list += g[k:end].tolist()
-        # a_k = sum_i g_i a_{k-i} / 2k: Python floats while short, BLAS after
-        if k <= _RUBEN_PY_TERMS:
-            ak = sum(map(operator.mul, g_list, reversed(a_list))) / (2.0 * k)
+    if lam.ndim == 1:
+        return _ruben_cdf(np.array([x]), lam[None], tol, max_terms)[0]
+    nu = lam.shape[1]
+    beta = lam.min(-1)
+    half_ys = 0.5 * x / beta  # y / 2, y = x / beta
+    ts = 1.0 - (ratio := beta[:, None] / lam)
+    first = _RUBEN_POWERS[:max_terms]
+    f_checks = gammainc(0.5 * nu + _RUBEN_CHECKS, half_ys[:, None]).tolist()
+    sum_in_order, mul = _sum_in_order, operator.mul
+    half_tol, every, py_terms = 0.5 * tol, _RUBEN_BOUND_EVERY, _RUBEN_PY_TERMS
+    stops = []
+    for t, half_y, log_a0, g_list, f_check in zip(
+            ts, half_ys.tolist(), (0.5 * np.log(ratio).sum(-1)).tolist(),
+            np.power(ts[:, :, None], first).sum(1).tolist(), f_checks):
+        a_list, g = [asum := math.exp(log_a0)], None
+        for k in range(1, max_terms + 1):
+            if k > len(g_list):
+                if g is None:  # a long series: the power sums in an array too
+                    g = np.empty(max_terms + 1)
+                    g[1:k] = g_list
+                # power sums g_k = sum t^k for a whole block of k in one call
+                end = min(k + _RUBEN_BLOCK, max_terms + 1)
+                g[k:end] = np.power.outer(t, np.arange(k, end)).sum(axis=0)
+                g_list += g[k:end].tolist()
+            # a_k = sum_i g_i a_{k-i} / 2k: Python floats first, BLAS after
+            if k <= py_terms:
+                ak = sum_in_order(map(mul, g_list, reversed(a_list)), 0) \
+                    / (2.0 * k)
+            else:
+                if k == py_terms + 1:  # a_k at [max_terms - k]
+                    a_rev = np.empty(max_terms + 1)
+                    a_rev[max_terms - k + 1:] = a_list[::-1]
+                ak = float(g[1:k + 1] @ a_rev[max_terms - k + 1:]) / (2.0 * k)
+                a_rev[max_terms - k] = ak
             a_list.append(ak)
+            asum += ak
+            # every few terms the sharper bound too, as F_{nu+2j}(y) falls
+            if 1.0 - asum <= half_tol or k % every == 0 and (1.0 - asum) * (
+                    f_check[k // every - 1] if k <= py_terms
+                    else gammainc(0.5 * nu + k + 1, half_y)) <= half_tol:
+                stops.append((k, asum, a_list))
+                break
         else:
-            ak = float(g[1:k + 1] @ a_rev[max_terms - k + 1:]) / (2.0 * k)
-        a_rev[max_terms - k] = ak
-        asum += ak
-        # every few terms the sharper bound too, as F_{nu+2j}(y) falls with j
-        if 1.0 - asum <= 0.5 * tol or k % _RUBEN_BOUND_EVERY == 0 and (
-                (1.0 - asum) * gammainc(0.5 * nu + k + 1, half_y) <= 0.5 * tol):
-            break
-    else:
-        return None
-    p = float(np.dot(a_rev[max_terms - k:],
-                     gammainc(0.5 * nu + np.arange(k, -1, -1), half_y)))
-    bound = (1.0 - asum) * float(gammainc(0.5 * nu + k + 1, half_y))
-    return min(1.0, p + 0.5 * bound), 0.5 * bound
+            stops.append(None)
+    # F_{nu+2j}(y) for j = k_max + 1, ..., 1, 0 of every row, in one call
+    k_max = max([stop[0] for stop in stops if stop], default=0)
+    f_rows = gammainc(0.5 * nu + np.arange(k_max + 1.0, -1.0, -1.0),
+                      half_ys[:, None])
+    out = []
+    for stop, f in zip(stops, f_rows):
+        if stop is None:
+            out.append(None)
+            continue
+        k, asum, a_list = stop
+        p = float(np.dot(np.array(a_list[::-1]), f[k_max - k + 1:]))
+        bound = (1.0 - asum) * float(f[k_max - k])
+        out.append((min(1.0, p + 0.5 * bound), 0.5 * bound))
+    return out
 
 
 def _imhof_cdf(x: float, lam: np.ndarray, tol: float):
@@ -182,7 +252,6 @@ def _imhof_cdf(x: float, lam: np.ndarray, tol: float):
     log_prod = 0.5 * float(np.log(lam).sum())
     # |tail beyond U| <= (1/pi) (2/k) U^{-k/2} / prod(lam)^{1/2}
     log_u = (2.0 / k) * (math.log(2.0 / (k * math.pi * 0.5 * tol)) - log_prod)
-    upper = math.exp(log_u)
 
     def integrand(u: float) -> float:
         if u == 0.0:
@@ -191,8 +260,11 @@ def _imhof_cdf(x: float, lam: np.ndarray, tol: float):
         log_rho = 0.25 * float(np.log1p((lam * u) ** 2).sum())
         return math.sin(theta) / (u * math.exp(log_rho))
 
-    val, abserr = quad(integrand, 0.0, upper, epsabs=0.25 * tol * math.pi,
-                       limit=3000)
+    try:  # an infinite x u or lam u: sin and exp raise
+        val, abserr = quad(integrand, 0.0, math.exp(log_u),
+                           epsabs=0.25 * tol * math.pi, limit=3000)
+    except (ValueError, OverflowError):
+        return None
     bound = abserr / math.pi + 0.5 * tol
     if bound > tol:
         return None
@@ -213,23 +285,40 @@ def mixture_cdf(x: float, coefficients, tol: float = 1e-6) -> float:
     if not (math.isfinite(x) and 0.0 <= lo and 0.0 < hi < math.inf):
         raise DomainError(f"mixture needs a finite x and finite coefficients "
                           f">= 0, not all 0; got x={x}, range [{lo}, {hi}]")
-    if lo == 0.0:
-        lam = lam[lam > 0.0]
-        lo = lam.min()
-    if x <= 0.0:
-        return 0.0
-    if lam.size == 1:
-        return chisq_cdf(x / lam[0], 1.0)
-    if hi - lo <= 1e-12 * lam[0]:
-        return chisq_cdf(x / lam.mean(), float(lam.size))
-    res = _ruben_cdf(x, lam, tol, max_terms=8000)
-    if res is not None:
-        return res[0]
-    res = _imhof_cdf(x, lam, tol)
-    if res is not None:
-        return res[0]
-    raise NonConvergenceError(
-        f"mixture_cdf could not certify tol={tol} for {lam.size} coefficients "
-        f"with spread {lam.max() / lam.min():.3g}",
-        error_bound=tol * 4,
-    )
+    return _unwrap(mixture_cdfs(np.array([float(x)]), lam[lam > 0.0][None],
+                                tol)[0])
+
+
+def mixture_cdfs(x: np.ndarray, lam: np.ndarray, tol: float = 1e-6) -> list:
+    """`mixture_cdf` at each finite x (M,) of the matching row of lam
+    (M, nu): per row the CDF, the NonConvergenceError it ends in, or the
+    DomainError of coefficients that `mixture_cdf` rejects.  The rows of
+    distinct positive coefficients run Ruben's series together, a row it
+    does not certify goes on to Imhof's inversion, and the rest are one
+    closed form each."""
+    rows = list(zip(x.tolist(), lam, lam.min(-1).tolist(),
+                    lam.max(-1).tolist(), lam[:, 0].tolist()))
+    series = [i for i, (x, _, lo, hi, first) in enumerate(rows)
+              if 0.0 < lo and hi < math.inf and hi - lo > 1e-12 * first
+              and x > 0.0]
+    ruben = dict(zip(series, _ruben_cdf(
+        x if len(series) == len(rows) else x[series],
+        lam if len(series) == len(rows) else lam[series], tol, 8000)
+        if series else ()))
+    out = []
+    for i, (x, lam, lo, hi, _) in enumerate(rows):
+        if i in ruben:
+            res = ruben[i] or _imhof_cdf(x, lam, tol)
+            out.append(res[0] if res else NonConvergenceError(
+                f"mixture_cdf could not certify tol={tol} for {lam.size} "
+                f"coefficients with spread {lam.max() / lam.min():.3g}",
+                error_bound=tol * 4))
+        elif not (0.0 <= lo and 0.0 < hi < math.inf):  # NaN fails both
+            out.append(DomainError(f"coefficients range [{lo}, {hi}]"))
+        elif lo == 0.0:
+            out.append(_outcome(mixture_cdf, x, lam, tol))
+        elif x <= 0.0:
+            out.append(0.0)
+        else:  # one coefficient, or all equal within 1e-12
+            out.append(chisq_cdf(x / lam.mean(), float(lam.size)))
+    return out

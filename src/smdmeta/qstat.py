@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkernel import DomainError, NonConvergenceError
+from .numkernel import DomainError, NonConvergenceError, _unwrap
 from .smd import Study
 
 BRACKET_CAP = 1e7
@@ -97,21 +97,6 @@ class Tau2Result:
             raise DomainError("truncated_at_zero implies value == 0")
 
 
-def _outcome(make, *args):
-    """make(*args), or the NonConvergenceError it raised: batches return one
-    result or failure per replicate."""
-    try:
-        return make(*args)
-    except NonConvergenceError as exc:
-        return exc
-
-
-def _unwrap(result):
-    if isinstance(result, NonConvergenceError):
-        raise result
-    return result
-
-
 def iv_weighted_mean(data: MetaInput, tau2: float) -> WeightedFit:
     """Inverse-variance weighted mean with weights 1/(v_i^2 + tau2).
 
@@ -121,6 +106,9 @@ def iv_weighted_mean(data: MetaInput, tau2: float) -> WeightedFit:
         raise DomainError(f"tau2 must be >= 0, got {tau2}")
     w = 1.0 / (data.v2 + tau2)
     sum_w = float(w.sum())
+    if not sum_w > 0.0:  # every weight underflowed
+        raise NonConvergenceError(f"sum of weights is {sum_w} at tau2 = "
+                                  f"{tau2:g}")
     return WeightedFit(weights=w, mean=float((w * data.g).sum()) / sum_w,
                        sum_w=sum_w)
 
@@ -184,20 +172,41 @@ def solve_q_roots(g: np.ndarray, v2: np.ndarray, targets) -> list:
             else:
                 walks[i] = _walk(target, margin, q, dq,
                                  min(max(1.0, q * v2_max), BRACKET_CAP))
-        asks = {i: next(walk) for i, walk in walks.items()}
-        while asks:
-            w, _, _, terms = _row_fits(
-                g[[i for i in asks for _ in asks[i]]],
-                v2[[i for i in asks for _ in asks[i]]],
-                np.array([t for points in asks.values() for t in points]))
-            values = zip(terms.sum(-1).tolist(),
-                         (-(w * terms).sum(-1)).tolist())
-            for i, points in list(asks.items()):
-                try:
-                    asks[i] = walks[i].send([next(values) for _ in points])
-                except StopIteration as stop:
-                    results[i] = stop.value
-                    del asks[i]
+
+        def q_and_slope(rows, points):
+            w, _, _, terms = _row_fits(g[rows], v2[rows], np.array(points))
+            return zip(terms.sum(-1).tolist(), (-(w * terms).sum(-1)).tolist())
+
+        for i, out in _lockstep(walks, q_and_slope).items():
+            results[i] = out
+    return results
+
+
+def _lockstep(walks: dict, evaluate) -> dict:
+    """Run the generators `walks` together: each yields the points it needs,
+    one `evaluate(keys, points)` call per round returns the values at all
+    of them, in order, and each walk is sent its own; returns what each
+    walk returned, or the first NonConvergenceError it was sent, by key."""
+    results, asks = {}, {}
+    for i, walk in walks.items():
+        try:
+            asks[i] = next(walk)
+        except StopIteration as stop:
+            results[i] = stop.value
+    while asks:
+        values = iter(evaluate([i for i in asks for _ in asks[i]],
+                               [t for points in asks.values() for t in points]))
+        for i, points in list(asks.items()):
+            sent = [next(values) for _ in points]
+            failed = [v for v in sent if isinstance(v, NonConvergenceError)]
+            try:
+                if not failed:
+                    asks[i] = walks[i].send(sent)
+                    continue
+                results[i] = failed[0]
+            except StopIteration as stop:
+                results[i] = stop.value
+            del asks[i]
     return results
 
 

@@ -20,8 +20,13 @@ import numpy as np
 
 from . import effect as eff
 from . import tau2 as t2
-from .numkernel import NonConvergenceError, RandomStream, derive_stream_id
-from .qstat import MetaBatch, MetaInput, _outcome
+from .numkernel import (
+    NonConvergenceError,
+    RandomStream,
+    _outcome,
+    derive_stream_id,
+)
+from .qstat import MetaBatch, MetaInput
 from .smd import sample_g
 
 DELTAS = (0.0, 0.2, 0.5, 1.0, 2.0)
@@ -177,13 +182,15 @@ def expand_grid(config: GridConfig, allow_custom: bool = False) -> list[SimCell]
 # One row per estimator, in run order: (failure name, kind, output name,
 # module, function, prerequisites).  A row's key is (kind, output name); its
 # prerequisites, keys of earlier rows, follow the data as arguments, then the
-# level on "_cover" rows and on the Q-root row, which solves every Q(tau^2) =
-# target of a replicate for the rows that read it.  A `*_batch` function
+# level on "_cover" rows, on the Q-root row, which solves every Q(tau^2) =
+# target of a replicate for the rows that read it, and on the fixed-weight
+# row, which finds the BJ and J intervals together.  A `*_batch` function
 # takes the MetaBatch and a list per prerequisite, and returns a result or
 # NonConvergenceError per replicate; the others take one MetaInput.
 # Functions are looked up by name on each call, so a patched module
 # attribute (a tracing span, a test double) is what runs.
 ROOTS = ("q_roots", "Q-roots")
+FIXED = ("fixed_weight", "BJ/J-intervals")
 ESTIMATORS = (
     ("DL", "tau2_est", "DL", t2, "tau2_dl_batch", []),
     ("Q-roots", *ROOTS, t2, "q_roots_batch", []),
@@ -193,8 +200,9 @@ ESTIMATORS = (
     ("KDB", "expected_q", "KDB", t2, "expected_q_batch", [ROOTS]),
     ("KDB", "tau2_est", "KDB", t2, "tau2_kdb_batch", [ROOTS, ("expected_q", "KDB")]),
     ("QP", "tau2_cover", "QP", t2, "ci_qp_batch", [ROOTS]),
-    ("BJ", "tau2_cover", "BJ", t2, "ci_bj", []),
-    ("J-interval", "tau2_cover", "J", t2, "ci_jackson", []),
+    ("BJ/J-intervals", *FIXED, t2, "fixed_weight_batch", []),
+    ("BJ", "tau2_cover", "BJ", t2, "ci_bj_batch", [FIXED]),
+    ("J-interval", "tau2_cover", "J", t2, "ci_jackson_batch", [FIXED]),
     ("PL", "tau2_cover", "PL", t2, "ci_pl", [("tau2_est", "REML")]),
     ("KDB-interval", "tau2_cover", "KDB", t2, "ci_kdb_batch", [ROOTS, ("expected_q", "KDB")]),
     ("IV-DL", "delta_est", "IV-DL", eff, "effect_iv_batch", [("tau2_est", "DL")]),
@@ -242,7 +250,8 @@ def estimate_all(data: MetaInput | MetaBatch, level: float = 0.95):
         if not ready:
             continue
         args = [[results[i][key] for i in ready] for key in prereqs]
-        extra = (level,) if kind.endswith("_cover") or kind == ROOTS[0] else ()
+        extra = (level,) if kind.endswith("_cover") \
+            or kind in (ROOTS[0], FIXED[0]) else ()
         fn = getattr(module, function)
         if not function.endswith("_batch"):
             outs = [_outcome(fn, batch.inputs[i], *row, *extra)

@@ -13,7 +13,10 @@ profile likelihood interval (PL).
 
 The `*_batch` functions are the battery's array code over a MetaBatch, one
 result or failure per replicate; the other estimators of the battery (REML,
-PL, BJ, J interval) take one MetaInput, and the rest are a batch of one.
+PL) take one MetaInput, and the rest are a batch of one.  The BJ and J
+intervals of a batch are found in lock-step: each endpoint search is a
+walk that yields the tau2 it needs, and each round evaluates every walk's
+mixture CDF together.
 """
 
 from __future__ import annotations
@@ -30,8 +33,11 @@ from scipy.special import gamma, gammainc, ndtri, poch, roots_laguerre
 from .numkernel import (
     DomainError,
     NonConvergenceError,
+    _outcome,
+    _unwrap,
     chisq_quantile,
-    mixture_cdf,
+    mixture_cdfs,
+    symmetric_eigenvalues,
 )
 from .qstat import (
     BRACKET_CAP,
@@ -39,10 +45,9 @@ from .qstat import (
     MetaBatch,
     MetaInput,
     Tau2Result,
-    _outcome,
+    _lockstep,
     _q_terms,
     _row_fits,
-    _unwrap,
     solve_q_equals,
     solve_q_roots,
 )
@@ -99,9 +104,9 @@ def tau2_dl_batch(batch: MetaBatch) -> list:
                                    np.zeros(len(batch.inputs)))
     denom = sum_w - (w * w).sum(-1) / sum_w
     raw = (terms.sum(-1) - (batch.k - 1)) / denom
-    if (denom <= 0).any():
-        raise DomainError("degenerate DL denominator; needs K >= 2")
-    return [_estimate(x) for x in raw.tolist()]
+    # K >= 2, so only weights whose squares overflowed reach d <= 0
+    return [NonConvergenceError(f"degenerate DL denominator {d}") if d <= 0
+            else _estimate(x) for x, d in zip(raw.tolist(), denom.tolist())]
 
 
 def tau2_dl(data: MetaInput) -> Tau2Result:
@@ -432,112 +437,209 @@ def ci_kdb(data: MetaInput, expected_q: float,
     return _q_profile_of(data, expected_q, level)
 
 
-def _satterthwaite_roots(weights: np.ndarray, v2: np.ndarray, q_obs: float,
-                         targets: np.ndarray) -> np.ndarray:
-    """tau2 where the two-moment fit Q ~ c chi2_nu, c = tr(M^2)/tr(M) and
-    nu = tr(M)^2/tr(M^2), puts P(Q <= q_obs) at each target.  With
-    d = v^2 + tau2, tr(M) = sum (w - w^2/S) d and tr(M^2) =
-    sum (w^2 - 2 w^3/S) d^2 + (sum w^2 d)^2/S^2 are quadratics in tau2."""
-    s = float(weights.sum())
-    w2 = weights * weights
-    pw = np.vstack((np.ones_like(v2), v2, v2 * v2))
-    a0, a1 = pw[:2] @ (weights - w2 / s)
-    b0, b1, b2 = pw @ (w2 - 2.0 * w2 * weights / s)
-    c0, c1 = pw[:2] @ w2
+def _satterthwaite_roots(w: np.ndarray, v2: np.ndarray, q_obs: np.ndarray,
+                         targets: np.ndarray) -> list:
+    """Per row of w, v2 (n, K): the tau2 where the two-moment fit Q ~ c
+    chi2_nu, c = tr(M^2)/tr(M) and nu = tr(M)^2/tr(M^2), puts P(Q <= q_obs)
+    at each target.  With d = v^2 + tau2, tr(M) = sum (w - w^2/S) d and
+    tr(M^2) = sum (w^2 - 2 w^3/S) d^2 + (sum w^2 d)^2/S^2 are quadratics in
+    tau2."""
+    s = w.sum(-1)[:, None]
+    w2 = w * w
+    pw = np.stack((np.ones_like(v2), v2, v2 * v2), axis=1)
+    a0, a1 = (pw[:, :2] @ (w - w2 / s)[..., None])[..., 0].T
+    b0, b1, b2 = (pw @ (w2 - 2.0 * w2 * w / s)[..., None])[..., 0].T
+    c0, c1 = (pw[:, :2] @ w2[..., None])[..., 0].T
     t = _SEED_GRID
-    tr1 = a1 + a0 * t
-    tr2 = b2 + (2.0 * b1 + b0 * t) * t + ((c1 + c0 * t) / s) ** 2
-    cdf = gammainc(0.5 * tr1 * tr1 / tr2, 0.5 * q_obs * tr1 / tr2)
+    tr1 = a1[:, None] + a0[:, None] * t
+    tr2 = b2[:, None] + (2.0 * b1[:, None] + b0[:, None] * t) * t \
+        + ((c1[:, None] + c0[:, None] * t) / s) ** 2
+    cdf = gammainc(0.5 * tr1 * tr1 / tr2, 0.5 * q_obs[:, None] * tr1 / tr2)
     # interpolate the probit of the CDF, which is near-linear in log tau2
     z = ndtri(np.clip(cdf, 1e-15, 1.0 - 1e-15))
-    return np.exp(np.interp(-ndtri(targets), -z, np.log(t)))
+    return [np.exp(np.interp(-ndtri(targets), -row, np.log(t))).tolist()
+            for row in z]
 
 
-def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
-                           coefficients) -> Tau2Interval:
-    """Invert the exact CDF of a fixed-weights Q over candidate tau2.
+def _brentq(xa: float, xb: float, fa: float, fb: float, target: float,
+            xtol: float = 1e-6, rtol: float = 1e-5, maxiter: int = 100):
+    """scipy.optimize.brentq (its brentq.c, step for step) on f = F - target
+    from a bracket [xa, xb] where f changes sign, fa = f(xa), fb = f(xb), as
+    a walk: yields [x] for each next x and is sent [F(x)]; returns the root,
+    or a NonConvergenceError after maxiter iterations."""
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            spre, scur = (scur, stry) if good else (sbis, sbis)
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = (yield [xcur])[0] - target
+    return NonConvergenceError(f"brentq did not converge in {maxiter} steps")
+
+
+def _endpoint(target: float, seed: float):
+    """One endpoint as a walk that yields [tau2] and is sent [CDF(tau2)]:
+    0 if the CDF at 0 is <= target; else stepping out from the seed by
+    _SEED_STEP, then 4x, 16x, ... that, to a bracket, and brentq on CDF -
+    target in it; infinite if the CDF is still >= target at 2^23."""
+    f, = yield [0.0]
+    if f <= target:
+        return 0.0
+    x, step = min(seed, _CAP_POINT), _SEED_STEP
+    f, = yield [x]
+    up = f >= target
+    sign = 1.0 if up else -1.0
+    while (f >= target) == up:
+        if up and x >= _CAP_POINT:
+            return math.inf
+        prev, f_prev, x = x, f, min(x * (1.0 + step) ** sign, _CAP_POINT)
+        step *= 4.0
+        f, = yield [x]
+    (a, fa), (b, fb) = sorted([(prev, f_prev - target), (x, f - target)])
+    return (yield from _brentq(a, b, fa, fb, target))
+
+
+def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
+                            level: float) -> list:
+    """BJ intervals on the first n_bj rows of g, v2 (n, K), J intervals on
+    the others, in lock-step: per row the interval or its failure.
 
     Under the model, Q_obs = sum w (g - gbar_w)^2 is a quadratic form in the
     g's whose distribution at a given tau2 is a chi-square mixture with
-    coefficients `coefficients(tau2)`: the nonzero eigenvalues, descending,
-    of D(tau2)^{1/2} A D(tau2)^{1/2}, A = diag(w) - w w'/sum w.
-
-    Each endpoint is seeded by the two-moment (Satterthwaite) fit, bracketed
-    by stepping the exact CDF out from the seed in growing steps, and solved
-    by brentq, which finds the bracket ends' CDF values already computed.
-    The upper endpoint is infinite if the CDF is still >= alpha/2 at 2^23.
+    coefficients the nonzero eigenvalues of D(tau2)^{1/2} A D(tau2)^{1/2},
+    A = diag(w) - w w'/sum w, D = diag(v^2 + tau2).  For BJ's w = 1/v^2
+    they are 1 + tau2 mu, mu the K - 1 nonzero eigenvalues of A; J's
+    w = 1/v takes one eigendecomposition per tau2.  Each endpoint is seeded
+    by the two-moment (Satterthwaite) fit and found by `_endpoint`; a row's
+    two endpoints share its CDFs.  A round evaluates every CDF the walks
+    still need and has not met: one stacked eigendecomposition for the J
+    rows, one `mixture_cdfs` call for all.
     """
     alpha = 1.0 - level
-    flags: list[str] = []
-    sum_w = float(weights.sum())
-    gbar = float((weights * data.g).sum()) / sum_w
-    q_obs = float((weights * (data.g - gbar) ** 2).sum())
-    if not math.isfinite(q_obs):
-        raise NonConvergenceError(f"fixed-weight Q is {q_obs}")
-    if q_obs <= 0.0:
-        return Tau2Interval(0.0, 0.0, level, ("degenerate",))
-    known: dict[float, float] = {}
-
-    def cdf_at(tau2: float) -> float:
-        if tau2 not in known:
-            try:
-                lam = coefficients(tau2)
-            except np.linalg.LinAlgError:  # from a matrix that overflowed
-                lam = np.array([math.nan])
-            if not np.isfinite(lam).all():
-                raise NonConvergenceError(
-                    f"mixture coefficients at tau2 = {tau2:g} overflowed")
-            known[tau2] = mixture_cdf(q_obs, lam, tol=_MIX_TOL)
-        return known[tau2]
-
-    f_at_zero = cdf_at(0.0)
-
-    def solve(target: float, seed: float) -> float:
-        if f_at_zero <= target:
-            return 0.0
-        x, step = min(seed, _CAP_POINT), _SEED_STEP
-        up = cdf_at(x) >= target
-        prev, sign = x, (1.0 if up else -1.0)
-        while (cdf_at(x) >= target) == up:
-            if up and x >= _CAP_POINT:
-                return math.inf
-            prev, x = x, min(x * (1.0 + step) ** sign, _CAP_POINT)
-            step *= 4.0
-        return float(brentq(lambda t: cdf_at(t) - target, min(prev, x),
-                            max(prev, x), xtol=1e-6, rtol=1e-5))
-
     targets = (alpha / 2.0, 1.0 - alpha / 2.0)
-    seeds = _satterthwaite_roots(weights, data.v2, q_obs, np.array(targets))
-    hi, lo = (solve(p, float(x)) for p, x in zip(targets, seeds))
-    cdfs = [f for _, f in sorted(known.items())]
-    if any(f1 > f0 + 32.0 * _MIX_TOL for f0, f1 in zip(cdfs, cdfs[1:])):
-        flags.append("nonmonotone-cdf")
-    if math.isinf(hi):
-        flags.append("upper-beyond-cap")
-    return Tau2Interval(lo, hi, level, tuple(flags))
+    k = g.shape[1]
+    with np.errstate(all="ignore"):
+        w = np.concatenate([1.0 / v2[:n_bj], 1.0 / np.sqrt(v2[n_bj:])])
+        sum_w = w.sum(-1)
+        q_obs = (w * (g - ((w * g).sum(-1) / sum_w)[:, None]) ** 2).sum(-1)
+        a_mat = np.where(np.eye(k, dtype=bool), w[:, :, None], 0.0) \
+            - w[:, :, None] * w[:, None, :] / sum_w[:, None, None]
+        mu = symmetric_eigenvalues(a_mat[:n_bj])[:, :0:-1]
+        seeds = _satterthwaite_roots(w, v2, q_obs, np.array(targets))
+
+        def cdfs(keys, points):
+            keys = [(i, t) for (i, _), t in zip(keys, points)]
+            # each tau2 that no walk of its row has asked before, once
+            todo = [key for key in dict.fromkeys(keys)
+                    if key[1] not in known[key[0]]]
+            bj = [key for key in todo if key[0] < n_bj]
+            jr = [key for key in todo if key[0] >= n_bj]
+            lams = []
+            if bj:
+                rows, t = zip(*bj)
+                lams.append(1.0 + np.array(t)[:, None] * mu[list(rows)])
+            if jr:
+                rows, t = map(list, zip(*jr))
+                droot = np.sqrt(v2[rows] + np.array(t)[:, None])
+                lams.append(np.maximum(0.0, symmetric_eigenvalues(
+                    a_mat[rows] * (droot[:, :, None] * droot[:, None, :])
+                )[:, :0:-1]))
+            if lams:
+                lam = np.concatenate(lams) if len(lams) > 1 else lams[0]
+                for (i, t), row, value in zip(bj + jr, lam, mixture_cdfs(
+                        q_obs[[i for i, _ in bj + jr]], lam, _MIX_TOL)):
+                    known[i][t] = value if not isinstance(
+                        value, DomainError) else NonConvergenceError(
+                        f"mixture coefficients at tau2 = {t:g} " + (
+                            "are negative or all 0" if np.isfinite(row).all()
+                            else "overflowed"))
+            return [known[i][t] for i, t in keys]
+
+        known, walks, out = {}, {}, [None] * len(g)
+        for i, (q, row_seeds) in enumerate(zip(q_obs.tolist(), seeds)):
+            if not math.isfinite(q):
+                out[i] = NonConvergenceError(f"fixed-weight Q is {q}")
+            elif q <= 0.0:
+                out[i] = Tau2Interval(0.0, 0.0, level, ("degenerate",))
+            else:
+                known[i] = {}
+                for end, (p, seed) in enumerate(zip(targets, row_seeds)):
+                    walks[i, end] = _endpoint(p, seed)
+        ends = _lockstep(walks, cdfs)
+    for i, cached in known.items():
+        hi, lo = ends[i, 0], ends[i, 1]
+        failed = [e for e in (hi, lo) if isinstance(e, NonConvergenceError)]
+        if failed:
+            out[i] = failed[0]
+            continue
+        flags = []
+        cdf_values = [f for _, f in sorted(cached.items())]
+        if any(f1 > f0 + 32.0 * _MIX_TOL
+               for f0, f1 in zip(cdf_values, cdf_values[1:])):
+            flags.append("nonmonotone-cdf")
+        if math.isinf(hi):
+            flags.append("upper-beyond-cap")
+        out[i] = Tau2Interval(lo, hi, level, tuple(flags))
+    return out
+
+
+def fixed_weight_batch(batch: MetaBatch, level: float) -> list[tuple]:
+    """The BJ and the J interval of each replicate, (BJ, J), each a result
+    or its failure, in one `_fixed_weight_intervals` call."""
+    r = len(batch.inputs)
+    out = _fixed_weight_intervals(np.concatenate([batch.g] * 2),
+                                  np.concatenate([batch.v2] * 2), r, level)
+    return list(zip(out[:r], out[r:]))
+
+
+# The battery's rows that read fixed_weight_batch
+ci_bj_batch, ci_jackson_batch = map(_reader, range(2))
 
 
 def ci_bj(data: MetaInput, level: float = 0.95) -> Tau2Interval:
-    """Biggerstaff-Jackson interval: as W^{1/2} D W^{1/2} = I + tau2 W for
-    weights w_i = 1/v_i^2, the coefficients are 1 + tau2 mu, mu the K - 1
-    nonzero eigenvalues of A: one eigendecomposition per interval."""
-    w = 1.0 / data.v2
-    mu = np.linalg.eigvalsh(np.diag(w) - np.outer(w, w) / w.sum())[:0:-1]
-    return _fixed_weight_interval(data, level, w, lambda t: 1.0 + t * mu)
+    """Biggerstaff-Jackson interval: weights 1/v^2 in `_fixed_weight_intervals`."""
+    return _unwrap(_fixed_weight_intervals(data.g[None], data.v2[None], 1,
+                                           level)[0])
 
 
 def ci_jackson(data: MetaInput, level: float = 0.95) -> Tau2Interval:
-    """Jackson's interval: as BJ but with weights u_i = 1/v_i, whose
-    coefficients take one eigendecomposition per tau2."""
-    u = 1.0 / np.sqrt(data.v2)
-    a_mat = np.diag(u) - np.outer(u, u) / u.sum()
+    """Jackson's interval: weights 1/v in `_fixed_weight_intervals`."""
+    return _unwrap(_fixed_weight_intervals(data.g[None], data.v2[None], 0,
+                                           level)[0])
 
-    def coefficients(tau2: float) -> np.ndarray:
-        droot = np.sqrt(data.v2 + tau2)
-        lam = np.linalg.eigvalsh(a_mat * np.outer(droot, droot))[:0:-1]
-        return lam[lam > 0.0]
 
-    return _fixed_weight_interval(data, level, u, coefficients)
+def _pl_root(h, a: float, b: float) -> float:
+    """brentq's root of h in [a, b], or the NonConvergenceError of a search
+    that ran out of steps."""
+    root, info = brentq(h, a, b, xtol=1e-10, rtol=1e-8, full_output=True,
+                        disp=False)
+    if not info.converged:
+        raise NonConvergenceError(f"profile-likelihood endpoint in "
+                                  f"[{a:g}, {b:g}]: {info.flag}")
+    return float(root)
 
 
 def ci_pl(data: MetaInput, reml: Tau2Result,
@@ -561,7 +663,7 @@ def ci_pl(data: MetaInput, reml: Tau2Result,
     if h(0.0) <= 0.0:
         lo = 0.0
     else:
-        lo = float(brentq(h, 0.0, center, xtol=1e-10, rtol=1e-8))
+        lo = _pl_root(h, 0.0, center)
 
     br_lo = center
     br = max(1.0, 2.0 * center)
@@ -575,7 +677,7 @@ def ci_pl(data: MetaInput, reml: Tau2Result,
         hi = math.inf
         flags.append("upper-beyond-cap")
     else:
-        hi = float(brentq(h, br_lo, br, xtol=1e-10, rtol=1e-8))
+        hi = _pl_root(h, br_lo, br)
 
     if abs(l_hat - l_zero) < 1e-12 and (math.isinf(br)
                                         or abs(l_hat - restricted_loglik(data, br)) < 1e-12):

@@ -1,15 +1,17 @@
 """The scalar estimators that the batched battery replaced, kept as its
 oracle: one replicate and one target at a time, as they were before every
-chunk of replicates became one MetaBatch.  The batched code must match them
-bit for bit.  REML, PL, BJ and the J interval were not batched; the oracle
-battery runs them from the package.
+chunk of replicates became one MetaBatch, and the BJ and J intervals as they
+were before a batch found them in lock-step.  The batched code must match
+them bit for bit.  REML and PL were not batched; the oracle battery runs
+them from the package.
 """
 
 import math
 import sys
 
 import numpy as np
-from scipy.special import gamma, poch
+from scipy.optimize import brentq
+from scipy.special import gamma, gammainc, ndtri, poch
 
 from smdmeta import tau2
 from smdmeta.effect import EffectInterval, EffectResult
@@ -17,6 +19,7 @@ from smdmeta.numkernel import (
     DomainError,
     NonConvergenceError,
     chisq_quantile,
+    mixture_cdf,
     normal_quantile,
     t_quantile,
 )
@@ -32,10 +35,14 @@ from smdmeta.qstat import (
 )
 from smdmeta.smd import j_factor
 from smdmeta.tau2 import (
+    _CAP_POINT,
     _GAMMA_RATIO,
     _LAGUERRE_W,
     _LAGUERRE_X,
+    _MIX_TOL,
     _MOMENT_KEYS,
+    _SEED_STEP,
+    _SEED_GRID,
     _SERIES_DF_MIN,
     Tau2Interval,
 )
@@ -304,6 +311,123 @@ def ci_kdb(data: MetaInput, expected_q: float,
 
 
 
+def _satterthwaite_roots(weights: np.ndarray, v2: np.ndarray, q_obs: float,
+                         targets: np.ndarray) -> np.ndarray:
+    """tau2 where the two-moment fit Q ~ c chi2_nu, c = tr(M^2)/tr(M) and
+    nu = tr(M)^2/tr(M^2), puts P(Q <= q_obs) at each target.  With
+    d = v^2 + tau2, tr(M) = sum (w - w^2/S) d and tr(M^2) =
+    sum (w^2 - 2 w^3/S) d^2 + (sum w^2 d)^2/S^2 are quadratics in tau2."""
+    s = float(weights.sum())
+    w2 = weights * weights
+    pw = np.vstack((np.ones_like(v2), v2, v2 * v2))
+    a0, a1 = pw[:2] @ (weights - w2 / s)
+    b0, b1, b2 = pw @ (w2 - 2.0 * w2 * weights / s)
+    c0, c1 = pw[:2] @ w2
+    t = _SEED_GRID
+    tr1 = a1 + a0 * t
+    tr2 = b2 + (2.0 * b1 + b0 * t) * t + ((c1 + c0 * t) / s) ** 2
+    cdf = gammainc(0.5 * tr1 * tr1 / tr2, 0.5 * q_obs * tr1 / tr2)
+    # interpolate the probit of the CDF, which is near-linear in log tau2
+    z = ndtri(np.clip(cdf, 1e-15, 1.0 - 1e-15))
+    return np.exp(np.interp(-ndtri(targets), -z, np.log(t)))
+
+
+def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
+                           coefficients) -> Tau2Interval:
+    """Invert the exact CDF of a fixed-weights Q over candidate tau2.
+
+    Under the model, Q_obs = sum w (g - gbar_w)^2 is a quadratic form in the
+    g's whose distribution at a given tau2 is a chi-square mixture with
+    coefficients `coefficients(tau2)`: the nonzero eigenvalues, descending,
+    of D(tau2)^{1/2} A D(tau2)^{1/2}, A = diag(w) - w w'/sum w.
+
+    Each endpoint is seeded by the two-moment (Satterthwaite) fit, bracketed
+    by stepping the exact CDF out from the seed in growing steps, and solved
+    by brentq, which finds the bracket ends' CDF values already computed.
+    The upper endpoint is infinite if the CDF is still >= alpha/2 at 2^23.
+    Coefficients that are not finite, negative or all 0 fail the interval.
+    """
+    alpha = 1.0 - level
+    flags: list[str] = []
+    sum_w = float(weights.sum())
+    gbar = float((weights * data.g).sum()) / sum_w
+    q_obs = float((weights * (data.g - gbar) ** 2).sum())
+    if not math.isfinite(q_obs):
+        raise NonConvergenceError(f"fixed-weight Q is {q_obs}")
+    if q_obs <= 0.0:
+        return Tau2Interval(0.0, 0.0, level, ("degenerate",))
+    known: dict[float, float] = {}
+
+    def cdf_at(tau2: float) -> float:
+        if tau2 not in known:
+            lam = coefficients(tau2)
+            if not np.isfinite(lam).all():
+                raise NonConvergenceError(
+                    f"mixture coefficients at tau2 = {tau2:g} overflowed")
+            if (lam < 0.0).any() or not (lam > 0.0).any():
+                raise NonConvergenceError(f"mixture coefficients at tau2 = "
+                                          f"{tau2:g} are negative or all 0")
+            known[tau2] = mixture_cdf(q_obs, lam, tol=_MIX_TOL)
+        return known[tau2]
+
+    f_at_zero = cdf_at(0.0)
+
+    def solve(target: float, seed: float) -> float:
+        if f_at_zero <= target:
+            return 0.0
+        x, step = min(seed, _CAP_POINT), _SEED_STEP
+        up = cdf_at(x) >= target
+        prev, sign = x, (1.0 if up else -1.0)
+        while (cdf_at(x) >= target) == up:
+            if up and x >= _CAP_POINT:
+                return math.inf
+            prev, x = x, min(x * (1.0 + step) ** sign, _CAP_POINT)
+            step *= 4.0
+        return float(brentq(lambda t: cdf_at(t) - target, min(prev, x),
+                            max(prev, x), xtol=1e-6, rtol=1e-5))
+
+    targets = (alpha / 2.0, 1.0 - alpha / 2.0)
+    seeds = _satterthwaite_roots(weights, data.v2, q_obs, np.array(targets))
+    hi, lo = (solve(p, float(x)) for p, x in zip(targets, seeds))
+    cdfs = [f for _, f in sorted(known.items())]
+    if any(f1 > f0 + 32.0 * _MIX_TOL for f0, f1 in zip(cdfs, cdfs[1:])):
+        flags.append("nonmonotone-cdf")
+    if math.isinf(hi):
+        flags.append("upper-beyond-cap")
+    return Tau2Interval(lo, hi, level, tuple(flags))
+
+
+def _eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues but the smallest; NaN for a matrix that is not
+    finite."""
+    if not np.isfinite(mat).all():
+        return np.full(len(mat) - 1, math.nan)
+    return np.linalg.eigvalsh(mat)[:0:-1]
+
+
+def ci_bj(data: MetaInput, level: float = 0.95) -> Tau2Interval:
+    """Biggerstaff-Jackson interval: as W^{1/2} D W^{1/2} = I + tau2 W for
+    weights w_i = 1/v_i^2, the coefficients are 1 + tau2 mu, mu the K - 1
+    nonzero eigenvalues of A: one eigendecomposition per interval."""
+    w = 1.0 / data.v2
+    mu = _eigenvalues(np.diag(w) - np.outer(w, w) / w.sum())
+    return _fixed_weight_interval(data, level, w, lambda t: 1.0 + t * mu)
+
+
+def ci_jackson(data: MetaInput, level: float = 0.95) -> Tau2Interval:
+    """Jackson's interval: as BJ but with weights u_i = 1/v_i, whose
+    coefficients take one eigendecomposition per tau2; rounded eigenvalues
+    below 0 drop out."""
+    u = 1.0 / np.sqrt(data.v2)
+    a_mat = np.diag(u) - np.outer(u, u) / u.sum()
+
+    def coefficients(tau2: float) -> np.ndarray:
+        droot = np.sqrt(data.v2 + tau2)
+        return np.maximum(0.0, _eigenvalues(a_mat * np.outer(droot, droot)))
+
+    return _fixed_weight_interval(data, level, u, coefficients)
+
+
 def effect_iv(data: MetaInput, tau2: Tau2Result) -> EffectResult:
     """Inverse-variance weighted mean with weights 1/(v_i^2 + tau2);
     variance estimated conventionally as 1/sum(w)."""
@@ -372,8 +496,8 @@ ESTIMATORS = (
     ("KDB", "expected_q", "KDB", oracle, "corrected_expected_q", []),
     ("KDB", "tau2_est", "KDB", oracle, "tau2_kdb", [("expected_q", "KDB")]),
     ("QP", "tau2_cover", "QP", oracle, "ci_qp", []),
-    ("BJ", "tau2_cover", "BJ", tau2, "ci_bj", []),
-    ("J-interval", "tau2_cover", "J", tau2, "ci_jackson", []),
+    ("BJ", "tau2_cover", "BJ", oracle, "ci_bj", []),
+    ("J-interval", "tau2_cover", "J", oracle, "ci_jackson", []),
     ("PL", "tau2_cover", "PL", tau2, "ci_pl", [("tau2_est", "REML")]),
     ("KDB-interval", "tau2_cover", "KDB", oracle, "ci_kdb", [("expected_q", "KDB")]),
     ("IV-DL", "delta_est", "IV-DL", oracle, "effect_iv", [("tau2_est", "DL")]),

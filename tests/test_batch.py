@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import oracles
 from smdmeta import effect, qstat, simlab, tau2
@@ -205,7 +206,7 @@ class TestEstimateAllBatch:
             o_results, o_failures = oracles.estimate_all(data)
             assert failures == o_failures
             assert {k: key(v) for k, v in results.items()
-                    if k[0] not in ("q_roots", "expected_q")} \
+                    if k[0] not in ("q_roots", "fixed_weight", "expected_q")} \
                 == {k: key(v) for k, v in o_results.items()
                     if k[0] != "expected_q"}
             assert key(results["expected_q", "KDB"]) \
@@ -227,6 +228,146 @@ class TestEstimateAllBatch:
         with pytest.raises(Exception, match="same arm sizes"):
             MetaBatch((meta([0.0, 1.0], [1.0, 1.0]),
                        meta([0.0, 1.0], [1.0, 1.0], [(10, 10), (5, 6)])))
+
+
+def count_rows(monkeypatch, module, name):
+    """Count the rows (the length of the first argument, or 1 for a
+    scalar) passed to module.name."""
+    counts = [0]
+    fn = getattr(module, name)
+
+    def counted(x, *args, **kwargs):
+        counts[0] += np.size(x)
+        return fn(x, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def check_fixed_weight_batch(monkeypatch, batches, level=0.95, failing=False):
+    """fixed_weight_batch on each batch against the oracle's ci_bj and
+    ci_jackson on each replicate: lo, hi, flags or failure bit for bit, and,
+    unless rows are failing, as many CDF evaluations in all."""
+    evaluated = count_rows(monkeypatch, tau2, "mixture_cdfs")
+    expected = count_rows(monkeypatch, oracles, "mixture_cdf")
+    outcomes = []
+    for batch in batches:
+        got = tau2.fixed_weight_batch(batch, level)
+        for data, pair in zip(batch.inputs, got):
+            assert key(pair) == key((oracle(oracles.ci_bj, data, level),
+                                     oracle(oracles.ci_jackson, data, level)))
+            outcomes += [getattr(x, "flags", type(x)) for x in pair]
+    assert failing or evaluated[0] == expected[0] > 0
+    return outcomes
+
+
+FIXED_WEIGHT_CELLS = [
+    SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=9),
+    SimCell(1.0, 2.5, 10, "unequal", 30, 0.75, seed=9),
+    SimCell(0.0, 0.0, 30, "unequal", 160, 0.5, seed=9),
+    SimCell(2.0, 1.5, 30, "equal", 250, 0.75, seed=9)]
+
+
+class TestFixedWeightBatch:
+    @pytest.mark.parametrize("r", [1, 5, 20])
+    def test_grid_cells_match_scalar_oracle(self, r, monkeypatch):
+        batches = [MetaBatch(tuple(simulate_meta_input(cell, i)
+                                   for i in range(r)))
+                   for cell in FIXED_WEIGHT_CELLS]
+        check_fixed_weight_batch(monkeypatch, batches)
+
+    def test_seeded_inputs_match_scalar_oracle(self, monkeypatch):
+        # K 3-100, homogeneous to strongly heterogeneous, batches of 1-7
+        # with the same K; plus all-equal (degenerate) and beyond-cap rows
+        rng = np.random.default_rng(12)
+        batches = []
+        for k in (3, 4, 7, 12, 25, 60, 100):
+            inputs = []
+            for _ in range(int(rng.integers(1, 8))):
+                v2 = rng.uniform(0.01, 1.0, k) * 10 ** rng.uniform(-1, 1)
+                scale = rng.choice([0.0, 0.1, 1.0, 10.0])
+                inputs.append(meta(rng.standard_normal(k)
+                                   * np.sqrt(v2 + scale), v2))
+            inputs.append(meta(np.zeros(k), rng.uniform(0.1, 1.0, k)))
+            inputs.append(meta([0.0] * (k - 1) + [3e4], [0.1] * k))
+            batches.append(MetaBatch(tuple(inputs)))
+        outcomes = check_fixed_weight_batch(monkeypatch, batches, 0.9)
+        assert {(), ("degenerate",), ("upper-beyond-cap",)} <= set(outcomes)
+
+    def test_failures_stay_with_their_row(self, monkeypatch):
+        # an overflowing fixed-weight Q fails both intervals of its row, and
+        # BJ weights 1/v^2 whose squares overflow A fail BJ only
+        rng = np.random.default_rng(3)
+        ok = meta(rng.standard_normal(3), [0.2, 0.3, 0.25])
+        batch = MetaBatch((ok, meta([1e200, -1e200, 0.0], [1.0] * 3), ok,
+                           meta([0.1, 0.5, 0.3], [1e-160] * 3)))
+        outcomes = check_fixed_weight_batch(monkeypatch, [batch], failing=True)
+        assert outcomes[:2] == outcomes[4:6] == [(), ()] and outcomes[7] == ()
+        assert outcomes[2] is outcomes[3] is outcomes[6] is NonConvergenceError
+
+    def test_adapters_are_a_batch_of_one(self):
+        for data in batch_of([(10, 10)] * 6, np.random.default_rng(5), 4,
+                             0.3).inputs:
+            (bj, j), = tau2.fixed_weight_batch(MetaBatch((data,)), 0.95)
+            assert key(tau2.ci_bj(data)) == key(bj)
+            assert key(tau2.ci_jackson(data)) == key(j)
+
+
+def walk_brentq(f, a, b, **kwargs):
+    """The brentq walk driven by f from [a, b]: its outcome and the points
+    it asked, after a and b."""
+    walk, points = tau2._brentq(a, b, f(a), f(b), 0.0, **kwargs), []
+    try:
+        x, = next(walk)
+        while True:
+            points.append(x)
+            x, = walk.send([f(x)])
+    except StopIteration as stop:
+        return stop.value, points
+
+
+def scipy_brentq(f, a, b, **kwargs):
+    """scipy's brentq on f: its root (or failure) and the points it asked."""
+    points = []
+
+    def recorded(x):
+        points.append(x)
+        return f(x)
+
+    try:
+        return brentq(recorded, a, b, **kwargs), points
+    except RuntimeError as exc:
+        return NonConvergenceError(str(exc)), points
+
+
+class TestBrentqWalk:
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x ** 3 - 2.0, 0.0, 3.0),
+        (lambda x: math.exp(x) - 7.5, -1.0, 4.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: 0.975 - math.erf(x / 3.0), 0.01, 20.0),
+        (lambda x: math.tanh(50.0 * (x - 0.3)), -2.0, 1.0),
+        (lambda x: x - 1.0, 1.0, 3.0),  # f = 0 at a
+        (lambda x: x - 1.0, -2.0, 1.0),  # f = 0 at b
+    ])
+    @pytest.mark.parametrize("xtol, rtol", [(1e-6, 1e-5), (1e-12, 1e-15)])
+    def test_matches_scipy_point_for_point(self, f, a, b, xtol, rtol):
+        got, points = walk_brentq(f, a, b, xtol=xtol, rtol=rtol)
+        expected, scipy_points = scipy_brentq(f, a, b, xtol=xtol, rtol=rtol)
+        assert [x.hex() for x in [a, b] + points] \
+            == [x.hex() for x in scipy_points]
+        assert got.hex() == expected.hex()
+
+    def test_runs_out_of_steps_where_scipy_does(self):
+        f = lambda x: math.tanh(50.0 * (x - 0.3))  # noqa: E731
+        got, points = walk_brentq(f, -2.0, 1.0, xtol=1e-15, rtol=1e-15,
+                                  maxiter=4)
+        expected, scipy_points = scipy_brentq(f, -2.0, 1.0, xtol=1e-15,
+                                              rtol=1e-15, maxiter=4)
+        assert isinstance(got, NonConvergenceError)
+        assert isinstance(expected, NonConvergenceError)
+        assert [x.hex() for x in [-2.0, 1.0] + points] \
+            == [x.hex() for x in scipy_points]
 
 
 def analyze(tmp_path, rows):
@@ -255,24 +396,65 @@ class TestExtremeInputs:
         assert "  J-interval: fixed-weight Q is inf\n" in out
         assert "  QP: Q(1e+07) still >= target" in out
 
+    @pytest.mark.parametrize("name, rows, failed", [
+        ("DL", [(10, 10, 0.1, 1e-160), (10, 10, 0.5, 1e-160),
+                (12, 9, 0.3, 1e-160)],
+         "  DL: degenerate DL denominator -inf\n"),
+        ("J interval", [(5, 3000, 5.298634635385529e+119,
+                         1.0363797623643172e+215),
+                        (2, 10, 6.034518261149089e-205,
+                         1.6377865866954852e+171)],
+         "  J-interval: mixture coefficients at tau2 = nan overflowed\n"),
+        ("REML", [(10, 10, 2.898068376972603e+180, 6.295995871884031e+127),
+                  (10, 10, 1.1500031881571115e-236, 1420801199.0777352),
+                  (10, 10, 1.775110927995382e-111, 6.021732848630333e-144)],
+         "  REML: sum of weights is 0.0 at tau2 = inf\n"),
+        ("PL", [(10, 10, 343527.30125285935, 3.0898014320104063e+117),
+                (10, 10, -2.048559656969772e+188, 2.1964373174169613e+256),
+                (10, 10, -3.4976913865268908e+72, 4.2435528634120785e-83),
+                (10, 10, 2.3972690698499787e-48, 2.2114228353578295e-79)],
+         "  PL: profile-likelihood endpoint in [0, 3.80657e+84]: "
+         "convergence error\n"),
+    ])
+    def test_failed_row_does_not_end_the_run(self, tmp_path, name, rows,
+                                             failed):
+        # each ended the whole run at the parent (exit 3, or a traceback)
+        code, out, err = analyze(tmp_path, rows)
+        assert code == 4 and "did not converge" in err
+        assert failed in out
+        assert out.count("\n  ") > out.count("\n  ", out.index(
+            "non-convergent estimators"))  # some rows still print
+
     def test_seeded_fuzz_ends_with_documented_exit_codes(self, tmp_path):
-        # K 2-5, |g| up to 1e307, var_g from 1e-300 to 1e308 (one value per
-        # input, or one per study), arms of 2 to 3000
-        rng = np.random.default_rng(11)
-        codes = []
-        for _ in range(300):
-            k = int(rng.integers(2, 6))
-            shared = 10 ** rng.uniform(-300.0, 308.0)
-            rows = []
-            for _ in range(k):
-                g = float(rng.choice([-1.0, 1.0])
-                          * 10 ** rng.uniform(-300.0, 307.0))
-                if rng.uniform() < 0.3:
-                    g = float(rng.standard_normal())
-                v = shared if rng.uniform() < 0.7 \
-                    else 10 ** rng.uniform(-300.0, 308.0)
-                n_t, n_c = (int(x) for x in rng.choice([2, 5, 10, 600, 3000], 2))
-                rows.append((n_t, n_c, g, float(v)))
-            codes.append(analyze(tmp_path, rows)[0])
-        assert set(codes) <= {0, 2, 3, 4}
+        # K 2-5, |g| up to 1e307, var_g from 1e-300 to 1e308 (mostly one
+        # value per input), arms of 2 to 3000
+        codes = fuzz_codes(tmp_path, np.random.default_rng(11), False)
+        assert set(codes) <= {0, 4}
         assert codes.count(4) > 100
+
+    def test_seeded_fuzz_with_per_study_variances(self, tmp_path):
+        # as above, with var_g drawn per study: 282 of these 300 ended the
+        # run with exit 3 at the parent
+        codes = fuzz_codes(tmp_path, np.random.default_rng(12), True)
+        assert set(codes) <= {0, 4}
+        assert codes.count(4) > 100
+
+
+def fuzz_codes(tmp_path, rng, per_study):
+    """analyze's exit codes on 300 seeded extreme inputs."""
+    codes = []
+    for _ in range(300):
+        k = int(rng.integers(2, 6))
+        shared = 10 ** rng.uniform(-300.0, 308.0)
+        rows = []
+        for _ in range(k):
+            g = float(rng.choice([-1.0, 1.0])
+                      * 10 ** rng.uniform(-300.0, 307.0))
+            if rng.uniform() < 0.3:
+                g = float(rng.standard_normal())
+            v = shared if not per_study and rng.uniform() < 0.7 \
+                else 10 ** rng.uniform(-300.0, 308.0)
+            n_t, n_c = (int(x) for x in rng.choice([2, 5, 10, 600, 3000], 2))
+            rows.append((n_t, n_c, g, float(v)))
+        codes.append(analyze(tmp_path, rows)[0])
+    return codes

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import erfinv, gammainc
 
+from smdmeta import numkernel
 from smdmeta.numkernel import (
     _ruben_cdf,
     DomainError,
@@ -299,6 +300,12 @@ class TestRubenSeriesOracle:
         assert reference_ruben_cdf(x, lam, 1e-6, 40) is None
         assert _ruben_cdf(x, lam, 1e-6, 40) is None
 
+
+
+def test_series_sums_add_in_order():
+    # Ruben's recurrence adds its products one after another, as sum() did
+    # up to Python 3.11; sum() compensates from 3.12 on and gives 1.0 here
+    assert numkernel._sum_in_order([1e16, 1.0, -1e16], 0) == 0.0
 
 
 def mpmath_ruben_cdf(x, lam, tail=1e-12):

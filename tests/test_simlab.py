@@ -146,7 +146,7 @@ class TestEstimateAll:
         assert failures == ()
 
     def test_interval_failures_are_named_apart(self, monkeypatch):
-        monkeypatch.setattr(t2, "ci_jackson", _fail)
+        monkeypatch.setattr(t2, "ci_jackson_batch", _fail)
         monkeypatch.setattr(t2, "ci_kdb_batch", _fail)
         data = simulate_meta_input(
             SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)

@@ -8,6 +8,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 from scipy.special import erfinv
 
+import oracles
 from smdmeta import tau2
 from smdmeta.numkernel import (
     NonConvergenceError,
@@ -559,12 +560,13 @@ def spread_v2(k, seed):
 class TestBJCoefficients:
     @pytest.mark.parametrize("k", [2, 3, 5, 10, 30, 100])
     def test_affine_in_tau2_matches_dense_eigenvalues(self, k, monkeypatch):
-        # ci_bj hands its coefficient function to the inversion: take it
-        monkeypatch.setattr(tau2, "_fixed_weight_interval",
+        # the oracle's ci_bj hands its coefficient function to the
+        # inversion: take it (the batch matches the oracle bit for bit)
+        monkeypatch.setattr(oracles, "_fixed_weight_interval",
                             lambda *args: args[-1])
         v2 = spread_v2(k, seed=k)
         gs = np.random.default_rng(k).standard_normal(k) * np.sqrt(v2 + 1.0)
-        coefficients = ci_bj(meta(list(gs), list(v2)))
+        coefficients = oracles.ci_bj(meta(list(gs), list(v2)))
         assert (coefficients(0.0) == 1.0).all()
         w = 1.0 / v2
         a = np.diag(w) - np.outer(w, w) / w.sum()
@@ -575,25 +577,27 @@ class TestBJCoefficients:
 
     def test_eigvalsh_once_per_bj_interval_and_per_j_evaluation(
             self, monkeypatch):
-        counts = {"eigvalsh": 0, "mixture_cdf": 0}
+        # matrices through eigvalsh and CDFs through mixture_cdfs, a stack
+        # counted by its size
+        counts = {"eigvalsh": 0, "mixture_cdfs": 0}
 
-        def counted(name, fn):
+        def counted(name, fn, stacked):
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                counts[name] += len(args[0]) if args[0].ndim == stacked else 1
                 return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(np.linalg, "eigvalsh",
-                            counted("eigvalsh", np.linalg.eigvalsh))
-        monkeypatch.setattr(tau2, "mixture_cdf",
-                            counted("mixture_cdf", tau2.mixture_cdf))
+                            counted("eigvalsh", np.linalg.eigvalsh, 3))
+        monkeypatch.setattr(tau2, "mixture_cdfs",
+                            counted("mixture_cdfs", tau2.mixture_cdfs, 1))
         for data in oracle_cases(10)[1:]:  # heterogeneous: several CDFs
             for fn, per_interval in ((ci_bj, True), (ci_jackson, False)):
-                counts.update(eigvalsh=0, mixture_cdf=0)
+                counts.update(eigvalsh=0, mixture_cdfs=0)
                 fn(data)
-                assert counts["mixture_cdf"] > 1
+                assert counts["mixture_cdfs"] > 1
                 assert counts["eigvalsh"] == (
-                    1 if per_interval else counts["mixture_cdf"])
+                    1 if per_interval else counts["mixture_cdfs"])
 
 
 def reference_fixed_weight_interval(data, level, weights):
