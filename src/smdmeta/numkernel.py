@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from hashlib import blake2b
 
@@ -35,17 +34,9 @@ class NonConvergenceError(RuntimeError):
         self.error_bound = error_bound
 
 
-def _outcome(make, *args):
-    """make(*args), or the NonConvergenceError it raised: batches return one
-    result or failure per replicate."""
-    try:
-        return make(*args)
-    except NonConvergenceError as exc:
-        return exc
-
-
 def _unwrap(result):
-    if isinstance(result, NonConvergenceError):
+    """The result of a batch of one, or the failure it holds, raised."""
+    if isinstance(result, Exception):
         raise result
     return result
 
@@ -155,13 +146,6 @@ def derive_stream_id(*parts: int | float | str) -> int:
 # chi-square mixtures:  P(sum_i lambda_i chi2_1 <= x)
 # ---------------------------------------------------------------------------
 
-# sum_in_order(floats, 0) adds one after another.  sum() does up to Python
-# 3.11; from 3.12 on it compensates, which would move the bits.  reduce adds
-# in order on every version, but made the series 20-30% slower than sum()
-# on 3.11 (x86-64), so it runs only where sum() no longer can
-_sum_in_order = sum if sys.version_info < (3, 12) \
-    else functools.partial(functools.reduce, operator.add)
-
 _RUBEN_BLOCK = 32      # power sums computed per block of series terms
 _RUBEN_PY_TERMS = 40   # recurrence on Python floats up to this many terms
 _RUBEN_BOUND_EVERY = 8  # terms between checks of the sharper tail bound
@@ -190,7 +174,7 @@ def _ruben_cdf(x, lam: np.ndarray, tol: float, max_terms: int):
     ts = 1.0 - (ratio := beta[:, None] / lam)
     first = _RUBEN_POWERS[:max_terms]
     f_checks = gammainc(0.5 * nu + _RUBEN_CHECKS, half_ys[:, None]).tolist()
-    sum_in_order, mul = _sum_in_order, operator.mul
+    reduce, add, mul = functools.reduce, operator.add, operator.mul
     half_tol, every, py_terms = 0.5 * tol, _RUBEN_BOUND_EVERY, _RUBEN_PY_TERMS
     stops = []
     for t, half_y, log_a0, g_list, f_check in zip(
@@ -206,9 +190,10 @@ def _ruben_cdf(x, lam: np.ndarray, tol: float, max_terms: int):
                 end = min(k + _RUBEN_BLOCK, max_terms + 1)
                 g[k:end] = np.power.outer(t, np.arange(k, end)).sum(axis=0)
                 g_list += g[k:end].tolist()
-            # a_k = sum_i g_i a_{k-i} / 2k: Python floats first, BLAS after
+            # a_k = sum_i g_i a_{k-i} / 2k: Python floats first, BLAS after;
+            # added one after another, as sum() compensates from Python 3.12
             if k <= py_terms:
-                ak = sum_in_order(map(mul, g_list, reversed(a_list)), 0) \
+                ak = reduce(add, map(mul, g_list, reversed(a_list))) \
                     / (2.0 * k)
             else:
                 if k == py_terms + 1:  # a_k at [max_terms - k]
@@ -285,8 +270,7 @@ def mixture_cdf(x: float, coefficients, tol: float = 1e-6) -> float:
     if not (math.isfinite(x) and 0.0 <= lo and 0.0 < hi < math.inf):
         raise DomainError(f"mixture needs a finite x and finite coefficients "
                           f">= 0, not all 0; got x={x}, range [{lo}, {hi}]")
-    return _unwrap(mixture_cdfs(np.array([float(x)]), lam[lam > 0.0][None],
-                                tol)[0])
+    return _unwrap(mixture_cdfs(np.array([float(x)]), lam[None], tol)[0])
 
 
 def mixture_cdfs(x: np.ndarray, lam: np.ndarray, tol: float = 1e-6) -> list:
@@ -294,17 +278,16 @@ def mixture_cdfs(x: np.ndarray, lam: np.ndarray, tol: float = 1e-6) -> list:
     (M, nu): per row the CDF, the NonConvergenceError it ends in, or the
     DomainError of coefficients that `mixture_cdf` rejects.  The rows of
     distinct positive coefficients run Ruben's series together, a row it
-    does not certify goes on to Imhof's inversion, and the rest are one
-    closed form each."""
+    does not certify goes on to Imhof's inversion, a row with zeros is
+    evaluated without them, and the rest are one closed form each."""
     rows = list(zip(x.tolist(), lam, lam.min(-1).tolist(),
                     lam.max(-1).tolist(), lam[:, 0].tolist()))
     series = [i for i, (x, _, lo, hi, first) in enumerate(rows)
               if 0.0 < lo and hi < math.inf and hi - lo > 1e-12 * first
               and x > 0.0]
-    ruben = dict(zip(series, _ruben_cdf(
-        x if len(series) == len(rows) else x[series],
-        lam if len(series) == len(rows) else lam[series], tol, 8000)
-        if series else ()))
+    part = series if len(series) < len(rows) else slice(None)  # no copy
+    ruben = dict(zip(series, _ruben_cdf(x[part], lam[part], tol, 8000)
+                     if series else ()))
     out = []
     for i, (x, lam, lo, hi, _) in enumerate(rows):
         if i in ruben:
@@ -316,7 +299,8 @@ def mixture_cdfs(x: np.ndarray, lam: np.ndarray, tol: float = 1e-6) -> list:
         elif not (0.0 <= lo and 0.0 < hi < math.inf):  # NaN fails both
             out.append(DomainError(f"coefficients range [{lo}, {hi}]"))
         elif lo == 0.0:
-            out.append(_outcome(mixture_cdf, x, lam, tol))
+            out.append(mixture_cdfs(np.array([x]), lam[lam > 0.0][None],
+                                    tol)[0])
         elif x <= 0.0:
             out.append(0.0)
         else:  # one coefficient, or all equal within 1e-12

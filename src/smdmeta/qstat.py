@@ -97,6 +97,15 @@ class Tau2Result:
             raise DomainError("truncated_at_zero implies value == 0")
 
 
+def _outcome(make, *args):
+    """make(*args), or the NonConvergenceError it raised: batches return one
+    result or failure per replicate."""
+    try:
+        return make(*args)
+    except NonConvergenceError as exc:
+        return exc
+
+
 def iv_weighted_mean(data: MetaInput, tau2: float) -> WeightedFit:
     """Inverse-variance weighted mean with weights 1/(v_i^2 + tau2).
 

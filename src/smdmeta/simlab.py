@@ -20,13 +20,8 @@ import numpy as np
 
 from . import effect as eff
 from . import tau2 as t2
-from .numkernel import (
-    NonConvergenceError,
-    RandomStream,
-    _outcome,
-    derive_stream_id,
-)
-from .qstat import MetaBatch, MetaInput
+from .numkernel import NonConvergenceError, RandomStream, derive_stream_id
+from .qstat import MetaBatch, MetaInput, _outcome
 from .smd import sample_g
 
 DELTAS = (0.0, 0.2, 0.5, 1.0, 2.0)

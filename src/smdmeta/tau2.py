@@ -33,7 +33,6 @@ from scipy.special import gamma, gammainc, ndtri, poch, roots_laguerre
 from .numkernel import (
     DomainError,
     NonConvergenceError,
-    _outcome,
     _unwrap,
     chisq_quantile,
     mixture_cdfs,
@@ -46,6 +45,7 @@ from .qstat import (
     MetaInput,
     Tau2Result,
     _lockstep,
+    _outcome,
     _q_terms,
     _row_fits,
     solve_q_equals,
@@ -551,10 +551,11 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
         seeds = _satterthwaite_roots(w, v2, q_obs, np.array(targets))
 
         def cdfs(keys, points):
-            keys = [(i, t) for (i, _), t in zip(keys, points)]
-            # each tau2 that no walk of its row has asked before, once
-            todo = [key for key in dict.fromkeys(keys)
-                    if key[1] not in known[key[0]]]
+            asked = [(i, t) for (i, _), t in zip(keys, points)]
+            # each tau2 that no walk of its row has asked before, once; the
+            # lower walk of a row whose upper endpoint failed is sent that
+            todo = [key for key in dict.fromkeys(asked)
+                    if key[0] not in failed and key[1] not in known[key[0]]]
             bj = [key for key in todo if key[0] < n_bj]
             jr = [key for key in todo if key[0] >= n_bj]
             lams = []
@@ -576,9 +577,12 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
                         f"mixture coefficients at tau2 = {t:g} " + (
                             "are negative or all 0" if np.isfinite(row).all()
                             else "overflowed"))
-            return [known[i][t] for i, t in keys]
+            values = [failed.get(i) or known[i][t] for i, t in asked]
+            failed.update((i, v) for (i, end), v in zip(keys, values)
+                          if end == 0 and isinstance(v, NonConvergenceError))
+            return values
 
-        known, walks, out = {}, {}, [None] * len(g)
+        known, failed, walks, out = {}, {}, {}, [None] * len(g)
         for i, (q, row_seeds) in enumerate(zip(q_obs.tolist(), seeds)):
             if not math.isfinite(q):
                 out[i] = NonConvergenceError(f"fixed-weight Q is {q}")
@@ -591,9 +595,9 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
         ends = _lockstep(walks, cdfs)
     for i, cached in known.items():
         hi, lo = ends[i, 0], ends[i, 1]
-        failed = [e for e in (hi, lo) if isinstance(e, NonConvergenceError)]
-        if failed:
-            out[i] = failed[0]
+        errors = [e for e in (hi, lo) if isinstance(e, NonConvergenceError)]
+        if errors:
+            out[i] = errors[0]
             continue
         flags = []
         cdf_values = [f for _, f in sorted(cached.items())]

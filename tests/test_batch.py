@@ -305,6 +305,45 @@ class TestFixedWeightBatch:
         assert outcomes[:2] == outcomes[4:6] == [(), ()] and outcomes[7] == ()
         assert outcomes[2] is outcomes[3] is outcomes[6] is NonConvergenceError
 
+    def test_failed_upper_endpoint_stops_its_row(self, monkeypatch):
+        # a CDF that cannot be certified (as an Imhof failure) partway up the
+        # BJ upper walk fails the BJ interval as the oracle's does, and its
+        # lower walk, still going, asks for no CDF after that round
+        data = meta([-1.2, 0.3, 2.1, 0.8, -0.5], [0.2, 0.3, 0.25, 0.4, 0.1])
+        w = 1.0 / data.v2
+        x_bj = float((w * (data.g - (w * data.g).sum() / w.sum()) ** 2).sum())
+        mu = oracles._eigenvalues(np.diag(w) - np.outer(w, w) / w.sum())
+        bj = oracles.ci_bj(data)
+        cap = 1.0 + math.sqrt(bj.lo * bj.hi) * mu.max()
+        error = NonConvergenceError("mixture_cdf could not certify tol")
+        batch_cdfs, oracle_cdfs = tau2.mixture_cdfs, oracles.mixture_cdf
+        rounds = []  # per round, whether each CDF of the BJ row failed
+
+        def fails(x, lam):
+            return x == x_bj and lam.max() > cap
+
+        def oracle_cdf(x, lam, tol):
+            if fails(x, lam):
+                raise error
+            return oracle_cdfs(x, lam, tol=tol)
+
+        def batch_cdf(xs, lams, tol):
+            failing = [fails(x, lam) for x, lam in zip(xs.tolist(), lams)]
+            rounds.append([f for f, x in zip(failing, xs.tolist())
+                           if x == x_bj])
+            return [error if f else value
+                    for f, value in zip(failing, batch_cdfs(xs, lams, tol))]
+
+        monkeypatch.setattr(tau2, "mixture_cdfs", batch_cdf)
+        monkeypatch.setattr(oracles, "mixture_cdf", oracle_cdf)
+        (got_bj, got_j), = tau2.fixed_weight_batch(MetaBatch((data,)), 0.95)
+        assert key(got_bj) == key(oracle(oracles.ci_bj, data, 0.95))
+        assert key(got_j) == key(oracles.ci_jackson(data))
+        assert isinstance(got_bj, NonConvergenceError)
+        first = next(r for r, row in enumerate(rounds) if any(row))
+        assert False in rounds[first]  # the lower walk asked in that round
+        assert not any(rounds[first + 1:])
+
     def test_adapters_are_a_batch_of_one(self):
         for data in batch_of([(10, 10)] * 6, np.random.default_rng(5), 4,
                              0.3).inputs:
