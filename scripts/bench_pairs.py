@@ -6,7 +6,9 @@ the other, on the same workload and seed; the side that runs first
 alternates from pair to pair, so drift in machine speed falls on both sides
 alike.  The last JSON line of every run is kept, and per end-to-end metric
 of `BENCHMARK.json` the summary holds both sides' medians and quartiles,
-the ratio of the medians and the number of pairs the change wins.
+the ratio of the medians, the number of pairs the change wins and ties, and
+the change's relative move from the parent's median, signed so that
+positive is worse, with whether that move is beyond the metric's `bound`.
 
 Example: ten grid-serial pairs on seeds 9001-9010, appended to BENCH_9.json
 
@@ -47,7 +49,8 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 def summarize(runs: list[dict], set_name: str, workload: str,
               seeds: list[int], metrics: list[dict]) -> list[dict]:
-    """Medians, quartiles, ratio and wins per end-to-end metric."""
+    """Medians, quartiles, ratio, wins, ties and the move against the bound
+    per end-to-end metric."""
     out = []
     for metric in metrics:
         name = metric["name"]
@@ -56,8 +59,9 @@ def summarize(runs: list[dict], set_name: str, workload: str,
                 for s in ("parent", "change")}
         parent = np.array([side["parent"][s] for s in seeds])
         change = np.array([side["change"][s] for s in seeds])
-        better = change > parent if metric["better"] == "higher" \
-            else change < parent
+        sign = -1.0 if metric["better"] == "higher" else 1.0
+        better = sign * change < sign * parent
+        move = sign * (np.median(change) / np.median(parent) - 1.0)
         out.append({
             "set": set_name, "workload": workload, "metric": name,
             "pairs": len(seeds), "seeds": [seeds[0], seeds[-1]],
@@ -69,6 +73,9 @@ def summarize(runs: list[dict], set_name: str, workload: str,
             .tolist(),
             "ratio": round(float(np.median(change) / np.median(parent)), 4),
             "change_better_pairs": int(better.sum()),
+            "tied_pairs": int((change == parent).sum()),
+            "move": round(float(move), 4),
+            "beyond_bound": bool(move > metric["bound"]),
         })
     return out
 

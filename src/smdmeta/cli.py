@@ -270,6 +270,9 @@ def cmd_simulate(args) -> int:
         raise CliError("need --n (equal sizes) and/or --nbar (unequal sizes)",
                        EXIT_INPUT)
     _check_level(args.level)
+    if args.threads < 1:
+        raise CliError(f"--threads must be >= 1, got {args.threads}",
+                       EXIT_INPUT)
     config = simlab.GridConfig(
         deltas=_float_list(args.delta, "--delta"),
         tau2s=_float_list(args.tau2, "--tau2"),

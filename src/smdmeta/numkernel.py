@@ -157,7 +157,7 @@ _RUBEN_CHECKS = np.arange(_RUBEN_BOUND_EVERY + 1.0, _RUBEN_PY_TERMS + 2,
 
 def _ruben_cdf(x, lam: np.ndarray, tol: float, max_terms: int):
     """Ruben's central chi-square series with a certified truncation bound, on
-    the rows of lam (M, nu) at x (M,), or on one vector lam at x.
+    the rows of lam (M, nu) at x (M,).
 
     Returns per row (p, bound), or None when max_terms is not enough.  With
     the scale set to min(lam) all series coefficients are nonnegative and
@@ -166,8 +166,6 @@ def _ruben_cdf(x, lam: np.ndarray, tol: float, max_terms: int):
     F_{nu+2j}(y) of the bounds and of the sum are array code over all rows;
     each row runs the recurrence on its own, as a row alone would.
     """
-    if lam.ndim == 1:
-        return _ruben_cdf(np.array([x]), lam[None], tol, max_terms)[0]
     nu = lam.shape[1]
     beta = lam.min(-1)
     half_ys = 0.5 * x / beta  # y / 2, y = x / beta

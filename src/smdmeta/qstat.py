@@ -106,33 +106,32 @@ def _outcome(make, *args):
         return exc
 
 
+def _fit(data: MetaInput, tau2: float):
+    """`_row_fits` on data as a batch of one at tau2 >= 0, whose weights
+    did not all underflow: (w, sum w, mean, Q terms)."""
+    if tau2 < 0:
+        raise DomainError(f"tau2 must be >= 0, got {tau2}")
+    w, sum_w, mean, terms = _row_fits(data.g[None], data.v2[None],
+                                      np.array([float(tau2)]))
+    if not sum_w[0] > 0.0:  # every weight underflowed
+        raise NonConvergenceError(f"sum of weights is {float(sum_w[0])} at "
+                                  f"tau2 = {tau2:g}")
+    return w[0], float(sum_w[0]), float(mean[0]), terms[0]
+
+
 def iv_weighted_mean(data: MetaInput, tau2: float) -> WeightedFit:
     """Inverse-variance weighted mean with weights 1/(v_i^2 + tau2).
 
     numpy's pairwise summation keeps the K <= ~100 sums well conditioned.
     """
-    if tau2 < 0:
-        raise DomainError(f"tau2 must be >= 0, got {tau2}")
-    w = 1.0 / (data.v2 + tau2)
-    sum_w = float(w.sum())
-    if not sum_w > 0.0:  # every weight underflowed
-        raise NonConvergenceError(f"sum of weights is {sum_w} at tau2 = "
-                                  f"{tau2:g}")
-    return WeightedFit(weights=w, mean=float((w * data.g).sum()) / sum_w,
-                       sum_w=sum_w)
-
-
-def _q_terms(data: MetaInput, tau2: float) -> tuple[WeightedFit, np.ndarray]:
-    """The fit at tau2 and the terms w_i (g_i - mean)^2 that sum to Q(tau2)."""
-    fit = iv_weighted_mean(data, tau2)
-    resid = data.g - fit.mean
-    return fit, fit.weights * resid * resid
+    w, sum_w, mean, _ = _fit(data, tau2)
+    return WeightedFit(weights=w, mean=mean, sum_w=sum_w)
 
 
 def q_statistic(data: MetaInput, tau2: float) -> float:
     """Generalized Cochran statistic Q(tau2) = sum w_i (g_i - mean)^2 with the
     mean recomputed at the same tau2.  Non-increasing in tau2."""
-    return float(_q_terms(data, tau2)[1].sum())
+    return float(_fit(data, tau2)[3].sum())
 
 
 def _row_fits(g: np.ndarray, v2: np.ndarray, tau2: np.ndarray):
@@ -195,7 +194,8 @@ def _lockstep(walks: dict, evaluate) -> dict:
     """Run the generators `walks` together: each yields the points it needs,
     one `evaluate(keys, points)` call per round returns the values at all
     of them, in order, and each walk is sent its own; returns what each
-    walk returned, or the first NonConvergenceError it was sent, by key."""
+    walk returned, or the first NonConvergenceError it was sent, by key in
+    the order of walks."""
     results, asks = {}, {}
     for i, walk in walks.items():
         try:
@@ -216,7 +216,7 @@ def _lockstep(walks: dict, evaluate) -> dict:
             except StopIteration as stop:
                 results[i] = stop.value
             del asks[i]
-    return results
+    return {i: results[i] for i in walks}
 
 
 def _walk(target: float, margin: float, q: float, dq: float, hi: float):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import effect as eff
 from . import tau2 as t2
 from .numkernel import NonConvergenceError, RandomStream, derive_stream_id
-from .qstat import MetaBatch, MetaInput, _outcome
+from .qstat import MetaBatch, MetaInput
 from .smd import sample_g
 
 DELTAS = (0.0, 0.2, 0.5, 1.0, 2.0)
@@ -179,9 +180,9 @@ def expand_grid(config: GridConfig, allow_custom: bool = False) -> list[SimCell]
 # prerequisites, keys of earlier rows, follow the data as arguments, then the
 # level on "_cover" rows, on the Q-root row, which solves every Q(tau^2) =
 # target of a replicate for the rows that read it, and on the fixed-weight
-# row, which finds the BJ and J intervals together.  A `*_batch` function
-# takes the MetaBatch and a list per prerequisite, and returns a result or
-# NonConvergenceError per replicate; the others take one MetaInput.
+# row, which finds the BJ and J intervals together.  Every function is a
+# `*_batch` function: it takes the MetaBatch and a list per prerequisite,
+# and returns a result or NonConvergenceError per replicate.
 # Functions are looked up by name on each call, so a patched module
 # attribute (a tracing span, a test double) is what runs.
 ROOTS = ("q_roots", "Q-roots")
@@ -190,7 +191,7 @@ ESTIMATORS = (
     ("DL", "tau2_est", "DL", t2, "tau2_dl_batch", []),
     ("Q-roots", *ROOTS, t2, "q_roots_batch", []),
     ("MP", "tau2_est", "MP", t2, "tau2_mp_batch", [ROOTS]),
-    ("REML", "tau2_est", "REML", t2, "tau2_reml", [("tau2_est", "DL")]),
+    ("REML", "tau2_est", "REML", t2, "tau2_reml_batch", [("tau2_est", "DL")]),
     ("J", "tau2_est", "J", t2, "tau2_jackson_batch", []),
     ("KDB", "expected_q", "KDB", t2, "expected_q_batch", [ROOTS]),
     ("KDB", "tau2_est", "KDB", t2, "tau2_kdb_batch", [ROOTS, ("expected_q", "KDB")]),
@@ -198,7 +199,7 @@ ESTIMATORS = (
     ("BJ/J-intervals", *FIXED, t2, "fixed_weight_batch", []),
     ("BJ", "tau2_cover", "BJ", t2, "ci_bj_batch", [FIXED]),
     ("J-interval", "tau2_cover", "J", t2, "ci_jackson_batch", [FIXED]),
-    ("PL", "tau2_cover", "PL", t2, "ci_pl", [("tau2_est", "REML")]),
+    ("PL", "tau2_cover", "PL", t2, "ci_pl_batch", [("tau2_est", "REML")]),
     ("KDB-interval", "tau2_cover", "KDB", t2, "ci_kdb_batch", [ROOTS, ("expected_q", "KDB")]),
     ("IV-DL", "delta_est", "IV-DL", eff, "effect_iv_batch", [("tau2_est", "DL")]),
     ("IV-MP", "delta_est", "IV-MP", eff, "effect_iv_batch", [("tau2_est", "MP")]),
@@ -222,9 +223,10 @@ TAU2_POINT, TAU2_CI, DELTA_POINT, DELTA_CI = _OUTPUT_NAMES.values()
 
 
 def estimate_all(data: MetaInput | MetaBatch, level: float = 0.95):
-    """Run every row of ESTIMATORS on one input, or on a batch at once;
-    returns (results, failures), or a list of them in batch order, results
-    keyed by (kind, output name).
+    """Run every row of ESTIMATORS on a batch, each row in one call over
+    the replicates ready for it (one input is a batch of one); returns
+    (results, failures), or a list of them in batch order for a batch,
+    results keyed by (kind, output name).
 
     A row that fails with NonConvergenceError is recorded in failures under
     its failure name, never silently dropped, and has no result.  A row
@@ -247,16 +249,12 @@ def estimate_all(data: MetaInput | MetaBatch, level: float = 0.95):
         args = [[results[i][key] for i in ready] for key in prereqs]
         extra = (level,) if kind.endswith("_cover") \
             or kind in (ROOTS[0], FIXED[0]) else ()
-        fn = getattr(module, function)
-        if not function.endswith("_batch"):
-            outs = [_outcome(fn, batch.inputs[i], *row, *extra)
-                    for i, *row in zip(ready, *args)]
-        else:
-            try:
-                outs = fn(batch if len(ready) == len(everyone) else MetaBatch(
+        try:
+            outs = getattr(module, function)(
+                batch if len(ready) == len(everyone) else MetaBatch(
                     tuple(batch.inputs[i] for i in ready)), *args, *extra)
-            except NonConvergenceError as exc:
-                outs = [exc] * len(ready)
+        except NonConvergenceError as exc:
+            outs = [exc] * len(ready)
         for i, out in zip(ready, outs):
             if isinstance(out, NonConvergenceError):
                 failures[i].append((failure, str(out)))
@@ -333,14 +331,16 @@ def run_cell_raw(cell: SimCell, level: float = 0.95,
 
     The concatenation happens in chunk order, and each replicate's stream
     depends only on (seed, cell, replicate), so the result is identical
-    for any chunk count and any worker count.  A REML estimate that stopped
-    at max_iter is pooled into bias and coverage as an ordinary estimate,
-    and PL is built around it.
+    for any chunk count and any worker count.  The pool has at most one
+    worker per chunk and per core.  A REML estimate that stopped at max_iter
+    is pooled into bias and coverage as an ordinary estimate, and PL is
+    built around it.
     """
     per = cell.reps // cell.chunks
     tasks = [(cell, i * per, (i + 1) * per, level) for i in range(cell.chunks)]
-    if threads > 1 and cell.chunks > 1:
-        with ProcessPoolExecutor(min(threads, cell.chunks)) as pool:
+    workers = min(threads, cell.chunks, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(workers) as pool:
             parts = list(pool.map(_chunk_task, tasks))
     else:
         parts = [_run_chunk(*task) for task in tasks]

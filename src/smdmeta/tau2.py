@@ -12,11 +12,11 @@ chi-square-mixture distribution of a fixed-weights Q, and the REML-based
 profile likelihood interval (PL).
 
 The `*_batch` functions are the battery's array code over a MetaBatch, one
-result or failure per replicate; the other estimators of the battery (REML,
-PL) take one MetaInput, and the rest are a batch of one.  The BJ and J
-intervals of a batch are found in lock-step: each endpoint search is a
-walk that yields the tau2 it needs, and each round evaluates every walk's
-mixture CDF together.
+result or failure per replicate; the others are the same estimators on a
+batch of one.  The searches of a batch run in lock-step: each row's REML
+iteration, PL endpoint search or BJ/J endpoint search is a walk that yields
+the tau2 it needs, and each round evaluates every walk's restricted
+log-likelihood or mixture CDF together.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# unused here: bench/run.py --trace 1 wraps tau2.quad by name
+# unused here: bench/run.py --trace 1 wraps tau2.quad and tau2.brentq by name
 from scipy.integrate import quad  # noqa: F401
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401
 from scipy.special import gamma, gammainc, ndtri, poch, roots_laguerre
 
 from .numkernel import (
@@ -46,7 +46,6 @@ from .qstat import (
     Tau2Result,
     _lockstep,
     _outcome,
-    _q_terms,
     _row_fits,
     solve_q_equals,
     solve_q_roots,
@@ -118,48 +117,86 @@ def tau2_mp(data: MetaInput) -> Tau2Result:
     return solve_q_equals(data, float(data.k - 1))
 
 
-def _loglik_and_fit(data: MetaInput, tau2: float):
-    fit, q_terms = _q_terms(data, tau2)
-    return -0.5 * (float(np.log(data.v2 + tau2).sum()) + math.log(fit.sum_w)
-                   + float(q_terms.sum())), fit
+def _restricted_fits(g: np.ndarray, v2: np.ndarray, steps: bool = False):
+    """The `evaluate(rows, points)` of walks on the rows of g, v2 (n, K): per
+    point the restricted profile log-likelihood l of tau2 (constants
+    dropped), or the failure of a fit whose weights all underflowed; with
+    steps, (l, sum w^2, sum w^2 ((g - mean)^2 - v^2), sum w) from the fit
+    there, REML's fixed-point terms.  Each set of rows is indexed once."""
+    indexed = {}
+
+    def evaluate(rows, points):
+        if (key := tuple(rows)) not in indexed:
+            indexed[key] = g[rows], v2[rows]
+        g_rows, v2_rows = indexed[key]
+        t = np.array(points)
+        w, sum_w, mean, terms = _row_fits(g_rows, v2_rows, t)
+        columns = [sum_w.tolist(), np.log(v2_rows + t[:, None]).sum(-1)
+                   .tolist(), terms.sum(-1).tolist()]
+        if steps:
+            w2 = w ** 2
+            resid2 = (g_rows - mean[:, None]) ** 2
+            columns += [w2.sum(-1).tolist(),
+                        (w2 * (resid2 - v2_rows)).sum(-1).tolist(), columns[0]]
+        out = []
+        for tau2, s, logs, q, *fit in zip(points, *columns):
+            if not s > 0.0:  # every weight underflowed
+                out.append(NonConvergenceError(
+                    f"sum of weights is {s} at tau2 = {tau2:g}"))
+            else:
+                loglik = -0.5 * (logs + math.log(s) + q)
+                out.append((loglik, *fit) if steps else loglik)
+        return out
+
+    return evaluate
 
 
 def restricted_loglik(data: MetaInput, tau2: float) -> float:
     """Restricted profile log-likelihood of tau2 (constants dropped)."""
-    return _loglik_and_fit(data, tau2)[0]
+    if tau2 < 0:
+        raise DomainError(f"tau2 must be >= 0, got {tau2}")
+    return _unwrap(_restricted_fits(data.g[None], data.v2[None])(
+        [0], [float(tau2)])[0])
 
 
-def tau2_reml(data: MetaInput, dl: Tau2Result) -> Tau2Result:
-    """REML via the damped fixed-point iteration
-
-        tau2 <- max(0, sum w^2 ((g - mean)^2 - v^2) / sum w^2 + 1 / sum w),
-
-    started at dl, the tau2_dl(data) estimate; steps that decrease the
-    restricted log-likelihood are halved toward the current iterate.
-    """
-    t = dl.value
-    l_cur, fit = _loglik_and_fit(data, t)
+def _reml_walk(t: float):
+    """One row of `tau2_reml_batch` from t: a walk that yields [tau2] and is
+    sent [(l, sum w^2, sum w^2 ((g - mean)^2 - v^2), sum w)] there."""
+    (l_cur, sum_w2, num, sum_w), = yield [t]
     for it in range(1, _REML_MAX_ITER + 1):
-        w2 = fit.weights ** 2
-        sum_w2 = float(w2.sum())
         if not sum_w2 > 0:
-            raise NonConvergenceError(f"sum w^2 underflowed at tau2 = {t:g}")
-        resid2 = (data.g - fit.mean) ** 2
-        prop = float((w2 * (resid2 - data.v2)).sum()) / sum_w2 \
-            + 1.0 / fit.sum_w
-        prop = max(0.0, prop)
-        l_prop, fit_prop = _loglik_and_fit(data, prop)
+            return NonConvergenceError(f"sum w^2 underflowed at tau2 = {t:g}")
+        prop = max(0.0, num / sum_w2 + 1.0 / sum_w)
+        (l_prop, *fit), = yield [prop]
         halvings = 0
         while l_prop < l_cur - 1e-13 and halvings < 30:
             prop = 0.5 * (prop + t)
-            l_prop, fit_prop = _loglik_and_fit(data, prop)
+            (l_prop, *fit), = yield [prop]
             halvings += 1
         done = abs(prop - t) <= _REML_TOL * (1.0 + prop)
-        t, l_cur, fit = prop, l_prop, fit_prop
+        t, l_cur, (sum_w2, num, sum_w) = prop, l_prop, fit
         if done:
             status = "truncated_at_zero" if t == 0.0 else "interior"
             return Tau2Result(t, status, it)
     return Tau2Result(t, "max_iter", _REML_MAX_ITER)
+
+
+def tau2_reml_batch(batch: MetaBatch, dls: list) -> list:
+    """REML via the damped fixed-point iteration
+
+        tau2 <- max(0, sum w^2 ((g - mean)^2 - v^2) / sum w^2 + 1 / sum w),
+
+    started at each dl, the `tau2_dl_batch` estimate; steps that decrease
+    the restricted log-likelihood are halved toward the current iterate.
+    The rows iterate in lock-step."""
+    with np.errstate(all="ignore"):
+        return list(_lockstep(
+            {i: _reml_walk(dl.value) for i, dl in enumerate(dls)},
+            _restricted_fits(batch.g, batch.v2, steps=True)).values())
+
+
+def tau2_reml(data: MetaInput, dl: Tau2Result) -> Tau2Result:
+    return _unwrap(tau2_reml_batch(MetaBatch((data,)), [dl])[0])
 
 
 def tau2_jackson_batch(batch: MetaBatch) -> list:
@@ -635,55 +672,71 @@ def ci_jackson(data: MetaInput, level: float = 0.95) -> Tau2Interval:
                                            level)[0])
 
 
-def _pl_root(h, a: float, b: float) -> float:
-    """brentq's root of h in [a, b], or the NonConvergenceError of a search
-    that ran out of steps."""
-    root, info = brentq(h, a, b, xtol=1e-10, rtol=1e-8, full_output=True,
-                        disp=False)
-    if not info.converged:
-        raise NonConvergenceError(f"profile-likelihood endpoint in "
-                                  f"[{a:g}, {b:g}]: {info.flag}")
-    return float(root)
+def _pl_walk(center: float, crit: float, level: float):
+    """One row of `ci_pl_batch` around the REML estimate center: a walk that
+    yields the tau2 it needs and is sent l there.  Each endpoint is brentq's
+    root (xtol 1e-10, rtol 1e-8) of h = 2 (l_hat - l) - crit in a bracket
+    where h changes sign; a NaN h, on which scipy's brentq raises, fails
+    the interval."""
+    if center:
+        l_hat, l_zero = yield [center, 0.0]
+    else:
+        l_hat = l_zero = (yield [0.0])[0]
+    if l_zero > l_hat:
+        # fixed point stopped short of the boundary maximum
+        center, l_hat = 0.0, l_zero
+
+    def h(loglik: float) -> float:
+        return 2.0 * (l_hat - loglik) - crit
+
+    def root(a: float, b: float, la: float, lb: float):
+        """h's root in [a, b], where l is la and lb, or its failure."""
+        where = f"profile-likelihood endpoint in [{a:g}, {b:g}]"
+        search = _brentq(a, b, h(la), h(lb), 0.0, 1e-10, 1e-8)
+        sent, values = None, [h(la), h(lb)]
+        try:
+            while not any(map(math.isnan, values)):
+                x, = search.send(sent)
+                sent = values = [h((yield [x])[0])]
+        except StopIteration as stop:
+            return NonConvergenceError(f"{where}: convergence error") \
+                if isinstance(stop.value, NonConvergenceError) else stop.value
+        return NonConvergenceError(f"{where}: h is NaN")
+
+    lo, flags = 0.0, []
+    if not h(l_zero) <= 0.0:
+        lo = yield from root(0.0, center, l_zero, l_hat)
+        if isinstance(lo, NonConvergenceError):
+            return lo
+    br_lo, l_lo, br = center, l_hat, max(1.0, 2.0 * center)
+    while h(l_br := (yield [br])[0]) <= 0.0:
+        br_lo, l_lo, br = br, l_br, 2.0 * br
+        if br > BRACKET_CAP:
+            hi = math.inf
+            flags.append("upper-beyond-cap")
+            break
+    else:
+        hi = yield from root(br_lo, br, l_lo, l_br)
+        if isinstance(hi, NonConvergenceError):
+            return hi
+    if abs(l_hat - l_zero) < 1e-12 and (math.isinf(hi)
+                                        or abs(l_hat - l_br) < 1e-12):
+        flags.append("flat-likelihood")
+    return Tau2Interval(lo, hi, level, tuple(flags))
+
+
+def ci_pl_batch(batch: MetaBatch, remls: list, level: float) -> list:
+    """Profile-likelihood interval around each reml, the `tau2_reml_batch`
+    estimate, { tau2 >= 0 : 2 (l(tau2_REML) - l(tau2)) <= chi2_{1; level} };
+    the rows search in lock-step."""
+    crit = chisq_quantile(level, 1.0)
+    with np.errstate(all="ignore"):
+        return list(_lockstep(
+            {i: _pl_walk(r.value, crit, level) for i, r in enumerate(remls)},
+            _restricted_fits(batch.g, batch.v2)).values())
 
 
 def ci_pl(data: MetaInput, reml: Tau2Result,
           level: float = 0.95) -> Tau2Interval:
-    """Profile-likelihood interval around reml, a tau2_reml(data, dl) result:
-
-        { tau2 >= 0 : 2 (l(tau2_REML) - l(tau2)) <= chi2_{1; level} }.
-    """
-    crit = chisq_quantile(level, 1.0)
-    center = reml.value
-    l_hat = restricted_loglik(data, center)
-    l_zero = restricted_loglik(data, 0.0)
-    if l_zero > l_hat:
-        # fixed point stopped short of the boundary maximum
-        center, l_hat = 0.0, l_zero
-    flags: list[str] = []
-
-    def h(tau2: float) -> float:
-        return 2.0 * (l_hat - restricted_loglik(data, tau2)) - crit
-
-    if h(0.0) <= 0.0:
-        lo = 0.0
-    else:
-        lo = _pl_root(h, 0.0, center)
-
-    br_lo = center
-    br = max(1.0, 2.0 * center)
-    while h(br) <= 0.0:
-        br_lo = br
-        br *= 2.0
-        if br > BRACKET_CAP:
-            br = math.inf
-            break
-    if math.isinf(br):
-        hi = math.inf
-        flags.append("upper-beyond-cap")
-    else:
-        hi = _pl_root(h, br_lo, br)
-
-    if abs(l_hat - l_zero) < 1e-12 and (math.isinf(br)
-                                        or abs(l_hat - restricted_loglik(data, br)) < 1e-12):
-        flags.append("flat-likelihood")
-    return Tau2Interval(lo, hi, level, tuple(flags))
+    """Profile-likelihood interval around reml, a tau2_reml(data, dl) result."""
+    return _unwrap(ci_pl_batch(MetaBatch((data,)), [reml], level)[0])

@@ -1,9 +1,9 @@
 """The scalar estimators that the batched battery replaced, kept as its
 oracle: one replicate and one target at a time, as they were before every
 chunk of replicates became one MetaBatch, and the BJ and J intervals as they
-were before a batch found them in lock-step.  The batched code must match
-them bit for bit.  REML and PL were not batched; the oracle battery runs
-them from the package.
+were before a batch found them in lock-step, and REML and PL as they were
+before their rows iterated in lock-step.  The batched code must match them
+bit for bit.
 """
 
 import math
@@ -13,7 +13,6 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gamma, gammainc, ndtri, poch
 
-from smdmeta import tau2
 from smdmeta.effect import EffectInterval, EffectResult
 from smdmeta.numkernel import (
     DomainError,
@@ -30,8 +29,7 @@ from smdmeta.qstat import (
     BracketCapExceeded,
     MetaInput,
     Tau2Result,
-    _q_terms,
-    iv_weighted_mean,
+    WeightedFit,
 )
 from smdmeta.smd import j_factor
 from smdmeta.tau2 import (
@@ -41,6 +39,8 @@ from smdmeta.tau2 import (
     _LAGUERRE_X,
     _MIX_TOL,
     _MOMENT_KEYS,
+    _REML_MAX_ITER,
+    _REML_TOL,
     _SEED_STEP,
     _SEED_GRID,
     _SERIES_DF_MIN,
@@ -48,6 +48,29 @@ from smdmeta.tau2 import (
 )
 
 oracle = sys.modules[__name__]
+
+
+def iv_weighted_mean(data: MetaInput, tau2: float) -> WeightedFit:
+    """Inverse-variance weighted mean with weights 1/(v_i^2 + tau2).
+
+    numpy's pairwise summation keeps the K <= ~100 sums well conditioned.
+    """
+    if tau2 < 0:
+        raise DomainError(f"tau2 must be >= 0, got {tau2}")
+    w = 1.0 / (data.v2 + tau2)
+    sum_w = float(w.sum())
+    if not sum_w > 0.0:  # every weight underflowed
+        raise NonConvergenceError(f"sum of weights is {sum_w} at tau2 = "
+                                  f"{tau2:g}")
+    return WeightedFit(weights=w, mean=float((w * data.g).sum()) / sum_w,
+                       sum_w=sum_w)
+
+
+def _q_terms(data: MetaInput, tau2: float) -> tuple[WeightedFit, np.ndarray]:
+    """The fit at tau2 and the terms w_i (g_i - mean)^2 that sum to Q(tau2)."""
+    fit = iv_weighted_mean(data, tau2)
+    resid = data.g - fit.mean
+    return fit, fit.weights * resid * resid
 
 
 def solve_q_equals(data: MetaInput, target: float) -> Tau2Result:
@@ -138,6 +161,50 @@ def tau2_dl(data: MetaInput) -> Tau2Result:
 def tau2_mp(data: MetaInput) -> Tau2Result:
     """Mandel-Paule estimator: solves Q(tau2) = K - 1."""
     return solve_q_equals(data, float(data.k - 1))
+
+
+def _loglik_and_fit(data: MetaInput, tau2: float):
+    fit, q_terms = _q_terms(data, tau2)
+    return -0.5 * (float(np.log(data.v2 + tau2).sum()) + math.log(fit.sum_w)
+                   + float(q_terms.sum())), fit
+
+
+def restricted_loglik(data: MetaInput, tau2: float) -> float:
+    """Restricted profile log-likelihood of tau2 (constants dropped)."""
+    return _loglik_and_fit(data, tau2)[0]
+
+
+def tau2_reml(data: MetaInput, dl: Tau2Result) -> Tau2Result:
+    """REML via the damped fixed-point iteration
+
+        tau2 <- max(0, sum w^2 ((g - mean)^2 - v^2) / sum w^2 + 1 / sum w),
+
+    started at dl, the tau2_dl(data) estimate; steps that decrease the
+    restricted log-likelihood are halved toward the current iterate.
+    """
+    t = dl.value
+    l_cur, fit = _loglik_and_fit(data, t)
+    for it in range(1, _REML_MAX_ITER + 1):
+        w2 = fit.weights ** 2
+        sum_w2 = float(w2.sum())
+        if not sum_w2 > 0:
+            raise NonConvergenceError(f"sum w^2 underflowed at tau2 = {t:g}")
+        resid2 = (data.g - fit.mean) ** 2
+        prop = float((w2 * (resid2 - data.v2)).sum()) / sum_w2 \
+            + 1.0 / fit.sum_w
+        prop = max(0.0, prop)
+        l_prop, fit_prop = _loglik_and_fit(data, prop)
+        halvings = 0
+        while l_prop < l_cur - 1e-13 and halvings < 30:
+            prop = 0.5 * (prop + t)
+            l_prop, fit_prop = _loglik_and_fit(data, prop)
+            halvings += 1
+        done = abs(prop - t) <= _REML_TOL * (1.0 + prop)
+        t, l_cur, fit = prop, l_prop, fit_prop
+        if done:
+            status = "truncated_at_zero" if t == 0.0 else "interior"
+            return Tau2Result(t, status, it)
+    return Tau2Result(t, "max_iter", _REML_MAX_ITER)
 
 
 def tau2_jackson(data: MetaInput) -> Tau2Result:
@@ -428,6 +495,60 @@ def ci_jackson(data: MetaInput, level: float = 0.95) -> Tau2Interval:
     return _fixed_weight_interval(data, level, u, coefficients)
 
 
+def _pl_root(h, a: float, b: float) -> float:
+    """brentq's root of h in [a, b], or the NonConvergenceError of a search
+    that ran out of steps."""
+    root, info = brentq(h, a, b, xtol=1e-10, rtol=1e-8, full_output=True,
+                        disp=False)
+    if not info.converged:
+        raise NonConvergenceError(f"profile-likelihood endpoint in "
+                                  f"[{a:g}, {b:g}]: {info.flag}")
+    return float(root)
+
+
+def ci_pl(data: MetaInput, reml: Tau2Result,
+          level: float = 0.95) -> Tau2Interval:
+    """Profile-likelihood interval around reml, a tau2_reml(data, dl) result:
+
+        { tau2 >= 0 : 2 (l(tau2_REML) - l(tau2)) <= chi2_{1; level} }.
+    """
+    crit = chisq_quantile(level, 1.0)
+    center = reml.value
+    l_hat = restricted_loglik(data, center)
+    l_zero = restricted_loglik(data, 0.0)
+    if l_zero > l_hat:
+        # fixed point stopped short of the boundary maximum
+        center, l_hat = 0.0, l_zero
+    flags: list[str] = []
+
+    def h(tau2: float) -> float:
+        return 2.0 * (l_hat - restricted_loglik(data, tau2)) - crit
+
+    if h(0.0) <= 0.0:
+        lo = 0.0
+    else:
+        lo = _pl_root(h, 0.0, center)
+
+    br_lo = center
+    br = max(1.0, 2.0 * center)
+    while h(br) <= 0.0:
+        br_lo = br
+        br *= 2.0
+        if br > BRACKET_CAP:
+            br = math.inf
+            break
+    if math.isinf(br):
+        hi = math.inf
+        flags.append("upper-beyond-cap")
+    else:
+        hi = _pl_root(h, br_lo, br)
+
+    if abs(l_hat - l_zero) < 1e-12 and (math.isinf(br)
+                                        or abs(l_hat - restricted_loglik(data, br)) < 1e-12):
+        flags.append("flat-likelihood")
+    return Tau2Interval(lo, hi, level, tuple(flags))
+
+
 def effect_iv(data: MetaInput, tau2: Tau2Result) -> EffectResult:
     """Inverse-variance weighted mean with weights 1/(v_i^2 + tau2);
     variance estimated conventionally as 1/sum(w)."""
@@ -491,14 +612,14 @@ def ci_ssw_kdb(data: MetaInput, ssw: EffectResult,
 ESTIMATORS = (
     ("DL", "tau2_est", "DL", oracle, "tau2_dl", []),
     ("MP", "tau2_est", "MP", oracle, "tau2_mp", []),
-    ("REML", "tau2_est", "REML", tau2, "tau2_reml", [("tau2_est", "DL")]),
+    ("REML", "tau2_est", "REML", oracle, "tau2_reml", [("tau2_est", "DL")]),
     ("J", "tau2_est", "J", oracle, "tau2_jackson", []),
     ("KDB", "expected_q", "KDB", oracle, "corrected_expected_q", []),
     ("KDB", "tau2_est", "KDB", oracle, "tau2_kdb", [("expected_q", "KDB")]),
     ("QP", "tau2_cover", "QP", oracle, "ci_qp", []),
     ("BJ", "tau2_cover", "BJ", oracle, "ci_bj", []),
     ("J-interval", "tau2_cover", "J", oracle, "ci_jackson", []),
-    ("PL", "tau2_cover", "PL", tau2, "ci_pl", [("tau2_est", "REML")]),
+    ("PL", "tau2_cover", "PL", oracle, "ci_pl", [("tau2_est", "REML")]),
     ("KDB-interval", "tau2_cover", "KDB", oracle, "ci_kdb", [("expected_q", "KDB")]),
     ("IV-DL", "delta_est", "IV-DL", oracle, "effect_iv", [("tau2_est", "DL")]),
     ("IV-MP", "delta_est", "IV-MP", oracle, "effect_iv", [("tau2_est", "MP")]),

@@ -409,6 +409,194 @@ class TestBrentqWalk:
             == [x.hex() for x in scipy_points]
 
 
+def label(outcome):
+    """A failure's message without its tau2 or bracket."""
+    return str(outcome).split(" at ")[0].split(": ")[-1]
+
+
+def check_reml_pl(monkeypatch, batches):
+    """tau2_reml_batch on each batch (less the rows whose DL failed), and
+    ci_pl_batch at two levels on the rows whose REML did not, against the
+    oracle's tau2_reml and ci_pl on each replicate: value bits, status,
+    iterations, endpoints, flags and failure messages.  Returns what the
+    rows showed."""
+    calls = [0]
+    loglik = oracles._loglik_and_fit
+
+    def counted(data, tau2):
+        calls[0] += 1
+        return loglik(data, tau2)
+
+    monkeypatch.setattr(oracles, "_loglik_and_fit", counted)
+    seen = set()
+    for batch in batches:
+        dls = tau2.tau2_dl_batch(batch)
+        rows = [i for i, dl in enumerate(dls)
+                if not isinstance(dl, NonConvergenceError)]
+        if not rows:
+            continue
+        batch = MetaBatch(tuple(batch.inputs[i] for i in rows))
+        remls = tau2.tau2_reml_batch(batch, [dls[i] for i in rows])
+        for data, i, reml in zip(batch.inputs, rows, remls):
+            calls[0] = 0
+            assert key(reml) == key(oracle(oracles.tau2_reml, data, dls[i]))
+            seen.add(getattr(reml, "status", None) or label(reml))
+            if calls[0] > 1 + getattr(reml, "iterations", calls[0]):
+                seen.add("halved")
+        rows = [i for i, r in enumerate(remls)
+                if not isinstance(r, NonConvergenceError)]
+        if not rows:
+            continue
+        sub = MetaBatch(tuple(batch.inputs[i] for i in rows))
+        for level in (0.95, 0.9):
+            pls = tau2.ci_pl_batch(sub, [remls[i] for i in rows], level)
+            for data, i, pl in zip(sub.inputs, rows, pls):
+                assert key(pl) == key(oracle(oracles.ci_pl, data, remls[i],
+                                             level))
+                if isinstance(pl, NonConvergenceError):
+                    seen.add(label(pl))
+                    continue
+                seen.update(pl.flags)
+                if pl.lo == 0.0:
+                    seen.add("lo = 0")
+                if oracles.restricted_loglik(data, 0.0) \
+                        > oracles.restricted_loglik(data, remls[i].value):
+                    seen.add("l(0) > l(REML)")
+    return seen
+
+
+# g and v^2 of inputs that take REML and PL down their rarer paths
+REML_PL_INPUTS = [
+    ([0.4] * 4, [0.25] * 4),  # REML truncated at zero, PL from 0
+    ([0.1, 0.5, -0.3], [1e10] * 3),  # flat likelihood, PL beyond the cap
+    ([0.0, 0.0, 3e4], [0.1] * 3),  # PL's first bracket point past the cap
+    ([0.1, 0.5, -0.3], [1e200] * 3),  # sum of w^2 underflows
+    # REML stops short of the boundary maximum: l(0) > l(REML)
+    ([-2.0621227754264444, 1.744044560068809, -1.9534501533081121],
+     [0.25730483917525676, 2.5987357941840394, 0.3070474903074277]),
+    ([-9.711184782692178e+68, -2.5155792651219853e+64, 2.644077080307966e+62,
+      -2.1077207103820242e+68, -2.2815844118654348e+69,
+      -1.0031927028334205e+69, -1.0633190224891393e+74,
+      -1.275350405661619e+64],  # one step halved
+     [60.87209040040678, 109.73413783649407, 157.8463699071264,
+      50.20279340177018, 188.30698154994747, 198.6491419335542,
+      198.54726876685783, 70.75250812317962]),
+    ([-1.1022890519523618e+53, -4.955965113814876e+56, -6.0270923258119854e+44,
+      -5.878000437012691e+47, -2.638766486624688e+62, -1.482026763719763e+48,
+      -2.0529036063974072e+57, -2.231051692784871e+47],  # nine halved
+     [8.515138374961765e+106, 3.740473503481669e+99, 1.4831054508066366e+111,
+      2.143817013390698e+99, 5.870894345443328e+96, 2.748504092588245e+105,
+      6.157839613552807e+102, 1.4987123495671238e+103]),
+    ([5.930636287253617e+92] * 20,  # 30 halvings in one step
+     [3.0982488014523226e-122, 3.0120599069030017e-118, 2.894226614070558e-122,
+      3.2356793533191394e-124, 2.069914914543383e-124, 1.2893250967096372e-118,
+      2.480030085628643e-118, 1.3746928538192954e-122, 4.6477707046281587e-119,
+      6.031052686952356e-118, 2.651099752411516e-123, 1.7513898932273318e-120,
+      1.0933096302678827e-117, 2.2425809126235264e-117, 1.498567070693124e-124,
+      4.151601481805152e-118, 1.9028643821000342e-118, 4.5625124967198705e-121,
+      4.300682618782639e-124, 4.94095727357065e-118]),
+    # the REML and PL inputs of TestExtremeInputs
+    ([2.898068376972603e+180, 1.1500031881571115e-236, 1.775110927995382e-111],
+     [6.295995871884031e+127, 1420801199.0777352, 6.021732848630333e-144]),
+    ([343527.30125285935, -2.048559656969772e+188, -3.4976913865268908e+72,
+      2.3972690698499787e-48],
+     [3.0898014320104063e+117, 2.1964373174169613e+256,
+      4.2435528634120785e-83, 2.2114228353578295e-79]),
+]
+
+
+def reml_pl_input(rng, k):
+    """K studies with v^2 over one decade or over eight."""
+    v2 = rng.uniform(0.1, 3.0, k) if rng.uniform() < 0.5 \
+        else 10 ** rng.uniform(-4.0, 4.0, k)
+    return meta(rng.standard_normal(k) * 10 ** rng.uniform(-1.0, 2.0), v2)
+
+
+class TestRemlPlBatch:
+    @pytest.mark.parametrize("r", [1, 5, 37])
+    def test_matches_scalar_oracle(self, r, monkeypatch):
+        # each input above among r - 1 seeded ones of its K
+        rng = np.random.default_rng(r)
+        batches = []
+        for gs, v2s in REML_PL_INPUTS:
+            inputs = [reml_pl_input(rng, len(gs)) for _ in range(r - 1)]
+            inputs.insert(int(rng.integers(r)), meta(gs, v2s))
+            batches.append(MetaBatch(tuple(inputs)))
+        seen = check_reml_pl(monkeypatch, batches)
+        assert {"interior", "truncated_at_zero", "halved", "lo = 0",
+                "l(0) > l(REML)", "upper-beyond-cap", "flat-likelihood",
+                "sum w^2 underflowed", "sum of weights is 0.0",
+                "convergence error"} <= seen
+
+    def test_stopped_at_max_iter(self, monkeypatch):
+        for module in (tau2, oracles):
+            monkeypatch.setattr(module, "_REML_MAX_ITER", 2)
+        rng = np.random.default_rng(8)
+        batches = [MetaBatch(tuple(reml_pl_input(rng, k) for _ in range(5)))
+                   for k in (2, 3, 5, 10)]
+        assert "max_iter" in check_reml_pl(monkeypatch, batches)
+
+    @pytest.mark.parametrize("seed, per_study", [(11, False), (12, True)])
+    def test_seeded_fuzz_inputs_match_scalar_oracle(self, seed, per_study,
+                                                    monkeypatch):
+        # the inputs of TestExtremeInputs' fuzz runs, each a batch of one
+        batches = [MetaBatch((MetaInput(tuple(Study(*row) for row in rows)),))
+                   for rows in fuzz_inputs(np.random.default_rng(seed),
+                                           per_study)]
+        seen = check_reml_pl(monkeypatch, batches)
+        assert {"sum w^2 underflowed", "upper-beyond-cap"} <= seen
+
+    @pytest.mark.parametrize("nan_from", [4.0, 2.2])
+    def test_nan_h_fails_the_interval(self, nan_from):
+        # scipy's brentq raises on a NaN; the walk fails its row there, at
+        # a bracket end (4) or at a brentq step in [2, 4]
+        def loglik(t):
+            return -(t - 1.0) ** 2 if t < nan_from or t >= 4.0 > nan_from \
+                else math.nan
+
+        crit = oracles.chisq_quantile(0.95, 1.0)
+        walk, asked = tau2._pl_walk(1.0, crit, 0.95), []
+        try:
+            points = next(walk)
+            while True:
+                asked += points
+                points = walk.send([loglik(t) for t in points])
+        except StopIteration as stop:
+            out = stop.value
+        with pytest.raises(ValueError, match="is NaN") as raised:
+            brentq(lambda t: 2.0 * (0.0 - loglik(t)) - crit, 2.0, 4.0,
+                   xtol=1e-10, rtol=1e-8)
+        assert str(out) == "profile-likelihood endpoint in [2, 4]: h is NaN"
+        assert asked[-1] == float(str(raised.value).split("x=")[1].split()[0])
+
+    def test_nan_likelihood_fails_where_scipy_raises(self):
+        # l(0) is NaN (w g overflows to +inf and -inf), and so is h(0)
+        data = meta([1.7e308, -1.7e308, 0.0], [1e-10] * 3)
+        reml = qstat.Tau2Result(1.0, "interior")
+        with pytest.raises(ValueError, match="is NaN"):
+            oracles.ci_pl(data, reml)
+        with pytest.raises(NonConvergenceError,
+                           match="in \\[0, 1\\]: h is NaN"):
+            tau2.ci_pl(data, reml)
+
+    def test_adapters_are_a_batch_of_one(self):
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            data = reml_pl_input(rng, 4)
+            dl = tau2.tau2_dl(data)
+            reml, = tau2.tau2_reml_batch(MetaBatch((data,)), [dl])
+            assert key(tau2.tau2_reml(data, dl)) == key(reml)
+            assert key(tau2.ci_pl(data, reml, 0.9)) \
+                == key(tau2.ci_pl_batch(MetaBatch((data,)), [reml], 0.9)[0])
+            for t in (0.0, reml.value, 3.7):
+                assert key(tau2.restricted_loglik(data, t)) \
+                    == key(oracles.restricted_loglik(data, t))
+                assert key(qstat.iv_weighted_mean(data, t)) \
+                    == key(oracles.iv_weighted_mean(data, t))
+                assert key(q_statistic(data, t)) \
+                    == key(float(oracles._q_terms(data, t)[1].sum()))
+
+
 def analyze(tmp_path, rows):
     path = tmp_path / "in.csv"
     path.write_text("study_id,n_t,n_c,g,var_g\n" + "".join(
@@ -481,7 +669,13 @@ class TestExtremeInputs:
 
 def fuzz_codes(tmp_path, rng, per_study):
     """analyze's exit codes on 300 seeded extreme inputs."""
-    codes = []
+    return [analyze(tmp_path, rows)[0]
+            for rows in fuzz_inputs(rng, per_study)]
+
+
+def fuzz_inputs(rng, per_study):
+    """300 seeded extreme inputs, each a list of (n_t, n_c, g, var_g)."""
+    inputs = []
     for _ in range(300):
         k = int(rng.integers(2, 6))
         shared = 10 ** rng.uniform(-300.0, 308.0)
@@ -495,5 +689,5 @@ def fuzz_codes(tmp_path, rng, per_study):
                 else 10 ** rng.uniform(-300.0, 308.0)
             n_t, n_c = (int(x) for x in rng.choice([2, 5, 10, 600, 3000], 2))
             rows.append((n_t, n_c, g, float(v)))
-        codes.append(analyze(tmp_path, rows)[0])
-    return codes
+        inputs.append(rows)
+    return inputs

@@ -278,6 +278,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "unsupported value" in err and "allow_custom" not in err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_input_error(self, tmp_path, capsys,
+                                              monkeypatch, threads):
+        # they used to run the grid serially, without a word
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell ran with --threads < 1")
+
+        monkeypatch.setattr(simlab, "run_grid", no_run)
+        args = ["simulate", *SIM_FLAGS, "--threads", threads,
+                "--out", str(tmp_path / "r.csv")]
+        assert main(args) == 2
+        assert f"--threads must be >= 1, got {threads}" \
+            in capsys.readouterr().err
+
     def test_off_grid_value_has_allow_custom_hint(self, tmp_path, capsys):
         args = ["simulate", *SIM_FLAGS, "--delta", "0.3",
                 "--out", str(tmp_path / "r.csv")]

@@ -268,7 +268,7 @@ class TestRubenSeriesOracle:
         for x in np.quantile(draws, [0.01, 0.5, 0.99]):
             for tol in (1e-6, 1e-5):
                 ref = reference_ruben_cdf(float(x), lam, tol, 8000)
-                new = _ruben_cdf(float(x), lam, tol, 8000)
+                new = _ruben_cdf(np.array([x]), lam[None], tol, 8000)[0]
                 assert (ref is None) == (new is None)
                 if ref is not None:
                     assert new[0] == pytest.approx(ref[0], abs=1e-13)
@@ -281,7 +281,7 @@ class TestRubenSeriesOracle:
         # stopped by the sharper bound at 24 terms, with 1 - sum(a_k) far
         # above tol/2: a check every 32 terms would have gone on to 32
         assert ref[2] == 24 and ref[3] > 0.5 and ref[1] > 0.0
-        new = _ruben_cdf(x, lam, 1e-6, 8000)
+        new = _ruben_cdf(np.array([x]), lam[None], 1e-6, 8000)[0]
         assert new[0] == pytest.approx(ref[0], abs=1e-13)
         assert new[1] == pytest.approx(ref[1], abs=1e-13)
 
@@ -290,14 +290,14 @@ class TestRubenSeriesOracle:
         x = float(np.quantile(draws, 0.99))
         ref = reference_ruben_cdf(x, lam, 1e-6, 8000)
         assert ref[2] > 64
-        assert _ruben_cdf(x, lam, 1e-6, 8000)[0] == pytest.approx(ref[0],
-                                                                  abs=1e-13)
+        new = _ruben_cdf(np.array([x]), lam[None], 1e-6, 8000)[0]
+        assert new[0] == pytest.approx(ref[0], abs=1e-13)
 
     def test_max_terms_exhausted_returns_none(self):
         lam, draws = seeded_mixture(5, 1e3, seed=3)
         x = float(np.quantile(draws, 0.99))
         assert reference_ruben_cdf(x, lam, 1e-6, 40) is None
-        assert _ruben_cdf(x, lam, 1e-6, 40) is None
+        assert _ruben_cdf(np.array([x]), lam[None], 1e-6, 40)[0] is None
 
 
 
@@ -305,7 +305,8 @@ def test_series_sums_add_in_order():
     # Ruben's recurrence adds its products one after another, as sum() did
     # up to Python 3.11; sum() compensates from 3.12 on, which gives
     # 0x1.ff64748301d33p-1 here
-    p, _ = _ruben_cdf(100.0, np.array([1.0, 2.0, 3.0, 5.0, 8.0]), 1e-6, 8000)
+    (p, _), = _ruben_cdf(np.array([100.0]), np.array([[1.0, 2.0, 3.0, 5.0,
+                                                        8.0]]), 1e-6, 8000)
     assert p.hex() == "0x1.ff64748301d35p-1"
 
 

@@ -1,5 +1,6 @@
 import ast
 import collections
+import dataclasses
 import math
 from pathlib import Path
 
@@ -171,16 +172,16 @@ class TestEstimateAll:
             and ("delta_cover", "HKSJ") in results
 
     def test_reml_stopped_at_max_iter_is_kept(self, monkeypatch):
-        def stopped(data, dl):
-            return t2.Tau2Result(0.7, "max_iter", 200)
+        def stopped(batch, dls):
+            return [t2.Tau2Result(0.7, "max_iter", 200)] * len(dls)
 
-        monkeypatch.setattr(t2, "tau2_reml", stopped)
+        monkeypatch.setattr(t2, "tau2_reml_batch", stopped)
         cell = SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=4, chunks=2,
                        seed=4)
         results, _ = estimate_all(simulate_meta_input(cell, 0))
         assert results["tau2_est", "REML"].status == "max_iter"
         assert results["tau2_cover", "PL"] == t2.ci_pl(
-            simulate_meta_input(cell, 0), stopped(None, None), 0.95)
+            simulate_meta_input(cell, 0), stopped(None, [None])[0], 0.95)
         raw = run_cell_raw(cell)
         assert np.array_equal(raw.tau2_est["REML"], np.full(4, 0.7))
         assert not np.isnan(raw.tau2_cover["PL"]).any()
@@ -213,6 +214,7 @@ class TestEstimateAll:
         expected = collections.Counter(row[4] for row in simlab.ESTIMATORS)
         assert calls == expected
         assert calls["effect_iv_batch"] == 5 and calls["effect_ssw_batch"] == 1
+        assert calls["tau2_reml_batch"] == calls["ci_pl_batch"] == 1
 
     def test_prerequisites_are_earlier_rows(self):
         keys = set()
@@ -220,6 +222,7 @@ class TestEstimateAll:
             assert all(key in keys for key in prereqs), (kind, name)
             assert (kind, name) not in keys
             assert callable(getattr(module, function))
+            assert function.endswith("_batch")
             keys.add((kind, name))
 
     def test_derived_name_orders(self):
@@ -240,6 +243,25 @@ class TestEstimateAll:
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Constant) and node.value in names]
         assert found == []
+
+
+def serial_pool(sizes):
+    """A ProcessPoolExecutor stand-in that records its max_workers in sizes
+    and runs the tasks in this process."""
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    return SerialPool
 
 
 class TestRunCell:
@@ -266,27 +288,32 @@ class TestRunCell:
 
     def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
         sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(simlab, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(simlab, "ProcessPoolExecutor",
+                            serial_pool(sizes))
+        monkeypatch.setattr(simlab.os, "cpu_count", lambda: 8)
         cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=4, chunks=4,
                        seed=12)
         pooled = run_cell_raw(cell, threads=64)
         run_cell_raw(cell, threads=2)
         assert sizes == [4, 2]
         serial = run_cell_raw(cell, threads=1)
+        for name in serial.delta_est:
+            assert np.array_equal(pooled.delta_est[name],
+                                  serial.delta_est[name], equal_nan=True)
+
+    @pytest.mark.parametrize("cores, sizes", [(2, [2]), (1, []), (None, [])])
+    def test_pool_has_no_more_workers_than_cores(self, monkeypatch, cores,
+                                                 sizes):
+        # --threads 64 --chunks 64 on two cores: two workers, not 64; one
+        # core (or an unknown count) runs the chunks in this process
+        made = []
+        monkeypatch.setattr(simlab, "ProcessPoolExecutor", serial_pool(made))
+        monkeypatch.setattr(simlab.os, "cpu_count", lambda: cores)
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=64, chunks=64,
+                       seed=12)
+        pooled = run_cell_raw(cell, threads=64)
+        assert made == sizes
+        serial = run_cell_raw(dataclasses.replace(cell, chunks=1))
         for name in serial.delta_est:
             assert np.array_equal(pooled.delta_est[name],
                                   serial.delta_est[name], equal_nan=True)
