@@ -9,6 +9,9 @@ of `BENCHMARK.json` the summary holds both sides' medians and quartiles,
 the ratio of the medians, the number of pairs the change wins and ties, and
 the change's relative move from the parent's median, signed so that
 positive is worse, with whether that move is beyond the metric's `bound`.
+`claim_met` holds when the change wins at least nine tenths of the pairs
+(a tie counts for neither side) and its median beats the parent's by more
+than the distance between the parent's quartiles.
 
 Example: ten grid-serial pairs on seeds 9001-9010, appended to BENCH_9.json
 
@@ -49,8 +52,8 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 def summarize(runs: list[dict], set_name: str, workload: str,
               seeds: list[int], metrics: list[dict]) -> list[dict]:
-    """Medians, quartiles, ratio, wins, ties and the move against the bound
-    per end-to-end metric."""
+    """Medians, quartiles, ratio, wins, ties, the move against the bound and
+    whether a gain could be claimed, per end-to-end metric."""
     out = []
     for metric in metrics:
         name = metric["name"]
@@ -62,6 +65,8 @@ def summarize(runs: list[dict], set_name: str, workload: str,
         sign = -1.0 if metric["better"] == "higher" else 1.0
         better = sign * change < sign * parent
         move = sign * (np.median(change) / np.median(parent) - 1.0)
+        gain = sign * (np.median(parent) - np.median(change))
+        parent_iqr = np.subtract(*np.percentile(parent, [75, 25]))
         out.append({
             "set": set_name, "workload": workload, "metric": name,
             "pairs": len(seeds), "seeds": [seeds[0], seeds[-1]],
@@ -76,6 +81,8 @@ def summarize(runs: list[dict], set_name: str, workload: str,
             "tied_pairs": int((change == parent).sum()),
             "move": round(float(move), 4),
             "beyond_bound": bool(move > metric["bound"]),
+            "claim_met": bool(10 * better.sum() >= 9 * len(seeds)
+                              and gain > parent_iqr),
         })
     return out
 

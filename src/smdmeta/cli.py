@@ -214,8 +214,7 @@ def cmd_analyze(args) -> int:
     payload = _analysis_payload(results, failures, args.level, tau2_methods,
                                 delta_methods)
     if args.format == "json":
-        json.dump(payload, sys.stdout, indent=2, allow_nan=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=True) + "\n")
     else:
         _print_analysis_text(payload)
     if failures:

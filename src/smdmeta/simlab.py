@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import Pipe, Process
 
 import numpy as np
 
@@ -325,25 +325,48 @@ def _chunk_task(args):
     return _run_chunk(*args)
 
 
+def _helper(conn, tasks) -> None:
+    try:
+        conn.send([_chunk_task(task) for task in tasks])
+    except BaseException as exc:
+        conn.send(exc)
+
+
 def run_cell_raw(cell: SimCell, level: float = 0.95,
                  threads: int = 1) -> RawCellResult:
     """All replicates of one cell; chunked for scheduling only.
 
     The concatenation happens in chunk order, and each replicate's stream
     depends only on (seed, cell, replicate), so the result is identical
-    for any chunk count and any worker count.  The pool has at most one
-    worker per chunk and per core.  A REML estimate that stopped at max_iter
-    is pooled into bias and coverage as an ordinary estimate, and PL is
-    built around it.
+    for any chunk count and any worker count.  With w = min(threads, chunks,
+    cores), the caller runs chunks 0, w, 2w, ... and w - 1 helper processes
+    the rest.  A REML estimate that stopped at max_iter is pooled into bias
+    and coverage as an ordinary estimate, and PL is built around it.
     """
     per = cell.reps // cell.chunks
     tasks = [(cell, i * per, (i + 1) * per, level) for i in range(cell.chunks)]
     workers = min(threads, cell.chunks, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(workers) as pool:
-            parts = list(pool.map(_chunk_task, tasks))
-    else:
-        parts = [_run_chunk(*task) for task in tasks]
+    helpers = []
+    try:
+        for h in range(1, workers):
+            recv, send = Pipe(duplex=False)
+            proc = Process(target=_helper, args=(send, tasks[h::workers]))
+            proc.start()
+            helpers.append((proc, recv))
+            send.close()  # so a helper that dies leaves recv at EOF
+        shares = [[_run_chunk(*task) for task in tasks[0::workers]]]
+        for proc, recv in helpers:
+            try:  # before join: a share can outgrow the pipe buffer
+                shares.append(recv.recv())
+            except EOFError:
+                shares.append(RuntimeError("a simulation helper died"))
+            if isinstance(shares[-1], BaseException):
+                raise shares[-1]
+    finally:  # none outlives the call; one that has sent has no work left
+        for proc, _ in helpers:
+            proc.terminate()
+            proc.join()
+    parts = [shares[i % workers][i // workers] for i in range(cell.chunks)]
     n_failed: dict[str, int] = {}
     for part in parts:
         for name, cnt in part.n_failed.items():

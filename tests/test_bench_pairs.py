@@ -44,3 +44,27 @@ def test_summary_counts_wins_ties_and_the_move_against_the_bound():
                                      METRICS)
     assert setup["move"] == pytest.approx(0.3) and setup["beyond_bound"]
     assert setup["ratio"] == 1.3
+
+
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr():
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0,
+              100.0]  # quartiles 99.25 and 100.75: IQR 1.5
+    setups = [1.0] * 10
+
+    def claims(change_rates, change_setups=setups):
+        runs = runs_of({"parent": list(zip(parent, setups)),
+                        "change": list(zip(change_rates, change_setups))})
+        rate, setup = bench_pairs.summarize(runs, "pairs", "grid-parallel",
+                                            list(range(10)), METRICS)
+        return rate["claim_met"], setup["claim_met"]
+
+    # nine wins and a tie, medians 100 -> 110: met
+    assert claims([p + 10.0 for p in parent[:9]] + [100.0]) == (True, False)
+    # eight wins and two ties: not met, however large the gap
+    assert claims([p + 10.0 for p in parent[:8]] + parent[8:]) \
+        == (False, False)
+    # every pair won by 1, inside the parent's IQR of 1.5: not met
+    assert claims([p + 1.0 for p in parent]) == (False, False)
+    # lower is better for setup_s: ten shorter set-ups by 0.2 s are met
+    # (the parent's IQR is 0), and a slower rate is never a claim
+    assert claims([p - 10.0 for p in parent], [0.8] * 10) == (False, True)

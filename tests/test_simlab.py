@@ -2,6 +2,10 @@ import ast
 import collections
 import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -245,23 +249,87 @@ class TestEstimateAll:
         assert found == []
 
 
-def serial_pool(sizes):
-    """A ProcessPoolExecutor stand-in that records its max_workers in sizes
-    and runs the tasks in this process."""
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+def use_in_process_helpers(monkeypatch, sizes):
+    """Replace simlab's Process and Pipe with stand-ins: each helper records
+    how many chunks it was given in sizes and runs them in this process."""
+    class Conn:
+        def __init__(self, box):
+            self.box = box
 
-        def __enter__(self):
-            return self
+        def send(self, obj):
+            self.box.append(obj)
 
-        def __exit__(self, *exc):
-            return False
+        def recv(self):
+            if not self.box:
+                raise EOFError
+            return self.box.pop()
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def close(self):
+            pass
 
-    return SerialPool
+    class Helper:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+
+        def start(self):
+            sizes.append(len(self.args[1]))
+            self.target(*self.args)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    def pipe(duplex):
+        box = []
+        return Conn(box), Conn(box)
+
+    monkeypatch.setattr(simlab, "Process", Helper)
+    monkeypatch.setattr(simlab, "Pipe", pipe)
+
+
+def assert_same_bits(a, b):
+    assert a.n_failed == b.n_failed
+    for fld in ("tau2_est", "tau2_trunc", "tau2_cover", "delta_est",
+                "delta_cover"):
+        da, db = getattr(a, fld), getattr(b, fld)
+        assert da.keys() == db.keys()
+        for name in da:
+            assert da[name].tobytes() == db[name].tobytes(), (fld, name)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores, so threads=2 starts exactly one real helper, and a
+    60 s alarm, so a call that would hang fails instead."""
+    def expired(signum, frame):
+        raise TimeoutError("run_cell_raw did not return")
+
+    monkeypatch.setattr(simlab.os, "cpu_count", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# A stand-in chunk function reaches a real helper only when it is forked.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="helpers do not inherit a monkeypatched chunk function")
+
+
+def failing_chunk(on_caller, on_helper):
+    """A _run_chunk that calls on_caller() in the caller's chunk 0 and
+    on_helper() in the helper's chunk 1."""
+    original = simlab._run_chunk
+
+    def chunk(cell, rep_lo, rep_hi, level):
+        (on_helper if rep_lo else on_caller)()
+        return original(cell, rep_lo, rep_hi, level)
+
+    return chunk
 
 
 class TestRunCell:
@@ -287,36 +355,85 @@ class TestRunCell:
                                   equal_nan=True)
 
     def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        # workers = min(threads, chunks, cores): the caller plus one helper
+        # per worker after the first, each helper with every workers-th chunk
         sizes = []
-        monkeypatch.setattr(simlab, "ProcessPoolExecutor",
-                            serial_pool(sizes))
+        use_in_process_helpers(monkeypatch, sizes)
         monkeypatch.setattr(simlab.os, "cpu_count", lambda: 8)
         cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=4, chunks=4,
                        seed=12)
         pooled = run_cell_raw(cell, threads=64)
-        run_cell_raw(cell, threads=2)
-        assert sizes == [4, 2]
+        assert sizes == [1, 1, 1]
+        halved = run_cell_raw(cell, threads=2)
+        assert sizes == [1, 1, 1, 2]
         serial = run_cell_raw(cell, threads=1)
-        for name in serial.delta_est:
-            assert np.array_equal(pooled.delta_est[name],
-                                  serial.delta_est[name], equal_nan=True)
+        assert_same_bits(pooled, serial)
+        assert_same_bits(halved, serial)
 
-    @pytest.mark.parametrize("cores, sizes", [(2, [2]), (1, []), (None, [])])
+    @pytest.mark.parametrize("cores, sizes", [(2, [32]), (1, []), (None, [])])
     def test_pool_has_no_more_workers_than_cores(self, monkeypatch, cores,
                                                  sizes):
-        # --threads 64 --chunks 64 on two cores: two workers, not 64; one
+        # --threads 64 --chunks 64 on two cores: one helper, not 63; one
         # core (or an unknown count) runs the chunks in this process
         made = []
-        monkeypatch.setattr(simlab, "ProcessPoolExecutor", serial_pool(made))
+        use_in_process_helpers(monkeypatch, made)
         monkeypatch.setattr(simlab.os, "cpu_count", lambda: cores)
         cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=64, chunks=64,
                        seed=12)
         pooled = run_cell_raw(cell, threads=64)
         assert made == sizes
         serial = run_cell_raw(dataclasses.replace(cell, chunks=1))
-        for name in serial.delta_est:
-            assert np.array_equal(pooled.delta_est[name],
-                                  serial.delta_est[name], equal_nan=True)
+        assert_same_bits(pooled, serial)
+
+    def test_uneven_split_over_a_real_helper(self, two_cores):
+        # three chunks on two workers: the caller runs chunks 0 and 2
+        cell = SimCell(0.5, 1.0, 5, "unequal", 30, 0.75, reps=6, chunks=3,
+                       seed=21)
+        assert_same_bits(run_cell_raw(cell, threads=2),
+                         run_cell_raw(dataclasses.replace(cell, chunks=1)))
+
+    @needs_fork
+    def test_helper_exception_is_raised_in_the_caller(self, monkeypatch,
+                                                      two_cores):
+        def fail():
+            raise NonConvergenceError("chunk 1 failed", error_bound=0.25)
+
+        monkeypatch.setattr(simlab, "_run_chunk",
+                            failing_chunk(lambda: None, fail))
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
+                       seed=12)
+        with pytest.raises(NonConvergenceError, match="chunk 1 failed") as err:
+            run_cell_raw(cell, threads=2)
+        assert err.value.error_bound == 0.25
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_helper_that_dies_without_sending_raises(self, monkeypatch,
+                                                     two_cores):
+        monkeypatch.setattr(simlab, "_run_chunk",
+                            failing_chunk(lambda: None, lambda: os._exit(3)))
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
+                       seed=12)
+        with pytest.raises(RuntimeError, match="helper died"):
+            run_cell_raw(cell, threads=2)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_caller_exception_ends_the_helpers(self, monkeypatch, two_cores):
+        # the helper would sleep for a minute; an interrupt in the caller's
+        # chunk must end it rather than wait for it
+        def interrupt():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(simlab, "_run_chunk",
+                            failing_chunk(interrupt, lambda: time.sleep(60)))
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
+                       seed=12)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_cell_raw(cell, threads=2)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30
 
     def test_report_shape(self):
         report = run_cell(SimCell(0.5, 0.5, 5, "equal", 20, 0.5,
