@@ -11,7 +11,10 @@ the change's relative move from the parent's median, signed so that
 positive is worse, with whether that move is beyond the metric's `bound`.
 `claim_met` holds when the change wins at least nine tenths of the pairs
 (a tie counts for neither side) and its median beats the parent's by more
-than the distance between the parent's quartiles.
+than the distance between the parent's quartiles.  `unresolved` holds when
+that distance, relative to the parent's median, is wider than the bound, so
+the runs cannot tell a move inside the bound from no move, unless every
+run of the change beats every run of the parent.
 
 Example: ten grid-serial pairs on seeds 9001-9010, appended to BENCH_9.json
 
@@ -52,8 +55,9 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 def summarize(runs: list[dict], set_name: str, workload: str,
               seeds: list[int], metrics: list[dict]) -> list[dict]:
-    """Medians, quartiles, ratio, wins, ties, the move against the bound and
-    whether a gain could be claimed, per end-to-end metric."""
+    """Medians, quartiles, ratio, wins, ties, the move against the bound,
+    whether the spread resolves the bound and whether a gain could be
+    claimed, per end-to-end metric."""
     out = []
     for metric in metrics:
         name = metric["name"]
@@ -67,6 +71,7 @@ def summarize(runs: list[dict], set_name: str, workload: str,
         move = sign * (np.median(change) / np.median(parent) - 1.0)
         gain = sign * (np.median(parent) - np.median(change))
         parent_iqr = np.subtract(*np.percentile(parent, [75, 25]))
+        all_better = (sign * change).max() < (sign * parent).min()
         out.append({
             "set": set_name, "workload": workload, "metric": name,
             "pairs": len(seeds), "seeds": [seeds[0], seeds[-1]],
@@ -81,6 +86,8 @@ def summarize(runs: list[dict], set_name: str, workload: str,
             "tied_pairs": int((change == parent).sum()),
             "move": round(float(move), 4),
             "beyond_bound": bool(move > metric["bound"]),
+            "unresolved": bool(parent_iqr > metric["bound"]
+                               * abs(np.median(parent)) and not all_better),
             "claim_met": bool(10 * better.sum() >= 9 * len(seeds)
                               and gain > parent_iqr),
         })

@@ -15,7 +15,7 @@ import sys
 import tempfile
 
 from . import simlab, svgplot
-from .numkernel import DomainError
+from .numkernel import DomainError, one_blas_thread
 from .qstat import MetaInput
 from .smd import ArmSummary, Study, hedges_g
 
@@ -210,7 +210,8 @@ def cmd_analyze(args) -> int:
             raise CliError(f"unknown delta interval method '{name}'",
                            EXIT_INPUT)
     data = read_analysis_csv(args.input)
-    results, failures = simlab.estimate_all(data, args.level)
+    with one_blas_thread():
+        results, failures = simlab.estimate_all(data, args.level)
     payload = _analysis_payload(results, failures, args.level, tau2_methods,
                                 delta_methods)
     if args.format == "json":

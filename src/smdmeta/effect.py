@@ -9,8 +9,8 @@ Interval estimators: normal-quantile intervals around each inverse-variance
 mean, the Hartung-Knapp-Sidik-Jonkman t interval (with DL or KDB weights),
 and the t interval centered at SSW with the sample-size-weight variance.
 
-The `*_batch` functions are the battery's rows over a MetaBatch, one result
-per replicate; the others are the same estimators on a batch of one.
+Each estimator exists once, as a `*_batch` row of `simlab.ESTIMATORS` over
+a MetaBatch, one result per replicate; one input is a batch of one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkernel import DomainError, normal_quantile, t_quantile
-from .qstat import MetaBatch, MetaInput, Tau2Result
+from .qstat import MetaBatch, Tau2Result
 
 
 @dataclass(frozen=True)
@@ -71,23 +71,16 @@ def effect_iv_batch(batch: MetaBatch, tau2s: list[Tau2Result]) -> list:
 
 def _ssw_variance(eff_n: np.ndarray, v2: np.ndarray,
                   tau2: np.ndarray) -> np.ndarray:
+    """SSW variance per row: sum ntilde^2 (v^2 + tau2) / (sum ntilde)^2."""
     # the square as numpy scalars: libm pow, as a Python float takes it
     sq = np.array([s ** 2 for s in eff_n.sum(-1)])
     return (eff_n * eff_n * (v2 + tau2[:, None])).sum(-1) / sq
 
 
-def ssw_variance(data: MetaInput, tau2: float) -> float:
-    """Variance of the sample-size-weighted mean:
-    sum ntilde^2 (v^2 + tau2) / (sum ntilde)^2."""
-    if tau2 < 0:
-        raise DomainError(f"tau2 must be >= 0, got {tau2}")
-    return float(_ssw_variance(data.eff_n[None], data.v2[None],
-                               np.array([tau2]))[0])
-
-
 def effect_ssw_batch(batch: MetaBatch, kdbs: list[Tau2Result]) -> list:
-    """Sample-size-weighted means, weights ntilde_i, with `ssw_variance` at
-    each `tau2_kdb` estimate; the point never depends on the variances."""
+    """Sample-size-weighted means, weights ntilde_i, with `_ssw_variance` at
+    each `tau2_kdb_batch` estimate; the point never depends on the
+    variances."""
     en = batch.eff_n
     value = (en * batch.g).sum(-1) / en.sum(-1)
     variance = _ssw_variance(en, batch.v2, np.array([t.value for t in kdbs]))
@@ -103,14 +96,14 @@ def _intervals(centers: list[EffectResult], quantile: float, level: float):
 
 def ci_z_batch(batch: MetaBatch, ivs: list[EffectResult],
                level: float) -> list:
-    """Normal-quantile intervals around `effect_iv` means."""
+    """Normal-quantile intervals around `effect_iv_batch` means."""
     return _intervals(ivs, normal_quantile(1.0 - (1.0 - level) / 2.0), level)
 
 
 def ci_hksj_batch(batch: MetaBatch, ivs: list[EffectResult],
                   level: float) -> list:
-    """Hartung-Knapp-Sidik-Jonkman intervals around `effect_iv` means: the
-    weighted residual variance sum w (g - center)^2 / ((K-1) sum w) of
+    """Hartung-Knapp-Sidik-Jonkman intervals around `effect_iv_batch` means:
+    the weighted residual variance sum w (g - center)^2 / ((K-1) sum w) of
     each mean's weights and a t quantile on K - 1 degrees of freedom.
 
     All-equal inputs give a zero half-width, flagged "degenerate" rather
@@ -130,32 +123,7 @@ def ci_hksj_batch(batch: MetaBatch, ivs: list[EffectResult],
 
 def ci_ssw_kdb_batch(batch: MetaBatch, ssws: list[EffectResult],
                      level: float) -> list:
-    """t intervals centered at `effect_ssw` means, with their
+    """t intervals centered at `effect_ssw_batch` means, with their
     sample-size-weight variance at the KDB tau^2 estimate."""
     return _intervals(ssws, t_quantile(1.0 - (1.0 - level) / 2.0, batch.k - 1),
                       level)
-
-
-def _one(batch_fn, data: MetaInput, *args):
-    return batch_fn(MetaBatch((data,)), [args[0]], *args[1:])[0]
-
-
-def effect_iv(data: MetaInput, tau2: Tau2Result) -> EffectResult:
-    return _one(effect_iv_batch, data, tau2)
-
-
-def effect_ssw(data: MetaInput, kdb: Tau2Result) -> EffectResult:
-    return _one(effect_ssw_batch, data, kdb)
-
-
-def ci_z(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInterval:
-    return _one(ci_z_batch, data, iv, level)
-
-
-def ci_hksj(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInterval:
-    return _one(ci_hksj_batch, data, iv, level)
-
-
-def ci_ssw_kdb(data: MetaInput, ssw: EffectResult,
-               level: float = 0.95) -> EffectInterval:
-    return _one(ci_ssw_kdb_batch, data, ssw, level)

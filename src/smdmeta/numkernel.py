@@ -1,12 +1,14 @@
 """Distribution primitives, chi-square mixture CDFs, and reproducible random streams.
 
-Everything here is a pure function of its inputs.  Quantiles and CDFs are
-backed by scipy.special; the mixture CDF and the counter-based random
-streams are implemented locally.
+Everything here but `one_blas_thread` is a pure function of its inputs.
+Quantiles and CDFs are backed by scipy.special; the mixture CDF and the
+counter-based random streams are implemented locally.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
 import operator
@@ -102,6 +104,41 @@ def symmetric_eigenvalues(mats: np.ndarray) -> np.ndarray:
     out = np.full(mats.shape[:-1], np.nan)
     out[finite] = np.linalg.eigvalsh(mats[finite])
     return out
+
+
+@functools.cache
+def _blas_thread_count_functions():
+    """The get and set thread-count functions of numpy's OpenBLAS, or None
+    where numpy's linear algebra library does not export them."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the count; a no-op
+    where numpy's OpenBLAS exports no thread-count functions.
+
+    numpy's OpenBLAS threads `eigvalsh` from K = 65 on, slower at these sizes
+    and with other bits than one thread.  A count of 1 is never set: after a
+    fork, a set call restarts the thread pool, whose new thread busy-waits.
+    """
+    get, put = _blas_thread_count_functions() or (lambda: 1, None)
+    before = get()
+    if before != 1:
+        put(1)
+    try:
+        yield
+    finally:
+        if before != 1:
+            put(before)
 
 
 # ---------------------------------------------------------------------------

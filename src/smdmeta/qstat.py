@@ -1,6 +1,6 @@
-"""Inverse-variance means, the generalized Cochran Q statistic, Tau2Result,
-the replicate batch, and the lock-step solver of Q(tau^2) = target shared by
-every moment-type tau^2 estimator.  A MetaInput is a batch of one.
+"""The input and the replicate batch, Tau2Result, the inverse-variance fits
+and generalized Cochran Q terms of rows of a batch, and the lock-step solver
+of Q(tau^2) = target shared by every moment-type tau^2 estimator row.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkernel import DomainError, NonConvergenceError, _unwrap
+from .numkernel import DomainError, NonConvergenceError
 from .smd import Study
 
 BRACKET_CAP = 1e7
@@ -74,15 +74,6 @@ class MetaBatch:
 
 
 @dataclass(frozen=True)
-class WeightedFit:
-    """Weights, weighted mean, and total weight of one fit."""
-
-    weights: np.ndarray
-    mean: float
-    sum_w: float
-
-
-@dataclass(frozen=True)
 class Tau2Result:
     value: float
     status: str  # "interior" | "truncated_at_zero" | "max_iter"
@@ -104,34 +95,6 @@ def _outcome(make, *args):
         return make(*args)
     except NonConvergenceError as exc:
         return exc
-
-
-def _fit(data: MetaInput, tau2: float):
-    """`_row_fits` on data as a batch of one at tau2 >= 0, whose weights
-    did not all underflow: (w, sum w, mean, Q terms)."""
-    if tau2 < 0:
-        raise DomainError(f"tau2 must be >= 0, got {tau2}")
-    w, sum_w, mean, terms = _row_fits(data.g[None], data.v2[None],
-                                      np.array([float(tau2)]))
-    if not sum_w[0] > 0.0:  # every weight underflowed
-        raise NonConvergenceError(f"sum of weights is {float(sum_w[0])} at "
-                                  f"tau2 = {tau2:g}")
-    return w[0], float(sum_w[0]), float(mean[0]), terms[0]
-
-
-def iv_weighted_mean(data: MetaInput, tau2: float) -> WeightedFit:
-    """Inverse-variance weighted mean with weights 1/(v_i^2 + tau2).
-
-    numpy's pairwise summation keeps the K <= ~100 sums well conditioned.
-    """
-    w, sum_w, mean, _ = _fit(data, tau2)
-    return WeightedFit(weights=w, mean=mean, sum_w=sum_w)
-
-
-def q_statistic(data: MetaInput, tau2: float) -> float:
-    """Generalized Cochran statistic Q(tau2) = sum w_i (g_i - mean)^2 with the
-    mean recomputed at the same tau2.  Non-increasing in tau2."""
-    return float(_fit(data, tau2)[3].sum())
 
 
 def _row_fits(g: np.ndarray, v2: np.ndarray, tau2: np.ndarray):
@@ -167,26 +130,25 @@ def solve_q_roots(g: np.ndarray, v2: np.ndarray, targets) -> list:
             raise DomainError(f"target must be > 0, got {target}")
     eps, k = np.finfo(float).eps, g.shape[1]
     results, walks = [None] * len(targets), {}
-    with np.errstate(all="ignore"):
-        w, sum_w, _, terms = _row_fits(g, v2, np.zeros(len(targets)))
-        e_mean = (k + 1) * eps * np.abs(g).max(-1)
-        margins = 4.0 * (k + 6) * eps * np.array(targets) \
-            + 2.0 * sum_w * e_mean * e_mean
-        for i, (target, margin, q, dq, v2_max) in enumerate(zip(
-                targets, margins.tolist(), terms.sum(-1).tolist(),
-                (-(w * terms).sum(-1)).tolist(), v2.max(-1).tolist())):
-            if q <= target:
-                results[i] = Tau2Result(0.0, "truncated_at_zero")
-            else:
-                walks[i] = _walk(target, margin, q, dq,
-                                 min(max(1.0, q * v2_max), BRACKET_CAP))
+    w, sum_w, _, terms = _row_fits(g, v2, np.zeros(len(targets)))
+    e_mean = (k + 1) * eps * np.abs(g).max(-1)
+    margins = 4.0 * (k + 6) * eps * np.array(targets) \
+        + 2.0 * sum_w * e_mean * e_mean
+    for i, (target, margin, q, dq, v2_max) in enumerate(zip(
+            targets, margins.tolist(), terms.sum(-1).tolist(),
+            (-(w * terms).sum(-1)).tolist(), v2.max(-1).tolist())):
+        if q <= target:
+            results[i] = Tau2Result(0.0, "truncated_at_zero")
+        else:
+            walks[i] = _walk(target, margin, q, dq,
+                             min(max(1.0, q * v2_max), BRACKET_CAP))
 
-        def q_and_slope(rows, points):
-            w, _, _, terms = _row_fits(g[rows], v2[rows], np.array(points))
-            return zip(terms.sum(-1).tolist(), (-(w * terms).sum(-1)).tolist())
+    def q_and_slope(rows, points):
+        w, _, _, terms = _row_fits(g[rows], v2[rows], np.array(points))
+        return zip(terms.sum(-1).tolist(), (-(w * terms).sum(-1)).tolist())
 
-        for i, out in _lockstep(walks, q_and_slope).items():
-            results[i] = out
+    for i, out in _lockstep(walks, q_and_slope).items():
+        results[i] = out
     return results
 
 
@@ -276,7 +238,3 @@ def _walk(target: float, margin: float, q: float, dq: float, hi: float):
         f"bisection did not reach |Q - target| <= {tol:g} in {_MAX_BISECT} "
         f"steps; bracket [{lo:g}, {hi:g}]")
 
-
-def solve_q_equals(data: MetaInput, target: float) -> Tau2Result:
-    """`solve_q_roots` on one input and target; raises the failure."""
-    return _unwrap(solve_q_roots(data.g[None], data.v2[None], [target])[0])

@@ -238,28 +238,30 @@ def estimate_all(data: MetaInput | MetaBatch, level: float = 0.95):
     everyone = range(len(batch.inputs))
     results: list[dict] = [{} for _ in everyone]
     failures: list[list[tuple[str, str]]] = [[] for _ in everyone]
-    for failure, kind, name, module, function, prereqs in ESTIMATORS:
-        ready = [i for i in everyone
-                 if all(key in results[i] for key in prereqs)]
-        for i in set(everyone) - set(ready):
-            if all(failure != failed for failed, _ in failures[i]):
-                failures[i].append((failure, "prerequisite failed"))
-        if not ready:
-            continue
-        args = [[results[i][key] for i in ready] for key in prereqs]
-        extra = (level,) if kind.endswith("_cover") \
-            or kind in (ROOTS[0], FIXED[0]) else ()
-        try:
-            outs = getattr(module, function)(
-                batch if len(ready) == len(everyone) else MetaBatch(
-                    tuple(batch.inputs[i] for i in ready)), *args, *extra)
-        except NonConvergenceError as exc:
-            outs = [exc] * len(ready)
-        for i, out in zip(ready, outs):
-            if isinstance(out, NonConvergenceError):
-                failures[i].append((failure, str(out)))
-            else:
-                results[i][kind, name] = out
+    # a row turns the non-finite values it meets into its failures
+    with np.errstate(all="ignore"):
+        for failure, kind, name, module, function, prereqs in ESTIMATORS:
+            ready = [i for i in everyone
+                     if all(key in results[i] for key in prereqs)]
+            for i in set(everyone) - set(ready):
+                if all(failure != failed for failed, _ in failures[i]):
+                    failures[i].append((failure, "prerequisite failed"))
+            if not ready:
+                continue
+            args = [[results[i][key] for i in ready] for key in prereqs]
+            extra = (level,) if kind.endswith("_cover") \
+                or kind in (ROOTS[0], FIXED[0]) else ()
+            try:
+                outs = getattr(module, function)(
+                    batch if len(ready) == len(everyone) else MetaBatch(
+                        tuple(batch.inputs[i] for i in ready)), *args, *extra)
+            except NonConvergenceError as exc:
+                outs = [exc] * len(ready)
+            for i, out in zip(ready, outs):
+                if isinstance(out, NonConvergenceError):
+                    failures[i].append((failure, str(out)))
+                else:
+                    results[i][kind, name] = out
     pairs = [(done, tuple(failed)) for done, failed in zip(results, failures)]
     return pairs if isinstance(data, MetaBatch) else pairs[0]
 

@@ -11,12 +11,11 @@ Biggerstaff-Jackson (BJ) and Jackson (J) intervals based on the exact
 chi-square-mixture distribution of a fixed-weights Q, and the REML-based
 profile likelihood interval (PL).
 
-The `*_batch` functions are the battery's array code over a MetaBatch, one
-result or failure per replicate; the others are the same estimators on a
-batch of one.  The searches of a batch run in lock-step: each row's REML
-iteration, PL endpoint search or BJ/J endpoint search is a walk that yields
-the tau2 it needs, and each round evaluates every walk's restricted
-log-likelihood or mixture CDF together.
+Each estimator exists once, as a `*_batch` row of `simlab.ESTIMATORS`: array
+code over a MetaBatch (one input is a batch of one), one result or failure
+per replicate, whose searches run in lock-step: each REML iteration, PL or
+BJ/J endpoint search is a walk that yields the tau2 it needs, and a round
+evaluates every walk's restricted log-likelihood or mixture CDF together.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from scipy.special import gamma, gammainc, ndtri, poch, roots_laguerre
 from .numkernel import (
     DomainError,
     NonConvergenceError,
-    _unwrap,
     chisq_quantile,
     mixture_cdfs,
     symmetric_eigenvalues,
@@ -42,12 +40,10 @@ from .qstat import (
     BRACKET_CAP,
     BracketCapExceeded,
     MetaBatch,
-    MetaInput,
     Tau2Result,
     _lockstep,
     _outcome,
     _row_fits,
-    solve_q_equals,
     solve_q_roots,
 )
 from .smd import j_factor
@@ -108,15 +104,6 @@ def tau2_dl_batch(batch: MetaBatch) -> list:
             else _estimate(x) for x, d in zip(raw.tolist(), denom.tolist())]
 
 
-def tau2_dl(data: MetaInput) -> Tau2Result:
-    return _unwrap(tau2_dl_batch(MetaBatch((data,)))[0])
-
-
-def tau2_mp(data: MetaInput) -> Tau2Result:
-    """Mandel-Paule estimator: solves Q(tau2) = K - 1."""
-    return solve_q_equals(data, float(data.k - 1))
-
-
 def _restricted_fits(g: np.ndarray, v2: np.ndarray, steps: bool = False):
     """The `evaluate(rows, points)` of walks on the rows of g, v2 (n, K): per
     point the restricted profile log-likelihood l of tau2 (constants
@@ -151,14 +138,6 @@ def _restricted_fits(g: np.ndarray, v2: np.ndarray, steps: bool = False):
     return evaluate
 
 
-def restricted_loglik(data: MetaInput, tau2: float) -> float:
-    """Restricted profile log-likelihood of tau2 (constants dropped)."""
-    if tau2 < 0:
-        raise DomainError(f"tau2 must be >= 0, got {tau2}")
-    return _unwrap(_restricted_fits(data.g[None], data.v2[None])(
-        [0], [float(tau2)])[0])
-
-
 def _reml_walk(t: float):
     """One row of `tau2_reml_batch` from t: a walk that yields [tau2] and is
     sent [(l, sum w^2, sum w^2 ((g - mean)^2 - v^2), sum w)] there."""
@@ -189,14 +168,9 @@ def tau2_reml_batch(batch: MetaBatch, dls: list) -> list:
     started at each dl, the `tau2_dl_batch` estimate; steps that decrease
     the restricted log-likelihood are halved toward the current iterate.
     The rows iterate in lock-step."""
-    with np.errstate(all="ignore"):
-        return list(_lockstep(
-            {i: _reml_walk(dl.value) for i, dl in enumerate(dls)},
-            _restricted_fits(batch.g, batch.v2, steps=True)).values())
-
-
-def tau2_reml(data: MetaInput, dl: Tau2Result) -> Tau2Result:
-    return _unwrap(tau2_reml_batch(MetaBatch((data,)), [dl])[0])
+    return list(_lockstep(
+        {i: _reml_walk(dl.value) for i, dl in enumerate(dls)},
+        _restricted_fits(batch.g, batch.v2, steps=True)).values())
 
 
 def tau2_jackson_batch(batch: MetaBatch) -> list:
@@ -212,10 +186,6 @@ def tau2_jackson_batch(batch: MetaBatch) -> list:
     c = u - u * u / big_u[:, None]
     raw = (q_gen - (c * batch.v2).sum(-1)) / c.sum(-1)
     return [_estimate(x) for x in raw.tolist()]
-
-
-def tau2_jackson(data: MetaInput) -> Tau2Result:
-    return _unwrap(tau2_jackson_batch(MetaBatch((data,)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -355,47 +325,34 @@ def corrected_expected_q_batch(batch: MetaBatch, effect=None) -> list:
     K - 1 as all n_i grow.
 
     This is the homogeneity (tau^2 = 0) moment that Kulinskaya, Dollinger
-    and Bjorkestol (2011, Biometrics 67:203) derive, so `tau2_kdb` and
-    `ci_kdb` use the same value whatever tau^2 they test.
+    and Bjorkestol (2011, Biometrics 67:203) derive, so the KDB estimate and
+    interval (`q_roots_batch`) use the same value whatever tau^2 they test.
     """
     if effect is None:
         effect = (batch.eff_n * batch.g).sum(-1) / batch.eff_n.sum(-1)
-    with np.errstate(all="ignore"):
-        ep, er, es, e20, e21, e22, e31, e32, e42 = \
-            _psi_moments(batch.arm_sizes, effect)
-        var_r = e22 - er ** 2
-        cov_rp = e21 - er * ep
-        cov_r2p = e32 - e22 * ep
-        e_rp2 = e31 - 2.0 * ep * e21 + ep ** 2 * er
-        var_p = e20 - ep ** 2
-        t4 = e42 - 2.0 * ep * e32 + ep ** 2 * e22
-        w_tot = ep.sum(-1)
-        a1 = er.sum(-1)
-        v_r = var_r.sum(-1)
-        a1_er = a1[:, None] - er
-        e_n = v_r + a1 * a1
-        e_nd = (cov_r2p + 2.0 * cov_rp * a1_er).sum(-1)
-        c_sum = cov_rp.sum(-1)
-        e_nd2 = (t4 + 2.0 * e_rp2 * a1_er
-                 + var_p * (v_r[:, None] - var_r + a1_er ** 2)).sum(-1) \
-            + 2.0 * (c_sum * c_sum - (cov_rp ** 2).sum(-1))
-        w2, w3 = (np.array([x ** p for x in w_tot]) for p in (2, 3))
-        expected = es.sum(-1) - (e_n / w_tot - e_nd / w2 + e_nd2 / w3)
+    ep, er, es, e20, e21, e22, e31, e32, e42 = \
+        _psi_moments(batch.arm_sizes, effect)
+    var_r = e22 - er ** 2
+    cov_rp = e21 - er * ep
+    cov_r2p = e32 - e22 * ep
+    e_rp2 = e31 - 2.0 * ep * e21 + ep ** 2 * er
+    var_p = e20 - ep ** 2
+    t4 = e42 - 2.0 * ep * e32 + ep ** 2 * e22
+    w_tot = ep.sum(-1)
+    a1 = er.sum(-1)
+    v_r = var_r.sum(-1)
+    a1_er = a1[:, None] - er
+    e_n = v_r + a1 * a1
+    e_nd = (cov_r2p + 2.0 * cov_rp * a1_er).sum(-1)
+    c_sum = cov_rp.sum(-1)
+    e_nd2 = (t4 + 2.0 * e_rp2 * a1_er
+             + var_p * (v_r[:, None] - var_r + a1_er ** 2)).sum(-1) \
+        + 2.0 * (c_sum * c_sum - (cov_rp ** 2).sum(-1))
+    w2, w3 = (np.array([x ** p for x in w_tot]) for p in (2, 3))
+    expected = es.sum(-1) - (e_n / w_tot - e_nd / w2 + e_nd2 / w3)
     return [x if math.isfinite(x) and x > 0 else NonConvergenceError(
                 f"corrected E[Q] came out non-positive ({x}) at effect={d}")
             for x, d in zip(expected.tolist(), effect.tolist())]
-
-
-def corrected_expected_q(data: MetaInput, effect: float | None = None) -> float:
-    return _unwrap(corrected_expected_q_batch(
-        MetaBatch((data,)), None if effect is None else np.array([effect]))[0])
-
-
-def tau2_kdb(data: MetaInput, expected_q: float) -> Tau2Result:
-    """Corrected-moment estimator: solves Q(tau2) = expected_q, the value of
-    `corrected_expected_q(data)`, the tau^2-free homogeneity moment used
-    unchanged at every tau^2 the root search visits."""
-    return solve_q_equals(data, expected_q)
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +411,6 @@ def _reader(entry: int):
 # roots as its first prerequisite.
 expected_q_batch, tau2_mp_batch, ci_qp_batch, tau2_kdb_batch, ci_kdb_batch = \
     map(_reader, range(5))
-
-
-def _q_profile_of(data: MetaInput, df: float, level: float) -> Tau2Interval:
-    lo, hi = solve_q_roots(np.tile(data.g, (2, 1)), np.tile(data.v2, (2, 1)),
-                           _profile_targets(df, level)[1:])
-    return _unwrap(_q_profile(lo, hi, level))
-
-
-def ci_qp(data: MetaInput, level: float = 0.95) -> Tau2Interval:
-    """Q-profile interval: inverts Q(tau2) at chi-squared(K-1) quantiles."""
-    return _q_profile_of(data, float(data.k - 1), level)
-
-
-def ci_kdb(data: MetaInput, expected_q: float,
-           level: float = 0.95) -> Tau2Interval:
-    """Q-profile interval at fractional-df quantiles, df = expected_q, the
-    value of `corrected_expected_q(data)`."""
-    return _q_profile_of(data, expected_q, level)
 
 
 def _satterthwaite_roots(w: np.ndarray, v2: np.ndarray, q_obs: np.ndarray,
@@ -578,58 +517,57 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
     alpha = 1.0 - level
     targets = (alpha / 2.0, 1.0 - alpha / 2.0)
     k = g.shape[1]
-    with np.errstate(all="ignore"):
-        w = np.concatenate([1.0 / v2[:n_bj], 1.0 / np.sqrt(v2[n_bj:])])
-        sum_w = w.sum(-1)
-        q_obs = (w * (g - ((w * g).sum(-1) / sum_w)[:, None]) ** 2).sum(-1)
-        a_mat = np.where(np.eye(k, dtype=bool), w[:, :, None], 0.0) \
-            - w[:, :, None] * w[:, None, :] / sum_w[:, None, None]
-        mu = symmetric_eigenvalues(a_mat[:n_bj])[:, :0:-1]
-        seeds = _satterthwaite_roots(w, v2, q_obs, np.array(targets))
+    w = np.concatenate([1.0 / v2[:n_bj], 1.0 / np.sqrt(v2[n_bj:])])
+    sum_w = w.sum(-1)
+    q_obs = (w * (g - ((w * g).sum(-1) / sum_w)[:, None]) ** 2).sum(-1)
+    a_mat = np.where(np.eye(k, dtype=bool), w[:, :, None], 0.0) \
+        - w[:, :, None] * w[:, None, :] / sum_w[:, None, None]
+    mu = symmetric_eigenvalues(a_mat[:n_bj])[:, :0:-1]
+    seeds = _satterthwaite_roots(w, v2, q_obs, np.array(targets))
 
-        def cdfs(keys, points):
-            asked = [(i, t) for (i, _), t in zip(keys, points)]
-            # each tau2 that no walk of its row has asked before, once; the
-            # lower walk of a row whose upper endpoint failed is sent that
-            todo = [key for key in dict.fromkeys(asked)
-                    if key[0] not in failed and key[1] not in known[key[0]]]
-            bj = [key for key in todo if key[0] < n_bj]
-            jr = [key for key in todo if key[0] >= n_bj]
-            lams = []
-            if bj:
-                rows, t = zip(*bj)
-                lams.append(1.0 + np.array(t)[:, None] * mu[list(rows)])
-            if jr:
-                rows, t = map(list, zip(*jr))
-                droot = np.sqrt(v2[rows] + np.array(t)[:, None])
-                lams.append(np.maximum(0.0, symmetric_eigenvalues(
-                    a_mat[rows] * (droot[:, :, None] * droot[:, None, :])
-                )[:, :0:-1]))
-            if lams:
-                lam = np.concatenate(lams) if len(lams) > 1 else lams[0]
-                for (i, t), row, value in zip(bj + jr, lam, mixture_cdfs(
-                        q_obs[[i for i, _ in bj + jr]], lam, _MIX_TOL)):
-                    known[i][t] = value if not isinstance(
-                        value, DomainError) else NonConvergenceError(
-                        f"mixture coefficients at tau2 = {t:g} " + (
-                            "are negative or all 0" if np.isfinite(row).all()
-                            else "overflowed"))
-            values = [failed.get(i) or known[i][t] for i, t in asked]
-            failed.update((i, v) for (i, end), v in zip(keys, values)
-                          if end == 0 and isinstance(v, NonConvergenceError))
-            return values
+    def cdfs(keys, points):
+        asked = [(i, t) for (i, _), t in zip(keys, points)]
+        # each tau2 that no walk of its row has asked before, once; the
+        # lower walk of a row whose upper endpoint failed is sent that
+        todo = [key for key in dict.fromkeys(asked)
+                if key[0] not in failed and key[1] not in known[key[0]]]
+        bj = [key for key in todo if key[0] < n_bj]
+        jr = [key for key in todo if key[0] >= n_bj]
+        lams = []
+        if bj:
+            rows, t = zip(*bj)
+            lams.append(1.0 + np.array(t)[:, None] * mu[list(rows)])
+        if jr:
+            rows, t = map(list, zip(*jr))
+            droot = np.sqrt(v2[rows] + np.array(t)[:, None])
+            lams.append(np.maximum(0.0, symmetric_eigenvalues(
+                a_mat[rows] * (droot[:, :, None] * droot[:, None, :])
+            )[:, :0:-1]))
+        if lams:
+            lam = np.concatenate(lams) if len(lams) > 1 else lams[0]
+            for (i, t), row, value in zip(bj + jr, lam, mixture_cdfs(
+                    q_obs[[i for i, _ in bj + jr]], lam, _MIX_TOL)):
+                known[i][t] = value if not isinstance(
+                    value, DomainError) else NonConvergenceError(
+                    f"mixture coefficients at tau2 = {t:g} " + (
+                        "are negative or all 0" if np.isfinite(row).all()
+                        else "overflowed"))
+        values = [failed.get(i) or known[i][t] for i, t in asked]
+        failed.update((i, v) for (i, end), v in zip(keys, values)
+                      if end == 0 and isinstance(v, NonConvergenceError))
+        return values
 
-        known, failed, walks, out = {}, {}, {}, [None] * len(g)
-        for i, (q, row_seeds) in enumerate(zip(q_obs.tolist(), seeds)):
-            if not math.isfinite(q):
-                out[i] = NonConvergenceError(f"fixed-weight Q is {q}")
-            elif q <= 0.0:
-                out[i] = Tau2Interval(0.0, 0.0, level, ("degenerate",))
-            else:
-                known[i] = {}
-                for end, (p, seed) in enumerate(zip(targets, row_seeds)):
-                    walks[i, end] = _endpoint(p, seed)
-        ends = _lockstep(walks, cdfs)
+    known, failed, walks, out = {}, {}, {}, [None] * len(g)
+    for i, (q, row_seeds) in enumerate(zip(q_obs.tolist(), seeds)):
+        if not math.isfinite(q):
+            out[i] = NonConvergenceError(f"fixed-weight Q is {q}")
+        elif q <= 0.0:
+            out[i] = Tau2Interval(0.0, 0.0, level, ("degenerate",))
+        else:
+            known[i] = {}
+            for end, (p, seed) in enumerate(zip(targets, row_seeds)):
+                walks[i, end] = _endpoint(p, seed)
+    ends = _lockstep(walks, cdfs)
     for i, cached in known.items():
         hi, lo = ends[i, 0], ends[i, 1]
         errors = [e for e in (hi, lo) if isinstance(e, NonConvergenceError)]
@@ -658,18 +596,6 @@ def fixed_weight_batch(batch: MetaBatch, level: float) -> list[tuple]:
 
 # The battery's rows that read fixed_weight_batch
 ci_bj_batch, ci_jackson_batch = map(_reader, range(2))
-
-
-def ci_bj(data: MetaInput, level: float = 0.95) -> Tau2Interval:
-    """Biggerstaff-Jackson interval: weights 1/v^2 in `_fixed_weight_intervals`."""
-    return _unwrap(_fixed_weight_intervals(data.g[None], data.v2[None], 1,
-                                           level)[0])
-
-
-def ci_jackson(data: MetaInput, level: float = 0.95) -> Tau2Interval:
-    """Jackson's interval: weights 1/v in `_fixed_weight_intervals`."""
-    return _unwrap(_fixed_weight_intervals(data.g[None], data.v2[None], 0,
-                                           level)[0])
 
 
 def _pl_walk(center: float, crit: float, level: float):
@@ -730,13 +656,6 @@ def ci_pl_batch(batch: MetaBatch, remls: list, level: float) -> list:
     estimate, { tau2 >= 0 : 2 (l(tau2_REML) - l(tau2)) <= chi2_{1; level} };
     the rows search in lock-step."""
     crit = chisq_quantile(level, 1.0)
-    with np.errstate(all="ignore"):
-        return list(_lockstep(
-            {i: _pl_walk(r.value, crit, level) for i, r in enumerate(remls)},
-            _restricted_fits(batch.g, batch.v2)).values())
-
-
-def ci_pl(data: MetaInput, reml: Tau2Result,
-          level: float = 0.95) -> Tau2Interval:
-    """Profile-likelihood interval around reml, a tau2_reml(data, dl) result."""
-    return _unwrap(ci_pl_batch(MetaBatch((data,)), [reml], level)[0])
+    return list(_lockstep(
+        {i: _pl_walk(r.value, crit, level) for i, r in enumerate(remls)},
+        _restricted_fits(batch.g, batch.v2)).values())

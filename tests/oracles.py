@@ -8,6 +8,7 @@ bit for bit.
 
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -29,7 +30,6 @@ from smdmeta.qstat import (
     BracketCapExceeded,
     MetaInput,
     Tau2Result,
-    WeightedFit,
 )
 from smdmeta.smd import j_factor
 from smdmeta.tau2 import (
@@ -48,6 +48,15 @@ from smdmeta.tau2 import (
 )
 
 oracle = sys.modules[__name__]
+
+
+@dataclass(frozen=True)
+class WeightedFit:
+    """Weights, weighted mean, and total weight of one fit."""
+
+    weights: np.ndarray
+    mean: float
+    sum_w: float
 
 
 def iv_weighted_mean(data: MetaInput, tau2: float) -> WeightedFit:
@@ -71,6 +80,12 @@ def _q_terms(data: MetaInput, tau2: float) -> tuple[WeightedFit, np.ndarray]:
     fit = iv_weighted_mean(data, tau2)
     resid = data.g - fit.mean
     return fit, fit.weights * resid * resid
+
+
+def q_statistic(data: MetaInput, tau2: float) -> float:
+    """Generalized Cochran statistic Q(tau2) = sum w_i (g_i - mean)^2 with the
+    mean recomputed at the same tau2.  Non-increasing in tau2."""
+    return float(_q_terms(data, tau2)[1].sum())
 
 
 def solve_q_equals(data: MetaInput, target: float) -> Tau2Result:

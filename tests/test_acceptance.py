@@ -16,29 +16,19 @@ import numpy as np
 import pytest
 from scipy.special import erfinv
 
+from batch_of_one import q_at, row
+from smdmeta import effect, tau2
 from smdmeta.cli import main
 from smdmeta.numkernel import (
     RandomStream,
+    _unwrap,
     derive_stream_id,
     mixture_cdf,
     t_quantile,
 )
-from smdmeta.qstat import MetaInput, q_statistic
-from smdmeta.effect import ci_hksj, ci_z, effect_iv
-from smdmeta.simlab import SimCell, run_cell_raw
+from smdmeta.qstat import MetaInput
+from smdmeta.simlab import SimCell, estimate_all, run_cell_raw
 from smdmeta.smd import Study, g_variance, j_factor, sample_g
-from smdmeta.tau2 import (
-    ci_bj,
-    ci_jackson,
-    ci_kdb,
-    ci_pl,
-    ci_qp,
-    corrected_expected_q,
-    tau2_dl,
-    tau2_jackson,
-    tau2_mp,
-    tau2_reml,
-)
 
 SEED = 1
 REPS = 2000
@@ -86,13 +76,25 @@ def homogeneous_input(k, n, q, d):
                            for _ in range(k)))
 
 
+def tau2_dl(data):
+    return row(tau2.tau2_dl_batch, data)
+
+
+def tau2_mp(data):
+    return _unwrap(row(tau2.q_roots_batch, data, 0.95)[1])
+
+
+def tau2_jackson(data):
+    return row(tau2.tau2_jackson_batch, data)
+
+
 def test_c01_analytic_oracles():
     checks = []
-    spread = meta([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
-    checks.append(abs(tau2_dl(spread).value - 3.0) < 1e-10)
-    checks.append(abs(tau2_mp(spread).value - 3.0) < 1e-6)
-    checks.append(abs(tau2_reml(spread, tau2_dl(spread)).value - 3.0) < 1e-6)
-    jx = tau2_jackson(meta([0.0, 2.0], [1.0, 4.0]))
+    spread = estimate_all(meta([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0]))[0]
+    checks.append(abs(spread["tau2_est", "DL"].value - 3.0) < 1e-10)
+    checks.append(abs(spread["tau2_est", "MP"].value - 3.0) < 1e-6)
+    checks.append(abs(spread["tau2_est", "REML"].value - 3.0) < 1e-6)
+    jx = estimate_all(meta([0.0, 2.0], [1.0, 4.0]))[0]["tau2_est", "J"]
     checks.append(jx.value == 0.0 and jx.status == "truncated_at_zero")
     checks.append(abs(j_factor(2) - 1 / math.sqrt(math.pi)) < 1e-12)
     checks.append(abs(j_factor(10) - 0.9227456) < 1e-7)
@@ -100,11 +102,11 @@ def test_c01_analytic_oracles():
     j2 = j_factor(18) ** 2
     checks.append(abs(g_variance(1.0, 10, 10) - (0.2 + 1 - 16 / (18 * j2)))
                   < 1e-12)
-    two = meta([0.0, 2.0], [1.0, 1.0])
-    qp = ci_qp(two)
+    two = estimate_all(meta([0.0, 2.0], [1.0, 1.0]))[0]
+    qp = two["tau2_cover", "QP"]
     q025 = 2 * erfinv(0.025) ** 2
     checks.append(qp.lo == 0.0 and abs(qp.hi - (2 / q025 - 1)) < 1e-3 * qp.hi)
-    hksj = ci_hksj(two, effect_iv(two, tau2_dl(two)))
+    hksj = two["delta_cover", "HKSJ"]
     checks.append(abs(hksj.half_width - t_quantile(0.975, 1)) < 1e-9)
     report(1, all(checks), f"analytic oracles: {sum(checks)}/{len(checks)} ok")
 
@@ -124,7 +126,7 @@ def test_c02_mixture_cdf_oracle():
 def test_c03_kdb_moment_oracle():
     k, n, q, d = 5, 20, 0.5, 0.5
     data = homogeneous_input(k, n, q, d)
-    expected = corrected_expected_q(data)
+    expected = row(tau2.corrected_expected_q_batch, data)
     reps = 100_000
     n_t = math.ceil((1 - q) * n)
     n_c = n - n_t
@@ -132,10 +134,11 @@ def test_c03_kdb_moment_oracle():
     for r in range(reps):
         gen = RandomStream(SEED, derive_stream_id("c3", r)).generator()
         studies = tuple(sample_g(gen, n_t, n_c, d) for _ in range(k))
-        qs[r] = q_statistic(MetaInput(studies), 0.0)
+        qs[r] = q_at(MetaInput(studies), 0.0)
     mc, se = float(qs.mean()), float(qs.std(ddof=1) / math.sqrt(reps))
     ok_mc = abs(expected - mc) <= 3 * se
-    big = corrected_expected_q(homogeneous_input(k, 10**6, q, d))
+    big = row(tau2.corrected_expected_q_batch,
+              homogeneous_input(k, 10**6, q, d))
     ok_limit = abs(big - (k - 1)) <= 1e-3
     report(3, ok_mc and ok_limit,
            f"corrected E[Q]={expected:.4f} vs MC {mc:.4f}+/-{se:.4f}; "
@@ -259,9 +262,13 @@ def test_c11_simulate_determinism(tmp_path, capsys):
 def test_c12_property_suites():
     rng = np.random.default_rng(SEED)
     total = 10_000
-    interval_fns = (ci_qp, lambda d: ci_kdb(d, corrected_expected_q(d)),
-                    ci_bj, ci_jackson,
-                    lambda d: ci_pl(d, tau2_reml(d, tau2_dl(d))))
+    interval_fns = (
+        lambda d: _unwrap(row(tau2.q_roots_batch, d, 0.95)[2]),
+        lambda d: _unwrap(row(tau2.q_roots_batch, d, 0.95)[4]),
+        lambda d: _unwrap(row(tau2.fixed_weight_batch, d, 0.95)[0]),
+        lambda d: _unwrap(row(tau2.fixed_weight_batch, d, 0.95)[1]),
+        lambda d: row(tau2.ci_pl_batch, d, [row(tau2.tau2_reml_batch, d, [
+            tau2_dl(d)])], 0.95))
     violations = 0
 
     def rand_meta(k_max=6):
@@ -276,18 +283,20 @@ def test_c12_property_suites():
         kind = i % 5
         if kind == 0:  # Q monotone in tau2
             t1, t2 = sorted(rng.uniform(0.0, 8.0, 2))
-            if q_statistic(data, t2) > q_statistic(data, t1) + 1e-9:
+            if q_at(data, t2) > q_at(data, t1) + 1e-9:
                 violations += 1
         elif kind == 1:  # shift equivariance of delta estimators
             c = float(rng.uniform(-3, 3))
             shifted = MetaInput(tuple(
                 Study(s.n_t, s.n_c, s.g + c, s.v2) for s in data.studies))
             dl_a, dl_b = tau2_dl(data), tau2_dl(shifted)
-            if abs(effect_iv(shifted, dl_b).value
-                   - effect_iv(data, dl_a).value - c) > 1e-9:
+            iv_a = row(effect.effect_iv_batch, data, [dl_a])
+            iv_b = row(effect.effect_iv_batch, shifted, [dl_b])
+            if abs(iv_b.value - iv_a.value - c) > 1e-9:
                 violations += 1
-            if abs(ci_z(shifted, effect_iv(shifted, dl_b)).half_width
-                   - ci_z(data, effect_iv(data, dl_a)).half_width) > 1e-9:
+            if abs(row(effect.ci_z_batch, shifted, [iv_b], 0.95).half_width
+                   - row(effect.ci_z_batch, data, [iv_a], 0.95).half_width) \
+                    > 1e-9:
                 violations += 1
         elif kind == 2:  # equal-variance DL = MP = Jackson
             v = float(rng.uniform(0.1, 2.0))
@@ -303,11 +312,11 @@ def test_c12_property_suites():
             if not (0.0 <= ci.lo <= ci.hi):
                 violations += 1
         else:  # truncation-flag consistency
-            for r in (tau2_dl(data), tau2_mp(data), tau2_jackson(data)):
+            mp = tau2_mp(data)
+            for r in (tau2_dl(data), mp, tau2_jackson(data)):
                 if (r.status == "truncated_at_zero") != (r.value == 0.0):
                     violations += 1
-            mp = tau2_mp(data)
-            q0 = q_statistic(data, 0.0)
+            q0 = q_at(data, 0.0)
             if (mp.status == "truncated_at_zero") != (q0 <= data.k - 1):
                 violations += 1
     report(12, violations == 0,

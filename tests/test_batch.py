@@ -12,15 +12,15 @@ import pytest
 from scipy.optimize import brentq
 
 import oracles
+from oracles import q_statistic
 from smdmeta import effect, qstat, simlab, tau2
 from smdmeta.cli import main
-from smdmeta.numkernel import NonConvergenceError
+from smdmeta.numkernel import NonConvergenceError, _unwrap
 from smdmeta.qstat import (
     BRACKET_CAP,
     BracketCapExceeded,
     MetaBatch,
     MetaInput,
-    q_statistic,
     solve_q_roots,
 )
 from smdmeta.simlab import SimCell, simulate_meta_input
@@ -179,15 +179,20 @@ class TestBatchedRows:
                 assert key([row[i] for row in got]) == key(expected)
 
     def test_adapters_are_a_batch_of_one(self):
+        # analyze's one input is a batch of one: the rows on it match the
+        # oracle as on any batch
         rng = np.random.default_rng(7)
         for sizes in SIZE_SETS:
             data = batch_of(sizes, rng, 1, 0.4).inputs[0]
+            one = MetaBatch((data,))
             eq = oracles.corrected_expected_q(data)
-            assert key(tau2.corrected_expected_q(data)) == key(eq)
-            assert key(tau2.ci_kdb(data, eq)) == key(oracles.ci_kdb(data, eq))
-            assert key(tau2.ci_qp(data)) == key(oracles.ci_qp(data))
-            assert key(effect.ssw_variance(data, 0.3)) \
-                == key(oracles.ssw_variance(data, 0.3))
+            assert key(tau2.corrected_expected_q_batch(one)[0]) == key(eq)
+            (_, _, qp, _, kdb), = tau2.q_roots_batch(one, 0.95)
+            assert key(kdb) == key(oracles.ci_kdb(data, eq))
+            assert key(qp) == key(oracles.ci_qp(data))
+            ssw, = effect.effect_ssw_batch(one, [qstat.Tau2Result(0.3,
+                                                                  "interior")])
+            assert key(ssw.variance) == key(oracles.ssw_variance(data, 0.3))
 
 
 CELLS = [SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=6, chunks=1, seed=3),
@@ -345,11 +350,15 @@ class TestFixedWeightBatch:
         assert not any(rounds[first + 1:])
 
     def test_adapters_are_a_batch_of_one(self):
+        # each interval found alone (n_bj = 1: BJ, 0: J) is the one found in
+        # lock-step with the other
         for data in batch_of([(10, 10)] * 6, np.random.default_rng(5), 4,
                              0.3).inputs:
             (bj, j), = tau2.fixed_weight_batch(MetaBatch((data,)), 0.95)
-            assert key(tau2.ci_bj(data)) == key(bj)
-            assert key(tau2.ci_jackson(data)) == key(j)
+            for n_bj, both in ((1, bj), (0, j)):
+                alone, = tau2._fixed_weight_intervals(
+                    data.g[None], data.v2[None], n_bj, 0.95)
+                assert key(alone) == key(both)
 
 
 def walk_brentq(f, a, b, **kwargs):
@@ -577,23 +586,31 @@ class TestRemlPlBatch:
             oracles.ci_pl(data, reml)
         with pytest.raises(NonConvergenceError,
                            match="in \\[0, 1\\]: h is NaN"):
-            tau2.ci_pl(data, reml)
+            _unwrap(tau2.ci_pl_batch(MetaBatch((data,)), [reml], 0.95)[0])
 
     def test_adapters_are_a_batch_of_one(self):
+        # the REML and PL rows on a batch of one are estimate_all's on one
+        # input, and the fits under them match the oracle's
         rng = np.random.default_rng(6)
         for _ in range(5):
             data = reml_pl_input(rng, 4)
-            dl = tau2.tau2_dl(data)
-            reml, = tau2.tau2_reml_batch(MetaBatch((data,)), [dl])
-            assert key(tau2.tau2_reml(data, dl)) == key(reml)
-            assert key(tau2.ci_pl(data, reml, 0.9)) \
-                == key(tau2.ci_pl_batch(MetaBatch((data,)), [reml], 0.9)[0])
+            one = MetaBatch((data,))
+            dl, = tau2.tau2_dl_batch(one)
+            reml, = tau2.tau2_reml_batch(one, [dl])
+            results = simlab.estimate_all(data, 0.9)[0]
+            assert key(results["tau2_est", "REML"]) == key(reml)
+            assert key(results["tau2_cover", "PL"]) \
+                == key(tau2.ci_pl_batch(one, [reml], 0.9)[0])
+            loglik = tau2._restricted_fits(data.g[None], data.v2[None])
             for t in (0.0, reml.value, 3.7):
-                assert key(tau2.restricted_loglik(data, t)) \
+                assert key(loglik([0], [t])[0]) \
                     == key(oracles.restricted_loglik(data, t))
-                assert key(qstat.iv_weighted_mean(data, t)) \
+                w, sum_w, mean, terms = qstat._row_fits(
+                    data.g[None], data.v2[None], np.array([t]))
+                assert key(oracles.WeightedFit(w[0], float(mean[0]),
+                                               float(sum_w[0]))) \
                     == key(oracles.iv_weighted_mean(data, t))
-                assert key(q_statistic(data, t)) \
+                assert key(float(terms[0].sum())) \
                     == key(float(oracles._q_terms(data, t)[1].sum()))
 
 

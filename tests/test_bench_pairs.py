@@ -68,3 +68,25 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr():
     # lower is better for setup_s: ten shorter set-ups by 0.2 s are met
     # (the parent's IQR is 0), and a slower rate is never a claim
     assert claims([p - 10.0 for p in parent], [0.8] * 10) == (False, True)
+
+
+def test_unresolved_when_the_parent_spread_is_wider_than_the_bound():
+    # setup_s bound 0.25: parent quartiles 1.0 and 1.5 around a median of
+    # 1.25 are 40% apart, wider than the bound
+    parent = [(100.0, 1.0), (100.0, 1.0), (100.0, 1.5), (100.0, 1.5)]
+
+    def setup_of(change_setups):
+        runs = runs_of({"parent": parent,
+                        "change": [(100.0, s) for s in change_setups]})
+        rate, setup = bench_pairs.summarize(runs, "pairs", "analyze-stream",
+                                            [0, 1, 2, 3], METRICS)
+        assert rate["unresolved"] is False  # the rates do not spread
+        return setup
+
+    # a change inside the parent's spread: unresolved, not unchanged
+    assert setup_of([1.1, 1.2, 1.3, 1.4])["unresolved"] is True
+    # every change run shorter than every parent run: resolved
+    setup = setup_of([0.5, 0.6, 0.7, 0.9])
+    assert setup["unresolved"] is False and setup["move"] < 0.0
+    # one change run level with the parent's best: unresolved again
+    assert setup_of([0.5, 0.6, 0.7, 1.0])["unresolved"] is True

@@ -1,10 +1,13 @@
+import ctypes
 import hashlib
 import json
 import os
+import warnings
 
+import numpy as np
 import pytest
 
-from smdmeta import simlab
+from smdmeta import cli, simlab
 from smdmeta.cli import RESULTS_HEADER, main
 
 TOY_PRECOMP = """study_id,n_t,n_c,g,var_g
@@ -196,6 +199,49 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert code in (3, 4)
         assert ("error: " if code == 3 else "did not converge") in err
+
+    def test_subnormal_variance_fails_rows_without_warnings(self, tmp_path,
+                                                             capsys):
+        # 1/v^2 overflows: DL, J, QP, BJ and the J interval fail their rows
+        # (exit 4), and no numpy RuntimeWarning reaches the user
+        path = write(tmp_path / "tiny.csv", "study_id,n_t,n_c,g,var_g\n"
+                     "s1,10,10,0.1,5e-324\ns2,10,10,0.5,0.2\n"
+                     "s3,10,10,0.9,0.3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--input", path]) == 4
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_battery_runs_on_one_blas_thread(self, tmp_path, capsys):
+        # numpy's OpenBLAS threads eigvalsh from K = 65 on, with other bits
+        # in the BJ and J intervals than one thread gives
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is None or put is None:
+            pytest.skip("numpy's OpenBLAS exports no thread-count functions")
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        rng = np.random.default_rng(150)
+        v2 = rng.uniform(0.02, 0.5, 150)
+        g = 0.3 + rng.standard_normal(150) * np.sqrt(v2 + 0.1)
+        path = write(tmp_path / "k150.csv", "study_id,n_t,n_c,g,var_g\n"
+                     + "".join(f"s{i},20,20,{a!r},{b!r}\n" for i, (a, b)
+                               in enumerate(zip(g.tolist(), v2.tolist()))))
+        before = get()
+        try:
+            put(2)
+            assert main(["analyze", "--input", path, "--format", "json"]) == 0
+            assert get() == 2
+            put(1)
+            data = cli.read_analysis_csv(path)
+            results, failures = simlab.estimate_all(data)
+        finally:
+            put(before)
+        payload = cli._analysis_payload(results, failures, 0.95,
+                                        cli.TAU2_METHODS, simlab.DELTA_CI)
+        assert capsys.readouterr().out == \
+            json.dumps(payload, indent=2, allow_nan=True) + "\n"
 
     def test_oversized_field_is_input_error(self, tmp_path, capsys):
         text = TOY_PRECOMP + "s3" + "x" * 140_000 + ",10,10,0,1\n"

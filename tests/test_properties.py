@@ -2,18 +2,13 @@
 
 from hypothesis import given, settings, strategies as st
 
-from smdmeta.effect import ci_hksj, ci_z, effect_iv, effect_ssw
+from batch_of_one import q_at, row
+from smdmeta import effect
 from smdmeta.numkernel import chisq_cdf, chisq_quantile, mixture_cdf
-from smdmeta.qstat import MetaInput, iv_weighted_mean, q_statistic
+from smdmeta.qstat import MetaInput
+from smdmeta.simlab import estimate_all
 from smdmeta.smd import Study, j_factor
-from smdmeta.tau2 import (
-    Tau2Result,
-    ci_qp,
-    tau2_dl,
-    tau2_jackson,
-    tau2_mp,
-    tau2_reml,
-)
+from smdmeta.tau2 import Tau2Result
 
 
 @st.composite
@@ -34,7 +29,7 @@ def meta_inputs(draw, k_max=8, equal_variances=False):
 @settings(max_examples=200, deadline=None)
 def test_q_monotone_nonincreasing(data, t1, t2):
     lo, hi = sorted((t1, t2))
-    assert q_statistic(data, hi) <= q_statistic(data, lo) + 1e-9
+    assert q_at(data, hi) <= q_at(data, lo) + 1e-9
 
 
 @given(meta_inputs(), st.floats(-5.0, 5.0))
@@ -42,31 +37,33 @@ def test_q_monotone_nonincreasing(data, t1, t2):
 def test_q_location_invariant(data, shift):
     shifted = MetaInput(tuple(
         Study(s.n_t, s.n_c, s.g + shift, s.v2) for s in data.studies))
-    q0 = q_statistic(data, 0.3)
-    assert q_statistic(shifted, 0.3) == q0 or \
-        abs(q_statistic(shifted, 0.3) - q0) <= 1e-9 * (1.0 + q0)
+    q0 = q_at(data, 0.3)
+    assert q_at(shifted, 0.3) == q0 or \
+        abs(q_at(shifted, 0.3) - q0) <= 1e-9 * (1.0 + q0)
 
 
 @given(meta_inputs())
 @settings(max_examples=100, deadline=None)
 def test_weighted_mean_within_range(data):
-    fit = iv_weighted_mean(data, 0.7)
-    assert min(data.g) - 1e-12 <= fit.mean <= max(data.g) + 1e-12
+    fit = row(effect.effect_iv_batch, data, [Tau2Result(0.7, "interior")])
+    assert min(data.g) - 1e-12 <= fit.value <= max(data.g) + 1e-12
 
 
 @given(meta_inputs(equal_variances=True))
 @settings(max_examples=100, deadline=None)
 def test_equal_variance_collapse(data):
-    dl = tau2_dl(data).value
-    assert abs(tau2_mp(data).value - dl) <= max(1e-6 * (1 + dl), 1e-8)
-    assert abs(tau2_jackson(data).value - dl) <= 1e-10 * (1 + dl)
+    results = estimate_all(data)[0]
+    dl = results["tau2_est", "DL"].value
+    assert abs(results["tau2_est", "MP"].value - dl) \
+        <= max(1e-6 * (1 + dl), 1e-8)
+    assert abs(results["tau2_est", "J"].value - dl) <= 1e-10 * (1 + dl)
 
 
 @given(meta_inputs())
 @settings(max_examples=80, deadline=None)
 def test_point_estimators_nonnegative_and_flagged(data):
-    for r in (tau2_dl(data), tau2_mp(data),
-              tau2_reml(data, tau2_dl(data)), tau2_jackson(data)):
+    results = estimate_all(data)[0]
+    for r in (results["tau2_est", name] for name in ("DL", "MP", "REML", "J")):
         assert r.value >= 0.0
         if r.status == "truncated_at_zero":
             assert r.value == 0.0
@@ -75,9 +72,10 @@ def test_point_estimators_nonnegative_and_flagged(data):
 @given(meta_inputs())
 @settings(max_examples=60, deadline=None)
 def test_qp_interval_ordered_and_brackets_mp(data):
-    ci = ci_qp(data)
+    results = estimate_all(data)[0]
+    ci = results["tau2_cover", "QP"]
     assert 0.0 <= ci.lo <= ci.hi
-    mp = tau2_mp(data).value
+    mp = results["tau2_est", "MP"].value
     assert ci.lo - 1e-9 <= mp <= ci.hi + 1e-9
 
 
@@ -86,15 +84,20 @@ def test_qp_interval_ordered_and_brackets_mp(data):
 def test_effect_shift_equivariance(data, shift):
     shifted = MetaInput(tuple(
         Study(s.n_t, s.n_c, s.g + shift, s.v2) for s in data.studies))
-    dl_a, dl_b = tau2_dl(data), tau2_dl(shifted)
-    a, b = effect_iv(data, dl_a), effect_iv(shifted, dl_b)
+    dl_a, dl_b = (estimate_all(d)[0]["tau2_est", "DL"]
+                  for d in (data, shifted))
+    a = row(effect.effect_iv_batch, data, [dl_a])
+    b = row(effect.effect_iv_batch, shifted, [dl_b])
     assert abs((b.value - a.value) - shift) <= 1e-9
     kdb = Tau2Result(0.0, "truncated_at_zero")
-    assert abs(effect_ssw(shifted, kdb).value
-               - effect_ssw(data, kdb).value - shift) <= 1e-9
-    za, zb = ci_z(data, a), ci_z(shifted, b)
+    assert abs(row(effect.effect_ssw_batch, shifted, [kdb]).value
+               - row(effect.effect_ssw_batch, data, [kdb]).value - shift) \
+        <= 1e-9
+    za = row(effect.ci_z_batch, data, [a], 0.95)
+    zb = row(effect.ci_z_batch, shifted, [b], 0.95)
     assert abs(zb.half_width - za.half_width) <= 1e-9
-    ha, hb = ci_hksj(data, a), ci_hksj(shifted, b)
+    ha = row(effect.ci_hksj_batch, data, [a], 0.95)
+    hb = row(effect.ci_hksj_batch, shifted, [b], 0.95)
     assert abs(hb.half_width - ha.half_width) <= 1e-9 * (1.0 + ha.half_width)
 
 

@@ -4,27 +4,49 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from smdmeta import qstat
-from smdmeta.numkernel import DomainError, NonConvergenceError, chisq_quantile
+import oracles
+from batch_of_one import q_at, row
+from oracles import q_statistic
+from smdmeta import effect, qstat, tau2
+from smdmeta.numkernel import (
+    DomainError,
+    NonConvergenceError,
+    _unwrap,
+    chisq_quantile,
+)
 from smdmeta.qstat import (
     _MAX_BISECT,
     _REL_TOL,
     BRACKET_CAP,
     BracketCapExceeded,
+    MetaBatch,
     MetaInput,
     Tau2Result,
-    iv_weighted_mean,
-    q_statistic,
-    solve_q_equals,
+    solve_q_roots,
 )
 from smdmeta.simlab import SimCell, simulate_meta_input
 from smdmeta.smd import Study
-from smdmeta.tau2 import corrected_expected_q
 
 
 def meta(gs, v2s, n=20):
     n_t = n // 2
     return MetaInput(tuple(Study(n_t, n - n_t, g, v) for g, v in zip(gs, v2s)))
+
+
+def iv_fit(data, tau2):
+    """The inverse-variance effect row on one input at tau2."""
+    status = "interior" if tau2 else "truncated_at_zero"
+    return row(effect.effect_iv_batch, data, [Tau2Result(tau2, status)])
+
+
+def solve(data, target):
+    """`solve_q_roots` on one input and target; raises the failure."""
+    return _unwrap(solve_q_roots(data.g[None], data.v2[None], [target])[0])
+
+
+def expected_q(data):
+    """The corrected E[Q] row on one input, or its failure."""
+    return tau2.corrected_expected_q_batch(MetaBatch((data,)))[0]
 
 
 class TestMetaInput:
@@ -42,38 +64,38 @@ class TestMetaInput:
 class TestWeightedMean:
     def test_equal_weights(self):
         data = meta([-1.0, 0.0, 4.0], [2.0, 2.0, 2.0])
-        fit = iv_weighted_mean(data, 0.0)
-        assert fit.mean == pytest.approx(1.0)
+        fit = iv_fit(data, 0.0)
+        assert fit.value == pytest.approx(1.0)
 
     def test_large_tau2_equalizes(self):
         data = meta([0.0, 1.0, 5.0], [0.1, 2.0, 7.0])
-        fit = iv_weighted_mean(data, 1e9)
-        assert fit.mean == pytest.approx(2.0, rel=1e-6)
+        fit = iv_fit(data, 1e9)
+        assert fit.value == pytest.approx(2.0, rel=1e-6)
 
     def test_hand_case(self):
         data = meta([0.0, 1.0], [1.0, 3.0])
-        fit = iv_weighted_mean(data, 1.0)
+        fit = iv_fit(data, 1.0)
         assert np.allclose(fit.weights, [0.5, 0.25])
-        assert fit.mean == pytest.approx(1 / 3, rel=1e-14)
+        assert fit.value == pytest.approx(1 / 3, rel=1e-14)
 
     def test_negative_tau2_rejected(self):
         with pytest.raises(DomainError):
-            iv_weighted_mean(meta([0.0, 1.0], [1.0, 1.0]), -0.5)
+            iv_fit(meta([0.0, 1.0], [1.0, 1.0]), -0.5)
 
 
 class TestQStatistic:
     def test_zero_when_homogeneous(self):
         data = meta([0.7, 0.7, 0.7], [1.0, 2.0, 0.5])
         for tau2 in (0.0, 1.0, 10.0):
-            assert q_statistic(data, tau2) == pytest.approx(0.0, abs=1e-14)
+            assert q_at(data, tau2) == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_weights(self):
         data = meta([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
-        assert q_statistic(data, 0.0) == pytest.approx(2.0, rel=1e-14)
+        assert q_at(data, 0.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_equal_weight_scaling(self):
         data = meta([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
-        assert q_statistic(data, 3.0) == pytest.approx(2.0, rel=1e-14)
+        assert q_at(data, 3.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_location_invariance(self):
         rng = np.random.default_rng(5)
@@ -82,29 +104,29 @@ class TestQStatistic:
         a = meta(list(gs), list(v2s))
         b = meta(list(gs + 11.25), list(v2s))
         for tau2 in (0.0, 0.7, 5.0):
-            assert q_statistic(a, tau2) == pytest.approx(
-                q_statistic(b, tau2), rel=1e-11, abs=1e-11)
+            assert q_at(a, tau2) == pytest.approx(
+                q_at(b, tau2), rel=1e-11, abs=1e-11)
 
     def test_vanishes_at_infinity(self):
         data = meta([-2.0, 1.0, 4.0], [1.0, 0.5, 2.0])
-        assert q_statistic(data, 1e9) < 1e-7
+        assert q_at(data, 1e9) < 1e-7
 
 
 class TestSolveQEquals:
     def test_hand_case(self):
         data = meta([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
-        root = solve_q_equals(data, 2.0)
+        root = solve(data, 2.0)
         assert root.status == "interior"
         assert root.value == pytest.approx(3.0, rel=1e-7)
 
     def test_two_study_case(self):
         data = meta([0.0, 2.0], [1.0, 1.0])
-        root = solve_q_equals(data, 1.0)
+        root = solve(data, 1.0)
         assert root.value == pytest.approx(1.0, rel=1e-7)
 
     def test_truncation(self):
         data = meta([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
-        root = solve_q_equals(data, 2.0)  # Q(0) == target
+        root = solve(data, 2.0)  # Q(0) == target
         assert root.status == "truncated_at_zero"
         assert root.value == 0.0
 
@@ -118,14 +140,14 @@ class TestSolveQEquals:
             if q0 < 1e-6:
                 continue
             target = q0 * rng.uniform(0.05, 0.95)
-            root = solve_q_equals(data, target)
+            root = solve(data, target)
             assert abs(q_statistic(data, root.value) - target) <= 1e-8 * target
 
     def test_bracket_cap(self):
         # target below Q(1e7) forces the cap error
         data = meta([0.0, 2e5], [1.0, 1.0])
         with pytest.raises(BracketCapExceeded):
-            solve_q_equals(data, 1e-4)
+            solve(data, 1e-4)
 
     def test_first_bracket_end_is_capped(self):
         # Q(0) max v^2 is about 8e8: an uncapped first bracket end would
@@ -133,19 +155,19 @@ class TestSolveQEquals:
         data = meta([0.0, 2e4, -2e4], [1.0, 1e3, 1e3])
         assert first_bracket_past_cap(data)
         with pytest.raises(BracketCapExceeded):
-            solve_q_equals(data, q_statistic(data, 5e7))
-        root = solve_q_equals(data, q_statistic(data, 5e6))
+            solve(data, q_statistic(data, 5e7))
+        root = solve(data, q_statistic(data, 5e6))
         assert abs(q_statistic(data, root.value) - q_statistic(data, 5e6)) \
             <= 1e-8 * q_statistic(data, 5e6)
 
     def test_target_domain(self):
         with pytest.raises(DomainError):
-            solve_q_equals(meta([0.0, 1.0], [1.0, 1.0]), 0.0)
+            solve(meta([0.0, 1.0], [1.0, 1.0]), 0.0)
 
 
 def reference_solve_q_equals(data: MetaInput, target: float) -> Tau2Result:
     """Plain bisection, evaluating Q at every midpoint and not capping its
-    first bracket end: the oracle for solve_q_equals."""
+    first bracket end: the oracle for solve_q_roots."""
     if not target > 0:
         raise DomainError(f"target must be > 0, got {target}")
     q0 = q_statistic(data, 0.0)
@@ -208,10 +230,9 @@ def stress_targets(data, rng):
                q0 * (1.0 - 1e-6), q0, 1.5 * q0, q0 * rng.uniform(),
                0.5 * q_statistic(data, BRACKET_CAP),
                2.0 * q_statistic(data, BRACKET_CAP)]
-    try:
-        targets.append(corrected_expected_q(data))
-    except NonConvergenceError:
-        pass
+    eq = expected_q(data)
+    if not isinstance(eq, NonConvergenceError):
+        targets.append(eq)
     return [t for t in targets if t > 0.0]
 
 
@@ -227,9 +248,9 @@ def grid_inputs():
 def battery_targets(data):
     """The six targets one replicate solves for: MP, KDB, QP and the
     corrected Q-profile (KDB) interval."""
-    expected_q = corrected_expected_q(data)
-    return [data.k - 1.0, expected_q] + [
-        chisq_quantile(p, df) for df in (data.k - 1.0, expected_q)
+    eq = _unwrap(expected_q(data))
+    return [data.k - 1.0, eq] + [
+        chisq_quantile(p, df) for df in (data.k - 1.0, eq)
         for p in (0.025, 0.975)]
 
 
@@ -243,7 +264,7 @@ class TestSolverMatchesPlainBisection:
                 continue
             for target in stress_targets(data, rng):
                 expected = outcome(reference_solve_q_equals, data, target)
-                assert outcome(solve_q_equals, data, target) == expected, \
+                assert outcome(solve, data, target) == expected, \
                     (data.g, data.v2, target)
                 statuses.add(getattr(expected, "status", expected))
         assert statuses == {"interior", "truncated_at_zero",
@@ -252,7 +273,7 @@ class TestSolverMatchesPlainBisection:
     def test_grid_replicates(self):
         for data in grid_inputs():
             for target in battery_targets(data):
-                assert solve_q_equals(data, target) == \
+                assert solve(data, target) == \
                     reference_solve_q_equals(data, target)
 
     @given(st.integers(2, 30).flatmap(lambda k: st.tuples(
@@ -270,14 +291,14 @@ class TestSolverMatchesPlainBisection:
         assume(not first_bracket_past_cap(data))
         target = fraction * q_statistic(data, 0.0)
         assume(target > 0.0)
-        assert outcome(solve_q_equals, data, target) == \
+        assert outcome(solve, data, target) == \
             outcome(reference_solve_q_equals, data, target)
 
     def test_few_q_evaluations_per_solve(self, monkeypatch):
-        # the reference evaluates Q through iv_weighted_mean, the solver
-        # through _row_fits, one row per Q value
+        # the reference evaluates Q through the oracle's iv_weighted_mean,
+        # the solver through _row_fits, one row per Q value
         evaluations = [0]
-        original = qstat.iv_weighted_mean
+        original = oracles.iv_weighted_mean
         original_rows = qstat._row_fits
 
         def counted(data, tau2):
@@ -288,18 +309,18 @@ class TestSolverMatchesPlainBisection:
             evaluations[0] += len(tau2)
             return original_rows(g, v2, tau2)
 
-        monkeypatch.setattr(qstat, "iv_weighted_mean", counted)
+        monkeypatch.setattr(oracles, "iv_weighted_mean", counted)
         monkeypatch.setattr(qstat, "_row_fits", counted_rows)
         mean_evaluations = {}
-        for solve in (solve_q_equals, reference_solve_q_equals):
+        for solver in (solve, reference_solve_q_equals):
             evaluations[0] = solves = 0
             for data in grid_inputs():
                 for target in battery_targets(data):
                     before = evaluations[0]
-                    if solve(data, target).status != "interior":
+                    if solver(data, target).status != "interior":
                         evaluations[0] = before
                         continue
                     solves += 1
-            mean_evaluations[solve] = evaluations[0] / solves
-        assert mean_evaluations[solve_q_equals] <= 10.0
+            mean_evaluations[solver] = evaluations[0] / solves
+        assert mean_evaluations[solve] <= 10.0
         assert mean_evaluations[reference_solve_q_equals] > 25.0

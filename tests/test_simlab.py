@@ -14,7 +14,7 @@ import pytest
 from smdmeta import simlab
 from smdmeta import tau2 as t2
 from smdmeta.numkernel import NonConvergenceError
-from smdmeta.qstat import MetaInput
+from smdmeta.qstat import MetaBatch, MetaInput
 from smdmeta.simlab import (
     CellReport,
     GridConfig,
@@ -184,8 +184,9 @@ class TestEstimateAll:
                        seed=4)
         results, _ = estimate_all(simulate_meta_input(cell, 0))
         assert results["tau2_est", "REML"].status == "max_iter"
-        assert results["tau2_cover", "PL"] == t2.ci_pl(
-            simulate_meta_input(cell, 0), stopped(None, [None])[0], 0.95)
+        assert results["tau2_cover", "PL"] == t2.ci_pl_batch(
+            MetaBatch((simulate_meta_input(cell, 0),)),
+            stopped(None, [None]), 0.95)[0]
         raw = run_cell_raw(cell)
         assert np.array_equal(raw.tau2_est["REML"], np.full(4, 0.7))
         assert not np.isnan(raw.tau2_cover["PL"]).any()
@@ -247,6 +248,38 @@ class TestEstimateAll:
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Constant) and node.value in names]
         assert found == []
+
+    def test_one_estimator_path(self):
+        # every estimator is a *_batch row reached through estimate_all: no
+        # function takes a MetaInput but estimate_all, and the single-input
+        # adapters and scalar Q helpers are gone
+        import smdmeta
+        gone = {"tau2_dl", "tau2_mp", "restricted_loglik", "tau2_reml",
+                "tau2_jackson", "corrected_expected_q", "tau2_kdb",
+                "_q_profile_of", "ci_qp", "ci_kdb", "ci_bj", "ci_jackson",
+                "ci_pl", "ssw_variance", "_one", "effect_iv", "effect_ssw",
+                "ci_z", "ci_hksj", "ci_ssw_kdb", "WeightedFit", "_fit",
+                "iv_weighted_mean", "q_statistic", "solve_q_equals"}
+        takers, defined = [], []
+        for path in sorted(Path(simlab.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append(node.name)
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Store):
+                    defined.append(node.id)
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                a = node.args
+                for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                            a.vararg, a.kwarg):
+                    if arg is not None and arg.annotation is not None and any(
+                            isinstance(n, ast.Name) and n.id == "MetaInput"
+                            for n in ast.walk(arg.annotation)):
+                        takers.append((path.name, node.name))
+        assert takers == [("simlab.py", "estimate_all")]
+        assert gone.isdisjoint(defined)
+        assert gone.isdisjoint(dir(smdmeta))
 
 
 def use_in_process_helpers(monkeypatch, sizes):

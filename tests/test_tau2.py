@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import erfinv
 
 import oracles
+from oracles import iv_weighted_mean, q_statistic, restricted_loglik
 from smdmeta import tau2
 from smdmeta.numkernel import (
     NonConvergenceError,
@@ -17,22 +18,9 @@ from smdmeta.numkernel import (
     ln_gamma,
     mixture_cdf,
 )
-from smdmeta.qstat import BRACKET_CAP, MetaInput, q_statistic, iv_weighted_mean
+from smdmeta.qstat import BRACKET_CAP, MetaBatch, MetaInput
+from smdmeta.simlab import estimate_all
 from smdmeta.smd import Study, g_variance, j_factor
-from smdmeta.tau2 import (
-    ci_bj,
-    ci_jackson,
-    ci_kdb,
-    ci_pl,
-    ci_qp,
-    corrected_expected_q,
-    restricted_loglik,
-    tau2_dl,
-    tau2_jackson,
-    tau2_kdb,
-    tau2_mp,
-    tau2_reml,
-)
 
 
 def meta(gs, v2s, n=20):
@@ -47,12 +35,22 @@ def random_meta(rng, k=None):
     return meta(list(gs), list(v2s))
 
 
-def kdb_of(data):
-    return tau2_kdb(data, corrected_expected_q(data))
+def battery_row(kind, name):
+    """The battery's (kind, name) result on one input, through
+    `estimate_all`; a KeyError if that row failed."""
+    return lambda data: estimate_all(data)[0][kind, name]
 
 
-def reml_of(data):
-    return tau2_reml(data, tau2_dl(data))
+dl_of, mp_of, reml_of, j_of, kdb_of = (
+    battery_row("tau2_est", name) for name in ("DL", "MP", "REML", "J", "KDB"))
+qp_of, kdb_ci_of, bj_of, j_ci_of, pl_of = (
+    battery_row("tau2_cover", name) for name in ("QP", "KDB", "BJ", "J", "PL"))
+
+
+def expected_q(data, effect=None):
+    """The corrected E[Q] row on one input, at the SSW mean or at effect."""
+    return tau2.corrected_expected_q_batch(
+        MetaBatch((data,)), None if effect is None else np.array([effect]))[0]
 
 
 SPREAD = meta([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
@@ -61,24 +59,24 @@ FLAT = meta([0.4, 0.4, 0.4], [1.0, 0.5, 2.0])
 
 class TestDL:
     def test_truncates_when_q_matches_df(self):
-        r = tau2_dl(meta([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0]))
+        r = dl_of(meta([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0]))
         assert r.value == 0.0 and r.status == "truncated_at_zero"
 
     def test_closed_form(self):
-        r = tau2_dl(SPREAD)
+        r = dl_of(SPREAD)
         assert r.value == pytest.approx(3.0, rel=1e-12)
         assert r.status == "interior"
 
     def test_homogeneous(self):
-        assert tau2_dl(FLAT).value == 0.0
+        assert dl_of(FLAT).value == 0.0
 
 
 class TestMP:
     def test_hand_case(self):
-        assert tau2_mp(SPREAD).value == pytest.approx(3.0, rel=1e-7)
+        assert mp_of(SPREAD).value == pytest.approx(3.0, rel=1e-7)
 
     def test_truncation(self):
-        r = tau2_mp(meta([0.0, 0.1], [1.0, 1.0]))
+        r = mp_of(meta([0.0, 0.1], [1.0, 1.0]))
         assert r.value == 0.0 and r.status == "truncated_at_zero"
 
     def test_equals_dl_under_equal_variances(self):
@@ -87,7 +85,7 @@ class TestMP:
             k = int(rng.integers(2, 9))
             v = float(rng.uniform(0.2, 2.0))
             data = meta(list(rng.standard_normal(k) * 2), [v] * k)
-            dl, mp = tau2_dl(data), tau2_mp(data)
+            dl, mp = dl_of(data), mp_of(data)
             assert mp.value == pytest.approx(dl.value, rel=1e-6, abs=1e-8)
 
 
@@ -127,11 +125,11 @@ class TestREML:
 class TestJackson:
     def test_hand_case(self):
         data = meta([0.0, 2.0], [1.0, 4.0])
-        r = tau2_jackson(data)
+        r = j_of(data)
         assert r.value == 0.0 and r.status == "truncated_at_zero"
 
     def test_homogeneous(self):
-        assert tau2_jackson(FLAT).value == 0.0
+        assert j_of(FLAT).value == 0.0
 
     def test_equal_variance_collapse_to_dl(self):
         rng = np.random.default_rng(4)
@@ -139,8 +137,8 @@ class TestJackson:
             k = int(rng.integers(2, 9))
             v = float(rng.uniform(0.2, 2.0))
             data = meta(list(rng.standard_normal(k) * 2), [v] * k)
-            assert tau2_jackson(data).value == pytest.approx(
-                tau2_dl(data).value, rel=1e-10, abs=1e-12)
+            assert j_of(data).value == pytest.approx(
+                dl_of(data).value, rel=1e-10, abs=1e-12)
 
 
 def kdb_input(k, n, q, d):
@@ -153,25 +151,25 @@ def kdb_input(k, n, q, d):
 class TestCorrectedExpectedQ:
     def test_limits_to_k_minus_1(self):
         data = kdb_input(5, 10**6, 0.5, 0.5)
-        assert corrected_expected_q(data) == pytest.approx(4.0, abs=1e-3)
+        assert expected_q(data) == pytest.approx(4.0, abs=1e-3)
 
     def test_reorder_invariance(self):
         studies = (Study(10, 10, 0.3, g_variance(0.3, 10, 10)),
                    Study(6, 14, -0.2, g_variance(-0.2, 6, 14)),
                    Study(25, 25, 1.1, g_variance(1.1, 25, 25)))
-        a = corrected_expected_q(MetaInput(studies))
-        b = corrected_expected_q(MetaInput(studies[::-1]))
+        a = expected_q(MetaInput(studies))
+        b = expected_q(MetaInput(studies[::-1]))
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_positive_across_plugins(self):
         data = kdb_input(5, 12, 0.75, 0.0)
         for d in (-6.0, -1.0, 0.0, 0.4, 2.0, 6.0):
-            assert corrected_expected_q(data, effect=d) > 0
+            assert expected_q(data, effect=d) > 0
 
     def test_series_and_quadrature_branches_agree(self):
         # n=1800 sits above the branch threshold, n=900 below
-        hi = corrected_expected_q(kdb_input(5, 1800, 0.5, 0.5))
-        lo = corrected_expected_q(kdb_input(5, 900, 0.5, 0.5))
+        hi = expected_q(kdb_input(5, 1800, 0.5, 0.5))
+        lo = expected_q(kdb_input(5, 900, 0.5, 0.5))
         # both are (K-1) - c/n + O(1/n^2): c estimated from either point
         c_hi = (4.0 - hi) * 1800
         c_lo = (4.0 - lo) * 900
@@ -301,7 +299,7 @@ class TestCorrectedExpectedQOracle:
             gs = d + 0.3 * rng.standard_normal(k)
             data = MetaInput(tuple(Study(a, b, float(g), g_variance(g, a, b))
                                    for (a, b), g in zip(sizes, gs)))
-            new = corrected_expected_q(data, effect=d)
+            new = expected_q(data, effect=d)
             ref = reference_corrected_expected_q(data, ref_moments, d)
             assert new == pytest.approx(ref, rel=1e-14, abs=0.0)
 
@@ -418,7 +416,7 @@ class TestLaguerreMoments:
                                for (a, b), g in zip(sizes, gs)))
         ref = reference_corrected_expected_q(
             data, lambda n_t, n_c, _: central[n_t, n_c], d)
-        assert corrected_expected_q(data, effect=d) == \
+        assert expected_q(data, effect=d) == \
             pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
@@ -429,7 +427,7 @@ class TestKDB:
         data = MetaInput(tuple(Study(n // 2, n // 2, g,
                                      g_variance(g, n // 2, n // 2))
                                for g in gs))
-        kdb, mp = kdb_of(data), tau2_mp(data)
+        kdb, mp = kdb_of(data), mp_of(data)
         assert kdb.value == pytest.approx(mp.value, rel=1e-3, abs=1e-9)
 
     def test_truncation(self):
@@ -441,7 +439,7 @@ class TestKDB:
 class TestCiQP:
     def test_df1_endpoints(self):
         data = meta([0.0, 2.0], [1.0, 1.0])
-        ci = ci_qp(data)
+        ci = qp_of(data)
         q975 = 2 * erfinv(0.975) ** 2
         q025 = 2 * erfinv(0.025) ** 2
         assert q_statistic(data, 0.0) < q975
@@ -449,23 +447,23 @@ class TestCiQP:
         assert ci.hi == pytest.approx(2.0 / q025 - 1.0, rel=1e-6)
 
     def test_degenerate_all_equal(self):
-        ci = ci_qp(FLAT)
+        ci = qp_of(FLAT)
         assert ci.lo == 0.0 and ci.hi == 0.0
 
     def test_upper_beyond_cap_from_a_capped_first_bracket(self):
         # Q(0) max v^2 = 2e9 is past the 1e7 cap, and Q(1e7) = 0.2 is still
         # above the upper target chi2_2(0.025) = 0.051, as BJ also finds
         data = meta([1e3, -1e3, 0.0], [1e-3, 1e-3, 1.0])
-        ci = ci_qp(data)
+        ci = qp_of(data)
         assert math.isinf(ci.hi) and ci.flags == ("upper-beyond-cap",)
-        assert 0.0 < ci.lo < BRACKET_CAP and math.isinf(ci_bj(data).hi)
+        assert 0.0 < ci.lo < BRACKET_CAP and math.isinf(bj_of(data).hi)
 
     def test_contains_mp(self):
         rng = np.random.default_rng(23)
         for _ in range(15):
             data = random_meta(rng)
-            mp = tau2_mp(data)
-            ci = ci_qp(data)
+            mp = mp_of(data)
+            ci = qp_of(data)
             assert ci.lo - 1e-9 <= mp.value <= ci.hi + 1e-9
 
 
@@ -476,7 +474,7 @@ class TestCiKDB:
         data = MetaInput(tuple(Study(n // 2, n // 2, g,
                                      g_variance(g, n // 2, n // 2))
                                for g in gs))
-        a, b = ci_kdb(data, corrected_expected_q(data)), ci_qp(data)
+        a, b = kdb_ci_of(data), qp_of(data)
         assert a.lo == pytest.approx(b.lo, abs=1e-6)
         assert a.hi == pytest.approx(b.hi, abs=1e-6)
 
@@ -484,7 +482,7 @@ class TestCiKDB:
         rng = np.random.default_rng(29)
         for _ in range(8):
             data = random_meta(rng)
-            ci = ci_kdb(data, corrected_expected_q(data))
+            ci = kdb_ci_of(data)
             assert ci.lo <= ci.hi
             kdb = kdb_of(data)
             assert ci.lo - 1e-9 <= kdb.value <= ci.hi + 1e-9
@@ -494,7 +492,7 @@ class TestCiBJ:
     def test_k2_equal_variance_closed_form(self):
         data = meta([0.0, 2.0], [1.0, 1.0])
         q_obs = q_statistic(data, 0.0)
-        ci = ci_bj(data)
+        ci = bj_of(data)
         # single mixture coefficient (1 + tau2): chisq_1 inversion in closed form
         assert chisq_cdf(q_obs, 1.0) <= 0.975
         assert ci.lo == 0.0
@@ -514,7 +512,7 @@ class TestCiBJ:
         # empirical CDF of Q at the solved endpoints recovers the levels
         rng = np.random.default_rng(31)
         data = meta([0.1, 0.9, -0.4, 1.8, 0.6], [0.3, 0.5, 0.8, 0.4, 1.1])
-        ci = ci_bj(data)
+        ci = bj_of(data)
         w = 1.0 / data.v2
         gbar = float((w * data.g).sum() / w.sum())
         q_obs = float((w * (data.g - gbar) ** 2).sum())
@@ -529,7 +527,7 @@ class TestCiBJ:
                                                                    abs=0.005)
 
     def test_all_equal_degenerate(self):
-        ci = ci_bj(FLAT)
+        ci = bj_of(FLAT)
         assert ci.lo == 0.0 and ci.hi == 0.0
 
 
@@ -540,13 +538,13 @@ class TestCiJackson:
             k = int(rng.integers(2, 7))
             v = float(rng.uniform(0.3, 1.5))
             data = meta(list(rng.standard_normal(k) * 1.5), [v] * k)
-            a, b = ci_jackson(data), ci_bj(data)
+            a, b = j_ci_of(data), bj_of(data)
             # identical up to the endpoint solver tolerance
             assert a.lo == pytest.approx(b.lo, rel=1e-4, abs=1e-5)
             assert a.hi == pytest.approx(b.hi, rel=1e-4, abs=1e-5)
 
     def test_all_equal_lo_zero(self):
-        assert ci_jackson(FLAT).lo == 0.0
+        assert j_ci_of(FLAT).lo == 0.0
 
 
 def spread_v2(k, seed):
@@ -560,7 +558,7 @@ def spread_v2(k, seed):
 class TestBJCoefficients:
     @pytest.mark.parametrize("k", [2, 3, 5, 10, 30, 100])
     def test_affine_in_tau2_matches_dense_eigenvalues(self, k, monkeypatch):
-        # the oracle's ci_bj hands its coefficient function to the
+        # the oracle's bj_of hands its coefficient function to the
         # inversion: take it (the batch matches the oracle bit for bit)
         monkeypatch.setattr(oracles, "_fixed_weight_interval",
                             lambda *args: args[-1])
@@ -592,9 +590,11 @@ class TestBJCoefficients:
         monkeypatch.setattr(tau2, "mixture_cdfs",
                             counted("mixture_cdfs", tau2.mixture_cdfs, 1))
         for data in oracle_cases(10)[1:]:  # heterogeneous: several CDFs
-            for fn, per_interval in ((ci_bj, True), (ci_jackson, False)):
+            # the BJ row (n_bj = 1) and the J row (n_bj = 0) of a batch of one
+            for n_bj, per_interval in ((1, True), (0, False)):
                 counts.update(eigvalsh=0, mixture_cdfs=0)
-                fn(data)
+                tau2._fixed_weight_intervals(data.g[None], data.v2[None], n_bj,
+                                             0.95)
                 assert counts["mixture_cdfs"] > 1
                 assert counts["eigvalsh"] == (
                     1 if per_interval else counts["mixture_cdfs"])
@@ -662,8 +662,8 @@ class TestFixedWeightOracle:
     @pytest.mark.parametrize("k", [2, 3, 5, 10, 30, 100])
     @pytest.mark.parametrize("method", ["BJ", "J"])
     def test_endpoints_match_doubling_search(self, k, method):
-        fn, wfun = {"BJ": (ci_bj, lambda d: 1.0 / d.v2),
-                    "J": (ci_jackson, lambda d: 1.0 / np.sqrt(d.v2))}[method]
+        fn, wfun = {"BJ": (bj_of, lambda d: 1.0 / d.v2),
+                    "J": (j_ci_of, lambda d: 1.0 / np.sqrt(d.v2))}[method]
         for data in oracle_cases(k):
             lo, hi, flags = reference_fixed_weight_interval(data, 0.95,
                                                             wfun(data))
@@ -676,7 +676,7 @@ class TestFixedWeightOracle:
                     assert abs(new - ref) <= 2 * (1e-6 + 1e-5 * ref)
 
     def test_cap_case_flags_upper_beyond_cap(self):
-        ci = ci_bj(oracle_cases(5)[-1])
+        ci = bj_of(oracle_cases(5)[-1])
         assert math.isinf(ci.hi) and ci.flags == ("upper-beyond-cap",)
 
 
@@ -691,13 +691,13 @@ class TestCiPL:
             <= l_hat + 1e-7
 
     def test_all_equal_lo_zero(self):
-        assert ci_pl(FLAT, reml_of(FLAT)).lo == 0.0
+        assert pl_of(FLAT).lo == 0.0
 
     def test_endpoints_on_likelihood_contour(self):
         rng = np.random.default_rng(43)
         data = meta(list(rng.standard_normal(6) * 1.4),
                     list(rng.uniform(0.2, 1.0, 6)))
-        ci = ci_pl(data, reml_of(data))
+        ci = pl_of(data)
         r = reml_of(data)
         l_hat = restricted_loglik(data, r.value)
         crit = chisq_quantile(0.95, 1.0)
@@ -711,13 +711,13 @@ class TestCiPL:
 
 class TestHomogeneousInputs:
     def test_all_point_estimators_zero(self):
-        for fn in (tau2_dl, tau2_mp, reml_of, tau2_jackson, kdb_of):
+        for fn in (dl_of, mp_of, reml_of, j_of, kdb_of):
             assert fn(FLAT).value == 0.0
 
     def test_monotone_response_to_spread(self):
         base = np.array([-1.0, 0.2, 1.1, -0.4])
         v2s = [0.4, 0.8, 0.6, 1.0]
-        for fn in (tau2_dl, tau2_mp, reml_of, tau2_jackson):
+        for fn in (dl_of, mp_of, reml_of, j_of):
             prev = -1.0
             for c in (1.0, 1.5, 2.5):
                 gbar = base.mean()
