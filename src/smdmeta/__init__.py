@@ -13,7 +13,6 @@ from .numkernel import (
 from .smd import ArmSummary, Study, g_variance, hedges_g, j_factor, sample_g
 from .qstat import (
     MetaBatch,
-    MetaInput,
     solve_q_roots,
 )
 from .tau2 import (

@@ -16,7 +16,7 @@ import tempfile
 
 from . import simlab, svgplot
 from .numkernel import DomainError, one_blas_thread
-from .qstat import MetaInput
+from .qstat import MetaBatch
 from .smd import ArmSummary, Study, hedges_g
 
 EXIT_OK = 0
@@ -98,7 +98,7 @@ def _read_csv(path: str, what: str) -> tuple[list[str], list[dict]]:
         raise CliError(f"cannot read {what}: {exc}", EXIT_INPUT)
 
 
-def read_analysis_csv(path: str) -> MetaInput:
+def read_analysis_csv(path: str) -> MetaBatch:
     """Parse the analyze input schema.
 
     Columns: study_id, n_t, n_c, then arm summaries (mean_t, sd_t, mean_c,
@@ -146,7 +146,7 @@ def read_analysis_csv(path: str) -> MetaInput:
     if len(studies) < 2:
         raise CliError(f"need at least 2 studies, got {len(studies)}",
                        EXIT_INVARIANT)
-    return MetaInput(tuple(studies))
+    return MetaBatch.of(studies)
 
 
 def _analysis_payload(results: dict, failures, level: float,
@@ -211,7 +211,7 @@ def cmd_analyze(args) -> int:
                            EXIT_INPUT)
     data = read_analysis_csv(args.input)
     with one_blas_thread():
-        results, failures = simlab.estimate_all(data, args.level)
+        (results, failures), = simlab.estimate_all(data, args.level)
     payload = _analysis_payload(results, failures, args.level, tau2_methods,
                                 delta_methods)
     if args.format == "json":

@@ -9,8 +9,9 @@ Interval estimators: normal-quantile intervals around each inverse-variance
 mean, the Hartung-Knapp-Sidik-Jonkman t interval (with DL or KDB weights),
 and the t interval centered at SSW with the sample-size-weight variance.
 
-Each estimator exists once, as a `*_batch` row of `simlab.ESTIMATORS` over
-a MetaBatch, one result per replicate; one input is a batch of one.
+Each estimator exists once, as a `*_batch` row of `simlab.ESTIMATORS`:
+array code over the (R, K) g and v^2 of a MetaBatch and its (K,) effective
+sizes, one result per replicate; one input is a batch of one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .qstat import MetaBatch, Tau2Result
 class EffectResult:
     value: float
     variance: float
-    weights: np.ndarray
 
     def __post_init__(self):
         if not self.variance > 0:
@@ -66,14 +66,14 @@ def effect_iv_batch(batch: MetaBatch, tau2s: list[Tau2Result]) -> list:
     sum_w = w.sum(-1)
     mean = (w * batch.g).sum(-1) / sum_w
     return [EffectResult(*args) for args in zip(mean.tolist(),
-                                                 (1.0 / sum_w).tolist(), w)]
+                                                 (1.0 / sum_w).tolist())]
 
 
 def _ssw_variance(eff_n: np.ndarray, v2: np.ndarray,
                   tau2: np.ndarray) -> np.ndarray:
     """SSW variance per row: sum ntilde^2 (v^2 + tau2) / (sum ntilde)^2."""
-    # the square as numpy scalars: libm pow, as a Python float takes it
-    sq = np.array([s ** 2 for s in eff_n.sum(-1)])
+    # the square of a Python float: libm pow
+    sq = float(eff_n.sum()) ** 2
     return (eff_n * eff_n * (v2 + tau2[:, None])).sum(-1) / sq
 
 
@@ -85,7 +85,7 @@ def effect_ssw_batch(batch: MetaBatch, kdbs: list[Tau2Result]) -> list:
     value = (en * batch.g).sum(-1) / en.sum(-1)
     variance = _ssw_variance(en, batch.v2, np.array([t.value for t in kdbs]))
     return [EffectResult(*args)
-            for args in zip(value.tolist(), variance.tolist(), en)]
+            for args in zip(value.tolist(), variance.tolist())]
 
 
 def _intervals(centers: list[EffectResult], quantile: float, level: float):
@@ -100,17 +100,17 @@ def ci_z_batch(batch: MetaBatch, ivs: list[EffectResult],
     return _intervals(ivs, normal_quantile(1.0 - (1.0 - level) / 2.0), level)
 
 
-def ci_hksj_batch(batch: MetaBatch, ivs: list[EffectResult],
-                  level: float) -> list:
-    """Hartung-Knapp-Sidik-Jonkman intervals around `effect_iv_batch` means:
-    the weighted residual variance sum w (g - center)^2 / ((K-1) sum w) of
-    each mean's weights and a t quantile on K - 1 degrees of freedom.
+def ci_hksj_batch(batch: MetaBatch, tau2s: list[Tau2Result],
+                  ivs: list[EffectResult], level: float) -> list:
+    """Hartung-Knapp-Sidik-Jonkman intervals around `effect_iv_batch` means
+    at the tau2s: the weighted residual variance sum w (g - center)^2 /
+    ((K-1) sum w), w = 1/(v^2 + tau2), and a t quantile on K - 1 df.
 
     All-equal inputs give a zero half-width, flagged "degenerate" rather
     than raised, so simulation coverage accounting can proceed.
     """
     center = np.array([iv.value for iv in ivs])
-    w = np.array([iv.weights for iv in ivs])
+    w = 1.0 / (batch.v2 + np.array([[t.value] for t in tau2s]))
     resid = batch.g - center[:, None]
     var_star = (w * resid * resid).sum(-1) / ((batch.k - 1) * w.sum(-1))
     degenerate = np.abs(resid).max(-1) \

@@ -1,6 +1,7 @@
-"""The input and the replicate batch, Tau2Result, the inverse-variance fits
-and generalized Cochran Q terms of rows of a batch, and the lock-step solver
-of Q(tau^2) = target shared by every moment-type tau^2 estimator row.
+"""The replicate batch, the one input type (one input is a batch of one),
+Tau2Result, the inverse-variance fits and generalized Cochran Q terms of
+rows of a batch, and the lock-step solver of Q(tau^2) = target shared by
+every moment-type tau^2 estimator row.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from functools import cached_property
 import numpy as np
 
 from .numkernel import DomainError, NonConvergenceError
-from .smd import Study
 
 BRACKET_CAP = 1e7
 _REL_TOL = 1e-8
@@ -23,54 +23,49 @@ class BracketCapExceeded(NonConvergenceError):
     """Q stayed above the target all the way to the tau^2 bracket cap."""
 
 
-@dataclass(frozen=True)
-class MetaInput:
-    """Ordered collection of K >= 2 studies submitted to estimation."""
-
-    studies: tuple[Study, ...]
-
-    def __post_init__(self):
-        if len(self.studies) < 2:
-            raise DomainError(f"need K >= 2 studies, got {len(self.studies)}")
-
-    @property
-    def k(self) -> int:
-        return len(self.studies)
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        return np.array([s.g for s in self.studies])
-
-    @cached_property
-    def v2(self) -> np.ndarray:
-        return np.array([s.v2 for s in self.studies])
-
-    @cached_property
-    def eff_n(self) -> np.ndarray:
-        return np.array([s.eff_n for s in self.studies])
-
-    @cached_property
-    def arm_sizes(self) -> tuple[tuple[int, int], ...]:
-        return tuple((s.n_t, s.n_c) for s in self.studies)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetaBatch:
-    """R meta-analyses of the same K arm sizes, estimated at once; g, v2 and
-    eff_n stack the inputs' arrays as (R, K)."""
+    """R >= 1 meta-analyses of the same K >= 2 arm sizes (n_t, n_c),
+    estimated at once: g and v2 are (R, K), one row per replicate, and
+    eff_n, the effective sizes n_t n_c / (n_t + n_c), is (K,).  One input
+    is a batch of one, `MetaBatch.of(studies)`."""
 
-    inputs: tuple[MetaInput, ...]
+    arm_sizes: tuple[tuple[int, int], ...]
+    g: np.ndarray
+    v2: np.ndarray
 
     def __post_init__(self):
-        if len({d.arm_sizes for d in self.inputs}) != 1:
-            raise DomainError("a batch needs the same arm sizes throughout")
+        k = len(self.arm_sizes)
+        if k < 2:
+            raise DomainError(f"need K >= 2 studies, got {k}")
+        if (np.shape(self.g) != np.shape(self.v2)
+                or np.shape(self.g)[1:] != (k,) or not np.size(self.g)):
+            raise DomainError(f"g and v2 must be (R >= 1, K = {k}), got "
+                              f"{np.shape(self.g)} and {np.shape(self.v2)}")
+        if min(min(pair) for pair in self.arm_sizes) < 2:
+            raise DomainError(f"arm sizes must be >= 2, got {self.arm_sizes}")
+        if not (np.isfinite(self.g).all()
+                and ((0 < self.v2) & (self.v2 < math.inf)).all()):
+            raise DomainError("need finite g and variance of g in (0, inf)")
 
-    k = property(lambda self: self.inputs[0].k)
-    arm_sizes = property(lambda self: self.inputs[0].arm_sizes)
-    g = cached_property(lambda self: np.array([d.g for d in self.inputs]))
-    v2 = cached_property(lambda self: np.array([d.v2 for d in self.inputs]))
-    eff_n = cached_property(
-        lambda self: np.array([d.eff_n for d in self.inputs]))
+    @classmethod
+    def of(cls, studies) -> MetaBatch:
+        """The batch of one of a sequence of Study."""
+        return cls(tuple((s.n_t, s.n_c) for s in studies),
+                   np.array([[s.g for s in studies]]),
+                   np.array([[s.v2 for s in studies]]))
+
+    def __len__(self) -> int:
+        return len(self.g)
+
+    k = property(lambda self: len(self.arm_sizes))
+
+    eff_n = cached_property(  # n_t n_c / (n_t + n_c)
+        lambda self: np.prod(self.arm_sizes, 1) / np.sum(self.arm_sizes, 1))
+
+    def rows(self, index) -> MetaBatch:
+        """The sub-batch of the rows `index` (a list of row numbers)."""
+        return MetaBatch(self.arm_sizes, self.g[index], self.v2[index])
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@ deterministic chunked replication, and bias/coverage/MSE metrics.
 
 Replicate streams are keyed by (seed, cell coordinates, replicate index)
 only, so results are bit-identical for a fixed seed no matter how the
-replications are chunked or scheduled.  Each chunk is estimated as one
-MetaBatch, whose rows are bit-identical to one replicate at a time.
-Chunks return per-replicate arrays and all aggregation happens once, in
-global replicate order.
+replications are chunked or scheduled.  Each chunk is drawn straight into
+one MetaBatch, (R, K) arrays of g and v^2, and estimated at once, with rows
+bit-identical to one replicate at a time; `analyze` runs the same battery
+on a batch of one.  Chunks return per-replicate arrays and all aggregation
+happens once, in global replicate order.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 
 from . import effect as eff
 from . import tau2 as t2
-from .numkernel import NonConvergenceError, RandomStream, derive_stream_id
-from .qstat import MetaBatch, MetaInput
+from .numkernel import (NonConvergenceError, RandomStream, derive_stream_id,
+                        one_blas_thread)
+from .qstat import MetaBatch
 from .smd import sample_g
 
 DELTAS = (0.0, 0.2, 0.5, 1.0, 2.0)
@@ -212,8 +214,8 @@ ESTIMATORS = (
     ("Z-REML", "delta_cover", "Z-REML", eff, "ci_z_batch", [("delta_est", "IV-REML")]),
     ("Z-J", "delta_cover", "Z-J", eff, "ci_z_batch", [("delta_est", "IV-J")]),
     ("Z-KDB", "delta_cover", "Z-KDB", eff, "ci_z_batch", [("delta_est", "IV-KDB")]),
-    ("HKSJ", "delta_cover", "HKSJ", eff, "ci_hksj_batch", [("delta_est", "IV-DL")]),
-    ("HKSJ-KDB", "delta_cover", "HKSJ-KDB", eff, "ci_hksj_batch", [("delta_est", "IV-KDB")]),
+    ("HKSJ", "delta_cover", "HKSJ", eff, "ci_hksj_batch", [("tau2_est", "DL"), ("delta_est", "IV-DL")]),
+    ("HKSJ-KDB", "delta_cover", "HKSJ-KDB", eff, "ci_hksj_batch", [("tau2_est", "KDB"), ("delta_est", "IV-KDB")]),
     ("SSW-KDB", "delta_cover", "SSW-KDB", eff, "ci_ssw_kdb_batch", [("delta_est", "SSW")]),
 )
 _OUTPUT_NAMES = {kind: tuple(row[2] for row in ESTIMATORS if row[1] == kind)
@@ -222,11 +224,11 @@ _OUTPUT_NAMES = {kind: tuple(row[2] for row in ESTIMATORS if row[1] == kind)
 TAU2_POINT, TAU2_CI, DELTA_POINT, DELTA_CI = _OUTPUT_NAMES.values()
 
 
-def estimate_all(data: MetaInput | MetaBatch, level: float = 0.95):
+def estimate_all(batch: MetaBatch, level: float = 0.95) -> list:
     """Run every row of ESTIMATORS on a batch, each row in one call over
-    the replicates ready for it (one input is a batch of one); returns
-    (results, failures), or a list of them in batch order for a batch,
-    results keyed by (kind, output name).
+    the replicates ready for it (one input is a batch of one); returns one
+    (results, failures) pair per replicate, in batch order, results keyed
+    by (kind, output name).
 
     A row that fails with NonConvergenceError is recorded in failures under
     its failure name, never silently dropped, and has no result.  A row
@@ -234,8 +236,7 @@ def estimate_all(data: MetaInput | MetaBatch, level: float = 0.95):
     unless its failure name is already recorded (a failed corrected E[Q] is
     recorded once, as "KDB").
     """
-    batch = data if isinstance(data, MetaBatch) else MetaBatch((data,))
-    everyone = range(len(batch.inputs))
+    everyone = range(len(batch))
     results: list[dict] = [{} for _ in everyone]
     failures: list[list[tuple[str, str]]] = [[] for _ in everyone]
     # a row turns the non-finite values it meets into its failures
@@ -253,8 +254,8 @@ def estimate_all(data: MetaInput | MetaBatch, level: float = 0.95):
                 or kind in (ROOTS[0], FIXED[0]) else ()
             try:
                 outs = getattr(module, function)(
-                    batch if len(ready) == len(everyone) else MetaBatch(
-                        tuple(batch.inputs[i] for i in ready)), *args, *extra)
+                    batch if len(ready) == len(batch) else batch.rows(ready),
+                    *args, *extra)
             except NonConvergenceError as exc:
                 outs = [exc] * len(ready)
             for i, out in zip(ready, outs):
@@ -262,8 +263,7 @@ def estimate_all(data: MetaInput | MetaBatch, level: float = 0.95):
                     failures[i].append((failure, str(out)))
                 else:
                     results[i][kind, name] = out
-    pairs = [(done, tuple(failed)) for done, failed in zip(results, failures)]
-    return pairs if isinstance(data, MetaBatch) else pairs[0]
+    return [(done, tuple(failed)) for done, failed in zip(results, failures)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +289,20 @@ class RawCellResult:
 _FIELDS = dict(_OUTPUT_NAMES, tau2_trunc=TAU2_POINT)
 
 
-def simulate_meta_input(cell: SimCell, replicate: int) -> MetaInput:
-    """Generate one meta-analysis sample: true effects delta_i ~ N(delta,
-    tau2), then each g_i exactly from its scaled noncentral t model."""
+def simulate_batch(cell: SimCell, rep_lo: int, rep_hi: int) -> MetaBatch:
+    """Generate replicates rep_lo..rep_hi - 1 of a cell as one batch, each
+    from its own stream: true effects delta_i ~ N(delta, tau2), then each
+    g_i exactly from its scaled noncentral t model."""
     sizes = study_sizes(cell)
-    sid = derive_stream_id("cell", *cell.coord_parts(), replicate)
-    gen = RandomStream(cell.seed, sid).generator()
-    deltas = cell.delta + math.sqrt(cell.tau2) * gen.standard_normal(cell.k)
-    studies = tuple(sample_g(gen, n_t, n_c, deltas[i])
-                    for i, (n_t, n_c) in enumerate(sizes))
-    return MetaInput(studies)
+    g, v2 = np.empty((2, rep_hi - rep_lo, cell.k))
+    for row, replicate in enumerate(range(rep_lo, rep_hi)):
+        sid = derive_stream_id("cell", *cell.coord_parts(), replicate)
+        gen = RandomStream(cell.seed, sid).generator()
+        deltas = cell.delta + math.sqrt(cell.tau2) * gen.standard_normal(cell.k)
+        for i, (n_t, n_c) in enumerate(sizes):
+            study = sample_g(gen, n_t, n_c, deltas[i])
+            g[row, i], v2[row, i] = study.g, study.v2
+    return MetaBatch(sizes, g, v2)
 
 
 def _run_chunk(cell: SimCell, rep_lo: int, rep_hi: int,
@@ -308,8 +312,7 @@ def _run_chunk(cell: SimCell, rep_lo: int, rep_hi: int,
         fld: {m: np.full(n, np.nan) for m in names}
         for fld, names in _FIELDS.items()})
     truth = {"tau2_cover": cell.tau2, "delta_cover": cell.delta}
-    batch = MetaBatch(tuple(simulate_meta_input(cell, rep_lo + idx)
-                            for idx in range(n)))
+    batch = simulate_batch(cell, rep_lo, rep_hi)
     for idx, (results, failures) in enumerate(estimate_all(batch, level)):
         for (kind, name), res in results.items():
             if kind in truth:
@@ -349,25 +352,26 @@ def run_cell_raw(cell: SimCell, level: float = 0.95,
     tasks = [(cell, i * per, (i + 1) * per, level) for i in range(cell.chunks)]
     workers = min(threads, cell.chunks, os.cpu_count() or 1)
     helpers = []
-    try:
-        for h in range(1, workers):
-            recv, send = Pipe(duplex=False)
-            proc = Process(target=_helper, args=(send, tasks[h::workers]))
-            proc.start()
-            helpers.append((proc, recv))
-            send.close()  # so a helper that dies leaves recv at EOF
-        shares = [[_run_chunk(*task) for task in tasks[0::workers]]]
-        for proc, recv in helpers:
-            try:  # before join: a share can outgrow the pipe buffer
-                shares.append(recv.recv())
-            except EOFError:
-                shares.append(RuntimeError("a simulation helper died"))
-            if isinstance(shares[-1], BaseException):
-                raise shares[-1]
-    finally:  # none outlives the call; one that has sent has no work left
-        for proc, _ in helpers:
-            proc.terminate()
-            proc.join()
+    with one_blas_thread():  # helpers inherit one thread and start none
+        try:
+            for h in range(1, workers):
+                recv, send = Pipe(duplex=False)
+                proc = Process(target=_helper, args=(send, tasks[h::workers]))
+                proc.start()
+                helpers.append((proc, recv))
+                send.close()  # so a helper that dies leaves recv at EOF
+            shares = [[_run_chunk(*task) for task in tasks[0::workers]]]
+            for proc, recv in helpers:
+                try:  # before join: a share can outgrow the pipe buffer
+                    shares.append(recv.recv())
+                except EOFError:
+                    shares.append(RuntimeError("a simulation helper died"))
+                if isinstance(shares[-1], BaseException):
+                    raise shares[-1]
+        finally:  # none outlives the call; one that has sent has no work left
+            for proc, _ in helpers:
+                proc.terminate()
+                proc.join()
     parts = [shares[i % workers][i // workers] for i in range(cell.chunks)]
     n_failed: dict[str, int] = {}
     for part in parts:

@@ -53,15 +53,6 @@ class Study:
             raise DomainError(f"need finite g and variance of g in (0, inf), "
                               f"got ({self.g}, {self.v2})")
 
-    @property
-    def m(self) -> int:
-        return self.n_t + self.n_c - 2
-
-    @property
-    def eff_n(self) -> float:
-        """Effective sample size n_t*n_c/(n_t+n_c); equals n*q*(1-q)."""
-        return self.n_t * self.n_c / (self.n_t + self.n_c)
-
 
 @cache
 def j_factor(m: int) -> float:

@@ -96,7 +96,7 @@ def _estimate(raw: float):
 def tau2_dl_batch(batch: MetaBatch) -> list:
     """DerSimonian-Laird moment estimator (closed form, truncated at zero)."""
     w, sum_w, _, terms = _row_fits(batch.g, batch.v2,
-                                   np.zeros(len(batch.inputs)))
+                                   np.zeros(len(batch)))
     denom = sum_w - (w * w).sum(-1) / sum_w
     raw = (terms.sum(-1) - (batch.k - 1)) / denom
     # K >= 2, so only weights whose squares overflowed reach d <= 0
@@ -588,7 +588,7 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
 def fixed_weight_batch(batch: MetaBatch, level: float) -> list[tuple]:
     """The BJ and the J interval of each replicate, (BJ, J), each a result
     or its failure, in one `_fixed_weight_intervals` call."""
-    r = len(batch.inputs)
+    r = len(batch)
     out = _fixed_weight_intervals(np.concatenate([batch.g] * 2),
                                   np.concatenate([batch.v2] * 2), r, level)
     return list(zip(out[:r], out[r:]))

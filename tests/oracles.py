@@ -3,9 +3,10 @@ oracle: one replicate and one target at a time, as they were before every
 chunk of replicates became one MetaBatch, and the BJ and J intervals as they
 were before a batch found them in lock-step, and REML and PL as they were
 before their rows iterated in lock-step.  The batched code must match them
-bit for bit.
+bit for bit.  Each takes a batch of one and reads its row 0.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from smdmeta.qstat import (
     _REL_TOL,
     BRACKET_CAP,
     BracketCapExceeded,
-    MetaInput,
+    MetaBatch,
     Tau2Result,
 )
 from smdmeta.smd import j_factor
@@ -51,6 +52,34 @@ oracle = sys.modules[__name__]
 
 
 @dataclass(frozen=True)
+class Row:
+    """Row 0 of a batch of one, as the scalar code read one input: 1-D g,
+    v2 and eff_n."""
+
+    g: np.ndarray
+    v2: np.ndarray
+    eff_n: np.ndarray
+    arm_sizes: tuple
+    k: int
+
+
+def one_row(fn):
+    """fn on the Row of the batch of one passed as its first argument (a Row
+    passes through)."""
+    @functools.wraps(fn)
+    def on_row(data, *args, **kwargs):
+        if isinstance(data, MetaBatch):
+            if len(data) != 1:
+                raise ValueError(f"an oracle takes a batch of one, got "
+                                 f"{len(data)} rows")
+            data = Row(data.g[0], data.v2[0], data.eff_n, data.arm_sizes,
+                       data.k)
+        return fn(data, *args, **kwargs)
+
+    return on_row
+
+
+@dataclass(frozen=True)
 class WeightedFit:
     """Weights, weighted mean, and total weight of one fit."""
 
@@ -59,7 +88,8 @@ class WeightedFit:
     sum_w: float
 
 
-def iv_weighted_mean(data: MetaInput, tau2: float) -> WeightedFit:
+@one_row
+def iv_weighted_mean(data: Row, tau2: float) -> WeightedFit:
     """Inverse-variance weighted mean with weights 1/(v_i^2 + tau2).
 
     numpy's pairwise summation keeps the K <= ~100 sums well conditioned.
@@ -75,20 +105,23 @@ def iv_weighted_mean(data: MetaInput, tau2: float) -> WeightedFit:
                        sum_w=sum_w)
 
 
-def _q_terms(data: MetaInput, tau2: float) -> tuple[WeightedFit, np.ndarray]:
+@one_row
+def _q_terms(data: Row, tau2: float) -> tuple[WeightedFit, np.ndarray]:
     """The fit at tau2 and the terms w_i (g_i - mean)^2 that sum to Q(tau2)."""
     fit = iv_weighted_mean(data, tau2)
     resid = data.g - fit.mean
     return fit, fit.weights * resid * resid
 
 
-def q_statistic(data: MetaInput, tau2: float) -> float:
+@one_row
+def q_statistic(data: Row, tau2: float) -> float:
     """Generalized Cochran statistic Q(tau2) = sum w_i (g_i - mean)^2 with the
     mean recomputed at the same tau2.  Non-increasing in tau2."""
     return float(_q_terms(data, tau2)[1].sum())
 
 
-def solve_q_equals(data: MetaInput, target: float) -> Tau2Result:
+@one_row
+def solve_q_equals(data: Row, target: float) -> Tau2Result:
     """Solve Q(tau2) = target for tau2 >= 0 on the strictly decreasing branch.
 
     Returns tau2 = 0 with status "truncated_at_zero" when Q(0) <= target.
@@ -161,7 +194,8 @@ def solve_q_equals(data: MetaInput, target: float) -> Tau2Result:
         f"steps; bracket [{lo:g}, {hi:g}]")
 
 
-def tau2_dl(data: MetaInput) -> Tau2Result:
+@one_row
+def tau2_dl(data: Row) -> Tau2Result:
     """DerSimonian-Laird moment estimator (closed form, truncated at zero)."""
     fit, terms = _q_terms(data, 0.0)
     denom = fit.sum_w - float((fit.weights * fit.weights).sum()) / fit.sum_w
@@ -173,23 +207,27 @@ def tau2_dl(data: MetaInput) -> Tau2Result:
     return Tau2Result(raw, "interior")
 
 
-def tau2_mp(data: MetaInput) -> Tau2Result:
+@one_row
+def tau2_mp(data: Row) -> Tau2Result:
     """Mandel-Paule estimator: solves Q(tau2) = K - 1."""
     return solve_q_equals(data, float(data.k - 1))
 
 
-def _loglik_and_fit(data: MetaInput, tau2: float):
+@one_row
+def _loglik_and_fit(data: Row, tau2: float):
     fit, q_terms = _q_terms(data, tau2)
     return -0.5 * (float(np.log(data.v2 + tau2).sum()) + math.log(fit.sum_w)
                    + float(q_terms.sum())), fit
 
 
-def restricted_loglik(data: MetaInput, tau2: float) -> float:
+@one_row
+def restricted_loglik(data: Row, tau2: float) -> float:
     """Restricted profile log-likelihood of tau2 (constants dropped)."""
     return _loglik_and_fit(data, tau2)[0]
 
 
-def tau2_reml(data: MetaInput, dl: Tau2Result) -> Tau2Result:
+@one_row
+def tau2_reml(data: Row, dl: Tau2Result) -> Tau2Result:
     """REML via the damped fixed-point iteration
 
         tau2 <- max(0, sum w^2 ((g - mean)^2 - v^2) / sum w^2 + 1 / sum w),
@@ -222,7 +260,8 @@ def tau2_reml(data: MetaInput, dl: Tau2Result) -> Tau2Result:
     return Tau2Result(t, "max_iter", _REML_MAX_ITER)
 
 
-def tau2_jackson(data: MetaInput) -> Tau2Result:
+@one_row
+def tau2_jackson(data: Row) -> Tau2Result:
     """Jackson's moment estimator with fixed weights u_i = 1/v_i.
 
     With U = sum u and c_i = u_i - u_i^2/U, E[Q_gen] = sum c_i (v_i^2 + tau2),
@@ -317,7 +356,8 @@ def _psi_moments(arm_sizes, d: float) -> np.ndarray:
     return out[study]
 
 
-def corrected_expected_q(data: MetaInput, effect: float | None = None) -> float:
+@one_row
+def corrected_expected_q(data: Row, effect: float | None = None) -> float:
     """First moment of Q(0) corrected for the coupling between g and its
     estimated-variance weight, evaluated at a plug-in common effect.
 
@@ -357,7 +397,8 @@ def corrected_expected_q(data: MetaInput, effect: float | None = None) -> float:
     return expected
 
 
-def tau2_kdb(data: MetaInput, expected_q: float) -> Tau2Result:
+@one_row
+def tau2_kdb(data: Row, expected_q: float) -> Tau2Result:
     """Corrected-moment estimator: solves Q(tau2) = expected_q, the value of
     `corrected_expected_q(data)`.
 
@@ -368,7 +409,8 @@ def tau2_kdb(data: MetaInput, expected_q: float) -> Tau2Result:
     return solve_q_equals(data, expected_q)
 
 
-def _q_profile(data: MetaInput, level: float, df: float) -> Tau2Interval:
+@one_row
+def _q_profile(data: Row, level: float, df: float) -> Tau2Interval:
     alpha = 1.0 - level
     flags: list[str] = []
     lo = solve_q_equals(data, chisq_quantile(1.0 - alpha / 2.0, df)).value
@@ -380,12 +422,14 @@ def _q_profile(data: MetaInput, level: float, df: float) -> Tau2Interval:
     return Tau2Interval(lo, hi, level, tuple(flags))
 
 
-def ci_qp(data: MetaInput, level: float = 0.95) -> Tau2Interval:
+@one_row
+def ci_qp(data: Row, level: float = 0.95) -> Tau2Interval:
     """Q-profile interval: inverts Q(tau2) at chi-squared(K-1) quantiles."""
     return _q_profile(data, level, float(data.k - 1))
 
 
-def ci_kdb(data: MetaInput, expected_q: float,
+@one_row
+def ci_kdb(data: Row, expected_q: float,
            level: float = 0.95) -> Tau2Interval:
     """Q-profile interval at fractional-df quantiles, df = expected_q, the
     value of `corrected_expected_q(data)`."""
@@ -414,7 +458,8 @@ def _satterthwaite_roots(weights: np.ndarray, v2: np.ndarray, q_obs: float,
     return np.exp(np.interp(-ndtri(targets), -z, np.log(t)))
 
 
-def _fixed_weight_interval(data: MetaInput, level: float, weights: np.ndarray,
+@one_row
+def _fixed_weight_interval(data: Row, level: float, weights: np.ndarray,
                            coefficients) -> Tau2Interval:
     """Invert the exact CDF of a fixed-weights Q over candidate tau2.
 
@@ -487,7 +532,8 @@ def _eigenvalues(mat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mat)[:0:-1]
 
 
-def ci_bj(data: MetaInput, level: float = 0.95) -> Tau2Interval:
+@one_row
+def ci_bj(data: Row, level: float = 0.95) -> Tau2Interval:
     """Biggerstaff-Jackson interval: as W^{1/2} D W^{1/2} = I + tau2 W for
     weights w_i = 1/v_i^2, the coefficients are 1 + tau2 mu, mu the K - 1
     nonzero eigenvalues of A: one eigendecomposition per interval."""
@@ -496,7 +542,8 @@ def ci_bj(data: MetaInput, level: float = 0.95) -> Tau2Interval:
     return _fixed_weight_interval(data, level, w, lambda t: 1.0 + t * mu)
 
 
-def ci_jackson(data: MetaInput, level: float = 0.95) -> Tau2Interval:
+@one_row
+def ci_jackson(data: Row, level: float = 0.95) -> Tau2Interval:
     """Jackson's interval: as BJ but with weights u_i = 1/v_i, whose
     coefficients take one eigendecomposition per tau2; rounded eigenvalues
     below 0 drop out."""
@@ -521,7 +568,8 @@ def _pl_root(h, a: float, b: float) -> float:
     return float(root)
 
 
-def ci_pl(data: MetaInput, reml: Tau2Result,
+@one_row
+def ci_pl(data: Row, reml: Tau2Result,
           level: float = 0.95) -> Tau2Interval:
     """Profile-likelihood interval around reml, a tau2_reml(data, dl) result:
 
@@ -564,14 +612,16 @@ def ci_pl(data: MetaInput, reml: Tau2Result,
     return Tau2Interval(lo, hi, level, tuple(flags))
 
 
-def effect_iv(data: MetaInput, tau2: Tau2Result) -> EffectResult:
+@one_row
+def effect_iv(data: Row, tau2: Tau2Result) -> EffectResult:
     """Inverse-variance weighted mean with weights 1/(v_i^2 + tau2);
     variance estimated conventionally as 1/sum(w)."""
     fit = iv_weighted_mean(data, tau2.value)
-    return EffectResult(fit.mean, 1.0 / fit.sum_w, fit.weights)
+    return EffectResult(fit.mean, 1.0 / fit.sum_w)
 
 
-def ssw_variance(data: MetaInput, tau2: float) -> float:
+@one_row
+def ssw_variance(data: Row, tau2: float) -> float:
     """Variance of the sample-size-weighted mean:
     sum ntilde^2 (v^2 + tau2) / (sum ntilde)^2."""
     if tau2 < 0:
@@ -580,7 +630,8 @@ def ssw_variance(data: MetaInput, tau2: float) -> float:
     return float((en * en * (data.v2 + tau2)).sum()) / float(en.sum()) ** 2
 
 
-def effect_ssw(data: MetaInput, kdb: Tau2Result) -> EffectResult:
+@one_row
+def effect_ssw(data: Row, kdb: Tau2Result) -> EffectResult:
     """Sample-size-weighted mean, weights ntilde_i.
 
     The reported variance is `ssw_variance` at kdb, the `tau2_kdb` estimate;
@@ -588,26 +639,31 @@ def effect_ssw(data: MetaInput, kdb: Tau2Result) -> EffectResult:
     """
     en = data.eff_n
     value = float((en * data.g).sum()) / float(en.sum())
-    return EffectResult(value, ssw_variance(data, kdb.value), en)
+    return EffectResult(value, ssw_variance(data, kdb.value))
 
 
-def ci_z(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInterval:
+@one_row
+def ci_z(data: Row, iv: EffectResult, level: float = 0.95) -> EffectInterval:
     """Normal-quantile interval around iv, an `effect_iv` mean."""
     z = normal_quantile(1.0 - (1.0 - level) / 2.0)
     return EffectInterval(iv.value, z * math.sqrt(iv.variance), level)
 
 
-def ci_hksj(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInterval:
-    """Hartung-Knapp-Sidik-Jonkman interval around iv, an `effect_iv` mean:
-    the weighted residual variance sum w (g - center)^2 / ((K-1) sum w) of
-    iv's weights and a t quantile on K - 1 degrees of freedom.
+@one_row
+def ci_hksj(data: Row, tau2: Tau2Result, iv: EffectResult,
+            level: float = 0.95) -> EffectInterval:
+    """Hartung-Knapp-Sidik-Jonkman interval around iv, the `effect_iv` mean
+    at tau2: the weighted residual variance sum w (g - center)^2 /
+    ((K-1) sum w) of its weights w = 1/(v^2 + tau2) and a t quantile on
+    K - 1 degrees of freedom.
 
     All-equal inputs give a zero half-width, flagged "degenerate" rather
     than raised, so simulation coverage accounting can proceed.
     """
+    w = 1.0 / (data.v2 + tau2.value)
     resid = data.g - iv.value
-    var_star = float((iv.weights * resid * resid).sum()) \
-        / ((data.k - 1) * float(iv.weights.sum()))
+    var_star = float((w * resid * resid).sum()) \
+        / ((data.k - 1) * float(w.sum()))
     degenerate = float(np.abs(resid).max()) <= 1e-12 * max(1.0, abs(iv.value))
     if degenerate:
         var_star = 0.0
@@ -616,7 +672,8 @@ def ci_hksj(data: MetaInput, iv: EffectResult, level: float = 0.95) -> EffectInt
     return EffectInterval(iv.value, t * math.sqrt(var_star), level, flags)
 
 
-def ci_ssw_kdb(data: MetaInput, ssw: EffectResult,
+@one_row
+def ci_ssw_kdb(data: Row, ssw: EffectResult,
                level: float = 0.95) -> EffectInterval:
     """t interval centered at ssw, the `effect_ssw` mean, with its
     sample-size-weight variance at the KDB tau^2 estimate."""
@@ -647,13 +704,14 @@ ESTIMATORS = (
     ("Z-REML", "delta_cover", "Z-REML", oracle, "ci_z", [("delta_est", "IV-REML")]),
     ("Z-J", "delta_cover", "Z-J", oracle, "ci_z", [("delta_est", "IV-J")]),
     ("Z-KDB", "delta_cover", "Z-KDB", oracle, "ci_z", [("delta_est", "IV-KDB")]),
-    ("HKSJ", "delta_cover", "HKSJ", oracle, "ci_hksj", [("delta_est", "IV-DL")]),
-    ("HKSJ-KDB", "delta_cover", "HKSJ-KDB", oracle, "ci_hksj", [("delta_est", "IV-KDB")]),
+    ("HKSJ", "delta_cover", "HKSJ", oracle, "ci_hksj", [("tau2_est", "DL"), ("delta_est", "IV-DL")]),
+    ("HKSJ-KDB", "delta_cover", "HKSJ-KDB", oracle, "ci_hksj", [("tau2_est", "KDB"), ("delta_est", "IV-KDB")]),
     ("SSW-KDB", "delta_cover", "SSW-KDB", oracle, "ci_ssw_kdb", [("delta_est", "SSW")]),
 )
 
 
-def estimate_all(data: MetaInput, level: float = 0.95) -> tuple[dict, tuple]:
+@one_row
+def estimate_all(data: Row, level: float = 0.95) -> tuple[dict, tuple]:
     """The battery one replicate at a time: run every row of ESTIMATORS;
     returns (results, failures), results keyed by (kind, output name).
 

@@ -26,7 +26,7 @@ from smdmeta.numkernel import (
     mixture_cdf,
     t_quantile,
 )
-from smdmeta.qstat import MetaInput
+from smdmeta.qstat import MetaBatch
 from smdmeta.simlab import SimCell, estimate_all, run_cell_raw
 from smdmeta.smd import Study, g_variance, j_factor, sample_g
 
@@ -66,14 +66,14 @@ def coverage(values: np.ndarray) -> float:
 
 def meta(gs, v2s, n=20):
     n_t = n // 2
-    return MetaInput(tuple(Study(n_t, n - n_t, g, v) for g, v in zip(gs, v2s)))
+    return MetaBatch.of([Study(n_t, n - n_t, g, v) for g, v in zip(gs, v2s)])
 
 
 def homogeneous_input(k, n, q, d):
     n_t = math.ceil((1 - q) * n)
     n_c = n - n_t
-    return MetaInput(tuple(Study(n_t, n_c, d, g_variance(d, n_t, n_c))
-                           for _ in range(k)))
+    return MetaBatch.of([Study(n_t, n_c, d, g_variance(d, n_t, n_c))
+                         for _ in range(k)])
 
 
 def tau2_dl(data):
@@ -90,11 +90,11 @@ def tau2_jackson(data):
 
 def test_c01_analytic_oracles():
     checks = []
-    spread = estimate_all(meta([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0]))[0]
+    (spread, _), = estimate_all(meta([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0]))
     checks.append(abs(spread["tau2_est", "DL"].value - 3.0) < 1e-10)
     checks.append(abs(spread["tau2_est", "MP"].value - 3.0) < 1e-6)
     checks.append(abs(spread["tau2_est", "REML"].value - 3.0) < 1e-6)
-    jx = estimate_all(meta([0.0, 2.0], [1.0, 4.0]))[0]["tau2_est", "J"]
+    jx = estimate_all(meta([0.0, 2.0], [1.0, 4.0]))[0][0]["tau2_est", "J"]
     checks.append(jx.value == 0.0 and jx.status == "truncated_at_zero")
     checks.append(abs(j_factor(2) - 1 / math.sqrt(math.pi)) < 1e-12)
     checks.append(abs(j_factor(10) - 0.9227456) < 1e-7)
@@ -102,7 +102,7 @@ def test_c01_analytic_oracles():
     j2 = j_factor(18) ** 2
     checks.append(abs(g_variance(1.0, 10, 10) - (0.2 + 1 - 16 / (18 * j2)))
                   < 1e-12)
-    two = estimate_all(meta([0.0, 2.0], [1.0, 1.0]))[0]
+    (two, _), = estimate_all(meta([0.0, 2.0], [1.0, 1.0]))
     qp = two["tau2_cover", "QP"]
     q025 = 2 * erfinv(0.025) ** 2
     checks.append(qp.lo == 0.0 and abs(qp.hi - (2 / q025 - 1)) < 1e-3 * qp.hi)
@@ -134,7 +134,7 @@ def test_c03_kdb_moment_oracle():
     for r in range(reps):
         gen = RandomStream(SEED, derive_stream_id("c3", r)).generator()
         studies = tuple(sample_g(gen, n_t, n_c, d) for _ in range(k))
-        qs[r] = q_at(MetaInput(studies), 0.0)
+        qs[r] = q_at(MetaBatch.of(studies), 0.0)
     mc, se = float(qs.mean()), float(qs.std(ddof=1) / math.sqrt(reps))
     ok_mc = abs(expected - mc) <= 3 * se
     big = row(tau2.corrected_expected_q_batch,
@@ -287,8 +287,7 @@ def test_c12_property_suites():
                 violations += 1
         elif kind == 1:  # shift equivariance of delta estimators
             c = float(rng.uniform(-3, 3))
-            shifted = MetaInput(tuple(
-                Study(s.n_t, s.n_c, s.g + c, s.v2) for s in data.studies))
+            shifted = MetaBatch(data.arm_sizes, data.g + c, data.v2)
             dl_a, dl_b = tau2_dl(data), tau2_dl(shifted)
             iv_a = row(effect.effect_iv_batch, data, [dl_a])
             iv_b = row(effect.effect_iv_batch, shifted, [dl_b])
@@ -300,8 +299,7 @@ def test_c12_property_suites():
                 violations += 1
         elif kind == 2:  # equal-variance DL = MP = Jackson
             v = float(rng.uniform(0.1, 2.0))
-            eq = MetaInput(tuple(Study(s.n_t, s.n_c, s.g, v)
-                                 for s in data.studies))
+            eq = MetaBatch(data.arm_sizes, data.g, np.full_like(data.v2, v))
             dl = tau2_dl(eq).value
             if abs(tau2_mp(eq).value - dl) > max(1e-6 * (1 + dl), 1e-8):
                 violations += 1

@@ -12,18 +12,18 @@ import pytest
 from scipy.optimize import brentq
 
 import oracles
+from batch_of_one import each, stack
 from oracles import q_statistic
 from smdmeta import effect, qstat, simlab, tau2
 from smdmeta.cli import main
-from smdmeta.numkernel import NonConvergenceError, _unwrap
+from smdmeta.numkernel import DomainError, NonConvergenceError, _unwrap
 from smdmeta.qstat import (
     BRACKET_CAP,
     BracketCapExceeded,
     MetaBatch,
-    MetaInput,
     solve_q_roots,
 )
-from smdmeta.simlab import SimCell, simulate_meta_input
+from smdmeta.simlab import SimCell, simulate_batch
 from smdmeta.smd import Study, g_variance
 
 
@@ -53,8 +53,8 @@ def oracle(fn, *args):
 
 def meta(gs, v2s, sizes=None):
     sizes = sizes or [(10, 10)] * len(gs)
-    return MetaInput(tuple(Study(a, b, float(g), float(v))
-                           for (a, b), g, v in zip(sizes, gs, v2s)))
+    return MetaBatch.of([Study(a, b, float(g), float(v))
+                         for (a, b), g, v in zip(sizes, gs, v2s)])
 
 
 def solver_input(rng, k, kind):
@@ -90,8 +90,8 @@ class TestSolveQRoots:
                                p=[0.45, 0.45, 0.1])
             inputs = [solver_input(rng, k, kind) for kind in kinds]
             rows = [(d, t) for d in inputs for t in solver_targets(d, rng)]
-            got = solve_q_roots(np.array([d.g for d, _ in rows]),
-                                np.array([d.v2 for d, _ in rows]),
+            got = solve_q_roots(np.concatenate([d.g for d, _ in rows]),
+                                np.concatenate([d.v2 for d, _ in rows]),
                                 [t for _, t in rows])
             for (data, target), out in zip(rows, got):
                 expected = oracle(oracles.solve_q_equals, data, target)
@@ -118,7 +118,7 @@ class TestSolveQRoots:
                                 "stress")
             for t in 10 ** rng.uniform(5.0, 7.0, 3):
                 before = evaluations[0]
-                out = solve_q_roots(data.g[None], data.v2[None],
+                out = solve_q_roots(data.g, data.v2,
                                     [q_statistic(data, t)])[0]
                 if getattr(out, "status", None) != "interior":
                     evaluations[0] = before
@@ -132,9 +132,9 @@ def batch_of(sizes, rng, r, d):
     inputs = []
     for _ in range(r):
         gs = d + 0.4 * rng.standard_normal(len(sizes))
-        inputs.append(MetaInput(tuple(Study(a, b, float(g), g_variance(g, a, b))
-                                      for (a, b), g in zip(sizes, gs))))
-    return MetaBatch(tuple(inputs))
+        inputs.append(MetaBatch.of([Study(a, b, float(g), g_variance(g, a, b))
+                                    for (a, b), g in zip(sizes, gs)]))
+    return stack(inputs)
 
 
 # below m = 1000 (Laguerre rule), at and above it (series), and both mixed
@@ -161,9 +161,9 @@ class TestBatchedRows:
                    tau2.ci_qp_batch(batch, roots, level),
                    tau2.ci_kdb_batch(batch, roots, None, level),
                    dl, ivs, ssws, effect.ci_z_batch(batch, ivs, level),
-                   effect.ci_hksj_batch(batch, ivs, level),
+                   effect.ci_hksj_batch(batch, dl, ivs, level),
                    effect.ci_ssw_kdb_batch(batch, ssws, level)]
-            for i, data in enumerate(batch.inputs):
+            for i, data in enumerate(each(batch)):
                 eq = oracles.corrected_expected_q(data)
                 o_dl = oracles.tau2_dl(data)
                 o_kdb = oracles.tau2_kdb(data, eq)
@@ -174,7 +174,7 @@ class TestBatchedRows:
                     o_kdb, oracle(oracles.ci_qp, data, level),
                     oracle(oracles.ci_kdb, data, eq, level), o_dl, o_iv,
                     o_ssw, oracles.ci_z(data, o_iv, level),
-                    oracles.ci_hksj(data, o_iv, level),
+                    oracles.ci_hksj(data, o_dl, o_iv, level),
                     oracles.ci_ssw_kdb(data, o_ssw, level)]
                 assert key([row[i] for row in got]) == key(expected)
 
@@ -183,8 +183,7 @@ class TestBatchedRows:
         # oracle as on any batch
         rng = np.random.default_rng(7)
         for sizes in SIZE_SETS:
-            data = batch_of(sizes, rng, 1, 0.4).inputs[0]
-            one = MetaBatch((data,))
+            one = data = batch_of(sizes, rng, 1, 0.4)
             eq = oracles.corrected_expected_q(data)
             assert key(tau2.corrected_expected_q_batch(one)[0]) == key(eq)
             (_, _, qp, _, kdb), = tau2.q_roots_batch(one, 0.95)
@@ -203,10 +202,10 @@ CELLS = [SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=6, chunks=1, seed=3),
 class TestEstimateAllBatch:
     @pytest.mark.parametrize("cell", CELLS)
     def test_chunk_as_one_batch_matches_each_replicate(self, cell):
-        inputs = [simulate_meta_input(cell, i) for i in range(cell.reps)]
-        batched = simlab.estimate_all(MetaBatch(tuple(inputs)))
+        inputs = [simulate_batch(cell, i, i + 1) for i in range(cell.reps)]
+        batched = simlab.estimate_all(simulate_batch(cell, 0, cell.reps))
         for data, pair in zip(inputs, batched):
-            assert key(pair) == key(simlab.estimate_all(data))
+            assert key([pair]) == key(simlab.estimate_all(data))
             results, failures = pair
             o_results, o_failures = oracles.estimate_all(data)
             assert failures == o_failures
@@ -221,18 +220,19 @@ class TestEstimateAllBatch:
         # one replicate's overflowing input fails its own rows only
         ok = meta([0.1, 0.9, -0.4], [0.2, 0.3, 0.25])
         bad = meta([1e200, -1e200, 0.0], [1.0, 1.0, 1.0])
-        batched = simlab.estimate_all(MetaBatch((ok, bad, ok)))
-        assert key(batched[0]) == key(batched[2]) \
+        batched = simlab.estimate_all(stack([ok, bad, ok]))
+        assert key(batched[0:1]) == key(batched[2:3]) \
             == key(simlab.estimate_all(ok))
         assert batched[0][1] == ()
-        assert key(batched[1]) == key(simlab.estimate_all(bad))
+        assert key(batched[1:2]) == key(simlab.estimate_all(bad))
         assert batched[1][1][:2] == (("DL", "tau^2 estimate is inf"),
                                      ("MP", "Q(1e+07) still >= target 2"))
 
     def test_batch_needs_shared_arm_sizes(self):
-        with pytest.raises(Exception, match="same arm sizes"):
-            MetaBatch((meta([0.0, 1.0], [1.0, 1.0]),
-                       meta([0.0, 1.0], [1.0, 1.0], [(10, 10), (5, 6)])))
+        # one tuple of arm sizes serves every row: rows of another K do not
+        # fit it
+        with pytest.raises(DomainError, match="must be"):
+            MetaBatch(((10, 10), (5, 6)), np.zeros((2, 3)), np.ones((2, 3)))
 
 
 def count_rows(monkeypatch, module, name):
@@ -258,7 +258,7 @@ def check_fixed_weight_batch(monkeypatch, batches, level=0.95, failing=False):
     outcomes = []
     for batch in batches:
         got = tau2.fixed_weight_batch(batch, level)
-        for data, pair in zip(batch.inputs, got):
+        for data, pair in zip(each(batch), got):
             assert key(pair) == key((oracle(oracles.ci_bj, data, level),
                                      oracle(oracles.ci_jackson, data, level)))
             outcomes += [getattr(x, "flags", type(x)) for x in pair]
@@ -276,9 +276,7 @@ FIXED_WEIGHT_CELLS = [
 class TestFixedWeightBatch:
     @pytest.mark.parametrize("r", [1, 5, 20])
     def test_grid_cells_match_scalar_oracle(self, r, monkeypatch):
-        batches = [MetaBatch(tuple(simulate_meta_input(cell, i)
-                                   for i in range(r)))
-                   for cell in FIXED_WEIGHT_CELLS]
+        batches = [simulate_batch(cell, 0, r) for cell in FIXED_WEIGHT_CELLS]
         check_fixed_weight_batch(monkeypatch, batches)
 
     def test_seeded_inputs_match_scalar_oracle(self, monkeypatch):
@@ -295,7 +293,7 @@ class TestFixedWeightBatch:
                                    * np.sqrt(v2 + scale), v2))
             inputs.append(meta(np.zeros(k), rng.uniform(0.1, 1.0, k)))
             inputs.append(meta([0.0] * (k - 1) + [3e4], [0.1] * k))
-            batches.append(MetaBatch(tuple(inputs)))
+            batches.append(stack(inputs))
         outcomes = check_fixed_weight_batch(monkeypatch, batches, 0.9)
         assert {(), ("degenerate",), ("upper-beyond-cap",)} <= set(outcomes)
 
@@ -304,8 +302,8 @@ class TestFixedWeightBatch:
         # BJ weights 1/v^2 whose squares overflow A fail BJ only
         rng = np.random.default_rng(3)
         ok = meta(rng.standard_normal(3), [0.2, 0.3, 0.25])
-        batch = MetaBatch((ok, meta([1e200, -1e200, 0.0], [1.0] * 3), ok,
-                           meta([0.1, 0.5, 0.3], [1e-160] * 3)))
+        batch = stack([ok, meta([1e200, -1e200, 0.0], [1.0] * 3), ok,
+                       meta([0.1, 0.5, 0.3], [1e-160] * 3)])
         outcomes = check_fixed_weight_batch(monkeypatch, [batch], failing=True)
         assert outcomes[:2] == outcomes[4:6] == [(), ()] and outcomes[7] == ()
         assert outcomes[2] is outcomes[3] is outcomes[6] is NonConvergenceError
@@ -315,8 +313,9 @@ class TestFixedWeightBatch:
         # BJ upper walk fails the BJ interval as the oracle's does, and its
         # lower walk, still going, asks for no CDF after that round
         data = meta([-1.2, 0.3, 2.1, 0.8, -0.5], [0.2, 0.3, 0.25, 0.4, 0.1])
-        w = 1.0 / data.v2
-        x_bj = float((w * (data.g - (w * data.g).sum() / w.sum()) ** 2).sum())
+        w = 1.0 / data.v2[0]
+        x_bj = float((w * (data.g[0] - (w * data.g[0]).sum() / w.sum()) ** 2)
+                     .sum())
         mu = oracles._eigenvalues(np.diag(w) - np.outer(w, w) / w.sum())
         bj = oracles.ci_bj(data)
         cap = 1.0 + math.sqrt(bj.lo * bj.hi) * mu.max()
@@ -341,7 +340,7 @@ class TestFixedWeightBatch:
 
         monkeypatch.setattr(tau2, "mixture_cdfs", batch_cdf)
         monkeypatch.setattr(oracles, "mixture_cdf", oracle_cdf)
-        (got_bj, got_j), = tau2.fixed_weight_batch(MetaBatch((data,)), 0.95)
+        (got_bj, got_j), = tau2.fixed_weight_batch(data, 0.95)
         assert key(got_bj) == key(oracle(oracles.ci_bj, data, 0.95))
         assert key(got_j) == key(oracles.ci_jackson(data))
         assert isinstance(got_bj, NonConvergenceError)
@@ -352,12 +351,12 @@ class TestFixedWeightBatch:
     def test_adapters_are_a_batch_of_one(self):
         # each interval found alone (n_bj = 1: BJ, 0: J) is the one found in
         # lock-step with the other
-        for data in batch_of([(10, 10)] * 6, np.random.default_rng(5), 4,
-                             0.3).inputs:
-            (bj, j), = tau2.fixed_weight_batch(MetaBatch((data,)), 0.95)
+        for data in each(batch_of([(10, 10)] * 6, np.random.default_rng(5), 4,
+                                  0.3)):
+            (bj, j), = tau2.fixed_weight_batch(data, 0.95)
             for n_bj, both in ((1, bj), (0, j)):
                 alone, = tau2._fixed_weight_intervals(
-                    data.g[None], data.v2[None], n_bj, 0.95)
+                    data.g, data.v2, n_bj, 0.95)
                 assert key(alone) == key(both)
 
 
@@ -444,9 +443,9 @@ def check_reml_pl(monkeypatch, batches):
                 if not isinstance(dl, NonConvergenceError)]
         if not rows:
             continue
-        batch = MetaBatch(tuple(batch.inputs[i] for i in rows))
+        batch = batch.rows(rows)
         remls = tau2.tau2_reml_batch(batch, [dls[i] for i in rows])
-        for data, i, reml in zip(batch.inputs, rows, remls):
+        for data, i, reml in zip(each(batch), rows, remls):
             calls[0] = 0
             assert key(reml) == key(oracle(oracles.tau2_reml, data, dls[i]))
             seen.add(getattr(reml, "status", None) or label(reml))
@@ -456,10 +455,10 @@ def check_reml_pl(monkeypatch, batches):
                 if not isinstance(r, NonConvergenceError)]
         if not rows:
             continue
-        sub = MetaBatch(tuple(batch.inputs[i] for i in rows))
+        sub = batch.rows(rows)
         for level in (0.95, 0.9):
             pls = tau2.ci_pl_batch(sub, [remls[i] for i in rows], level)
-            for data, i, pl in zip(sub.inputs, rows, pls):
+            for data, i, pl in zip(each(sub), rows, pls):
                 assert key(pl) == key(oracle(oracles.ci_pl, data, remls[i],
                                              level))
                 if isinstance(pl, NonConvergenceError):
@@ -530,7 +529,7 @@ class TestRemlPlBatch:
         for gs, v2s in REML_PL_INPUTS:
             inputs = [reml_pl_input(rng, len(gs)) for _ in range(r - 1)]
             inputs.insert(int(rng.integers(r)), meta(gs, v2s))
-            batches.append(MetaBatch(tuple(inputs)))
+            batches.append(stack(inputs))
         seen = check_reml_pl(monkeypatch, batches)
         assert {"interior", "truncated_at_zero", "halved", "lo = 0",
                 "l(0) > l(REML)", "upper-beyond-cap", "flat-likelihood",
@@ -541,7 +540,7 @@ class TestRemlPlBatch:
         for module in (tau2, oracles):
             monkeypatch.setattr(module, "_REML_MAX_ITER", 2)
         rng = np.random.default_rng(8)
-        batches = [MetaBatch(tuple(reml_pl_input(rng, k) for _ in range(5)))
+        batches = [stack([reml_pl_input(rng, k) for _ in range(5)])
                    for k in (2, 3, 5, 10)]
         assert "max_iter" in check_reml_pl(monkeypatch, batches)
 
@@ -549,7 +548,7 @@ class TestRemlPlBatch:
     def test_seeded_fuzz_inputs_match_scalar_oracle(self, seed, per_study,
                                                     monkeypatch):
         # the inputs of TestExtremeInputs' fuzz runs, each a batch of one
-        batches = [MetaBatch((MetaInput(tuple(Study(*row) for row in rows)),))
+        batches = [MetaBatch.of([Study(*row) for row in rows])
                    for rows in fuzz_inputs(np.random.default_rng(seed),
                                            per_study)]
         seen = check_reml_pl(monkeypatch, batches)
@@ -586,27 +585,26 @@ class TestRemlPlBatch:
             oracles.ci_pl(data, reml)
         with pytest.raises(NonConvergenceError,
                            match="in \\[0, 1\\]: h is NaN"):
-            _unwrap(tau2.ci_pl_batch(MetaBatch((data,)), [reml], 0.95)[0])
+            _unwrap(tau2.ci_pl_batch(data, [reml], 0.95)[0])
 
     def test_adapters_are_a_batch_of_one(self):
         # the REML and PL rows on a batch of one are estimate_all's on one
         # input, and the fits under them match the oracle's
         rng = np.random.default_rng(6)
         for _ in range(5):
-            data = reml_pl_input(rng, 4)
-            one = MetaBatch((data,))
+            one = data = reml_pl_input(rng, 4)
             dl, = tau2.tau2_dl_batch(one)
             reml, = tau2.tau2_reml_batch(one, [dl])
-            results = simlab.estimate_all(data, 0.9)[0]
+            (results, _), = simlab.estimate_all(data, 0.9)
             assert key(results["tau2_est", "REML"]) == key(reml)
             assert key(results["tau2_cover", "PL"]) \
                 == key(tau2.ci_pl_batch(one, [reml], 0.9)[0])
-            loglik = tau2._restricted_fits(data.g[None], data.v2[None])
+            loglik = tau2._restricted_fits(data.g, data.v2)
             for t in (0.0, reml.value, 3.7):
                 assert key(loglik([0], [t])[0]) \
                     == key(oracles.restricted_loglik(data, t))
                 w, sum_w, mean, terms = qstat._row_fits(
-                    data.g[None], data.v2[None], np.array([t]))
+                    data.g, data.v2, np.array([t]))
                 assert key(oracles.WeightedFit(w[0], float(mean[0]),
                                                float(sum_w[0]))) \
                     == key(oracles.iv_weighted_mean(data, t))

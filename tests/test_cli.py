@@ -235,7 +235,7 @@ class TestAnalyze:
             assert get() == 2
             put(1)
             data = cli.read_analysis_csv(path)
-            results, failures = simlab.estimate_all(data)
+            (results, failures), = simlab.estimate_all(data)
         finally:
             put(before)
         payload = cli._analysis_payload(results, failures, 0.95,

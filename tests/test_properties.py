@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from batch_of_one import q_at, row
 from smdmeta import effect
 from smdmeta.numkernel import chisq_cdf, chisq_quantile, mixture_cdf
-from smdmeta.qstat import MetaInput
+from smdmeta.qstat import MetaBatch
 from smdmeta.simlab import estimate_all
 from smdmeta.smd import Study, j_factor
 from smdmeta.tau2 import Tau2Result
@@ -22,7 +22,7 @@ def meta_inputs(draw, k_max=8, equal_variances=False):
         v2s = draw(st.lists(st.floats(0.05, 4.0), min_size=k, max_size=k))
     ns = draw(st.lists(st.integers(6, 60), min_size=k, max_size=k))
     studies = tuple(Study(n, n, g, v) for n, g, v in zip(ns, gs, v2s))
-    return MetaInput(studies)
+    return MetaBatch.of(studies)
 
 
 @given(meta_inputs(), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
@@ -35,8 +35,7 @@ def test_q_monotone_nonincreasing(data, t1, t2):
 @given(meta_inputs(), st.floats(-5.0, 5.0))
 @settings(max_examples=150, deadline=None)
 def test_q_location_invariant(data, shift):
-    shifted = MetaInput(tuple(
-        Study(s.n_t, s.n_c, s.g + shift, s.v2) for s in data.studies))
+    shifted = MetaBatch(data.arm_sizes, data.g + shift, data.v2)
     q0 = q_at(data, 0.3)
     assert q_at(shifted, 0.3) == q0 or \
         abs(q_at(shifted, 0.3) - q0) <= 1e-9 * (1.0 + q0)
@@ -46,13 +45,13 @@ def test_q_location_invariant(data, shift):
 @settings(max_examples=100, deadline=None)
 def test_weighted_mean_within_range(data):
     fit = row(effect.effect_iv_batch, data, [Tau2Result(0.7, "interior")])
-    assert min(data.g) - 1e-12 <= fit.value <= max(data.g) + 1e-12
+    assert data.g.min() - 1e-12 <= fit.value <= data.g.max() + 1e-12
 
 
 @given(meta_inputs(equal_variances=True))
 @settings(max_examples=100, deadline=None)
 def test_equal_variance_collapse(data):
-    results = estimate_all(data)[0]
+    (results, _), = estimate_all(data)
     dl = results["tau2_est", "DL"].value
     assert abs(results["tau2_est", "MP"].value - dl) \
         <= max(1e-6 * (1 + dl), 1e-8)
@@ -62,7 +61,7 @@ def test_equal_variance_collapse(data):
 @given(meta_inputs())
 @settings(max_examples=80, deadline=None)
 def test_point_estimators_nonnegative_and_flagged(data):
-    results = estimate_all(data)[0]
+    (results, _), = estimate_all(data)
     for r in (results["tau2_est", name] for name in ("DL", "MP", "REML", "J")):
         assert r.value >= 0.0
         if r.status == "truncated_at_zero":
@@ -72,7 +71,7 @@ def test_point_estimators_nonnegative_and_flagged(data):
 @given(meta_inputs())
 @settings(max_examples=60, deadline=None)
 def test_qp_interval_ordered_and_brackets_mp(data):
-    results = estimate_all(data)[0]
+    (results, _), = estimate_all(data)
     ci = results["tau2_cover", "QP"]
     assert 0.0 <= ci.lo <= ci.hi
     mp = results["tau2_est", "MP"].value
@@ -82,9 +81,8 @@ def test_qp_interval_ordered_and_brackets_mp(data):
 @given(meta_inputs(), st.floats(-4.0, 4.0))
 @settings(max_examples=60, deadline=None)
 def test_effect_shift_equivariance(data, shift):
-    shifted = MetaInput(tuple(
-        Study(s.n_t, s.n_c, s.g + shift, s.v2) for s in data.studies))
-    dl_a, dl_b = (estimate_all(d)[0]["tau2_est", "DL"]
+    shifted = MetaBatch(data.arm_sizes, data.g + shift, data.v2)
+    dl_a, dl_b = (estimate_all(d)[0][0]["tau2_est", "DL"]
                   for d in (data, shifted))
     a = row(effect.effect_iv_batch, data, [dl_a])
     b = row(effect.effect_iv_batch, shifted, [dl_b])
@@ -96,8 +94,8 @@ def test_effect_shift_equivariance(data, shift):
     za = row(effect.ci_z_batch, data, [a], 0.95)
     zb = row(effect.ci_z_batch, shifted, [b], 0.95)
     assert abs(zb.half_width - za.half_width) <= 1e-9
-    ha = row(effect.ci_hksj_batch, data, [a], 0.95)
-    hb = row(effect.ci_hksj_batch, shifted, [b], 0.95)
+    ha = row(effect.ci_hksj_batch, data, [dl_a], [a], 0.95)
+    hb = row(effect.ci_hksj_batch, shifted, [dl_b], [b], 0.95)
     assert abs(hb.half_width - ha.half_width) <= 1e-9 * (1.0 + ha.half_width)
 
 

@@ -20,17 +20,16 @@ from smdmeta.qstat import (
     BRACKET_CAP,
     BracketCapExceeded,
     MetaBatch,
-    MetaInput,
     Tau2Result,
     solve_q_roots,
 )
-from smdmeta.simlab import SimCell, simulate_meta_input
+from smdmeta.simlab import SimCell, simulate_batch
 from smdmeta.smd import Study
 
 
 def meta(gs, v2s, n=20):
     n_t = n // 2
-    return MetaInput(tuple(Study(n_t, n - n_t, g, v) for g, v in zip(gs, v2s)))
+    return MetaBatch.of([Study(n_t, n - n_t, g, v) for g, v in zip(gs, v2s)])
 
 
 def iv_fit(data, tau2):
@@ -41,23 +40,57 @@ def iv_fit(data, tau2):
 
 def solve(data, target):
     """`solve_q_roots` on one input and target; raises the failure."""
-    return _unwrap(solve_q_roots(data.g[None], data.v2[None], [target])[0])
+    return _unwrap(solve_q_roots(data.g, data.v2, [target])[0])
 
 
 def expected_q(data):
     """The corrected E[Q] row on one input, or its failure."""
-    return tau2.corrected_expected_q_batch(MetaBatch((data,)))[0]
+    return tau2.corrected_expected_q_batch(data)[0]
 
 
 class TestMetaInput:
     def test_needs_two_studies(self):
         with pytest.raises(DomainError):
-            MetaInput((Study(10, 10, 0.0, 1.0),))
+            MetaBatch.of((Study(10, 10, 0.0, 1.0),))
+
+    @pytest.mark.parametrize("arm_sizes, g, v2", [
+        (((10, 10), (8, 9)), [[0.0, math.nan]], [[1.0, 1.0]]),
+        (((10, 10), (8, 9)), [[0.0, math.inf]], [[1.0, 1.0]]),
+        (((10, 10), (8, 9)), [[0.0, 1.0]], [[1.0, 0.0]]),
+        (((10, 10), (8, 9)), [[0.0, 1.0]], [[-1.0, 1.0]]),
+        (((10, 10), (8, 9)), [[0.0, 1.0]], [[1.0, math.inf]]),
+        (((10, 10), (8, 9)), [[0.0, 1.0]], [[1.0, math.nan]]),
+        (((10, 10),), [[0.0]], [[1.0]]),  # K = 1
+        (((10, 10), (1, 9)), [[0.0, 1.0]], [[1.0, 1.0]]),  # an arm of 1
+        (((10, 10), (8, 9)), [[0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]),
+        (((10, 10), (8, 9)), [[0.0, 1.0, 2.0]], [[1.0, 1.0, 1.0]]),
+        (((10, 10), (8, 9)), [0.0, 1.0], [1.0, 1.0]),  # not (R, K)
+        (((10, 10), (8, 9)), np.zeros((0, 2)), np.ones((0, 2))),  # R = 0
+        (((10, 10), (8, 9)), 0.0, 1.0),  # scalars
+    ], ids=["nan-g", "inf-g", "zero-v2", "negative-v2", "inf-v2", "nan-v2",
+            "k-1", "arm-of-1", "rows-differ", "k-differs", "not-2d", "r-0",
+            "scalar"])
+    def test_batch_refuses_what_a_study_refuses(self, arm_sizes, g, v2):
+        with pytest.raises(DomainError):
+            MetaBatch(arm_sizes, np.array(g), np.array(v2))
+
+    def test_batch_of_one_and_its_rows(self):
+        data = MetaBatch(((10, 10), (6, 14)), np.array([[0.1, 0.2], [0.3, 0.4],
+                                                        [0.5, 0.6]]),
+                         np.full((3, 2), 0.25))
+        assert len(data) == 3 and data.k == 2
+        assert np.array_equal(data.eff_n, [5.0, 4.2])
+        sub = data.rows([2, 0])
+        assert np.array_equal(sub.g, [[0.5, 0.6], [0.1, 0.2]])
+        assert sub.arm_sizes == data.arm_sizes and len(sub) == 2
+        one = MetaBatch.of([Study(10, 10, 0.1, 0.25), Study(6, 14, 0.2, 0.25)])
+        assert np.array_equal(one.g, data.rows([0]).g)
+        assert np.array_equal(one.v2, data.rows([0]).v2)
 
     def test_cached_arrays(self):
         data = meta([0.0, 1.0], [1.0, 3.0])
-        assert np.allclose(data.g, [0.0, 1.0])
-        assert np.allclose(data.v2, [1.0, 3.0])
+        assert np.allclose(data.g, [[0.0, 1.0]])
+        assert np.allclose(data.v2, [[1.0, 3.0]])
         assert data.k == 2
 
 
@@ -75,7 +108,8 @@ class TestWeightedMean:
     def test_hand_case(self):
         data = meta([0.0, 1.0], [1.0, 3.0])
         fit = iv_fit(data, 1.0)
-        assert np.allclose(fit.weights, [0.5, 0.25])
+        weights = qstat._row_fits(data.g, data.v2, np.array([1.0]))[0]
+        assert np.allclose(weights, [[0.5, 0.25]])
         assert fit.value == pytest.approx(1 / 3, rel=1e-14)
 
     def test_negative_tau2_rejected(self):
@@ -165,7 +199,7 @@ class TestSolveQEquals:
             solve(meta([0.0, 1.0], [1.0, 1.0]), 0.0)
 
 
-def reference_solve_q_equals(data: MetaInput, target: float) -> Tau2Result:
+def reference_solve_q_equals(data: MetaBatch, target: float) -> Tau2Result:
     """Plain bisection, evaluating Q at every midpoint and not capping its
     first bracket end: the oracle for solve_q_roots."""
     if not target > 0:
@@ -219,8 +253,8 @@ def stress_input(rng):
     g = loc + 10 ** rng.uniform(-3.0, 2.7) * rng.uniform(-1.0, 1.0, k)
     v2 = 10 ** rng.uniform(-2.0, 2.0, k) * 10 ** rng.uniform(-1.0, 1.0)
     n = rng.integers(2, 300, (k, 2))
-    return MetaInput(tuple(Study(int(a), int(b), float(x), float(v))
-                           for (a, b), x, v in zip(n, g, v2)))
+    return MetaBatch.of([Study(int(a), int(b), float(x), float(v))
+                         for (a, b), x, v in zip(n, g, v2)])
 
 
 def stress_targets(data, rng):
@@ -242,7 +276,7 @@ def grid_inputs():
             for tau2 in (0.0, 0.5, 2.0):
                 cell = SimCell(0.5, tau2, k, pattern, size, 0.5, seed=19)
                 for rep in range(3):
-                    yield simulate_meta_input(cell, rep)
+                    yield simulate_batch(cell, rep, rep + 1)
 
 
 def battery_targets(data):

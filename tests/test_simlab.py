@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smdmeta import simlab
+from smdmeta import numkernel, simlab
 from smdmeta import tau2 as t2
 from smdmeta.numkernel import NonConvergenceError
-from smdmeta.qstat import MetaBatch, MetaInput
+from smdmeta.qstat import MetaBatch
 from smdmeta.simlab import (
     CellReport,
     GridConfig,
@@ -27,7 +27,7 @@ from smdmeta.simlab import (
     metrics,
     run_cell,
     run_cell_raw,
-    simulate_meta_input,
+    simulate_batch,
     study_sizes,
     validate_cell,
 )
@@ -97,35 +97,59 @@ class TestStudySizes:
         assert (n_t, n_c) == (6, 6)
 
 
+def one_replicate(cell, r):
+    """Replicate r of cell, as a batch of one."""
+    return simulate_batch(cell, r, r + 1)
+
+
+def same(*batches):
+    """Whether the batches hold the same arm sizes, g and v^2."""
+    return all(b.arm_sizes == batches[0].arm_sizes
+               and np.array_equal(b.g, batches[0].g)
+               and np.array_equal(b.v2, batches[0].v2) for b in batches)
+
+
 class TestSimulateMetaInput:
     def test_reproducible(self):
         cell = SimCell(0.5, 1.0, 5, "equal", 20, 0.5, seed=9)
-        a = simulate_meta_input(cell, 3)
-        b = simulate_meta_input(cell, 3)
-        assert a == b
+        a = one_replicate(cell, 3)
+        b = one_replicate(cell, 3)
+        assert same(a, b)
 
     def test_replicates_differ(self):
         cell = SimCell(0.5, 1.0, 5, "equal", 20, 0.5, seed=9)
-        assert simulate_meta_input(cell, 3) != simulate_meta_input(cell, 4)
+        assert not same(one_replicate(cell, 3), one_replicate(cell, 4))
 
     def test_seed_matters(self):
-        a = simulate_meta_input(SimCell(0.5, 1.0, 5, "equal", 20, 0.5, seed=1), 0)
-        b = simulate_meta_input(SimCell(0.5, 1.0, 5, "equal", 20, 0.5, seed=2), 0)
-        assert a != b
+        a = one_replicate(SimCell(0.5, 1.0, 5, "equal", 20, 0.5, seed=1), 0)
+        b = one_replicate(SimCell(0.5, 1.0, 5, "equal", 20, 0.5, seed=2), 0)
+        assert not same(a, b)
 
     def test_number_spelling_does_not_enter_streams(self):
-        a = simulate_meta_input(SimCell(0, 1, 5, "equal", 20, 0.5), 3)
-        b = simulate_meta_input(SimCell(0.0, 1.0, 5, "equal", 20, 0.5), 3)
-        c = simulate_meta_input(
+        a = one_replicate(SimCell(0, 1, 5, "equal", 20, 0.5), 3)
+        b = one_replicate(SimCell(0.0, 1.0, 5, "equal", 20, 0.5), 3)
+        c = one_replicate(
             SimCell(np.float64(0.0), 1.0, np.int64(5), "equal", 20.0, 0.5), 3)
-        assert a == b == c
+        assert same(a, b, c)
 
     def test_chunking_does_not_enter_streams(self):
-        a = simulate_meta_input(
+        a = one_replicate(
             SimCell(0.5, 1.0, 5, "equal", 20, 0.5, reps=100, chunks=1, seed=3), 7)
-        b = simulate_meta_input(
+        b = one_replicate(
             SimCell(0.5, 1.0, 5, "equal", 20, 0.5, reps=1000, chunks=10, seed=3), 7)
-        assert a == b
+        assert same(a, b)
+
+    @pytest.mark.parametrize("cell", [
+        SimCell(0.5, 1.0, 5, "equal", 20, 0.5, seed=9),
+        SimCell(1.0, 2.5, 10, "unequal", 30, 0.75, seed=9)])
+    def test_batch_is_the_stack_of_its_replicates(self, cell):
+        whole = simulate_batch(cell, 3, 9)
+        rows = [one_replicate(cell, r) for r in range(3, 9)]
+        assert whole.arm_sizes == study_sizes(cell) and len(whole) == 6
+        assert np.concatenate([b.g for b in rows]).tobytes() \
+            == whole.g.tobytes()
+        assert np.concatenate([b.v2 for b in rows]).tobytes() \
+            == whole.v2.tobytes()
 
 
 def _fail(*args):
@@ -138,9 +162,9 @@ def _names(results, kind):
 
 class TestEstimateAll:
     def test_full_battery_present(self):
-        data = simulate_meta_input(
+        data = one_replicate(
             SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
-        results, failures = estimate_all(data)
+        (results, failures), = estimate_all(data)
         assert _names(results, "tau2_est") == {"DL", "MP", "REML", "J", "KDB"}
         assert _names(results, "tau2_cover") == {"QP", "BJ", "J", "PL", "KDB"}
         assert _names(results, "delta_est") == {"IV-DL", "IV-MP", "IV-REML",
@@ -153,9 +177,9 @@ class TestEstimateAll:
     def test_interval_failures_are_named_apart(self, monkeypatch):
         monkeypatch.setattr(t2, "ci_jackson_batch", _fail)
         monkeypatch.setattr(t2, "ci_kdb_batch", _fail)
-        data = simulate_meta_input(
+        data = one_replicate(
             SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
-        results, failures = estimate_all(data)
+        (results, failures), = estimate_all(data)
         assert failures == (("J-interval", "forced"),
                             ("KDB-interval", "forced"))
         assert {"J", "KDB"} <= _names(results, "tau2_est")
@@ -163,9 +187,9 @@ class TestEstimateAll:
 
     def test_failed_prerequisite_fails_its_dependents(self, monkeypatch):
         monkeypatch.setattr(t2, "expected_q_batch", _fail)
-        data = simulate_meta_input(
+        data = one_replicate(
             SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
-        results, failures = estimate_all(data)
+        (results, failures), = estimate_all(data)
         assert failures == (
             ("KDB", "forced"), ("KDB-interval", "prerequisite failed"),
             ("IV-KDB", "prerequisite failed"), ("SSW", "prerequisite failed"),
@@ -182,11 +206,10 @@ class TestEstimateAll:
         monkeypatch.setattr(t2, "tau2_reml_batch", stopped)
         cell = SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=4, chunks=2,
                        seed=4)
-        results, _ = estimate_all(simulate_meta_input(cell, 0))
+        (results, _), = estimate_all(one_replicate(cell, 0))
         assert results["tau2_est", "REML"].status == "max_iter"
         assert results["tau2_cover", "PL"] == t2.ci_pl_batch(
-            MetaBatch((simulate_meta_input(cell, 0),)),
-            stopped(None, [None]), 0.95)[0]
+            one_replicate(cell, 0), stopped(None, [None]), 0.95)[0]
         raw = run_cell_raw(cell)
         assert np.array_equal(raw.tau2_est["REML"], np.full(4, 0.7))
         assert not np.isnan(raw.tau2_cover["PL"]).any()
@@ -194,9 +217,21 @@ class TestEstimateAll:
         report = metrics(raw)
         assert report.value("REML", "tau2_bias") == pytest.approx(0.2)
 
+    def test_two_runs_give_equal_results(self):
+        # every result is a value: a second run on the same input compares
+        # equal, result by result, and each result hashes
+        data = one_replicate(SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4),
+                             0)
+        (first, _), = estimate_all(data)
+        (second, _), = estimate_all(data)
+        assert first["delta_est", "IV-DL"] == second["delta_est", "IV-DL"]
+        assert first == second
+        assert {key: hash(r) for key, r in first.items()} \
+            == {key: hash(r) for key, r in second.items()}
+
     def test_homogeneous_input_flags(self):
-        data = MetaInput(tuple(Study(10, 10, 0.4, 0.25) for _ in range(4)))
-        results = estimate_all(data)[0]
+        data = MetaBatch.of([Study(10, 10, 0.4, 0.25) for _ in range(4)])
+        (results, _), = estimate_all(data)
         assert all(r.value == 0.0 for (kind, _), r in results.items()
                    if kind == "tau2_est")
         assert "degenerate" in results["delta_cover", "HKSJ"].flags
@@ -213,7 +248,7 @@ class TestEstimateAll:
         for module, name in {(row[3], row[4]) for row in simlab.ESTIMATORS}:
             monkeypatch.setattr(module, name,
                                 counted(getattr(module, name), name))
-        data = simulate_meta_input(
+        data = one_replicate(
             SimCell(0.5, 0.5, 5, "equal", 20, 0.5, seed=4), 0)
         estimate_all(data)
         expected = collections.Counter(row[4] for row in simlab.ESTIMATORS)
@@ -250,16 +285,18 @@ class TestEstimateAll:
         assert found == []
 
     def test_one_estimator_path(self):
-        # every estimator is a *_batch row reached through estimate_all: no
-        # function takes a MetaInput but estimate_all, and the single-input
-        # adapters and scalar Q helpers are gone
+        # every estimator is a *_batch row reached through estimate_all, and
+        # a MetaBatch is the one input type: no parameter is annotated
+        # MetaInput, and the single-input adapters, the scalar Q helpers,
+        # MetaInput, its sampler and the batch's tuple of inputs are gone
         import smdmeta
         gone = {"tau2_dl", "tau2_mp", "restricted_loglik", "tau2_reml",
                 "tau2_jackson", "corrected_expected_q", "tau2_kdb",
                 "_q_profile_of", "ci_qp", "ci_kdb", "ci_bj", "ci_jackson",
                 "ci_pl", "ssw_variance", "_one", "effect_iv", "effect_ssw",
                 "ci_z", "ci_hksj", "ci_ssw_kdb", "WeightedFit", "_fit",
-                "iv_weighted_mean", "q_statistic", "solve_q_equals"}
+                "iv_weighted_mean", "q_statistic", "solve_q_equals",
+                "MetaInput", "simulate_meta_input", "inputs"}
         takers, defined = [], []
         for path in sorted(Path(simlab.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -277,7 +314,7 @@ class TestEstimateAll:
                             isinstance(n, ast.Name) and n.id == "MetaInput"
                             for n in ast.walk(arg.annotation)):
                         takers.append((path.name, node.name))
-        assert takers == [("simlab.py", "estimate_all")]
+        assert takers == []
         assert gone.isdisjoint(defined)
         assert gone.isdisjoint(dir(smdmeta))
 
@@ -467,6 +504,33 @@ class TestRunCell:
             run_cell_raw(cell, threads=2)
         assert multiprocessing.active_children() == []
         assert time.monotonic() - start < 30
+
+    @needs_fork
+    def test_cell_runs_on_one_blas_thread(self, monkeypatch):
+        # the helpers, forked while the caller is on one OpenBLAS thread,
+        # inherit that count (and start no thread pool); the caller's count
+        # is back afterwards
+        functions = numkernel._blas_thread_count_functions()
+        if functions is None or (os.cpu_count() or 1) < 2:
+            pytest.skip("no OpenBLAS thread-count functions, or one core")
+        get, put = functions
+        original = simlab.estimate_all
+
+        def on_one_thread(batch, level):
+            if get() != 1:
+                raise AssertionError(f"estimate_all on {get()} threads")
+            return original(batch, level)
+
+        monkeypatch.setattr(simlab, "estimate_all", on_one_thread)
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
+                       seed=12)
+        before = get()
+        try:
+            put(2)
+            run_cell_raw(cell, threads=2)
+            assert get() == 2
+        finally:
+            put(before)
 
     def test_report_shape(self):
         report = run_cell(SimCell(0.5, 0.5, 5, "equal", 20, 0.5,

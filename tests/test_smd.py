@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from smdmeta.numkernel import DomainError, RandomStream
+from smdmeta.qstat import MetaBatch
 from smdmeta.smd import ArmSummary, Study, g_variance, hedges_g, j_factor, sample_g
 
 
@@ -92,12 +93,14 @@ class TestStudy:
             ArmSummary(10, mean, sd)
 
     def test_effective_size(self):
-        assert Study(5, 15, 0.0, 1.0).eff_n == pytest.approx(3.75)
+        # a batch's effective sizes n_t n_c / (n_t + n_c), one per study
+        two = MetaBatch.of((Study(5, 15, 0.0, 1.0), Study(5, 15, 0.0, 1.0)))
+        assert two.eff_n == pytest.approx([3.75, 3.75])
         # matches n q (1 - q) for q = n_c / n
         n, q = 20, 0.75
         n_t = math.ceil((1 - q) * n)
-        assert Study(n_t, n - n_t, 0.0, 1.0).eff_n == pytest.approx(
-            n * q * (1 - q))
+        two = MetaBatch.of([Study(n_t, n - n_t, 0.0, 1.0)] * 2)
+        assert two.eff_n == pytest.approx([n * q * (1 - q)] * 2)
 
 
 class TestSampleG:

@@ -18,14 +18,14 @@ from smdmeta.numkernel import (
     ln_gamma,
     mixture_cdf,
 )
-from smdmeta.qstat import BRACKET_CAP, MetaBatch, MetaInput
+from smdmeta.qstat import BRACKET_CAP, MetaBatch
 from smdmeta.simlab import estimate_all
 from smdmeta.smd import Study, g_variance, j_factor
 
 
 def meta(gs, v2s, n=20):
     n_t = n // 2
-    return MetaInput(tuple(Study(n_t, n - n_t, g, v) for g, v in zip(gs, v2s)))
+    return MetaBatch.of([Study(n_t, n - n_t, g, v) for g, v in zip(gs, v2s)])
 
 
 def random_meta(rng, k=None):
@@ -38,7 +38,7 @@ def random_meta(rng, k=None):
 def battery_row(kind, name):
     """The battery's (kind, name) result on one input, through
     `estimate_all`; a KeyError if that row failed."""
-    return lambda data: estimate_all(data)[0][kind, name]
+    return lambda data: estimate_all(data)[0][0][kind, name]
 
 
 dl_of, mp_of, reml_of, j_of, kdb_of = (
@@ -50,7 +50,7 @@ qp_of, kdb_ci_of, bj_of, j_ci_of, pl_of = (
 def expected_q(data, effect=None):
     """The corrected E[Q] row on one input, at the SSW mean or at effect."""
     return tau2.corrected_expected_q_batch(
-        MetaBatch((data,)), None if effect is None else np.array([effect]))[0]
+        data, None if effect is None else np.array([effect]))[0]
 
 
 SPREAD = meta([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
@@ -107,7 +107,7 @@ class TestREML:
             fit = iv_weighted_mean(data, r.value)
             w2 = fit.weights ** 2
             fixed_point = float(
-                (w2 * ((data.g - fit.mean) ** 2 - data.v2)).sum()
+                (w2 * ((data.g[0] - fit.mean) ** 2 - data.v2[0])).sum()
             ) / float(w2.sum()) + 1.0 / fit.sum_w
             assert fixed_point == pytest.approx(r.value, abs=1e-6 * (1 + r.value))
             checked += 1
@@ -144,8 +144,8 @@ class TestJackson:
 def kdb_input(k, n, q, d):
     n_t = math.ceil((1 - q) * n)
     n_c = n - n_t
-    return MetaInput(tuple(Study(n_t, n_c, d, g_variance(d, n_t, n_c))
-                           for _ in range(k)))
+    return MetaBatch.of([Study(n_t, n_c, d, g_variance(d, n_t, n_c))
+                         for _ in range(k)])
 
 
 class TestCorrectedExpectedQ:
@@ -157,8 +157,8 @@ class TestCorrectedExpectedQ:
         studies = (Study(10, 10, 0.3, g_variance(0.3, 10, 10)),
                    Study(6, 14, -0.2, g_variance(-0.2, 6, 14)),
                    Study(25, 25, 1.1, g_variance(1.1, 25, 25)))
-        a = expected_q(MetaInput(studies))
-        b = expected_q(MetaInput(studies[::-1]))
+        a = expected_q(MetaBatch.of(studies))
+        b = expected_q(MetaBatch.of(studies[::-1]))
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_positive_across_plugins(self):
@@ -297,8 +297,8 @@ class TestCorrectedExpectedQOracle:
                 sizes = [pool[j] for j in rng.integers(3, size=k)]
             d = (0.0, 0.6, -1.4)[i % 3]
             gs = d + 0.3 * rng.standard_normal(k)
-            data = MetaInput(tuple(Study(a, b, float(g), g_variance(g, a, b))
-                                   for (a, b), g in zip(sizes, gs)))
+            data = MetaBatch.of([Study(a, b, float(g), g_variance(g, a, b))
+                                 for (a, b), g in zip(sizes, gs)])
             new = expected_q(data, effect=d)
             ref = reference_corrected_expected_q(data, ref_moments, d)
             assert new == pytest.approx(ref, rel=1e-14, abs=0.0)
@@ -412,8 +412,8 @@ class TestLaguerreMoments:
                     for p, r in tau2._MOMENT_KEYS}
         sizes = [(480, 490), (20, 25)] * 3
         gs = d + 0.3 * np.sin(np.arange(len(sizes)))
-        data = MetaInput(tuple(Study(a, b, float(g), g_variance(g, a, b))
-                               for (a, b), g in zip(sizes, gs)))
+        data = MetaBatch.of([Study(a, b, float(g), g_variance(g, a, b))
+                             for (a, b), g in zip(sizes, gs)])
         ref = reference_corrected_expected_q(
             data, lambda n_t, n_c, _: central[n_t, n_c], d)
         assert expected_q(data, effect=d) == \
@@ -424,9 +424,9 @@ class TestKDB:
     def test_matches_mp_for_huge_n(self):
         gs = [0.1, 0.6, -0.2, 0.9, 0.4]
         n = 10**6
-        data = MetaInput(tuple(Study(n // 2, n // 2, g,
-                                     g_variance(g, n // 2, n // 2))
-                               for g in gs))
+        data = MetaBatch.of([Study(n // 2, n // 2, g,
+                                   g_variance(g, n // 2, n // 2))
+                             for g in gs])
         kdb, mp = kdb_of(data), mp_of(data)
         assert kdb.value == pytest.approx(mp.value, rel=1e-3, abs=1e-9)
 
@@ -471,9 +471,9 @@ class TestCiKDB:
     def test_near_qp_for_huge_n(self):
         n = 10**6
         gs = [0.0, 1e-3, -5e-4, 2e-3]
-        data = MetaInput(tuple(Study(n // 2, n // 2, g,
-                                     g_variance(g, n // 2, n // 2))
-                               for g in gs))
+        data = MetaBatch.of([Study(n // 2, n // 2, g,
+                                   g_variance(g, n // 2, n // 2))
+                             for g in gs])
         a, b = kdb_ci_of(data), qp_of(data)
         assert a.lo == pytest.approx(b.lo, abs=1e-6)
         assert a.hi == pytest.approx(b.hi, abs=1e-6)
@@ -513,13 +513,14 @@ class TestCiBJ:
         rng = np.random.default_rng(31)
         data = meta([0.1, 0.9, -0.4, 1.8, 0.6], [0.3, 0.5, 0.8, 0.4, 1.1])
         ci = bj_of(data)
-        w = 1.0 / data.v2
-        gbar = float((w * data.g).sum() / w.sum())
-        q_obs = float((w * (data.g - gbar) ** 2).sum())
+        g, v2 = data.g[0], data.v2[0]
+        w = 1.0 / v2
+        gbar = float((w * g).sum() / w.sum())
+        q_obs = float((w * (g - gbar) ** 2).sum())
         for tau2, level in ((ci.lo, 0.975), (ci.hi, 0.025)):
             if tau2 == 0.0:
                 continue
-            sd = np.sqrt(data.v2 + tau2)
+            sd = np.sqrt(v2 + tau2)
             z = rng.standard_normal((200_000, data.k)) * sd
             zbar = (w * z).sum(axis=1) / w.sum()
             q_sim = (w * (z - zbar[:, None]) ** 2).sum(axis=1)
@@ -593,13 +594,13 @@ class TestBJCoefficients:
             # the BJ row (n_bj = 1) and the J row (n_bj = 0) of a batch of one
             for n_bj, per_interval in ((1, True), (0, False)):
                 counts.update(eigvalsh=0, mixture_cdfs=0)
-                tau2._fixed_weight_intervals(data.g[None], data.v2[None], n_bj,
-                                             0.95)
+                tau2._fixed_weight_intervals(data.g, data.v2, n_bj, 0.95)
                 assert counts["mixture_cdfs"] > 1
                 assert counts["eigvalsh"] == (
                     1 if per_interval else counts["mixture_cdfs"])
 
 
+@oracles.one_row
 def reference_fixed_weight_interval(data, level, weights):
     """The doubling-plus-brentq inversion that the seeded root search
     replaced, kept as its oracle.  Returns (lo, hi, flags)."""
@@ -662,8 +663,8 @@ class TestFixedWeightOracle:
     @pytest.mark.parametrize("k", [2, 3, 5, 10, 30, 100])
     @pytest.mark.parametrize("method", ["BJ", "J"])
     def test_endpoints_match_doubling_search(self, k, method):
-        fn, wfun = {"BJ": (bj_of, lambda d: 1.0 / d.v2),
-                    "J": (j_ci_of, lambda d: 1.0 / np.sqrt(d.v2))}[method]
+        fn, wfun = {"BJ": (bj_of, lambda d: 1.0 / d.v2[0]),
+                    "J": (j_ci_of, lambda d: 1.0 / np.sqrt(d.v2[0]))}[method]
         for data in oracle_cases(k):
             lo, hi, flags = reference_fixed_weight_interval(data, 0.95,
                                                             wfun(data))
