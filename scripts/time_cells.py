@@ -6,18 +6,22 @@ paper's run estimates R = 200 (2,000 replicates in 10 chunks), where work
 that is shared across the rows of a batch shows its gain.  This script
 runs one fixed cell per (K, pattern) stratum of the grid as
 
-    smdmeta simulate --reps 200 --chunks 1 --threads 1
+    smdmeta simulate --reps 200 --chunks 1 --threads 1 --seed <pair>
 
-in both source trees, in alternating pairs: the side that runs first
-alternates from pair to pair, so drift in machine speed falls on both
-sides alike.  Each run is a fresh process that imports `smdmeta` from its
-tree's `src/` and times only the `simulate` call.  Per cell it prints one
-JSON line: each side's median ms per replicate, their ratio (change over
-parent), and whether every pair's two results CSVs are byte-identical.
+in both source trees, in 10 alternating pairs: pair i runs seed i on both
+sides, and the side that runs first alternates from pair to pair, so drift
+in machine speed falls on both sides alike.  Each run is a fresh process
+that imports `smdmeta` from its tree's `src/` and times only the
+`simulate` call.  Every run is printed as one JSON line, in the form
+`bench_pairs.py` records its runs, with its ms per replicate as the one
+metric.  Per cell one more line holds `bench_pairs.summarize`'s summary of
+ms per replicate (better lower, with the bound of the change's
+`norm_reps_per_s`) and whether every pair's two results CSVs are
+byte-identical; the exit code is 1 if any pair's are not.
 
-Example: five pairs of all six cells
+Example:
 
-    python3 scripts/time_cells.py --parent ../parent --change . --pairs 5
+    python3 scripts/time_cells.py --parent ../parent --change . > cells.jsonl
 """
 
 import argparse
@@ -27,7 +31,10 @@ import subprocess
 import sys
 import tempfile
 
-import numpy as np
+from bench_pairs import summarize
+
+PAIRS = 10
+REPS = 200
 
 # (K, pattern, size flag, size, delta, tau2, q): one cell per stratum
 CELLS = [
@@ -51,6 +58,12 @@ sys.exit(code)
 """
 
 
+def cell_name(cell) -> str:
+    k, pattern, size_flag, size, delta, tau2, q = cell
+    return (f"k={k} {pattern} {size_flag.lstrip('-')}={size} "
+            f"delta={delta} tau2={tau2} q={q}")
+
+
 def simulate_argv(cell, reps: int, seed: int, out: str) -> list[str]:
     k, pattern, size_flag, size, delta, tau2, q = cell
     return ["simulate", "--delta", str(delta), "--tau2", str(tau2),
@@ -72,53 +85,50 @@ def run_once(tree: str, cell, reps: int, seed: int, out: str) -> float:
 
 
 def time_cell(cell, parent: str, change: str, pairs: int, reps: int,
-              seed: int, work: str) -> dict:
-    """Alternating pairs on one cell: medians in ms per replicate, their
-    ratio, and whether the two sides wrote the same bytes in every pair."""
-    seconds = {"parent": [], "change": []}
-    identical = True
-    for i in range(pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+              metric: dict, work: str) -> tuple[list[dict], dict]:
+    """Alternating pairs on one cell, seeds 1..pairs: the runs, and their
+    summary with whether the two sides wrote the same bytes in every
+    pair."""
+    runs, identical = [], True
+    for seed in range(1, pairs + 1):
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
         written = {}
-        for side in order:
+        for position, side in enumerate(order):
             written[side] = os.path.join(work, f"{side}.csv")
             tree = parent if side == "parent" else change
-            seconds[side].append(run_once(tree, cell, reps, seed,
-                                          written[side]))
+            seconds = run_once(tree, cell, reps, seed, written[side])
+            runs.append({"set": "time_cells", "order": position,
+                         "side": side, "workload": cell_name(cell),
+                         "seed": seed, "reps": reps, "seconds": seconds,
+                         "result": {"metrics": {metric["name"]: {
+                             "value": 1000.0 * seconds / reps}}}})
         with open(written["parent"], "rb") as a, \
                 open(written["change"], "rb") as b:
             identical &= a.read() == b.read()
-    k, pattern, _, size, delta, tau2, q = cell
-    ms = {side: 1000.0 * float(np.median(s)) / reps
-          for side, s in seconds.items()}
-    return {"k": k, "pattern": pattern, "size": size, "delta": delta,
-            "tau2": tau2, "q": q, "reps": reps, "pairs": pairs,
-            "parent_ms_per_rep": round(ms["parent"], 4),
-            "change_ms_per_rep": round(ms["change"], 4),
-            "ratio": round(ms["change"] / ms["parent"], 4),
-            "csv_identical": identical}
+    row, = summarize(runs, "time_cells", cell_name(cell),
+                     list(range(1, pairs + 1)), [metric])
+    return runs, {**row, "csv_identical": identical}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent source tree")
     parser.add_argument("--change", required=True, help="changed source tree")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--reps", type=int, default=200,
-                        help="replicates per cell, all in one batch")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--cells", default=None,
-                        help="comma list of cell numbers 0-5 (default all)")
     args = parser.parse_args(argv)
-    chosen = range(len(CELLS)) if args.cells is None \
-        else [int(i) for i in args.cells.split(",")]
+
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        rate, = [m for m in json.load(fh)["end_to_end"]
+                 if m["name"] == "norm_reps_per_s"]
+    metric = {"name": "ms_per_rep", "better": "lower", "bound": rate["bound"]}
     all_identical = True
     with tempfile.TemporaryDirectory() as work:
-        for i in chosen:
-            row = time_cell(CELLS[i], args.parent, args.change, args.pairs,
-                            args.reps, args.seed, work)
-            all_identical &= row["csv_identical"]
+        for cell in CELLS:
+            runs, row = time_cell(cell, args.parent, args.change, PAIRS,
+                                  REPS, metric, work)
+            for run in runs:
+                print(json.dumps(run))
             print(json.dumps(row), flush=True)
+            all_identical &= row["csv_identical"]
     return 0 if all_identical else 1
 
 

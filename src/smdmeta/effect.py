@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkernel import DomainError, normal_quantile, t_quantile
-from .qstat import MetaBatch, Tau2Result
+from .qstat import MetaBatch, Tau2Result, _row_fits
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,11 @@ def ci_hksj_batch(batch: MetaBatch, tau2s: list[Tau2Result],
     than raised, so simulation coverage accounting can proceed.
     """
     center = np.array([iv.value for iv in ivs])
-    w = 1.0 / (batch.v2 + np.array([[t.value] for t in tau2s]))
-    resid = batch.g - center[:, None]
-    var_star = (w * resid * resid).sum(-1) / ((batch.k - 1) * w.sum(-1))
-    degenerate = np.abs(resid).max(-1) \
+    # _row_fits' mean is effect_iv_batch's, bit for bit: terms w (g - center)^2
+    _, sum_w, _, terms = _row_fits(batch.g, batch.v2,
+                                   np.array([t.value for t in tau2s]))
+    var_star = terms.sum(-1) / ((batch.k - 1) * sum_w)
+    degenerate = np.abs(batch.g - center[:, None]).max(-1) \
         <= 1e-12 * np.maximum(1.0, np.abs(center))
     t = t_quantile(1.0 - (1.0 - level) / 2.0, batch.k - 1)
     half = t * np.sqrt(np.where(degenerate, 0.0, var_star))
