@@ -18,7 +18,7 @@ from hashlib import blake2b
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaincinv, ndtri, stdtrit
+from scipy.special import betainc, gammainc, gammaincinv, ndtri, stdtrit
 
 
 class DomainError(ValueError):
@@ -183,10 +183,10 @@ def derive_stream_id(*parts: int | float | str) -> int:
 # chi-square mixtures:  P(sum_i lambda_i chi2_1 <= x)
 # ---------------------------------------------------------------------------
 
+_RUBEN_PY_TERMS = 40   # terms a row of a small round runs on Python floats
+_RUBEN_ROUND_ROWS = 10  # rounds of this many rows step their rows together
 _RUBEN_BLOCK = 32      # power sums computed per block of series terms
-_RUBEN_PY_TERMS = 40   # recurrence on Python floats up to this many terms
 _RUBEN_BOUND_EVERY = 8  # terms between checks of the sharper tail bound
-_RUBEN_POWERS = np.arange(1.0, _RUBEN_BLOCK + 1)  # of the first block
 # j of the F_{nu+2j}(y) in the bound checks at k = j - 1 <= _RUBEN_PY_TERMS
 _RUBEN_CHECKS = np.arange(_RUBEN_BOUND_EVERY + 1.0, _RUBEN_PY_TERMS + 2,
                           _RUBEN_BOUND_EVERY)
@@ -199,53 +199,90 @@ def _ruben_cdf(x, lam: np.ndarray, tol: float, max_terms: int):
     Returns per row (p, bound), or None when max_terms is not enough.  With
     the scale set to min(lam) all series coefficients are nonnegative and
     sum to one: 1 - sum(a_k) bounds the tail, and so does (1 - sum(a_k))
-    F_{nu+2k+2}(y).  The log-sums, the first block of power sums and the
-    F_{nu+2j}(y) of the bounds and of the sum are array code over all rows;
-    each row runs the recurrence on its own, as a row alone would.
+    F_{nu+2k+2}(y).  Each a_k = sum_i g_i a_{k-i} / 2k adds its products in
+    order, i = 1..k, under two schedules with the same bits, so a row's CDF
+    never depends on its round.  A round of _RUBEN_ROUND_ROWS rows or more
+    steps its live rows together, one (rows, k) product and running sum per
+    term.  In a smaller one each row runs alone: Python floats for
+    _RUBEN_PY_TERMS terms, then one running sum per term.  A row that
+    provably cannot stop by max_terms runs no term past those.
     """
     nu = lam.shape[1]
     beta = lam.min(-1)
     half_ys = 0.5 * x / beta  # y / 2, y = x / beta
     ts = 1.0 - (ratio := beta[:, None] / lam)
-    first = _RUBEN_POWERS[:max_terms]
-    f_checks = gammainc(0.5 * nu + _RUBEN_CHECKS, half_ys[:, None]).tolist()
-    reduce, add, mul = functools.reduce, operator.add, operator.mul
+
+    def powers(rows, k, width):  # g_j = sum_i t_i^j, k <= j < k + width
+        return np.power(ts[rows, :, None],
+                        np.arange(k, k + width, dtype=float)).sum(1)
+
+    def hopeless(rows):  # rows that cannot stop by max_terms
+        # the largest t's terms alone, negative binomial of order 1/2, leave
+        # betainc(k + 1, 1/2, t) of the sum after k terms; times F_{nu+2k+2}(y)
+        # that falls in k, and above tol at max_terms it stays twice the
+        # stop's tol / 2: far more than the sum's rounding could close
+        return betainc(max_terms + 1.0, 0.5, ts[rows].max(-1)) * gammainc(
+            0.5 * nu + max_terms + 1.0, half_ys[rows]) > tol
+
+    a0s = [math.exp(v) for v in (0.5 * np.log(ratio).sum(-1)).tolist()]
     half_tol, every, py_terms = 0.5 * tol, _RUBEN_BOUND_EVERY, _RUBEN_PY_TERMS
-    stops = []
-    for t, half_y, log_a0, g_list, f_check in zip(
-            ts, half_ys.tolist(), (0.5 * np.log(ratio).sum(-1)).tolist(),
-            np.power(ts[:, :, None], first).sum(1).tolist(), f_checks):
-        a_list, g = [asum := math.exp(log_a0)], None
-        for k in range(1, max_terms + 1):
-            if k > len(g_list):
-                if g is None:  # a long series: the power sums in an array too
-                    g = np.empty(max_terms + 1)
-                    g[1:k] = g_list
-                # power sums g_k = sum t^k for a whole block of k in one call
-                end = min(k + _RUBEN_BLOCK, max_terms + 1)
-                g[k:end] = np.power.outer(t, np.arange(k, end)).sum(axis=0)
-                g_list += g[k:end].tolist()
-            # a_k = sum_i g_i a_{k-i} / 2k: Python floats first, BLAS after;
-            # added one after another, as sum() compensates from Python 3.12
-            if k <= py_terms:
-                ak = reduce(add, map(mul, g_list, reversed(a_list))) \
-                    / (2.0 * k)
-            else:
-                if k == py_terms + 1:  # a_k at [max_terms - k]
-                    a_rev = np.empty(max_terms + 1)
-                    a_rev[max_terms - k + 1:] = a_list[::-1]
-                ak = float(g[1:k + 1] @ a_rev[max_terms - k + 1:]) / (2.0 * k)
-                a_rev[max_terms - k] = ak
-            a_list.append(ak)
+    stops = [None] * len(x)  # per row (k, sum of a_0..a_k, a_k..a_0)
+    if len(x) < _RUBEN_ROUND_ROWS:
+        reduce, add, mul = functools.reduce, operator.add, operator.mul
+        f_checks = gammainc(0.5 * nu + _RUBEN_CHECKS, half_ys[:, None])
+        for i, (g, f_check, asum) in enumerate(zip(powers(
+                slice(None), 1, py_terms), f_checks.tolist(), a0s)):
+            g_list, a_list = g.tolist(), [asum]
+            for k in range(1, max_terms + 1):
+                if k <= py_terms:  # reduce, as sum() compensates from 3.12
+                    ak = reduce(add, map(mul, g_list, reversed(a_list))) \
+                        / (2.0 * k)
+                else:  # a long series: its coefficients in an array too
+                    if k == py_terms + 1:
+                        if hopeless(i):
+                            break
+                        a = np.append(a_list, np.empty(max_terms + 1 - k))
+                    if k > g.size:
+                        g = np.hstack([g, powers([i], k, _RUBEN_BLOCK)[0]])
+                    a[k] = ak = float(np.add.accumulate(
+                        g[:k] * a[k - 1::-1])[-1]) / (2.0 * k)
+                a_list.append(ak)
+                asum += ak
+                # every few terms the sharper bound too, as F_{nu+2j}(y) falls
+                if 1.0 - asum <= half_tol or k % every == 0 and (
+                        1.0 - asum) * (f_check[k // every - 1] if k <= py_terms
+                                       else gammainc(0.5 * nu + k + 1,
+                                                     half_ys[i])) <= half_tol:
+                    stops[i] = (k, asum, np.array(a_list[::-1]))
+                    break
+    else:
+        live = np.flatnonzero(~hopeless(slice(None)))
+        asum, half_y = np.array(a0s)[live], half_ys[live]
+        g, a = np.empty((len(live), 0)), asum[:, None].copy()
+        for k in range(1, max_terms + 1 if live.size else 1):
+            if k > g.shape[1]:  # the next block of power sums, and room in a
+                more = powers(live, k, _RUBEN_BLOCK)
+                g = np.hstack([g, more])
+                a = np.hstack([a, np.empty_like(more)])
+            # the products added in order, where np.add.reduce would pair
+            # them from 8 on (on the transposed view, or on one row)
+            a[:, k] = ak = np.add.accumulate(
+                g[:, :k] * a[:, k - 1::-1], axis=1)[:, -1] / (2.0 * k)
             asum += ak
-            # every few terms the sharper bound too, as F_{nu+2j}(y) falls
-            if 1.0 - asum <= half_tol or k % every == 0 and (1.0 - asum) * (
-                    f_check[k // every - 1] if k <= py_terms
-                    else gammainc(0.5 * nu + k + 1, half_y)) <= half_tol:
-                stops.append((k, asum, a_list))
-                break
-        else:
-            stops.append(None)
+            if k % every and 1.0 - asum.max() > half_tol:
+                continue  # no row stops
+            done = 1.0 - asum <= half_tol
+            if k % every == 0:  # the sharper bound too, as F_{nu+2j}(y) falls
+                done |= (1.0 - asum) * gammainc(0.5 * nu + k + 1,
+                                                half_y) <= half_tol
+            if done.any():
+                for i, stop in zip(live[done].tolist(), zip(
+                        asum[done].tolist(), a[done, k::-1])):
+                    stops[i] = (k, *stop)
+                if done.all():
+                    break
+                live, g, a, asum, half_y = (
+                    v[~done] for v in (live, g, a, asum, half_y))
     # F_{nu+2j}(y) for j = k_max + 1, ..., 1, 0 of every row, in one call
     k_max = max([stop[0] for stop in stops if stop], default=0)
     f_rows = gammainc(0.5 * nu + np.arange(k_max + 1.0, -1.0, -1.0),
@@ -255,8 +292,8 @@ def _ruben_cdf(x, lam: np.ndarray, tol: float, max_terms: int):
         if stop is None:
             out.append(None)
             continue
-        k, asum, a_list = stop
-        p = float(np.dot(np.array(a_list[::-1]), f[k_max - k + 1:]))
+        k, asum, a_rev = stop
+        p = float(np.dot(a_rev, f[k_max - k + 1:]))
         bound = (1.0 - asum) * float(f[k_max - k])
         out.append((min(1.0, p + 0.5 * bound), 0.5 * bound))
     return out

@@ -1,11 +1,15 @@
+import functools
 import math
+import operator
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfinv, gammainc
 
+from smdmeta import numkernel
 from smdmeta.numkernel import (
+    _RUBEN_ROUND_ROWS,
     _ruben_cdf,
     DomainError,
     RandomStream,
@@ -299,6 +303,121 @@ class TestRubenSeriesOracle:
         assert reference_ruben_cdf(x, lam, 1e-6, 40) is None
         assert _ruben_cdf(np.array([x]), lam[None], 1e-6, 40)[0] is None
 
+
+
+def seeded_round(rows, seed, spreads=(1.0 + 1e-9, 1e3)):
+    """A round of `rows` mixtures of one size (2, 5 or 10 by seed), each
+    with its own spread between 1 + 1e-9 and 1e3, at an x between 0.1 and 3
+    times its mean: a mix of short series and series past 40 and 64 terms."""
+    rng = np.random.default_rng(seed)
+    nu = (2, 5, 10)[seed % 3]
+    spreads = np.exp(rng.uniform(*np.log(spreads), rows))
+    lam = np.exp(rng.uniform(0.0, 1.0, (rows, nu)) * np.log(spreads)[:, None])
+    lam[:, 0], lam[:, -1] = 1.0, spreads
+    return lam.sum(1) * rng.uniform(0.1, 3.0, rows), lam
+
+
+def first_pairwise_miss(lam, terms):
+    """The first k >= 8 at which np.add.reduce over the products g_i a_{k-i}
+    laid out as (k, rows), a transposed view, gives some row's a_k other
+    bits than adding them in order, or None up to `terms`."""
+    beta = lam.min(1, keepdims=True)
+    g = np.power((1.0 - beta / lam)[:, :, None],
+                 np.arange(1.0, terms + 1)).sum(1)
+    a = np.empty((len(lam), terms + 1))
+    a[:, 0] = np.exp(0.5 * np.log(beta / lam).sum(1))
+    for k in range(1, terms + 1):
+        products = g[:, :k] * a[:, k - 1::-1]
+        in_order = [functools.reduce(operator.add, row)
+                    for row in products.tolist()]
+        paired = np.add.reduce(products.T, axis=0)
+        if k >= 8 and (paired != in_order).any():
+            return k
+        a[:, k] = np.array(in_order) / (2.0 * k)
+    return None
+
+
+class TestRubenRounds:
+    # A round of _RUBEN_ROUND_ROWS rows or more steps its rows together, a
+    # smaller one runs each row alone; both add every a_k's products in
+    # order, so no row's bits may depend on the rows that share its round.
+
+    @pytest.mark.parametrize("rows", range(1, 3 * _RUBEN_ROUND_ROWS + 1))
+    def test_every_row_equals_the_row_alone(self, rows):
+        x, lam = seeded_round(rows, seed=rows)
+        for tol, max_terms in ((1e-6, 8000), (1e-5, 8000), (1e-6, 50)):
+            together = _ruben_cdf(x, lam, tol, max_terms)
+            for i, row in enumerate(together):
+                alone, = _ruben_cdf(x[i:i + 1], lam[i:i + 1], tol, max_terms)
+                assert row == alone, (i, tol, max_terms)
+
+    def test_rounds_reach_past_40_and_64_terms(self):
+        # each row's term count, from the per-term oracle at spreads <= 50
+        counts = []
+        for rows in range(1, 3 * _RUBEN_ROUND_ROWS + 1):
+            x, lam = seeded_round(rows, seed=rows)
+            for xi, row in zip(x, lam):
+                if row[-1] <= 50.0:
+                    counts.append(reference_ruben_cdf(xi, row, 1e-6, 8000)[2])
+        counts = np.array(counts)
+        assert (counts <= 40).any() and (counts > 64).any()
+        assert ((40 < counts) & (counts <= 64)).any()
+
+    def test_a_round_a_pairwise_sum_would_change(self):
+        # in this round of _RUBEN_ROUND_ROWS rows, np.add.reduce over the
+        # (k, rows) layout would add some a_k, k >= 8, with other bits than
+        # in order (numpy 2.4 does so at k = 8)
+        x, lam = seeded_round(_RUBEN_ROUND_ROWS, seed=0)
+        assert first_pairwise_miss(lam, 40) is not None
+        together = _ruben_cdf(x, lam, 1e-6, 8000)
+        for i, row in enumerate(together):
+            assert row == _ruben_cdf(x[i:i + 1], lam[i:i + 1], 1e-6, 8000)[0]
+            ref = reference_ruben_cdf(float(x[i]), lam[i], 1e-6, 8000)
+            assert row[0] == pytest.approx(ref[0], abs=1e-13)
+
+
+class TestRubenHopelessRows:
+    # A row whose largest t alone leaves more than tol of the series sum
+    # after max_terms, times F_{nu+2k+2}(y), cannot stop: it gets its None
+    # without the long series.
+
+    @pytest.mark.parametrize("max_terms", [50, 200])
+    @pytest.mark.parametrize("rows", [1, 2, 3 * _RUBEN_ROUND_ROWS])
+    def test_none_exactly_where_the_per_term_loop_gives_none(self, rows,
+                                                             max_terms):
+        x, lam = seeded_round(rows, seed=max_terms + rows,
+                              spreads=(2.0, 1e6))
+        kinds = set()
+        for tol in (1e-6, 1e-5):
+            for xi, row, new in zip(x, lam, _ruben_cdf(x, lam, tol,
+                                                       max_terms)):
+                ref = reference_ruben_cdf(float(xi), row, tol, max_terms)
+                assert (new is None) == (ref is None)
+                if ref is not None:
+                    assert new[0] == pytest.approx(ref[0], abs=1e-13)
+                kinds.add(new is None)
+        assert rows < _RUBEN_ROUND_ROWS or kinds == {True, False}
+
+    def test_a_hopeless_row_runs_no_long_series(self, monkeypatch):
+        # spread 2e3 at three times the mean: after 8,000 terms the terms of
+        # the largest t alone leave 0.5% of the sum, and F_{nu+16002}(y) ~ 1
+        lam = np.geomspace(1.0, 2e3, 30)
+        x = 3.0 * lam.sum()
+        assert reference_ruben_cdf(x, lam, 1e-6, 8000) is None
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gammainc(*args)
+
+        monkeypatch.setattr(numkernel, "gammainc", counted)
+        for rows in (1, _RUBEN_ROUND_ROWS):
+            calls.clear()
+            assert _ruben_cdf(np.full(rows, x), np.tile(lam, (rows, 1)), 1e-6,
+                              8000) == [None] * rows
+            # the bound, the checks of the first 40 terms and the closing F,
+            # where the series would check its bound every 8 terms to 8,000
+            assert len(calls) <= 3
 
 
 def test_series_sums_add_in_order():

@@ -319,9 +319,10 @@ class TestEstimateAll:
         assert gone.isdisjoint(dir(smdmeta))
 
 
-def use_in_process_helpers(monkeypatch, sizes):
+def use_in_process_helpers(monkeypatch, ranges):
     """Replace simlab's Process and Pipe with stand-ins: each helper records
-    how many chunks it was given in sizes and runs them in this process."""
+    the replicate range (rep_lo, rep_hi) of its share in ranges and runs it
+    in this process."""
     class Conn:
         def __init__(self, box):
             self.box = box
@@ -342,7 +343,7 @@ def use_in_process_helpers(monkeypatch, sizes):
             self.target, self.args = target, args
 
         def start(self):
-            sizes.append(len(self.args[1]))
+            ranges.append(self.args[1][1:3])
             self.target(*self.args)
 
         def terminate(self):
@@ -424,39 +425,53 @@ class TestRunCell:
             assert np.array_equal(a.delta_est[name], b.delta_est[name],
                                   equal_nan=True)
 
+    def test_batch_size_invariance(self, monkeypatch):
+        # a share of 30 replicates in 30 batches of one, in 5 batches of at
+        # most 7 (the last of 2) and in one batch of 30: the same bits
+        cell = SimCell(0.5, 1.0, 5, "unequal", 30, 0.75, reps=30, chunks=1,
+                       seed=17)
+        runs = []
+        for size in (1, 7, 200):
+            monkeypatch.setattr(simlab, "_BATCH_REPS", size)
+            runs.append(run_cell_raw(cell))
+        for run in runs[1:]:
+            assert_same_bits(run, runs[0])
+
     def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
         # workers = min(threads, chunks, cores): the caller plus one helper
-        # per worker after the first, each helper with every workers-th chunk
-        sizes = []
-        use_in_process_helpers(monkeypatch, sizes)
+        # per worker after the first, each with one contiguous run of chunks
+        ranges = []
+        use_in_process_helpers(monkeypatch, ranges)
         monkeypatch.setattr(simlab.os, "cpu_count", lambda: 8)
         cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=4, chunks=4,
                        seed=12)
         pooled = run_cell_raw(cell, threads=64)
-        assert sizes == [1, 1, 1]
+        assert ranges == [(1, 2), (2, 3), (3, 4)]
         halved = run_cell_raw(cell, threads=2)
-        assert sizes == [1, 1, 1, 2]
+        assert ranges == [(1, 2), (2, 3), (3, 4), (2, 4)]
         serial = run_cell_raw(cell, threads=1)
         assert_same_bits(pooled, serial)
         assert_same_bits(halved, serial)
 
-    @pytest.mark.parametrize("cores, sizes", [(2, [32]), (1, []), (None, [])])
+    @pytest.mark.parametrize("cores, sizes",
+                             [(2, [(32, 64)]), (1, []), (None, [])])
     def test_pool_has_no_more_workers_than_cores(self, monkeypatch, cores,
                                                  sizes):
-        # --threads 64 --chunks 64 on two cores: one helper, not 63; one
-        # core (or an unknown count) runs the chunks in this process
+        # --threads 64 --chunks 64 on two cores: one helper with the second
+        # half, not 63; one core (or an unknown count) runs the chunks in
+        # this process
         made = []
         use_in_process_helpers(monkeypatch, made)
         monkeypatch.setattr(simlab.os, "cpu_count", lambda: cores)
         cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=64, chunks=64,
                        seed=12)
         pooled = run_cell_raw(cell, threads=64)
-        assert made == sizes
+        assert made == sizes  # each helper's replicate range
         serial = run_cell_raw(dataclasses.replace(cell, chunks=1))
         assert_same_bits(pooled, serial)
 
     def test_uneven_split_over_a_real_helper(self, two_cores):
-        # three chunks on two workers: the caller runs chunks 0 and 2
+        # three chunks on two workers: the caller runs chunks 0 and 1
         cell = SimCell(0.5, 1.0, 5, "unequal", 30, 0.75, reps=6, chunks=3,
                        seed=21)
         assert_same_bits(run_cell_raw(cell, threads=2),
