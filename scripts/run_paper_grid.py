@@ -26,7 +26,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from smdmeta import cli  # noqa: E402
 from smdmeta.simlab import (  # noqa: E402
-    DELTAS, EQUAL_SIZES, KS, QS, TAU2S, UNEQUAL_SIZES)
+    DELTAS, EQUAL_SIZES, KS, QS, TAU2S, UNEQUAL_SIZES, usable_cores)
 
 
 def main() -> int:
@@ -35,7 +35,7 @@ def main() -> int:
     parser.add_argument("--reps", type=int, default=2000)
     parser.add_argument("--chunks", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, default=usable_cores())
     parser.add_argument("--deltas", default=",".join(f"{d:g}" for d in DELTAS))
     parser.add_argument("--figures", default=None,
                         help="directory for SVG panels (optional)")

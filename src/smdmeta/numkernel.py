@@ -17,8 +17,15 @@ from hashlib import blake2b
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.integrate import quad
 from scipy.special import betainc, gammainc, gammaincinv, ndtri, stdtrit
+
+
+def __getattr__(name: str):
+    """Imhof's `quad`, imported from scipy.integrate on first use (PEP 562)."""
+    if name != "quad":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import quad
+    return quad
 
 
 class DomainError(ValueError):
@@ -303,7 +310,7 @@ def _imhof_cdf(x: float, lam: np.ndarray, tol: float):
     """Imhof's characteristic-function inversion with certified truncation.
 
     Fallback used when the series stalls (extreme coefficient spread).
-    Returns (p, bound) or None when the quadrature cannot certify tol.
+    Returns (p, bound), or None and no warning if quad cannot certify tol.
     """
     k = lam.size
     log_prod = 0.5 * float(np.log(lam).sum())
@@ -317,9 +324,10 @@ def _imhof_cdf(x: float, lam: np.ndarray, tol: float):
         log_rho = 0.25 * float(np.log1p((lam * u) ** 2).sum())
         return math.sin(theta) / (u * math.exp(log_rho))
 
+    quad = globals().get("quad") or __getattr__("quad")  # or a tracer's
     try:  # an infinite x u or lam u: sin and exp raise
-        val, abserr = quad(integrand, 0.0, math.exp(log_u),
-                           epsabs=0.25 * tol * math.pi, limit=3000)
+        val, abserr, *_ = quad(integrand, 0.0, math.exp(log_u), limit=3000,
+                               epsabs=0.25 * tol * math.pi, full_output=1)
     except (ValueError, OverflowError):
         return None
     bound = abserr / math.pi + 0.5 * tol

@@ -345,21 +345,27 @@ def _helper(conn, task) -> None:
         conn.send(exc)
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on (its affinity set), else the host's."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def run_cell_raw(cell: SimCell, level: float = 0.95,
                  threads: int = 1) -> RawCellResult:
     """All replicates of one cell; chunks split it across workers.
 
-    With w = min(threads, chunks, cores), each worker takes one contiguous
-    run of whole chunks, the caller the first and w - 1 helper processes
-    the rest, and estimates its share in batches of at most _BATCH_REPS
-    replicates.  Each replicate's stream depends only on (seed, cell,
-    replicate), each row of a batch is estimated as if alone, and the
+    With w = min(threads, chunks, usable_cores()), each worker takes one
+    contiguous run of whole chunks, the caller the first and w - 1 helper
+    processes the rest, and estimates its share in batches of at most
+    _BATCH_REPS replicates.  Each replicate's stream depends only on (seed,
+    cell, replicate), each row of a batch is estimated as if alone, and the
     shares are concatenated in replicate order, so the result is identical
     for any chunk count, worker count and batch size.  A REML estimate that
     stopped at max_iter is pooled into bias and coverage as an ordinary
     estimate, and PL is built around it.
     """
-    workers = min(threads, cell.chunks, os.cpu_count() or 1)
+    workers = min(threads, cell.chunks, usable_cores())
     # worker h runs chunks ceil(h c / w) .. ceil((h + 1) c / w) - 1
     ends = [-(-h * cell.chunks // workers) * (cell.reps // cell.chunks)
             for h in range(workers + 1)]

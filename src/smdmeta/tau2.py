@@ -24,9 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# unused here: bench/run.py --trace 1 wraps tau2.quad and tau2.brentq by name
-from scipy.integrate import quad  # noqa: F401
-from scipy.optimize import brentq  # noqa: F401
 from scipy.special import gamma, gammainc, ndtri, poch, roots_laguerre
 
 from .numkernel import (
@@ -63,6 +60,15 @@ _MIX_TOL = 1e-5
 _CAP_POINT = 2.0 ** math.floor(math.log2(BRACKET_CAP))
 _SEED_GRID = np.geomspace(1e-6, _CAP_POINT, 64)
 _SEED_STEP = 0.05
+
+
+def __getattr__(name: str):
+    """scipy's `quad` and `brentq`, imported on first use (PEP 562): nothing
+    here calls them, but bench/run.py --trace 1 wraps both by name."""
+    if name not in ("quad", "brentq"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import integrate, optimize
+    return getattr(integrate if name == "quad" else optimize, name)
 
 
 @dataclass(frozen=True)

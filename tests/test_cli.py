@@ -2,12 +2,16 @@ import ctypes
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smdmeta import cli, simlab
+from smdmeta import cli, numkernel, simlab
+from smdmeta import tau2 as t2
 from smdmeta.cli import RESULTS_HEADER, main
 
 TOY_PRECOMP = """study_id,n_t,n_c,g,var_g
@@ -396,6 +400,91 @@ class TestSimulate:
                      "--n", "20", "--q", "0.5", "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+
+def run_fresh(code, *args):
+    """`python -c code *args` in a fresh interpreter that imports this
+    smdmeta, as a user's shell would start it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+# The studies of a J-interval CDF whose coefficient spread (3.4e8) sends
+# Ruben's series to its cap and Imhof's quadrature to a failure.
+IMHOF_FAILS = """study_id,n_t,n_c,g,var_g
+s1,2,600,-1.9e44,1.72e113
+s2,600,2,0.221,1.72e113
+s3,3000,2,6.05e100,1.95e130
+s4,3000,600,-5.48e135,1.72e113
+"""
+
+LAZY_SCIPY = ("scipy.integrate", "scipy.optimize")
+
+
+class TestStartUp:
+    def test_battery_imports_no_integrate_or_optimize(self, tmp_path):
+        # one analyze and one simulate load only the scipy they call
+        code = """if True:
+            import contextlib, io, json, sys
+            from smdmeta import cli
+            analysis, sim = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(analysis) == 0
+                assert cli.main(sim) == 0
+            print(json.dumps(sorted(sys.modules)))
+            """
+        path = write(tmp_path / "golden.csv", GOLDEN_ANALYSIS)
+        analysis = ["analyze", "--input", path, "--format", "json"]
+        sim = ["simulate", *SIM_FLAGS, "--reps", "4",
+               "--out", str(tmp_path / "sim.csv")]
+        run = run_fresh(code, json.dumps(analysis), json.dumps(sim))
+        assert run.returncode == 0, run.stderr
+        loaded = set(json.loads(run.stdout))
+        assert "smdmeta.tau2" in loaded and "scipy.special" in loaded
+        assert loaded.isdisjoint(LAZY_SCIPY)
+
+    def test_lazy_names_are_scipys_own(self):
+        from scipy.integrate import quad
+        from scipy.optimize import brentq
+        assert t2.quad is quad and numkernel.quad is quad
+        assert t2.brentq is brentq
+        for mod in (t2, numkernel):
+            assert not hasattr(mod, "no_such_name")
+            with pytest.raises(AttributeError, match="no_such_name"):
+                getattr(mod, "no_such_name")
+        assert not hasattr(numkernel, "brentq")
+
+    def test_first_imhof_call_imports_quad(self):
+        # Ruben's series gives up on this spread (1e6), so Imhof runs
+        code = """if True:
+            import sys
+            import numpy as np
+            from smdmeta import numkernel
+            assert "scipy.integrate" not in sys.modules
+            lam = np.geomspace(1.0, 1e6, 30)
+            p = numkernel.mixture_cdf(lam.sum(), lam)
+            assert "scipy.integrate" in sys.modules
+            print(repr(p))
+            """
+        run = run_fresh(code)
+        assert run.returncode == 0, run.stderr
+        lam = np.geomspace(1.0, 1e6, 30)
+        p = numkernel.mixture_cdf(lam.sum(), lam)
+        assert float(run.stdout) == p
+        assert p == pytest.approx(0.61052, abs=1e-5)
+
+    def test_failed_imhof_quadrature_prints_no_warning(self, tmp_path):
+        path = write(tmp_path / "imhof.csv", IMHOF_FAILS)
+        run = run_fresh("import sys\nfrom smdmeta import cli\n"
+                        "sys.exit(cli.main(sys.argv[1:]))",
+                        "analyze", "--input", path)
+        assert run.returncode == 4
+        assert "could not certify" in run.stdout
+        assert "did not converge" in run.stderr
+        assert "Warning" not in run.stderr
 
 
 @pytest.fixture(scope="module")

@@ -370,6 +370,17 @@ def assert_same_bits(a, b):
             assert da[name].tobytes() == db[name].tobytes(), (fld, name)
 
 
+def set_usable_cores(monkeypatch, cores):
+    """Let this process run on `cores` CPUs; None stands for a platform with
+    no affinity set whose host CPU count is unknown."""
+    if cores is None:
+        monkeypatch.delattr(simlab.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simlab.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(simlab.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+
+
 @pytest.fixture
 def two_cores(monkeypatch):
     """Two usable cores, so threads=2 starts exactly one real helper, and a
@@ -377,7 +388,7 @@ def two_cores(monkeypatch):
     def expired(signum, frame):
         raise TimeoutError("run_cell_raw did not return")
 
-    monkeypatch.setattr(simlab.os, "cpu_count", lambda: 2)
+    set_usable_cores(monkeypatch, 2)
     previous = signal.signal(signal.SIGALRM, expired)
     signal.alarm(60)
     yield
@@ -442,7 +453,7 @@ class TestRunCell:
         # per worker after the first, each with one contiguous run of chunks
         ranges = []
         use_in_process_helpers(monkeypatch, ranges)
-        monkeypatch.setattr(simlab.os, "cpu_count", lambda: 8)
+        set_usable_cores(monkeypatch, 8)
         cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=4, chunks=4,
                        seed=12)
         pooled = run_cell_raw(cell, threads=64)
@@ -462,13 +473,28 @@ class TestRunCell:
         # this process
         made = []
         use_in_process_helpers(monkeypatch, made)
-        monkeypatch.setattr(simlab.os, "cpu_count", lambda: cores)
+        set_usable_cores(monkeypatch, cores)
         cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=64, chunks=64,
                        seed=12)
         pooled = run_cell_raw(cell, threads=64)
         assert made == sizes  # each helper's replicate range
         serial = run_cell_raw(dataclasses.replace(cell, chunks=1))
         assert_same_bits(pooled, serial)
+
+    def test_cores_are_the_usable_ones_not_the_hosts(self, monkeypatch):
+        # taskset -c 0 on a two-CPU host: threads=2 starts no helper
+        made = []
+        use_in_process_helpers(monkeypatch, made)
+        monkeypatch.setattr(simlab.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert simlab.usable_cores() == 1
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=4, chunks=2,
+                       seed=12)
+        run_cell_raw(cell, threads=2)
+        assert made == []
+        monkeypatch.delattr(simlab.os, "sched_getaffinity")
+        assert simlab.usable_cores() == 2
 
     def test_uneven_split_over_a_real_helper(self, two_cores):
         # three chunks on two workers: the caller runs chunks 0 and 1
@@ -526,7 +552,7 @@ class TestRunCell:
         # inherit that count (and start no thread pool); the caller's count
         # is back afterwards
         functions = numkernel._blas_thread_count_functions()
-        if functions is None or (os.cpu_count() or 1) < 2:
+        if functions is None or simlab.usable_cores() < 2:
             pytest.skip("no OpenBLAS thread-count functions, or one core")
         get, put = functions
         original = simlab.estimate_all
