@@ -14,7 +14,10 @@ positive is worse, with whether that move is beyond the metric's `bound`.
 than the distance between the parent's quartiles.  `unresolved` holds when
 that distance, relative to the parent's median, is wider than the bound, so
 the runs cannot tell a move inside the bound from no move, unless every
-run of the change beats every run of the parent.
+run of the change beats every run of the parent.  Each run also keeps the
+`outputs_sha256` line `bench/run.py` prints, and `same_outputs_pairs`
+counts the pairs whose two runs printed the same hash: all of them when
+the change leaves every checked output byte as it was.
 
 Example: ten grid-serial pairs on seeds 9001-9010, appended to BENCH_9.json
 
@@ -40,24 +43,33 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in `tree`: its exit code and last JSON line."""
+    """One benchmark run in `tree`: its exit code, the hash of its checked
+    outputs and its last JSON line."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
+    sha = [line.split()[1] for line in lines
+           if line.strip().startswith("outputs_sha256 ")]
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
-    return {"exit": proc.returncode, "result": result}
+    return {"exit": proc.returncode, "outputs_sha256": (sha or [None])[-1],
+            "result": result}
 
 
 def summarize(runs: list[dict], set_name: str, workload: str,
               seeds: list[int], metrics: list[dict]) -> list[dict]:
     """Medians, quartiles, ratio, wins, ties, the move against the bound,
     whether the spread resolves the bound and whether a gain could be
-    claimed, per end-to-end metric."""
+    claimed, per end-to-end metric, each with the number of pairs whose
+    two runs printed the same outputs hash."""
+    sha = {(r["side"], r["seed"]): r.get("outputs_sha256") for r in runs}
+    same_outputs = sum(sha.get(("parent", s)) is not None
+                       and sha.get(("parent", s)) == sha.get(("change", s))
+                       for s in seeds)
     out = []
     for metric in metrics:
         name = metric["name"]
@@ -90,6 +102,7 @@ def summarize(runs: list[dict], set_name: str, workload: str,
                                * abs(np.median(parent)) and not all_better),
             "claim_met": bool(10 * better.sum() >= 9 * len(seeds)
                               and gain > parent_iqr),
+            "same_outputs_pairs": same_outputs,
         })
     return out
 

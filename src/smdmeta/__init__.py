@@ -6,7 +6,6 @@ from .numkernel import (
     RandomStream,
     chisq_cdf,
     chisq_quantile,
-    ln_gamma,
     mixture_cdf,
     t_quantile,
 )

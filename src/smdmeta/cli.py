@@ -88,10 +88,10 @@ def _cell_int(row: dict, col: str, line_no: int) -> int:
 
 
 def _read_csv(path: str, what: str) -> tuple[list[str], list[dict]]:
-    """Column names and rows of a UTF-8 CSV file; a file that cannot be
-    opened, decoded or parsed is an input error."""
+    """Column names and rows of a UTF-8 CSV file (a byte-order mark is
+    skipped); one that cannot be opened, decoded or parsed is an input error."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             return reader.fieldnames or [], list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:

@@ -57,13 +57,6 @@ _U64 = 2**64
 # special functions
 # ---------------------------------------------------------------------------
 
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def chisq_cdf(x: float, df: float) -> float:
     """Chi-squared CDF, fractional degrees of freedom allowed.
 

@@ -75,6 +75,18 @@ class SimCell:
     seed: int = 0
 
     def __post_init__(self):
+        # one spelling per value: 20.0 and np.int64(20) are written as 20
+        for fld, cast in (("k", int), ("size", int), ("reps", int),
+                          ("chunks", int), ("seed", int), ("delta", float),
+                          ("tau2", float), ("q", float)):
+            value = getattr(self, fld)
+            try:
+                number = cast(value)
+            except (TypeError, ValueError, OverflowError):
+                raise GridValidationError(fld, value) from None
+            if number != value:  # 20.5, nan, inf, "0.5"
+                raise GridValidationError(fld, value)
+            object.__setattr__(self, fld, number)
         if self.pattern not in ("equal", "unequal"):
             raise GridValidationError("pattern", self.pattern)
         if not math.isfinite(self.delta):
@@ -101,12 +113,6 @@ class SimCell:
         for n_t, n_c in study_sizes(self):  # g_variance needs m >= 3
             if min(n_t, n_c) < 2 or n_t + n_c < 5:
                 raise GridValidationError("arm sizes", (n_t, n_c))
-
-    def coord_parts(self) -> tuple:
-        """Cell coordinates that key the random streams, cast so 1 and 1.0
-        agree (reps/chunks/seed excluded: more reps extend, not reshuffle)."""
-        return (float(self.delta), float(self.tau2), int(self.k), self.pattern,
-                int(self.size), float(self.q))
 
 
 def validate_cell(cell: SimCell, allow_custom: bool = False) -> None:
@@ -300,7 +306,9 @@ def simulate_batch(cell: SimCell, rep_lo: int, rep_hi: int) -> MetaBatch:
     sizes = study_sizes(cell)
     g, v2 = np.empty((2, rep_hi - rep_lo, cell.k))
     for row, replicate in enumerate(range(rep_lo, rep_hi)):
-        sid = derive_stream_id("cell", *cell.coord_parts(), replicate)
+        # keyed by coordinates, not reps or chunks: more reps extend a cell
+        sid = derive_stream_id("cell", cell.delta, cell.tau2, cell.k,
+                               cell.pattern, cell.size, cell.q, replicate)
         gen = RandomStream(cell.seed, sid).generator()
         deltas = cell.delta + math.sqrt(cell.tau2) * gen.standard_normal(cell.k)
         for i, (n_t, n_c) in enumerate(sizes):

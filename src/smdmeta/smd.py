@@ -17,7 +17,7 @@ from functools import cache
 
 from numpy.random import Generator
 
-from .numkernel import DomainError, ln_gamma
+from .numkernel import DomainError
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,21 @@ class Study:
                               f"got ({self.g}, {self.v2})")
 
 
+def _log_j(m) -> float:
+    """log J(m).  From m = 60 on, its asymptotic series in x = (m - 1)/2 to
+    x^-9 (truncation error below 1e-18), as a difference of two lgamma
+    values loses digits when m grows."""
+    if m < 2:
+        raise DomainError(f"J(m) and b(m) require m >= 2, got {m}")
+    if m < 60:
+        return (math.lgamma(m / 2.0) - math.lgamma((m - 1) / 2.0)
+                - 0.5 * math.log(m / 2.0))
+    x = (m - 1) / 2.0
+    y = 1.0 / (x * x)
+    return 0.5 * math.log1p(-1.0 / m) + (-1 / 8 + y * (
+        1 / 192 + y * (-1 / 640 + y * (17 / 14336 - 31 * y / 18432)))) / x
+
+
 @cache
 def j_factor(m: int) -> float:
     """Exact bias-correction factor Gamma(m/2) / (sqrt(m/2) Gamma((m-1)/2)).
@@ -61,22 +76,26 @@ def j_factor(m: int) -> float:
     Strictly increasing in m, always in (0, 1); the familiar 1 - 3/(4m - 1)
     is only an approximation and is not used here.
     """
-    if m < 2:
-        raise DomainError(f"j_factor requires m >= 2, got {m}")
-    return math.exp(ln_gamma(m / 2.0) - ln_gamma((m - 1) / 2.0)
-                    - 0.5 * math.log(m / 2.0))
+    return math.exp(_log_j(m))
+
+
+@cache
+def b_factor(m: int) -> float:
+    """Weight coefficient b(m) = 1 - (m-2)/(m J(m)^2), about 1/(2m), the
+    g^2 coefficient of g_variance, without the cancellation of that form."""
+    log_j = _log_j(m)  # m >= 2; at m = 2, log1p(-1) would raise
+    return 1.0 if m == 2 else -math.expm1(math.log1p(-2.0 / m) - 2.0 * log_j)
 
 
 def g_variance(g: float, n_t: int, n_c: int) -> float:
     """Unbiased-type estimate of Var(g) from the arm sizes and g itself:
 
-        v2 = (n_t + n_c)/(n_t n_c) + (1 - (m-2)/(m J(m)^2)) g^2
+        v2 = (n_t + n_c)/(n_t n_c) + b(m) g^2
     """
     m = n_t + n_c - 2
     if m < 3:
         raise DomainError(f"g_variance requires n_t + n_c - 2 >= 3, got m={m}")
-    j2 = j_factor(m) ** 2
-    return (n_t + n_c) / (n_t * n_c) + (1.0 - (m - 2) / (m * j2)) * g * g
+    return (n_t + n_c) / (n_t * n_c) + b_factor(m) * g * g
 
 
 def hedges_g(treatment: ArmSummary, control: ArmSummary) -> Study:

@@ -43,7 +43,7 @@ from .qstat import (
     _row_fits,
     solve_q_roots,
 )
-from .smd import j_factor
+from .smd import b_factor, j_factor
 
 # The Gauss-Laguerre moment branch runs below this df; the weight-expansion
 # series (O(1/n^2) apart) avoids its raw-to-central cancellation at large n.
@@ -220,12 +220,6 @@ def tau2_jackson_batch(batch: MetaBatch) -> list:
 # (sum psi x)^2 / sum psi around its mean, the only O(1/n^2) truncation left.
 
 _LAGUERRE_X, _LAGUERRE_W = roots_laguerre(64)
-# Gamma((m-1)/2) / Gamma(m/2) for m < _SERIES_DF_MIN by R(m+2) = R(m) (m-1)/m,
-# within 2e-15 where a difference of log-gammas keeps only 1e-12
-_GAMMA_RATIO = np.full(_SERIES_DF_MIN, np.nan)
-_GAMMA_RATIO[2:4] = math.sqrt(math.pi), 2.0 / math.sqrt(math.pi)
-for _m in range(2, _SERIES_DF_MIN - 2):
-    _GAMMA_RATIO[_m + 2] = _GAMMA_RATIO[_m] * (_m - 1) / _m
 
 
 def _e_gj_psip(m, eff_n, jf, b, d) -> np.ndarray:
@@ -247,9 +241,10 @@ def _e_gj_psip(m, eff_n, jf, b, d) -> np.ndarray:
                         axis=-2)
     powers = np.stack([np.ones_like(s), s, s * s, s * s * s], axis=-2)
     integral = (powers @ f[..., None])[..., 0]  # (..., S, 3, 4): p - 1 = 0..3
-    # pref (2a)^{-p} / beta_j, its gamma ratio as a rising factorial
-    scale = ((jf * jf * m / (2.0 * eff_n)) ** (j / 2.0)
-             * _GAMMA_RATIO[m.astype(int)] ** (j % 2))
+    # pref (2a)^{-p} / beta_j, its gamma ratio as a rising factorial; for
+    # odd j, sqrt(J^2 m / (2 ntilde)) Gamma((m-1)/2) / Gamma(m/2) = ntilde^-1/2
+    scale = ((jf * jf * m / (2.0 * eff_n)) ** (j // 2)
+             / np.sqrt(eff_n) ** (j % 2))
     rising = poch((m - j % 2) / 2.0, p - j // 2)
     return scale * eff_n ** p * rising / (gamma(p) * beta) * integral
 
@@ -297,9 +292,9 @@ def _psi_moments(arm_sizes, d: np.ndarray) -> np.ndarray:
     index = {pair: i for i, pair in enumerate(pairs)}
     n_t, n_c = np.array(pairs, dtype=float).T
     m = n_t + n_c - 2.0
-    jf = np.array([j_factor(int(k)) for k in m])
-    args = np.array([m, n_t * n_c / (n_t + n_c), jf,
-                     1.0 - (m - 2) / (m * jf * jf)])
+    args = np.array([m, n_t * n_c / (n_t + n_c),
+                     [j_factor(int(k)) for k in m],
+                     [b_factor(int(k)) for k in m]])
     series = m >= _SERIES_DF_MIN
     raw = _e_gj_psip(*args[:, ~series, None, None], d[:, None, None, None])
     # sum_j C(r, j) (-d)^(r-j) E[g^j psi^p], added over j in order; (-d)^e

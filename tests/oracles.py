@@ -32,10 +32,9 @@ from smdmeta.qstat import (
     MetaBatch,
     Tau2Result,
 )
-from smdmeta.smd import j_factor
+from smdmeta.smd import b_factor, j_factor
 from smdmeta.tau2 import (
     _CAP_POINT,
-    _GAMMA_RATIO,
     _LAGUERRE_W,
     _LAGUERRE_X,
     _MIX_TOL,
@@ -296,8 +295,8 @@ def _e_gj_psip(m, eff_n, jf, b, d: float) -> np.ndarray:
     powers = np.stack([np.ones_like(s), s, s * s, s * s * s], axis=-2)
     integral = (powers @ f[..., None])[..., 0]  # (S, 3, 4): p - 1 = 0..3
     # pref (2a)^{-p} / beta_j, its gamma ratio as a rising factorial
-    scale = ((jf * jf * m / (2.0 * eff_n)) ** (j / 2.0)
-             * _GAMMA_RATIO[m.astype(int)] ** (j % 2))
+    scale = ((jf * jf * m / (2.0 * eff_n)) ** (j // 2)
+             / np.sqrt(eff_n) ** (j % 2))
     rising = poch((m - j % 2) / 2.0, p - j // 2)
     return scale * eff_n ** p * rising / (gamma(p) * beta) * integral
 
@@ -342,9 +341,9 @@ def _psi_moments(arm_sizes, d: float) -> np.ndarray:
     sizes, study = np.unique(arm_sizes, axis=0, return_inverse=True)
     n_t, n_c = sizes.T
     m = n_t + n_c - 2.0
-    jf = np.array([j_factor(int(k)) for k in m])
-    args = np.array([m, n_t * n_c / (n_t + n_c), jf,
-                     1.0 - (m - 2) / (m * jf * jf)])
+    args = np.array([m, n_t * n_c / (n_t + n_c),
+                     [j_factor(int(k)) for k in m],
+                     [b_factor(int(k)) for k in m]])
     series = m >= _SERIES_DF_MIN
     raw = _e_gj_psip(*args[:, ~series, None, None], d)
     out = np.empty((len(m), len(_MOMENT_KEYS)))

@@ -90,3 +90,20 @@ def test_unresolved_when_the_parent_spread_is_wider_than_the_bound():
     assert setup["unresolved"] is False and setup["move"] < 0.0
     # one change run level with the parent's best: unresolved again
     assert setup_of([0.5, 0.6, 0.7, 1.0])["unresolved"] is True
+
+
+def test_counts_the_pairs_whose_runs_printed_the_same_outputs_hash():
+    runs = runs_of({"parent": [(100.0, 1.0)] * 4, "change": [(100.0, 1.0)] * 4})
+    hashes = {"parent": ["a", "b", "c", None], "change": ["a", "b", "x", None]}
+    for run in runs:
+        run["outputs_sha256"] = hashes[run["side"]][run["seed"]]
+    rows = bench_pairs.summarize(runs, "pairs", "grid-serial", [0, 1, 2, 3],
+                                 METRICS)
+    # seeds 0 and 1 match; a changed hash or none printed is no match
+    assert [row["same_outputs_pairs"] for row in rows] == [2, 2]
+    # runs recorded before the hash was kept count as no match
+    for run in runs:
+        del run["outputs_sha256"]
+    rows = bench_pairs.summarize(runs, "pairs", "grid-serial", [0, 1, 2, 3],
+                                 METRICS)
+    assert rows[0]["same_outputs_pairs"] == 0

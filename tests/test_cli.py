@@ -187,6 +187,17 @@ class TestAnalyze:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             GOLDEN_ANALYSIS_TEXT_SHA256
 
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" files start with a UTF-8 byte-order mark
+        plain = write(tmp_path / "golden.csv", GOLDEN_ANALYSIS)
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + GOLDEN_ANALYSIS.encode())
+        outs = []
+        for path in (plain, str(marked)):
+            assert main(["analyze", "--input", path]) == 0
+            outs.append(capsys.readouterr().out.encode())
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("rows", [
         [("1e200", "1"), ("-1e200", "1"), ("0", "1")],  # Q(0) overflows
         [("1e154", "1"), ("-1e154", "1")],
@@ -500,6 +511,29 @@ def results_csv(tmp_path_factory):
 
 
 class TestPlot:
+    def test_reads_a_results_file_with_a_byte_order_mark(self, tmp_path,
+                                                         results_csv, capsys):
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(results_csv).read_bytes())
+        assert main(["plot", "--results", str(marked), "--metric", "tau2_bias",
+                     "--out-dir", str(tmp_path / "f")]) == 0
+        capsys.readouterr()
+
+    def test_cell_number_spelling_does_not_reach_the_file(self, tmp_path,
+                                                          results_csv, capsys):
+        # the fixture's grid, with sizes as floats and K as numpy integers
+        config = simlab.GridConfig(
+            deltas=(0,), tau2s=(0, 0.5), ks=tuple(np.array([5, 10, 30])),
+            equal_sizes=(20.0, 40.0, 100.0, 250.0), unequal_sizes=(),
+            qs=(0.5,), reps=4, chunks=2, seed=3)
+        path = tmp_path / "spelled.csv"
+        cli.write_results_csv(str(path),
+                              simlab.run_grid(simlab.expand_grid(config)))
+        assert path.read_bytes() == Path(results_csv).read_bytes()
+        assert main(["plot", "--results", str(path), "--metric", "tau2_bias",
+                     "--out-dir", str(tmp_path / "f")]) == 0
+        capsys.readouterr()
+
     def test_round_trip_produces_svg(self, tmp_path, results_csv, capsys):
         out_dir = str(tmp_path / "figs")
         code = main(["plot", "--results", results_csv,

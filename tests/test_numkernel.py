@@ -16,29 +16,11 @@ from smdmeta.numkernel import (
     chisq_cdf,
     chisq_quantile,
     derive_stream_id,
-    ln_gamma,
     mixture_cdf,
     normal_quantile,
     t_quantile,
 )
 from smdmeta.smd import j_factor, sample_g
-
-
-class TestLnGamma:
-    def test_gamma_one(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_gamma_half(self):
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)),
-                                              rel=1e-13)
-
-    def test_factorial(self):
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain(self, x):
-        with pytest.raises(DomainError):
-            ln_gamma(x)
 
 
 class TestChisq:

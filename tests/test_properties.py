@@ -115,9 +115,10 @@ def test_chisq_quantile_roundtrip(p, df):
     assert abs(chisq_cdf(chisq_quantile(p, df), df) - p) <= 1e-8
 
 
-@given(st.integers(2, 500))
+@given(st.integers(2, 10**7))
 @settings(max_examples=100, deadline=None)
 def test_j_factor_in_unit_interval(m):
+    # the step J(m+1) - J(m), about 3/(4 m^2), is still ~70 ulps at 10^7
     v = j_factor(m)
     assert 0.0 < v < 1.0
     assert j_factor(m + 1) > v

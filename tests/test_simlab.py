@@ -82,6 +82,24 @@ class TestStudySizes:
         totals = [n_t + n_c for n_t, n_c in study_sizes(cell)]
         assert totals == [12, 16, 18, 20, 84, 12, 16, 18, 20, 84]
 
+    @pytest.mark.parametrize("fld, value", [
+        ("size", 20.5), ("k", math.nan), ("k", "5"), ("reps", math.inf),
+        ("seed", 1.5), ("q", "half"), ("q", "0.5"), ("delta", None),
+        ("tau2", math.nan)])
+    def test_non_number_names_its_field(self, fld, value):
+        kwargs = dict(delta=0.0, tau2=0.0, k=5, pattern="equal", size=20,
+                      q=0.5, reps=4, chunks=2)
+        with pytest.raises(GridValidationError) as exc:
+            SimCell(**{**kwargs, fld: value})
+        assert exc.value.field == fld
+
+    def test_numbers_are_stored_as_int_and_float(self):
+        cell = SimCell(np.int64(0), 0, np.int64(5), "equal", 20.0, 0.5,
+                       reps=4.0, chunks=np.int32(2), seed=np.uint64(7))
+        assert [type(getattr(cell, f)) for f in
+                ("delta", "tau2", "k", "size", "q", "reps", "chunks", "seed")
+                ] == [float, float, int, int, float, int, int, int]
+
     def test_unequal_k_must_divide(self):
         with pytest.raises(GridValidationError):
             SimCell(0.0, 0.0, 6, "unequal", 30, 0.5, reps=6, chunks=1)

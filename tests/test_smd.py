@@ -1,12 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
 from smdmeta.numkernel import DomainError, RandomStream
 from smdmeta.qstat import MetaBatch
-from smdmeta.smd import ArmSummary, Study, g_variance, hedges_g, j_factor, sample_g
+from smdmeta.smd import (ArmSummary, Study, b_factor, g_variance, hedges_g,
+                         j_factor, sample_g)
 
 
 class TestJFactor:
@@ -30,6 +32,24 @@ class TestJFactor:
     def test_domain(self):
         with pytest.raises(DomainError):
             j_factor(1)
+        with pytest.raises(DomainError):
+            b_factor(1)
+
+    def test_j_and_b_match_50_digit_values(self):
+        # b = 1 - (m-2)/(m J^2) is about 1/(2m): in double precision that
+        # form keeps only ~16 - log10(2m) digits, so compare to mpmath
+        ms = [*range(3, 3001), *np.geomspace(3001, 1e7, 60).astype(int)]
+        with mpmath.workdps(50):
+            for m in map(int, ms):
+                x = mpmath.mpf(m)
+                j = mpmath.exp(mpmath.loggamma(x / 2) - mpmath.log(x / 2) / 2
+                               - mpmath.loggamma((x - 1) / 2))
+                b = 1 - (x - 2) / (x * j * j)
+                assert abs(j_factor(m) / j - 1) <= 2e-14, m
+                assert abs(b_factor(m) / b - 1) <= 5e-12, m
+
+    def test_b_at_m2_is_one(self):
+        assert b_factor(2) == 1.0
 
 
 class TestGVariance:

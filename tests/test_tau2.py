@@ -15,12 +15,11 @@ from smdmeta.numkernel import (
     NonConvergenceError,
     chisq_cdf,
     chisq_quantile,
-    ln_gamma,
     mixture_cdf,
 )
 from smdmeta.qstat import BRACKET_CAP, MetaBatch
 from smdmeta.simlab import estimate_all
-from smdmeta.smd import Study, g_variance, j_factor
+from smdmeta.smd import Study, b_factor, g_variance, j_factor
 
 
 def meta(gs, v2s, n=20):
@@ -247,8 +246,7 @@ def reference_corrected_expected_q(data, moments, effect):
 
 def series_args(n_t, n_c):
     m = n_t + n_c - 2
-    jf = j_factor(m)
-    return m, n_t * n_c / (n_t + n_c), jf, 1.0 - (m - 2) / (m * jf * jf)
+    return m, n_t * n_c / (n_t + n_c), j_factor(m), b_factor(m)
 
 
 class TestCorrectedExpectedQOracle:
@@ -314,7 +312,8 @@ def reference_e_gj_psip_quad(j: int, p: int, m: int, eff_n: float, jf: float,
     a = 1.0 / eff_n
     rho = p - 0.5 * j
     log_pref = (0.5 * j * math.log(kappa) + rho * math.log(2.0)
-                + ln_gamma(m / 2.0 + rho) - ln_gamma(m / 2.0) - ln_gamma(p))
+                + math.lgamma(m / 2.0 + rho) - math.lgamma(m / 2.0)
+                - math.lgamma(p))
     pref = math.exp(log_pref)
     bk = b * kappa
     mhalf_rho = m / 2.0 + rho
@@ -429,6 +428,13 @@ class TestKDB:
                              for g in gs])
         kdb, mp = kdb_of(data), mp_of(data)
         assert kdb.value == pytest.approx(mp.value, rel=1e-3, abs=1e-9)
+
+    def test_expected_q_keeps_its_digits_at_a_million_subjects(self):
+        # K = 5 studies of 500,000 + 500,000 at g = 2: E[Q] is 3.999994 in
+        # high precision; b as 1 - (m-2)/(m J^2) in doubles read 3.99453
+        n = 500_000
+        data = MetaBatch.of([Study(n, n, 2.0, g_variance(2.0, n, n))] * 5)
+        assert expected_q(data) == pytest.approx(3.999994, abs=1e-6)
 
     def test_truncation(self):
         data = kdb_input(5, 20, 0.5, 0.5)  # all g equal -> Q == 0
