@@ -10,18 +10,9 @@ from .numkernel import (
     t_quantile,
 )
 from .smd import ArmSummary, Study, g_variance, hedges_g, j_factor, sample_g
-from .qstat import (
-    MetaBatch,
-    solve_q_roots,
-)
-from .tau2 import (
-    Tau2Interval,
-    Tau2Result,
-)
-from .effect import (
-    EffectInterval,
-    EffectResult,
-)
+from .qstat import MetaBatch, solve_q_roots
+from .tau2 import Tau2Interval, Tau2Result
+from .effect import EffectInterval, EffectResult
 from .simlab import (
     CellReport,
     GridConfig,

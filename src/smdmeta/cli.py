@@ -89,13 +89,20 @@ def _cell_int(row: dict, col: str, line_no: int) -> int:
 
 def _read_csv(path: str, what: str) -> tuple[list[str], list[dict]]:
     """Column names and rows of a UTF-8 CSV file (a byte-order mark is
-    skipped); one that cannot be opened, decoded or parsed is an input error."""
+    skipped); one that cannot be opened, decoded or parsed, or a row with
+    more fields than the header, is an input error."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
-            return reader.fieldnames or [], list(reader)
+            rows = list(reader)
+            columns = reader.fieldnames or []
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CliError(f"cannot read {what}: {exc}", EXIT_INPUT)
+    for line_no, row in enumerate(rows, start=2):
+        if None in row:  # DictReader's key for the fields past the header
+            raise CliError(f"row {line_no}: more fields than the header",
+                           EXIT_INPUT)
+    return columns, rows
 
 
 def read_analysis_csv(path: str) -> MetaBatch:

@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .numkernel import DomainError, NonConvergenceError
+from .smd import MAX_ARM_SIZE
 
 BRACKET_CAP = 1e7
 _REL_TOL = 1e-8
@@ -42,8 +43,10 @@ class MetaBatch:
                 or np.shape(self.g)[1:] != (k,) or not np.size(self.g)):
             raise DomainError(f"g and v2 must be (R >= 1, K = {k}), got "
                               f"{np.shape(self.g)} and {np.shape(self.v2)}")
-        if min(min(pair) for pair in self.arm_sizes) < 2:
-            raise DomainError(f"arm sizes must be >= 2, got {self.arm_sizes}")
+        sizes = [n for pair in self.arm_sizes for n in pair]
+        if not 2 <= min(sizes) <= max(sizes) <= MAX_ARM_SIZE:
+            raise DomainError(f"arm sizes must be in [2, 2^53], got "
+                              f"{self.arm_sizes}")
         if not (np.isfinite(self.g).all()
                 and ((0 < self.v2) & (self.v2 < math.inf)).all()):
             raise DomainError("need finite g and variance of g in (0, inf)")

@@ -7,8 +7,10 @@ replications are chunked or scheduled.  Chunks split a cell across
 workers; each worker's share is drawn straight into MetaBatches of at most
 200 replicates, (R, K) arrays of g and v^2, each estimated at once, with
 rows bit-identical to one replicate at a time; `analyze` runs the same
-battery on a batch of one.  Batches return per-replicate arrays and all
-aggregation happens once, in global replicate order.
+battery on a batch of one.  Given a cell's true tau^2, the battery decides
+the QP, KDB, BJ and J coverages from the test each interval inverts.
+Batches return per-replicate arrays and all aggregation happens once, in
+global replicate order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import tau2 as t2
 from .numkernel import (NonConvergenceError, RandomStream, derive_stream_id,
                         one_blas_thread)
 from .qstat import MetaBatch
-from .smd import sample_g
+from .smd import MAX_ARM_SIZE, sample_g
 
 DELTAS = (0.0, 0.2, 0.5, 1.0, 2.0)
 TAU2S = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
@@ -111,7 +113,8 @@ class SimCell:
                 raise GridValidationError("k", f"{self.k} not divisible by 5 "
                                                "under the unequal pattern")
         for n_t, n_c in study_sizes(self):  # g_variance needs m >= 3
-            if min(n_t, n_c) < 2 or n_t + n_c < 5:
+            if min(n_t, n_c) < 2 or n_t + n_c < 5 \
+                    or max(n_t, n_c) > MAX_ARM_SIZE:
                 raise GridValidationError("arm sizes", (n_t, n_c))
 
 
@@ -187,11 +190,12 @@ def expand_grid(config: GridConfig, allow_custom: bool = False) -> list[SimCell]
 # One row per estimator, in run order: (failure name, kind, output name,
 # module, function, prerequisites).  A row's key is (kind, output name); its
 # prerequisites, keys of earlier rows, follow the data as arguments, then the
-# level on "_cover" rows, on the Q-root row, which solves every Q(tau^2) =
-# target of a replicate for the rows that read it, and on the fixed-weight
-# row, which finds the BJ and J intervals together.  Every function is a
-# `*_batch` function: it takes the MetaBatch and a list per prerequisite,
-# and returns a result or NonConvergenceError per replicate.
+# level on "_cover" rows, and the level and the true tau^2 (or None) on the
+# Q-root row, which solves every Q(tau^2) = target of a replicate for the
+# rows that read it, and on the fixed-weight row, which finds the BJ and J
+# intervals together.  Every function is a `*_batch` function: it takes the
+# MetaBatch and a list per prerequisite, and returns a result or
+# NonConvergenceError per replicate.
 # Functions are looked up by name on each call, so a patched module
 # attribute (a tracing span, a test double) is what runs.
 ROOTS = ("q_roots", "Q-roots")
@@ -231,11 +235,13 @@ _OUTPUT_NAMES = {kind: tuple(row[2] for row in ESTIMATORS if row[1] == kind)
 TAU2_POINT, TAU2_CI, DELTA_POINT, DELTA_CI = _OUTPUT_NAMES.values()
 
 
-def estimate_all(batch: MetaBatch, level: float = 0.95) -> list:
+def estimate_all(batch: MetaBatch, level: float = 0.95, tau2=None) -> list:
     """Run every row of ESTIMATORS on a batch, each row in one call over
     the replicates ready for it (one input is a batch of one); returns one
     (results, failures) pair per replicate, in batch order, results keyed
-    by (kind, output name).
+    by (kind, output name).  Given the true tau2 (as `simulate` gives it),
+    the QP, BJ, J and KDB results are whether each interval holds it,
+    decided from the test the interval inverts; PL's is the interval.
 
     A row that fails with NonConvergenceError is recorded in failures under
     its failure name, never silently dropped, and has no result.  A row
@@ -257,8 +263,8 @@ def estimate_all(batch: MetaBatch, level: float = 0.95) -> list:
             if not ready:
                 continue
             args = [[results[i][key] for i in ready] for key in prereqs]
-            extra = (level,) if kind.endswith("_cover") \
-                or kind in (ROOTS[0], FIXED[0]) else ()
+            extra = (level, tau2) if kind in (ROOTS[0], FIXED[0]) \
+                else (level,) if kind.endswith("_cover") else ()
             try:
                 outs = getattr(module, function)(
                     batch if len(ready) == len(batch) else batch.rows(ready),
@@ -325,10 +331,12 @@ def _run_chunk(cell: SimCell, rep_lo: int, rep_hi: int,
         for fld, names in _FIELDS.items()})
     truth = {"tau2_cover": cell.tau2, "delta_cover": cell.delta}
     batch = simulate_batch(cell, rep_lo, rep_hi)
-    for idx, (results, failures) in enumerate(estimate_all(batch, level)):
+    for idx, (results, failures) in enumerate(
+            estimate_all(batch, level, cell.tau2)):
         for (kind, name), res in results.items():
-            if kind in truth:
-                getattr(raw, kind)[name][idx] = res.contains(truth[kind])
+            if kind in truth:  # an interval, or whether it holds the truth
+                getattr(raw, kind)[name][idx] = res if isinstance(res, bool) \
+                    else res.contains(truth[kind])
             elif kind in _OUTPUT_NAMES:
                 getattr(raw, kind)[name][idx] = res.value
             if kind == "tau2_est":

@@ -19,6 +19,8 @@ from numpy.random import Generator
 
 from .numkernel import DomainError
 
+MAX_ARM_SIZE = 2 ** 53  # up to here, every integer is a float exactly
+
 
 @dataclass(frozen=True)
 class ArmSummary:
@@ -46,9 +48,9 @@ class Study:
     v2: float
 
     def __post_init__(self):
-        if self.n_t < 2 or self.n_c < 2:
-            raise DomainError(
-                f"arm sizes must be >= 2, got ({self.n_t}, {self.n_c})")
+        if not 2 <= min(sizes := (self.n_t, self.n_c)) <= max(sizes) \
+                <= MAX_ARM_SIZE:
+            raise DomainError(f"arm sizes must be in [2, 2^53], got {sizes}")
         if not (math.isfinite(self.g) and 0 < self.v2 < math.inf):
             raise DomainError(f"need finite g and variance of g in (0, inf), "
                               f"got ({self.g}, {self.v2})")

@@ -16,6 +16,8 @@ code over a MetaBatch (one input is a batch of one), one result or failure
 per replicate, whose searches run in lock-step: each REML iteration, PL or
 BJ/J endpoint search is a walk that yields the tau2 it needs, and a round
 evaluates every walk's restricted log-likelihood or mixture CDF together.
+Given the true tau2, as in `simulate`, the QP, KDB, BJ and J rows search
+for no endpoint: each decides coverage from the test its interval inverts.
 """
 
 from __future__ import annotations
@@ -379,25 +381,45 @@ def _q_profile(lo, hi, level: float):
     return Tau2Interval(lo.value, hi.value, level)
 
 
-def q_roots_batch(batch: MetaBatch, level: float) -> list[tuple]:
+def _covers(stat: float, lower: float, upper: float, truth: float):
+    """Whether {tau2 >= 0 : lower <= stat(tau2) <= upper} holds truth, from
+    stat(truth) alone, for stat decreasing in tau2; a non-finite stat fails.
+    As the endpoint searches set the lower endpoint to 0 when stat(0) <=
+    upper, truth = 0 is held exactly then."""
+    if not math.isfinite(stat):
+        return NonConvergenceError(f"statistic is {stat} at tau2 = {truth:g}")
+    return bool(stat <= upper and (truth == 0.0 or stat >= lower))
+
+
+def q_roots_batch(batch: MetaBatch, level: float, truth=None) -> list[tuple]:
     """Every Q(tau2) = target of each replicate in one `solve_q_roots` call:
     K - 1 (MP) and the QP endpoints at df K - 1, the corrected E[Q] (KDB)
     and the KDB interval's endpoints at df E[Q].  Per replicate: (E[Q], MP,
     QP, KDB, KDB interval), each a result or its failure; the KDB ones are
-    absent where E[Q] failed."""
+    absent where E[Q] failed.
+
+    Given the true tau2 `truth`, only the MP and KDB roots are solved, and
+    the QP and KDB entries say whether the interval holds truth: Q
+    decreases in tau2, so `_covers` decides from Q(truth), one fit per
+    replicate."""
     expected = corrected_expected_q_batch(batch)
-    rows, targets = [], []
-    for i, eq in enumerate(expected):
-        for df in [batch.k - 1.0, eq][:1 + isinstance(eq, float)]:
-            rows += [i] * 3
-            targets += _profile_targets(df, level)
-    roots = iter(solve_q_roots(batch.g[rows], batch.v2[rows], targets))
+    profiles = [[_profile_targets(df, level)
+                 for df in [batch.k - 1.0, eq][:1 + isinstance(eq, float)]]
+                for eq in expected]
+    n = 3 if truth is None else 1  # roots per profile: point, lo, hi
+    rows = [i for i, p in enumerate(profiles) for _ in range(n * len(p))]
+    roots = iter(solve_q_roots(batch.g[rows], batch.v2[rows], [
+        target for profile in profiles for p in profile for target in p[:n]]))
+    if truth is not None:
+        q_truth = _row_fits(batch.g, batch.v2, np.full(len(batch), truth))[
+            3].sum(-1).tolist()
     out = []
-    for eq in expected:
+    for i, (eq, profile) in enumerate(zip(expected, profiles)):
         row = [eq]
-        for _ in range(1 + isinstance(eq, float)):
-            point, lo, hi = next(roots), next(roots), next(roots)
-            row += [point, _q_profile(lo, hi, level)]
+        for _, upper, lower in profile:
+            point, *ends = (next(roots) for _ in range(n))
+            row += [point, _q_profile(*ends, level) if truth is None
+                    else _covers(q_truth[i], lower, upper, truth)]
         out.append(tuple(row))
     return out
 
@@ -500,7 +522,7 @@ def _endpoint(target: float, seed: float):
 
 
 def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
-                            level: float) -> list:
+                            level: float, truth=None) -> list:
     """BJ intervals on the first n_bj rows of g, v2 (n, K), J intervals on
     the others, in lock-step: per row the interval or its failure.
 
@@ -514,6 +536,10 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
     two endpoints share its CDFs.  A round evaluates every CDF the walks
     still need and has not met: one stacked eigendecomposition for the J
     rows, one `mixture_cdfs` call for all.
+
+    Given the true tau2 `truth`, per row whether the interval holds it: the
+    CDF of Q_obs decreases in tau2 (BJ's coefficients are 1 + tau2 mu; for
+    J by Anderson's theorem), so `_covers` decides from one CDF at truth.
     """
     alpha = 1.0 - level
     targets = (alpha / 2.0, 1.0 - alpha / 2.0)
@@ -524,16 +550,11 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
     a_mat = np.where(np.eye(k, dtype=bool), w[:, :, None], 0.0) \
         - w[:, :, None] * w[:, None, :] / sum_w[:, None, None]
     mu = symmetric_eigenvalues(a_mat[:n_bj])[:, :0:-1]
-    seeds = _satterthwaite_roots(w, v2, q_obs, np.array(targets))
 
-    def cdfs(keys, points):
-        asked = [(i, t) for (i, _), t in zip(keys, points)]
-        # each tau2 that no walk of its row has asked before, once; the
-        # lower walk of a row whose upper endpoint failed is sent that
-        todo = [key for key in dict.fromkeys(asked)
-                if key[0] not in failed and key[1] not in known[key[0]]]
-        bj = [key for key in todo if key[0] < n_bj]
-        jr = [key for key in todo if key[0] >= n_bj]
+    def cdfs(pairs) -> dict:
+        """F_tau2(Q_obs) of each (row, tau2) of pairs, or its failure."""
+        bj = [key for key in pairs if key[0] < n_bj]
+        jr = [key for key in pairs if key[0] >= n_bj]
         lams = []
         if bj:
             rows, t = zip(*bj)
@@ -544,31 +565,52 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
             lams.append(np.maximum(0.0, symmetric_eigenvalues(
                 a_mat[rows] * (droot[:, :, None] * droot[:, None, :])
             )[:, :0:-1]))
-        if lams:
-            lam = np.concatenate(lams) if len(lams) > 1 else lams[0]
+        if not lams:
+            return {}
+        lam = np.concatenate(lams) if len(lams) > 1 else lams[0]
+        return {(i, t): value if not isinstance(
+            value, DomainError) else NonConvergenceError(
+            f"mixture coefficients at tau2 = {t:g} " + (
+                "are negative or all 0" if np.isfinite(row).all()
+                else "overflowed"))
             for (i, t), row, value in zip(bj + jr, lam, mixture_cdfs(
-                    q_obs[[i for i, _ in bj + jr]], lam, _MIX_TOL)):
-                known[i][t] = value if not isinstance(
-                    value, DomainError) else NonConvergenceError(
-                    f"mixture coefficients at tau2 = {t:g} " + (
-                        "are negative or all 0" if np.isfinite(row).all()
-                        else "overflowed"))
+                q_obs[[i for i, _ in bj + jr]], lam, _MIX_TOL))}
+
+    out, live = [None] * len(g), []
+    for i, q in enumerate(q_obs.tolist()):
+        if not math.isfinite(q):
+            out[i] = NonConvergenceError(f"fixed-weight Q is {q}")
+        elif q <= 0.0:
+            out[i] = Tau2Interval(0.0, 0.0, level, ("degenerate",)) \
+                if truth is None else truth == 0.0
+        else:
+            live.append(i)
+    if truth is not None:
+        for (i, _), f in cdfs([(i, truth) for i in live]).items():
+            out[i] = f if isinstance(f, NonConvergenceError) \
+                else _covers(f, *targets, truth)
+        return out
+
+    def walk_cdfs(keys, points):
+        asked = [(i, t) for (i, _), t in zip(keys, points)]
+        # each tau2 that no walk of its row has asked before, once; the
+        # lower walk of a row whose upper endpoint failed is sent that
+        for (i, t), value in cdfs([
+                key for key in dict.fromkeys(asked)
+                if key[0] not in failed and key[1] not in known[key[0]]
+        ]).items():
+            known[i][t] = value
         values = [failed.get(i) or known[i][t] for i, t in asked]
         failed.update((i, v) for (i, end), v in zip(keys, values)
                       if end == 0 and isinstance(v, NonConvergenceError))
         return values
 
-    known, failed, walks, out = {}, {}, {}, [None] * len(g)
-    for i, (q, row_seeds) in enumerate(zip(q_obs.tolist(), seeds)):
-        if not math.isfinite(q):
-            out[i] = NonConvergenceError(f"fixed-weight Q is {q}")
-        elif q <= 0.0:
-            out[i] = Tau2Interval(0.0, 0.0, level, ("degenerate",))
-        else:
-            known[i] = {}
-            for end, (p, seed) in enumerate(zip(targets, row_seeds)):
-                walks[i, end] = _endpoint(p, seed)
-    ends = _lockstep(walks, cdfs)
+    seeds = _satterthwaite_roots(w, v2, q_obs, np.array(targets))
+    known, failed, walks = {i: {} for i in live}, {}, {}
+    for i in live:
+        for end, (p, seed) in enumerate(zip(targets, seeds[i])):
+            walks[i, end] = _endpoint(p, seed)
+    ends = _lockstep(walks, walk_cdfs)
     for i, cached in known.items():
         hi, lo = ends[i, 0], ends[i, 1]
         errors = [e for e in (hi, lo) if isinstance(e, NonConvergenceError)]
@@ -586,12 +628,15 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
     return out
 
 
-def fixed_weight_batch(batch: MetaBatch, level: float) -> list[tuple]:
+def fixed_weight_batch(batch: MetaBatch, level: float,
+                       truth=None) -> list[tuple]:
     """The BJ and the J interval of each replicate, (BJ, J), each a result
-    or its failure, in one `_fixed_weight_intervals` call."""
+    or its failure, in one `_fixed_weight_intervals` call; given the true
+    tau2 `truth`, whether each holds it."""
     r = len(batch)
     out = _fixed_weight_intervals(np.concatenate([batch.g] * 2),
-                                  np.concatenate([batch.v2] * 2), r, level)
+                                  np.concatenate([batch.v2] * 2), r, level,
+                                  truth)
     return list(zip(out[:r], out[r:]))
 
 

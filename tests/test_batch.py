@@ -2,6 +2,7 @@
 values, statuses, iteration counts, flags and failures bit for bit, at any
 batch size."""
 
+import collections
 import contextlib
 import dataclasses
 import io
@@ -706,3 +707,166 @@ def fuzz_inputs(rng, per_study):
             rows.append((n_t, n_c, g, float(v)))
         inputs.append(rows)
     return inputs
+
+
+# ---------------------------------------------------------------------------
+# simulate's coverage from the test each interval inverts
+# ---------------------------------------------------------------------------
+
+STRATUM_CELLS = [
+    SimCell(0.5, 1.0, 5, "equal", 20, 0.5, seed=21),
+    SimCell(0.2, 0.5, 5, "unequal", 60, 0.75, seed=21),
+    SimCell(1.0, 1.5, 10, "equal", 40, 0.75, seed=21),
+    SimCell(0.5, 2.0, 10, "unequal", 100, 0.5, seed=21),
+    SimCell(0.2, 0.5, 30, "equal", 100, 0.5, seed=21),
+    SimCell(1.0, 1.0, 30, "unequal", 30, 0.75, seed=21)]
+
+
+def endpoint_tol(t):
+    """How far from an endpoint the two routes may disagree: brentq's
+    xtol + rtol t, twice."""
+    return 2.0 * (1e-6 + 1e-5 * t)
+
+
+def covered_both_ways(batch, truths, level=0.95):
+    """Per truth, replicate and interval (QP, KDB, BJ, J): (truth, name, the
+    interval or its failure, the decision at truth or its failure), after
+    checking that the point entries of both routes are bit for bit the
+    same."""
+    with np.errstate(all="ignore"):  # as estimate_all runs the rows
+        found = tau2.q_roots_batch(batch, level)
+        fixed = tau2.fixed_weight_batch(batch, level)
+        tested = {t: (tau2.q_roots_batch(batch, level, t),
+                      tau2.fixed_weight_batch(batch, level, t))
+                  for t in truths}
+    out = []
+    for truth, (tested, fixed_tested) in tested.items():
+        for i, (roots, decided) in enumerate(zip(found, tested)):
+            assert len(roots) == len(decided)
+            assert key(roots[:2] + roots[3:4]) \
+                == key(decided[:2] + decided[3:4])  # E[Q], MP, KDB
+            out += [(truth, name, roots[j], decided[j]) for name, j
+                    in zip(("QP", "KDB")[:len(roots) // 2], (2, 4))]
+            out += [(truth, name, ci, cover) for name, ci, cover
+                    in zip(("BJ", "J"), fixed[i], fixed_tested[i])]
+    return out
+
+
+def j_coefficients(data, t):
+    """The J interval's mixture coefficients at tau2 = t, by numpy."""
+    w = 1.0 / np.sqrt(data.v2[0])
+    d = np.sqrt(data.v2[0] + t)
+    a = np.diag(w) - np.outer(w, w) / w.sum()
+    return np.linalg.eigvalsh(a * np.outer(d, d))[1:]
+
+
+class TestCoverageByTest:
+    @pytest.mark.parametrize("cell", STRATUM_CELLS)
+    def test_strata_agree_with_contains(self, cell):
+        # every (K, pattern) stratum at its own tau2 and at 0, with a
+        # degenerate (all g equal, q = 0) and an overflowing row added
+        batch = simulate_batch(cell, 0, 40)
+        sizes = batch.arm_sizes
+        extra = [MetaBatch(sizes, np.full((1, cell.k), 0.4), batch.v2[:1]),
+                 MetaBatch(sizes, np.resize([1e200, -1e200], (1, cell.k)),
+                           batch.v2[:1])]
+        batch = stack([batch, *extra])
+        seen = set()
+        for truth, name, ci, cover in covered_both_ways(batch,
+                                                        (cell.tau2, 0.0)):
+            failed = isinstance(ci, NonConvergenceError)
+            assert failed == isinstance(cover, NonConvergenceError)
+            if failed:
+                seen.add("failed")
+                continue
+            assert isinstance(cover, bool)
+            seen.add((ci.contains(truth), cover))
+            if ci.contains(truth) != cover:  # never at 0: the same test
+                assert truth > 0 and min(abs(truth - ci.lo), abs(
+                    truth - ci.hi)) <= endpoint_tol(truth)
+        assert {"failed", (True, True), (False, False)} <= seen
+
+    def test_degenerate_row_is_covered_only_at_zero(self):
+        data = meta([0.4] * 4, [0.25] * 4)
+        decisions = [(truth, cover) for truth, _, _, cover in
+                     covered_both_ways(data, (0.0, 0.5))]
+        assert decisions == [(0.0, True)] * 4 + [(0.5, False)] * 4
+
+    @pytest.mark.parametrize("seed, per_study", [(11, False), (12, True)])
+    def test_fuzz_inputs_agree_with_contains(self, seed, per_study):
+        # where both routes answer they agree, within an endpoint's
+        # tolerance, but on J rows whose coefficients at the truth span
+        # more than 1/eps: there eigvalsh's smallest has no correct digit,
+        # and neither route's CDF means anything.  A lower Q-profile
+        # endpoint past the bracket cap fails the search, and the test
+        # finds the truth below it.  The truth cycles through 0, 0.5, 1e3.
+        eps = np.finfo(float).eps
+        seen = collections.Counter()
+        for i, rows in enumerate(fuzz_inputs(np.random.default_rng(seed),
+                                             per_study)):
+            data = MetaBatch.of([Study(*row) for row in rows])
+            for truth, name, ci, cover in covered_both_ways(
+                    data, [(0.0, 0.5, 1e3)[i % 3]]):
+                if isinstance(ci, BracketCapExceeded):
+                    assert cover is False or isinstance(
+                        cover, NonConvergenceError)
+                    seen["beyond cap"] += 1
+                if isinstance(ci, NonConvergenceError) \
+                        or isinstance(cover, NonConvergenceError):
+                    continue
+                seen[name] += 1
+                if ci.contains(truth) == cover or min(
+                        abs(truth - ci.lo), abs(truth - ci.hi)) \
+                        <= endpoint_tol(truth):
+                    continue
+                lam = j_coefficients(data, truth)
+                assert name == "J" and lam.min() < eps * lam.max(), \
+                    (rows, truth, name, ci, cover)
+                seen["J noise"] += 1
+        assert min(seen[name] for name in ("QP", "KDB", "BJ", "J")) > 30
+        assert seen["beyond cap"] > 100 and seen["J noise"] < 10
+
+
+def count_targets(monkeypatch):
+    """The number of targets of each `solve_q_roots` call, in a list."""
+    targets = []
+    solve = tau2.solve_q_roots
+
+    def counted(g, v2, row_targets):
+        targets.append(len(row_targets))
+        return solve(g, v2, row_targets)
+
+    monkeypatch.setattr(tau2, "solve_q_roots", counted)
+    return targets
+
+
+class TestCoverageCounts:
+    def test_simulate_evaluates_one_cdf_and_two_roots_per_replicate(
+            self, monkeypatch):
+        cdfs = count_rows(monkeypatch, tau2, "mixture_cdfs")
+        targets = count_targets(monkeypatch)
+        for cell in STRATUM_CELLS:
+            cdfs[0], targets[:] = 0, []
+            raw = simlab._run_chunk(cell, 0, 10, 0.95)
+            assert not raw.n_failed
+            assert cdfs[0] == 2 * 10  # one BJ and one J CDF per replicate
+            assert targets == [2 * 10]  # the MP and KDB points, one call
+
+    def test_analyze_counts_and_endpoints_are_unchanged(self, monkeypatch):
+        # the endpoint route: as many CDFs as the scalar oracle, 6 Q-root
+        # targets per input, and the oracle's intervals bit for bit
+        cdfs = count_rows(monkeypatch, tau2, "mixture_cdfs")
+        oracle_cdfs = count_rows(monkeypatch, oracles, "mixture_cdf")
+        targets = count_targets(monkeypatch)
+        rng = np.random.default_rng(20)
+        for cell in STRATUM_CELLS:
+            r = int(rng.integers(100))
+            data = simulate_batch(cell, r, r + 1)
+            (results, failures), = simlab.estimate_all(data)
+            assert failures == () and targets[-1] == 6
+            assert key([results["tau2_cover", name] for name in
+                        ("QP", "BJ", "J", "KDB")]) == key([
+                oracles.ci_qp(data), oracles.ci_bj(data),
+                oracles.ci_jackson(data),
+                oracles.ci_kdb(data, oracles.corrected_expected_q(data))])
+        assert cdfs[0] == oracle_cdfs[0] > 0

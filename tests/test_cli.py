@@ -134,6 +134,29 @@ class TestAnalyze:
         path = write(tmp_path / "bad.csv", text)
         assert main(["analyze", "--input", path]) == 3
 
+    @pytest.mark.parametrize("header, row", [
+        ("g,var_g", "0.3,0.2"), ("mean_t,sd_t,mean_c,sd_c", "1,1,0,1")])
+    def test_arm_size_past_exact_floats_is_invariant_violation(
+            self, tmp_path, capsys, header, row):
+        # 10^20 ended in a TypeError traceback from the corrected E[Q]
+        text = (f"study_id,n_t,n_c,{header}\ns1,10,10,{row}\n"
+                f"s2,{10 ** 20},10,{row}\n")
+        path = write(tmp_path / "big.csv", text)
+        assert main(["analyze", "--input", path]) == 3
+        assert "row 3: arm sizes must be in [2, 2^53]" in capsys.readouterr().err
+        text = text.replace(str(10 ** 20), str(2 ** 53))
+        path = write(tmp_path / "edge.csv", text)
+        assert main(["analyze", "--input", path]) in (0, 4)
+
+    def test_row_with_more_fields_than_header_is_input_error(
+            self, tmp_path, capsys):
+        # a thousands comma used to be read as g = 1, var_g = 234, exit 0
+        text = ("study_id,n_t,n_c,g,var_g\ns1,10,10,0.5,0.3\n"
+                "s2,10,10,1,234,0.2\ns3,12,10,0.1,0.25\n")
+        path = write(tmp_path / "extra.csv", text)
+        assert main(["analyze", "--input", path]) == 2
+        assert "row 3: more fields than the header" in capsys.readouterr().err
+
     def test_single_study_rejected(self, tmp_path):
         text = "study_id,n_t,n_c,g,var_g\ns1,10,10,0,1\n"
         path = write(tmp_path / "one.csv", text)
@@ -338,6 +361,15 @@ class TestSimulate:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "unsupported value" in err and "allow_custom" not in err
+
+    def test_arm_size_past_exact_floats_is_input_error(self, tmp_path,
+                                                       capsys):
+        # 10^20 ended in a casting error from the corrected E[Q]
+        args = ["simulate", *SIM_FLAGS, "--allow-custom", "--n",
+                str(10 ** 20), "--out", str(tmp_path / "r.csv")]
+        assert main(args) == 2
+        assert "unsupported value for arm sizes" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_input_error(self, tmp_path, capsys,

@@ -575,10 +575,10 @@ class TestRunCell:
         get, put = functions
         original = simlab.estimate_all
 
-        def on_one_thread(batch, level):
+        def on_one_thread(batch, level, tau2=None):
             if get() != 1:
                 raise AssertionError(f"estimate_all on {get()} threads")
-            return original(batch, level)
+            return original(batch, level, tau2)
 
         monkeypatch.setattr(simlab, "estimate_all", on_one_thread)
         cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
