@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Time six grid cells at the paper's batch size, parent against change.
 
-The benchmark's grid workloads estimate R = 5 replicates per batch; the
-paper's run estimates R = 200 (2,000 replicates in 10 chunks), where work
-that is shared across the rows of a batch shows its gain.  This script
-runs one fixed cell per (K, pattern) stratum of the grid as
+The benchmark's grid workloads estimate each 20-replicate cell as one
+batch; the paper's run estimates R = 200 (2,000 replicates in 10 chunks),
+where work that is shared across the rows of a batch shows its gain.  This
+script runs one fixed cell per (K, pattern) stratum of the grid as
 
-    smdmeta simulate --reps 200 --chunks 1 --threads 1 --seed <pair>
+    smdmeta simulate --reps 200 --chunks N --threads N --seed <pair>
 
-in both source trees, in 10 alternating pairs: pair i runs seed i on both
-sides, and the side that runs first alternates from pair to pair, so drift
-in machine speed falls on both sides alike.  Each run is a fresh process
-that imports `smdmeta` from its tree's `src/` and times only the
-`simulate` call.  Every run is printed as one JSON line, in the form
+with N from --threads (by default 1: one batch of 200 in one process; a
+larger N gives N chunks, so that N workers can split the cell) in both
+source trees, in 10 alternating pairs: pair i runs seed i on both sides,
+and the side that runs first alternates from pair to pair, so drift in
+machine speed falls on both sides alike.  Each run is a fresh process that
+imports `smdmeta` from its tree's `src/` and times only the `simulate`
+call.  Every run is printed as one JSON line, in the form
 `bench_pairs.py` records its runs, with its ms per replicate as the one
 metric.  Per cell one more line holds `bench_pairs.summarize`'s summary of
 ms per replicate (better lower, with the bound of the change's
@@ -22,6 +24,7 @@ byte-identical; the exit code is 1 if any pair's are not.
 Example:
 
     python3 scripts/time_cells.py --parent ../parent --change . > cells.jsonl
+    python3 scripts/time_cells.py --parent ../parent --change . --threads 2
 """
 
 import argparse
@@ -64,19 +67,21 @@ def cell_name(cell) -> str:
             f"delta={delta} tau2={tau2} q={q}")
 
 
-def simulate_argv(cell, reps: int, seed: int, out: str) -> list[str]:
+def simulate_argv(cell, reps: int, seed: int, out: str,
+                  threads: int = 1) -> list[str]:
     k, pattern, size_flag, size, delta, tau2, q = cell
     return ["simulate", "--delta", str(delta), "--tau2", str(tau2),
             "--k", str(k), size_flag, str(size), "--q", str(q),
-            "--reps", str(reps), "--chunks", "1", "--threads", "1",
-            "--seed", str(seed), "--out", out]
+            "--reps", str(reps), "--chunks", str(threads),
+            "--threads", str(threads), "--seed", str(seed), "--out", out]
 
 
-def run_once(tree: str, cell, reps: int, seed: int, out: str) -> float:
+def run_once(tree: str, cell, reps: int, seed: int, out: str,
+             threads: int = 1) -> float:
     """Seconds one `simulate` call of `tree` took on cell."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, os.path.join(tree, "src"),
-         *simulate_argv(cell, reps, seed, out)],
+         *simulate_argv(cell, reps, seed, out, threads)],
         capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"simulate in {tree} exited {proc.returncode}: "
@@ -85,7 +90,8 @@ def run_once(tree: str, cell, reps: int, seed: int, out: str) -> float:
 
 
 def time_cell(cell, parent: str, change: str, pairs: int, reps: int,
-              metric: dict, work: str) -> tuple[list[dict], dict]:
+              metric: dict, work: str,
+              threads: int = 1) -> tuple[list[dict], dict]:
     """Alternating pairs on one cell, seeds 1..pairs: the runs, and their
     summary with whether the two sides wrote the same bytes in every
     pair."""
@@ -96,10 +102,12 @@ def time_cell(cell, parent: str, change: str, pairs: int, reps: int,
         for position, side in enumerate(order):
             written[side] = os.path.join(work, f"{side}.csv")
             tree = parent if side == "parent" else change
-            seconds = run_once(tree, cell, reps, seed, written[side])
+            seconds = run_once(tree, cell, reps, seed, written[side],
+                               threads)
             runs.append({"set": "time_cells", "order": position,
                          "side": side, "workload": cell_name(cell),
-                         "seed": seed, "reps": reps, "seconds": seconds,
+                         "seed": seed, "reps": reps, "threads": threads,
+                         "seconds": seconds,
                          "result": {"metrics": {metric["name"]: {
                              "value": 1000.0 * seconds / reps}}}})
         with open(written["parent"], "rb") as a, \
@@ -107,14 +115,18 @@ def time_cell(cell, parent: str, change: str, pairs: int, reps: int,
             identical &= a.read() == b.read()
     row, = summarize(runs, "time_cells", cell_name(cell),
                      list(range(1, pairs + 1)), [metric])
-    return runs, {**row, "csv_identical": identical}
+    return runs, {**row, "threads": threads, "csv_identical": identical}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent source tree")
     parser.add_argument("--change", required=True, help="changed source tree")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="workers, and chunks, per simulate call")
     args = parser.parse_args(argv)
+    if args.threads < 1 or REPS % args.threads:
+        parser.error(f"--threads must be >= 1 and divide {REPS}")
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         rate, = [m for m in json.load(fh)["end_to_end"]
@@ -124,7 +136,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         for cell in CELLS:
             runs, row = time_cell(cell, args.parent, args.change, PAIRS,
-                                  REPS, metric, work)
+                                  REPS, metric, work, args.threads)
             for run in runs:
                 print(json.dumps(run))
             print(json.dumps(row), flush=True)

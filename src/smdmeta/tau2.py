@@ -503,11 +503,12 @@ def _endpoint(target: float, seed: float):
     """One endpoint as a walk that yields [tau2] and is sent [CDF(tau2)]:
     0 if the CDF at 0 is <= target; else stepping out from the seed by
     _SEED_STEP, then 4x, 16x, ... that, to a bracket, and brentq on CDF -
-    target in it; infinite if the CDF is still >= target at 2^23."""
+    target in it; infinite if the CDF is still >= target at 2^23.  A NaN
+    seed (the fit's traces overflowed) is taken as 1."""
     f, = yield [0.0]
     if f <= target:
         return 0.0
-    x, step = min(seed, _CAP_POINT), _SEED_STEP
+    x, step = min(seed, _CAP_POINT) if seed == seed else 1.0, _SEED_STEP
     f, = yield [x]
     up = f >= target
     sign = 1.0 if up else -1.0
@@ -555,23 +556,32 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
         """F_tau2(Q_obs) of each (row, tau2) of pairs, or its failure."""
         bj = [key for key in pairs if key[0] < n_bj]
         jr = [key for key in pairs if key[0] >= n_bj]
-        lams = []
+        lams, spread = [], {}
         if bj:
             rows, t = zip(*bj)
             lams.append(1.0 + np.array(t)[:, None] * mu[list(rows)])
         if jr:
             rows, t = map(list, zip(*jr))
             droot = np.sqrt(v2[rows] + np.array(t)[:, None])
-            lams.append(np.maximum(0.0, symmetric_eigenvalues(
+            lam = np.maximum(0.0, symmetric_eigenvalues(
                 a_mat[rows] * (droot[:, :, None] * droot[:, None, :])
-            )[:, :0:-1]))
+            )[:, :0:-1])
+            # descending; past a spread of 1/eps the last has no right digit
+            spread = {key: ends for key, ends in zip(jr, zip(
+                lam[:, -1].tolist(), lam[:, 0].tolist()))
+                if ends[0] < 2.0 ** -52 * ends[1] < math.inf}
+            if spread:  # NaN rows fail in mixture_cdfs at once
+                lam[[key in spread for key in jr]] = np.nan
+            lams.append(lam)
         if not lams:
             return {}
         lam = np.concatenate(lams) if len(lams) > 1 else lams[0]
         return {(i, t): value if not isinstance(
             value, DomainError) else NonConvergenceError(
             f"mixture coefficients at tau2 = {t:g} " + (
-                "are negative or all 0" if np.isfinite(row).all()
+                "span %.3g to %.3g, more than 1/eps" % spread[i, t]
+                if (i, t) in spread
+                else "are negative or all 0" if np.isfinite(row).all()
                 else "overflowed"))
             for (i, t), row, value in zip(bj + jr, lam, mixture_cdfs(
                 q_obs[[i for i, _ in bj + jr]], lam, _MIX_TOL))}

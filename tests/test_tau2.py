@@ -553,6 +553,44 @@ class TestCiJackson:
     def test_all_equal_lo_zero(self):
         assert j_ci_of(FLAT).lo == 0.0
 
+    def test_coefficients_past_one_over_eps_fail_on_both_routes(self):
+        # the J coefficients span ~1e61 at tau2 = 0.5: the smallest has no
+        # correct digit, so the interval and the test at the truth both fail
+        for truth in (None, 0.5):
+            with np.errstate(all="ignore"):
+                _, j = tau2.fixed_weight_batch(OVERFLOWING_SEEDS, 0.95,
+                                               truth)[0]
+            assert isinstance(j, NonConvergenceError)
+            assert "more than 1/eps" in str(j)
+
+
+# Both Satterthwaite seeds of both fixed-weight rows are NaN: the traces of
+# the two-moment fit overflow to inf / inf.
+OVERFLOWING_SEEDS = MetaBatch.of([
+    Study(5, 3000, 7.8e-241, 1.7e-50), Study(2, 10, 8.8e20, 3.2e-50),
+    Study(5, 600, -1.26, 7.2e171), Study(10, 600, -1.8e41, 7.2e171),
+    Study(600, 2, 1.4e-19, 7.2e171)])
+
+
+class TestSatterthwaiteSeed:
+    def test_nan_seed_steps_out_from_one(self):
+        walk = tau2._endpoint(0.025, math.nan)
+        assert next(walk) == [0.0]
+        assert walk.send([0.5]) == [1.0]
+        assert walk.send([0.5]) == [1.05]
+
+    def test_overflowing_fit_gives_honest_failures(self):
+        # the walks used to ask for the CDF at tau2 = nan
+        with np.errstate(all="ignore"):
+            seeds = tau2._satterthwaite_roots(
+                1.0 / OVERFLOWING_SEEDS.v2, OVERFLOWING_SEEDS.v2,
+                np.array([1.0]), np.array([0.025, 0.975]))
+        assert np.isnan(seeds).all()
+        _, failures = estimate_all(OVERFLOWING_SEEDS)[0]
+        failures = dict(failures)
+        assert "could not certify" in failures["BJ"]
+        assert "more than 1/eps" in failures["J-interval"]
+
 
 def spread_v2(k, seed):
     """K variances log-uniform over four decades, both ends included."""
