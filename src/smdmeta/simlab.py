@@ -3,25 +3,23 @@ deterministic chunked replication, and bias/coverage/MSE metrics.
 
 Replicate streams are keyed by (seed, cell coordinates, replicate index)
 only, so results are bit-identical for a fixed seed no matter how the
-replications are chunked or scheduled.  A run deals shares of its cells to
-helpers forked once, or runs them itself (see run_grid); each share is
-drawn straight into MetaBatches of at most 200 replicates, (R, K) arrays of
-g and v^2, each estimated at once, with rows bit-identical to one replicate
-at a time; `analyze` runs the same battery on a batch of one.  Given a
-cell's true tau^2, the battery decides the QP, KDB, BJ and J coverages from
-the test each interval inverts.  Batches return per-replicate arrays and
-all aggregation happens once per cell, in replicate order.
+replications are chunked or scheduled.  Chunks split a cell across
+workers; each worker's share is drawn straight into MetaBatches of at most
+200 replicates, (R, K) arrays of g and v^2, each estimated at once, with
+rows bit-identical to one replicate at a time; `analyze` runs the same
+battery on a batch of one.  Given a cell's true tau^2, the battery decides
+the QP, KDB, BJ and J coverages from the test each interval inverts.
+Batches return per-replicate arrays and all aggregation happens once, in
+global replicate order.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import os
 from dataclasses import dataclass
 from multiprocessing import Pipe, Process
-from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -356,92 +354,76 @@ def _chunk_task(args) -> list[RawCellResult]:
             for lo in range(rep_lo, rep_hi, _BATCH_REPS)]
 
 
+def _helper(conn, task) -> None:
+    try:
+        conn.send(_chunk_task(task))
+    except BaseException as exc:
+        conn.send(exc)
+
+
 def usable_cores() -> int:
     """CPUs this process may run on (its affinity set), else the host's."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-# Fewest replicates a cell is split for.  On 2 vCPUs a fork, pipe and join
-# cost 4.4 ms, and the benchmark's six cells took 21.3 -> 25.8 ms from one
+# Fewest replicates per worker.  On 2 vCPUs a fork, pipe and join cost
+# 4.4 ms, and the benchmark's six cells took 21.3 -> 25.8 ms from one
 # worker to two at R = 40, 45.3 -> 44.6 ms at R = 100 and 128 -> 75 ms at
 # R = 200: shares of about 50 break even.
 _MIN_SHARE = 50
 
 
-def _helper(conn, cells, tasks, level) -> None:
-    """Send (cell index, rep_lo, parts) per task, or what stopped them."""
-    try:
-        for c, lo, hi in tasks:
-            conn.send((c, lo, _chunk_task((cells[c], lo, hi, level))))
-    except BaseException as exc:
-        conn.send(exc)
-
-
-def _run_cells(cells: list[SimCell], level: float, threads: int,
-               finish) -> list:
-    """finish(raw) of each cell, in cell order; see run_grid."""
-    tasks = []  # (cell index, rep_lo, rep_hi) per share
-    for c, cell in enumerate(cells):  # share s: chunks ceil(s c / n) ...
-        n = min(cell.chunks, max(1, cell.reps // _MIN_SHARE))
-        ends = [-(-s * cell.chunks // n) * (cell.reps // cell.chunks)
-                for s in range(n + 1)]
-        tasks += [(c, lo, hi) for lo, hi in zip(ends, ends[1:])]
-    workers = min(threads, usable_cores(), len(tasks))
-    if workers == 1:  # whole cells, in the largest batches
-        tasks = [(c, 0, cell.reps) for c, cell in enumerate(cells)]
-    deals = [tasks[h::workers] for h in range(workers)] if workers > 1 else []
-    owed = collections.Counter(c for c, _, _ in tasks)
-    parts, done = [[] for _ in cells], [None] * len(cells)
-
-    def take(c, lo, share):  # finish a cell once its shares are in
-        parts[c].append((lo, share))
-        if len(parts[c]) == owed[c]:
-            runs = [p for _, ps in sorted(parts[c]) for p in ps]
-            parts[c], n_failed = None, collections.Counter()
-            for p in runs:
-                n_failed.update(p.n_failed)
-            done[c] = finish(RawCellResult(
-                cells[c], n_failed=dict(n_failed), **{
-                    fld: {m: np.concatenate([getattr(p, fld)[m] for p in runs])
-                          for m in names} for fld, names in _FIELDS.items()}))
-
-    procs, left = [], {}  # the shares each helper's pipe still owes
-    with one_blas_thread():  # helpers inherit one thread and start none
-        try:
-            for deal in deals:
-                recv, send = Pipe(duplex=False)
-                proc = Process(target=_helper, args=(send, cells, deal, level))
-                proc.start()
-                procs.append(proc)
-                send.close()  # so a helper that dies leaves recv at EOF
-                left[recv] = len(deal)
-            for c, lo, hi in [] if deals else tasks:
-                take(c, lo, _chunk_task((cells[c], lo, hi, level)))
-            while left:  # read any ready pipe, so that none fills up
-                for recv in wait(list(left)):
-                    try:
-                        got = recv.recv()
-                    except EOFError:
-                        got = RuntimeError("a simulation helper died")
-                    if isinstance(got, BaseException):
-                        raise got
-                    take(*got)
-                    left[recv] -= 1
-                    if not left[recv]:  # its end of the pipe closes next
-                        del left[recv]
-        finally:  # none outlives the call; one that has sent has no work left
-            for proc in procs:
-                proc.terminate()
-                proc.join()
-    return done
-
-
 def run_cell_raw(cell: SimCell, level: float = 0.95,
                  threads: int = 1) -> RawCellResult:
-    """All replicates of one cell, as run_grid runs them; a REML estimate
-    stopped at max_iter counts as an ordinary one, and PL is built on it."""
-    return _run_cells([cell], level, threads, lambda raw: raw)[0]
+    """All replicates of one cell; chunks split it across workers.
+
+    With w = min(threads, chunks, usable_cores(), max(1, reps //
+    _MIN_SHARE)), so that no helper is forked for less work than its start
+    costs, each worker takes one contiguous run of whole chunks, the caller
+    the first and w - 1 helper processes the rest, and estimates its share
+    in batches of at most _BATCH_REPS replicates.  Each replicate's stream
+    depends only on (seed, cell, replicate), each row of a batch is
+    estimated as if alone, and the shares are concatenated in replicate
+    order, so the result is identical for any chunk count, worker count and
+    batch size.  A REML estimate that stopped at max_iter is pooled into
+    bias and coverage as an ordinary estimate, and PL is built around it.
+    """
+    workers = min(threads, cell.chunks, usable_cores(),
+                  max(1, cell.reps // _MIN_SHARE))
+    # worker h runs chunks ceil(h c / w) .. ceil((h + 1) c / w) - 1
+    ends = [-(-h * cell.chunks // workers) * (cell.reps // cell.chunks)
+            for h in range(workers + 1)]
+    tasks = [(cell, lo, hi, level) for lo, hi in zip(ends, ends[1:])]
+    helpers = []
+    with one_blas_thread():  # helpers inherit one thread and start none
+        try:
+            for task in tasks[1:]:
+                recv, send = Pipe(duplex=False)
+                proc = Process(target=_helper, args=(send, task))
+                proc.start()
+                helpers.append((proc, recv))
+                send.close()  # so a helper that dies leaves recv at EOF
+            parts = _chunk_task(tasks[0])
+            for proc, recv in helpers:
+                try:  # before join: a share can outgrow the pipe buffer
+                    share = recv.recv()
+                except EOFError:
+                    share = RuntimeError("a simulation helper died")
+                if isinstance(share, BaseException):
+                    raise share
+                parts += share
+        finally:  # none outlives the call; one that has sent has no work left
+            for proc, _ in helpers:
+                proc.terminate()
+                proc.join()
+    n_failed: dict[str, int] = {}
+    for part in parts:
+        for name, cnt in part.n_failed.items():
+            n_failed[name] = n_failed.get(name, 0) + cnt
+    return RawCellResult(cell, n_failed=n_failed, **{
+        fld: {m: np.concatenate([getattr(p, fld)[m] for p in parts])
+              for m in names} for fld, names in _FIELDS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +525,5 @@ def run_cell(cell: SimCell, level: float = 0.95, threads: int = 1) -> CellReport
 
 def run_grid(cells: list[SimCell], level: float = 0.95,
              threads: int = 1) -> list[CellReport]:
-    """A report per cell, in order.  Each cell is cut into min(chunks, max(1,
-    reps // _MIN_SHARE)) shares; w = min(threads, usable_cores(), shares)
-    helpers are forked once, each dealt every w-th share, and this process
-    gathers each cell into `metrics`.  With w = 1 every cell runs whole
-    here.  Streams are per replicate, so no report depends on the split."""
-    return _run_cells(cells, level, threads, metrics)
+    """Run many cells; chunks within each cell execute in parallel."""
+    return [run_cell(cell, level, threads) for cell in cells]

@@ -667,6 +667,20 @@ class TestExtremeInputs:
         assert out.count("\n  ") > out.count("\n  ", out.index(
             "non-convergent estimators"))  # some rows still print
 
+    def test_overflowing_fit_with_both_endpoints_past_the_cap(self,
+                                                               tmp_path):
+        # the fit's traces overflow, so both endpoint walks start at 1, and
+        # the CDF is still >= 0.975 at 2^23: BJ and J are [inf, inf], as on
+        # the beyond-cap rows of the oracle comparison, where the Q-profile
+        # lower root fails
+        code, out, err = analyze(tmp_path, [
+            (5, 3000, 5.298634635385529e+119, 1.0363797623643172e+215),
+            (2, 10, 6.034518261149089e-205, 1.6377865866954852e+171)])
+        assert code == 4 and "did not converge" in err
+        assert "  J      [inf, inf]  [upper-beyond-cap]\n" in out
+        assert "  BJ     [inf, inf]  [upper-beyond-cap]\n" in out
+        assert "  QP: Q(1e+07) still >= target 5.02389\n" in out
+
     def test_seeded_fuzz_ends_with_documented_exit_codes(self, tmp_path):
         # K 2-5, |g| up to 1e307, var_g from 1e-300 to 1e308 (mostly one
         # value per input), arms of 2 to 3000

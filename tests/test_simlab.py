@@ -27,7 +27,6 @@ from smdmeta.simlab import (
     metrics,
     run_cell,
     run_cell_raw,
-    run_grid,
     simulate_batch,
     study_sizes,
     validate_cell,
@@ -338,10 +337,10 @@ class TestEstimateAll:
         assert gone.isdisjoint(dir(smdmeta))
 
 
-def use_in_process_helpers(monkeypatch, started):
-    """Replace simlab's Process, Pipe and wait with stand-ins: each helper
-    records its task list, [(cell index, rep_lo, rep_hi), ...], in started
-    and runs it in this process."""
+def use_in_process_helpers(monkeypatch, ranges):
+    """Replace simlab's Process and Pipe with stand-ins: each helper records
+    the replicate range (rep_lo, rep_hi) of its share in ranges and runs it
+    in this process."""
     class Conn:
         def __init__(self, box):
             self.box = box
@@ -352,7 +351,7 @@ def use_in_process_helpers(monkeypatch, started):
         def recv(self):
             if not self.box:
                 raise EOFError
-            return self.box.pop(0)
+            return self.box.pop()
 
         def close(self):
             pass
@@ -362,7 +361,7 @@ def use_in_process_helpers(monkeypatch, started):
             self.target, self.args = target, args
 
         def start(self):
-            started.append(self.args[2])
+            ranges.append(self.args[1][1:3])
             self.target(*self.args)
 
         def terminate(self):
@@ -377,7 +376,6 @@ def use_in_process_helpers(monkeypatch, started):
 
     monkeypatch.setattr(simlab, "Process", Helper)
     monkeypatch.setattr(simlab, "Pipe", pipe)
-    monkeypatch.setattr(simlab, "wait", lambda conns: conns)
 
 
 def assert_same_bits(a, b):
@@ -388,11 +386,6 @@ def assert_same_bits(a, b):
         assert da.keys() == db.keys()
         for name in da:
             assert da[name].tobytes() == db[name].tobytes(), (fld, name)
-
-
-def report_values(reports):
-    return [(r.cell, [(row.estimator, row.metric, repr(row.value),
-                       repr(row.mc_se)) for row in r.rows]) for r in reports]
 
 
 def set_usable_cores(monkeypatch, cores):
@@ -407,11 +400,18 @@ def set_usable_cores(monkeypatch, cores):
 
 
 @pytest.fixture
-def two_cores(monkeypatch):
-    """Two usable cores, so threads=2 starts real helpers, and a 60 s alarm,
-    so a call that would hang fails instead."""
+def small_shares(monkeypatch):
+    """Split cells of any size: one replicate per worker is enough."""
+    monkeypatch.setattr(simlab, "_MIN_SHARE", 1)
+
+
+@pytest.fixture
+def two_cores(monkeypatch, small_shares):
+    """Two usable cores and small shares, so threads=2 starts exactly one
+    real helper, and a 60 s alarm, so a call that would hang fails
+    instead."""
     def expired(signum, frame):
-        raise TimeoutError("the run did not return")
+        raise TimeoutError("run_cell_raw did not return")
 
     set_usable_cores(monkeypatch, 2)
     previous = signal.signal(signal.SIGALRM, expired)
@@ -427,32 +427,16 @@ needs_fork = pytest.mark.skipif(
     reason="helpers do not inherit a monkeypatched chunk function")
 
 
-def failing_cells(on_first, on_second):
-    """A _run_chunk that calls on_first() on the first cell (tau2 = 0) and
-    on_second() on the second."""
+def failing_chunk(on_caller, on_helper):
+    """A _run_chunk that calls on_caller() in the caller's chunk 0 and
+    on_helper() in the helper's chunk 1."""
     original = simlab._run_chunk
 
     def chunk(cell, rep_lo, rep_hi, level):
-        (on_second if cell.tau2 else on_first)()
+        (on_helper if rep_lo else on_caller)()
         return original(cell, rep_lo, rep_hi, level)
 
     return chunk
-
-
-def simulate_two_cells_fails(tmp_path, error, match):
-    """`simulate` two cells of one share each at --threads 2, a helper per
-    cell, into tmp_path; it must end in error within 30 s, with every helper
-    gone and no results or temp file left.  Returns the error."""
-    start = time.monotonic()
-    with pytest.raises(error, match=match) as err:
-        cli.main(["simulate", "--delta", "0", "--tau2", "0,0.5", "--k", "5",
-                  "--n", "20", "--q", "0.5", "--reps", "2", "--chunks", "2",
-                  "--seed", "12", "--threads", "2",
-                  "--out", str(tmp_path / "results.csv")])
-    assert time.monotonic() - start < 30
-    assert multiprocessing.active_children() == []
-    assert os.listdir(tmp_path) == []
-    return err.value
 
 
 class TestRunCell:
@@ -468,7 +452,7 @@ class TestRunCell:
                 assert np.array_equal(da[name], db[name], equal_nan=True), \
                     (attr, name)
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, small_shares):
         base = dict(delta=0.0, tau2=0.0, k=5, pattern="equal", size=20, q=0.5,
                     reps=12, chunks=4, seed=12)
         a = run_cell_raw(SimCell(**base), threads=1)
@@ -489,47 +473,45 @@ class TestRunCell:
         for run in runs[1:]:
             assert_same_bits(run, runs[0])
 
-    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
-        # with a share per chunk, workers = min(threads, shares, cores)
-        # helpers, each dealt every w-th share
-        started = []
-        use_in_process_helpers(monkeypatch, started)
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch,
+                                                  small_shares):
+        # workers = min(threads, chunks, cores): the caller plus one helper
+        # per worker after the first, each with one contiguous run of chunks
+        ranges = []
+        use_in_process_helpers(monkeypatch, ranges)
         set_usable_cores(monkeypatch, 8)
-        monkeypatch.setattr(simlab, "_MIN_SHARE", 1)
         cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=4, chunks=4,
                        seed=12)
         pooled = run_cell_raw(cell, threads=64)
-        assert started == [[(0, 0, 1)], [(0, 1, 2)], [(0, 2, 3)], [(0, 3, 4)]]
-        started.clear()
+        assert ranges == [(1, 2), (2, 3), (3, 4)]
         halved = run_cell_raw(cell, threads=2)
-        assert started == [[(0, 0, 1), (0, 2, 3)], [(0, 1, 2), (0, 3, 4)]]
+        assert ranges == [(1, 2), (2, 3), (3, 4), (2, 4)]
         serial = run_cell_raw(cell, threads=1)
         assert_same_bits(pooled, serial)
         assert_same_bits(halved, serial)
 
     @pytest.mark.parametrize("cores, sizes",
-                             [(2, [32, 32]), (1, []), (None, [])])
+                             [(2, [(32, 64)]), (1, []), (None, [])])
     def test_pool_has_no_more_workers_than_cores(self, monkeypatch, cores,
-                                                 sizes):
-        # --threads 64 over 64 shares on two cores: two helpers of 32
-        # shares, not 64; one core (or an unknown count) runs the cell in
+                                                 sizes, small_shares):
+        # --threads 64 --chunks 64 on two cores: one helper with the second
+        # half, not 63; one core (or an unknown count) runs the chunks in
         # this process
-        started = []
-        use_in_process_helpers(monkeypatch, started)
+        made = []
+        use_in_process_helpers(monkeypatch, made)
         set_usable_cores(monkeypatch, cores)
-        monkeypatch.setattr(simlab, "_MIN_SHARE", 1)
         cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=64, chunks=64,
                        seed=12)
         pooled = run_cell_raw(cell, threads=64)
-        assert [len(tasks) for tasks in started] == sizes
+        assert made == sizes  # each helper's replicate range
         serial = run_cell_raw(dataclasses.replace(cell, chunks=1))
         assert_same_bits(pooled, serial)
 
-    def test_cores_are_the_usable_ones_not_the_hosts(self, monkeypatch):
+    def test_cores_are_the_usable_ones_not_the_hosts(self, monkeypatch,
+                                                     small_shares):
         # taskset -c 0 on a two-CPU host: threads=2 starts no helper
-        started = []
-        use_in_process_helpers(monkeypatch, started)
-        monkeypatch.setattr(simlab, "_MIN_SHARE", 1)
+        made = []
+        use_in_process_helpers(monkeypatch, made)
         monkeypatch.setattr(simlab.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
@@ -537,51 +519,32 @@ class TestRunCell:
         cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=4, chunks=2,
                        seed=12)
         run_cell_raw(cell, threads=2)
-        assert started == []
+        assert made == []
         monkeypatch.delattr(simlab.os, "sched_getaffinity")
         assert simlab.usable_cores() == 2
 
-    def test_bench_shaped_cell_starts_no_helper(self, monkeypatch):
-        # 20 replicates are one share: a fork would cost more than it saves
-        started = []
-        use_in_process_helpers(monkeypatch, started)
-        set_usable_cores(monkeypatch, 2)
-        cell = SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=20, chunks=4,
-                       seed=12)
-        run_cell_raw(cell, threads=2)
-        run_grid([cell], threads=2)
-        assert started == []
-
-    def test_a_run_forks_its_helpers_once(self, monkeypatch):
-        # six one-share cells at --threads 2: two helpers, three cells each
-        started = []
-        use_in_process_helpers(monkeypatch, started)
-        set_usable_cores(monkeypatch, 2)
-        cells = [SimCell(0.5, tau2, 5, "equal", 20, 0.5, reps=20, chunks=4,
-                         seed=12) for tau2 in simlab.TAU2S]
-        pooled = run_grid(cells, threads=2)
-        assert started == [[(0, 0, 20), (2, 0, 20), (4, 0, 20)],
-                           [(1, 0, 20), (3, 0, 20), (5, 0, 20)]]
-        assert report_values(pooled) == report_values(run_grid(cells))
-
-    def test_a_200_replicate_cell_still_splits(self, monkeypatch):
-        started = []
-        use_in_process_helpers(monkeypatch, started)
-        set_usable_cores(monkeypatch, 2)
-        cell = SimCell(0.5, 1.0, 5, "equal", 20, 0.5, reps=200, chunks=4,
-                       seed=12)
-        pooled = run_cell_raw(cell, threads=2)
-        assert started == [[(0, 0, 50), (0, 100, 150)],
-                           [(0, 50, 100), (0, 150, 200)]]
-        assert_same_bits(pooled, run_cell_raw(cell))
-
-    def test_uneven_split_over_a_real_helper(self, monkeypatch, two_cores):
-        # three shares on two helpers: the first runs shares 0 and 2
-        monkeypatch.setattr(simlab, "_MIN_SHARE", 2)
+    def test_uneven_split_over_a_real_helper(self, two_cores):
+        # three chunks on two workers: the caller runs chunks 0 and 1
         cell = SimCell(0.5, 1.0, 5, "unequal", 30, 0.75, reps=6, chunks=3,
                        seed=21)
         assert_same_bits(run_cell_raw(cell, threads=2),
                          run_cell_raw(dataclasses.replace(cell, chunks=1)))
+
+    @pytest.mark.parametrize("reps, ranges", [
+        (20, []), (40, []), (60, []), (100, [(50, 100)]),
+        (200, [(100, 200)])])
+    def test_no_helper_for_less_than_a_share(self, monkeypatch, reps,
+                                             ranges):
+        # six cells at --threads 2 --chunks 4 on two cores: a helper per
+        # cell only once each worker has _MIN_SHARE replicates (the
+        # benchmark's 20-replicate cells run whole in this process)
+        made = []
+        use_in_process_helpers(monkeypatch, made)
+        set_usable_cores(monkeypatch, 2)
+        simlab.run_grid([SimCell(0.5, tau2, 5, "equal", 20, 0.5, reps=reps,
+                                 chunks=4, seed=12)
+                         for tau2 in simlab.TAU2S], threads=2)
+        assert made == ranges * len(simlab.TAU2S)
 
     def test_results_bytes_do_not_depend_on_threads_or_chunks(
             self, monkeypatch, two_cores, tmp_path):
@@ -600,38 +563,67 @@ class TestRunCell:
 
     @needs_fork
     def test_helper_exception_is_raised_in_the_caller(self, monkeypatch,
-                                                      two_cores, tmp_path):
+                                                      two_cores):
         def fail():
-            raise NonConvergenceError("cell 1 failed", error_bound=0.25)
+            raise NonConvergenceError("chunk 1 failed", error_bound=0.25)
 
         monkeypatch.setattr(simlab, "_run_chunk",
-                            failing_cells(lambda: None, fail))
-        err = simulate_two_cells_fails(tmp_path, NonConvergenceError,
-                                       "cell 1 failed")
-        assert err.error_bound == 0.25
+                            failing_chunk(lambda: None, fail))
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
+                       seed=12)
+        with pytest.raises(NonConvergenceError, match="chunk 1 failed") as err:
+            run_cell_raw(cell, threads=2)
+        assert err.value.error_bound == 0.25
+        assert multiprocessing.active_children() == []
 
     @needs_fork
     def test_helper_that_dies_without_sending_raises(self, monkeypatch,
-                                                     two_cores, tmp_path):
+                                                     two_cores):
         monkeypatch.setattr(simlab, "_run_chunk",
-                            failing_cells(lambda: None, lambda: os._exit(3)))
-        simulate_two_cells_fails(tmp_path, RuntimeError, "helper died")
+                            failing_chunk(lambda: None, lambda: os._exit(3)))
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
+                       seed=12)
+        with pytest.raises(RuntimeError, match="helper died"):
+            run_cell_raw(cell, threads=2)
+        assert multiprocessing.active_children() == []
 
     @needs_fork
-    def test_caller_exception_ends_the_helpers(self, monkeypatch, two_cores,
-                                               tmp_path):
-        # the second cell's helper would sleep for a minute; an interrupt
-        # while the caller gathers the first cell must end it, not wait
-        def interrupt(raw):
+    def test_failed_simulate_leaves_no_file(self, monkeypatch, two_cores,
+                                            tmp_path):
+        # a helper's exception ends a two-cell run with neither the results
+        # file nor its temp file written
+        def fail():
+            raise NonConvergenceError("chunk 1 failed")
+
+        monkeypatch.setattr(simlab, "_run_chunk",
+                            failing_chunk(lambda: None, fail))
+        with pytest.raises(NonConvergenceError, match="chunk 1 failed"):
+            cli.main(["simulate", "--delta", "0", "--tau2", "0,0.5", "--k",
+                      "5", "--n", "20", "--q", "0.5", "--reps", "2",
+                      "--chunks", "2", "--seed", "12", "--threads", "2",
+                      "--out", str(tmp_path / "results.csv")])
+        assert multiprocessing.active_children() == []
+        assert os.listdir(tmp_path) == []
+
+    @needs_fork
+    def test_caller_exception_ends_the_helpers(self, monkeypatch, two_cores):
+        # the helper would sleep for a minute; an interrupt in the caller's
+        # chunk must end it rather than wait for it
+        def interrupt():
             raise KeyboardInterrupt
 
         monkeypatch.setattr(simlab, "_run_chunk",
-                            failing_cells(lambda: None, lambda: time.sleep(60)))
-        monkeypatch.setattr(simlab, "metrics", interrupt)
-        simulate_two_cells_fails(tmp_path, KeyboardInterrupt, "^$")
+                            failing_chunk(interrupt, lambda: time.sleep(60)))
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
+                       seed=12)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_cell_raw(cell, threads=2)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30
 
     @needs_fork
-    def test_cell_runs_on_one_blas_thread(self, monkeypatch):
+    def test_cell_runs_on_one_blas_thread(self, monkeypatch, small_shares):
         # the helpers, forked while the caller is on one OpenBLAS thread,
         # inherit that count (and start no thread pool); the caller's count
         # is back afterwards
@@ -647,7 +639,6 @@ class TestRunCell:
             return original(batch, level, tau2)
 
         monkeypatch.setattr(simlab, "estimate_all", on_one_thread)
-        monkeypatch.setattr(simlab, "_MIN_SHARE", 1)  # two helpers
         cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
                        seed=12)
         before = get()
