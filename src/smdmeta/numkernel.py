@@ -147,12 +147,12 @@ def one_blas_thread():
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Address of an independent random stream.
+    """Address of a random stream.
 
     Streams are values: two RandomStream instances with equal
-    ``(seed, stream_id)`` always yield identical draw sequences, and
-    distinct ``stream_id`` values select distinct 128-bit Philox keys,
-    so replication order and worker scheduling can never change results.
+    ``(seed, stream_id)`` always yield identical draw sequences, so
+    replication order and worker scheduling can never change results.
+    Their Philox keys are `restart`'s, which are not one-to-one.
     """
 
     seed: int
@@ -166,17 +166,41 @@ class RandomStream:
 
     def generator(self) -> Generator:
         """Fresh generator positioned at the start of this stream."""
-        return Generator(Philox(key=[self.seed, self.stream_id]))
+        return restart(Generator(Philox(0)), self.seed, self.stream_id)
+
+
+def restart(gen: Generator, seed: int, stream_id: int) -> Generator:
+    """gen, a Philox Generator, put at the start of stream (seed, stream_id)
+    (counter 0, empty buffer) under the key `Philox(key=[seed, stream_id])`
+    forms: via float64 when exactly one is >= 2^63, which rounds both to 53
+    significant bits, so keys are not one-to-one (README, "Library use")."""
+    zero = np.zeros(4, np.uint64)
+    key = np.asarray([seed, stream_id]).astype(np.uint64)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": zero, "key": key},
+        "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def derive_stream_id(*parts: int | float | str) -> int:
     """Map a tuple of labels (cell coordinates, replicate index, ...) to a
     64-bit stream id via a keyed hash; stable across processes and runs."""
-    h = blake2b(digest_size=8)
-    for part in parts:
-        h.update(repr(part).encode())
-        h.update(b"|")
-    return int.from_bytes(h.digest(), "little")
+    return derive_stream_ids(parts, [()])[0]
+
+
+def derive_stream_ids(prefix: tuple, suffixes) -> list[int]:
+    """derive_stream_id(*prefix, *suffix) for each tuple suffix of suffixes,
+    with the prefix hashed once."""
+    head, ids = blake2b(_labels(prefix), digest_size=8), []
+    for suffix in suffixes:
+        h = head.copy()
+        h.update(_labels(suffix))
+        ids.append(int.from_bytes(h.digest(), "little"))
+    return ids
+
+
+def _labels(parts) -> bytes:
+    return b"".join(repr(part).encode() + b"|" for part in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import effect as eff
 from . import tau2 as t2
-from .numkernel import (NonConvergenceError, RandomStream, derive_stream_id,
-                        one_blas_thread)
+from .numkernel import (NonConvergenceError, RandomStream,
+                        derive_stream_ids, one_blas_thread, restart)
 from .qstat import MetaBatch
-from .smd import MAX_ARM_SIZE, sample_g
+from .smd import MAX_ARM_SIZE, b_factor, j_factor
 
 DELTAS = (0.0, 0.2, 0.5, 1.0, 2.0)
 TAU2S = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
@@ -307,20 +307,27 @@ _BATCH_REPS = 200
 
 def simulate_batch(cell: SimCell, rep_lo: int, rep_hi: int) -> MetaBatch:
     """Generate replicates rep_lo..rep_hi - 1 of a cell as one batch, each
-    from its own stream: true effects delta_i ~ N(delta, tau2), then each
-    g_i exactly from its scaled noncentral t model."""
+    from its own stream: true effects delta_i ~ N(delta, tau2), then per
+    study the normal and chi-square that `sample_g` draws, whose g and v^2
+    follow as (R, K) arithmetic, bit for bit, on per-pair terms in ints."""
     sizes = study_sizes(cell)
-    g, v2 = np.empty((2, rep_hi - rep_lo, cell.k))
-    for row, replicate in enumerate(range(rep_lo, rep_hi)):
-        # keyed by coordinates, not reps or chunks: more reps extend a cell
-        sid = derive_stream_id("cell", cell.delta, cell.tau2, cell.k,
-                               cell.pattern, cell.size, cell.q, replicate)
-        gen = RandomStream(cell.seed, sid).generator()
-        deltas = cell.delta + math.sqrt(cell.tau2) * gen.standard_normal(cell.k)
-        for i, (n_t, n_c) in enumerate(sizes):
-            study = sample_g(gen, n_t, n_c, deltas[i])
-            g[row, i], v2[row, i] = study.g, study.v2
-    return MetaBatch(sizes, g, v2)
+    terms = {(n_t, n_c): (m := n_t + n_c - 2, j_factor(m), b_factor(m),
+                          math.sqrt(n_t * n_c / (n_t + n_c)),
+                          (n_t + n_c) / (n_t * n_c)) for n_t, n_c in set(sizes)}
+    m, j, b, root, inv = map(np.array, zip(*map(terms.get, sizes)))
+    dfs, (normal, z, x) = m.tolist(), np.empty((3, rep_hi - rep_lo, cell.k))
+    gen = RandomStream(cell.seed, 0).generator()  # restarted per replicate
+    # keyed by coordinates, not reps or chunks: more reps extend a cell
+    for row, sid in enumerate(derive_stream_ids(
+            ("cell", cell.delta, cell.tau2, cell.k, cell.pattern, cell.size,
+             cell.q), ((r,) for r in range(rep_lo, rep_hi)))):
+        restart(gen, cell.seed, sid)
+        normal[row] = gen.standard_normal(cell.k)
+        for i, df in enumerate(dfs):
+            z[row, i], x[row, i] = gen.standard_normal(), gen.chisquare(df)
+    deltas = cell.delta + math.sqrt(cell.tau2) * normal
+    g = j * ((z + root * deltas) / np.sqrt(x / m)) / root
+    return MetaBatch(sizes, g, inv + b * g * g)
 
 
 def _run_chunk(cell: SimCell, rep_lo: int, rep_hi: int,

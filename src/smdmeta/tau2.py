@@ -533,10 +533,11 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
     A = diag(w) - w w'/sum w, D = diag(v^2 + tau2).  For BJ's w = 1/v^2
     they are 1 + tau2 mu, mu the K - 1 nonzero eigenvalues of A; J's
     w = 1/v takes one eigendecomposition per tau2.  Each endpoint is seeded
-    by the two-moment (Satterthwaite) fit and found by `_endpoint`; a row's
-    two endpoints share its CDFs.  A round evaluates every CDF the walks
-    still need and has not met: one stacked eigendecomposition for the J
-    rows, one `mixture_cdfs` call for all.
+    by the two-moment (Satterthwaite) fit and found by `_endpoint`, and a
+    lower one past 2^23 fails the interval; a row's two endpoints share its
+    CDFs.  A round evaluates every CDF the walks still need and has not met:
+    one stacked eigendecomposition for the J rows, one `mixture_cdfs` call
+    for all.
 
     Given the true tau2 `truth`, per row whether the interval holds it: the
     CDF of Q_obs decreases in tau2 (BJ's coefficients are 1 + tau2 mu; for
@@ -623,6 +624,9 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
     ends = _lockstep(walks, walk_cdfs)
     for i, cached in known.items():
         hi, lo = ends[i, 0], ends[i, 1]
+        if lo == math.inf:  # fails, as a Q-profile lower root past the cap
+            lo = NonConvergenceError(f"CDF({_CAP_POINT:g}) still >= target "
+                                     f"{targets[1]:g}")
         errors = [e for e in (hi, lo) if isinstance(e, NonConvergenceError)]
         if errors:
             out[i] = errors[0]

@@ -3,7 +3,9 @@ oracle: one replicate and one target at a time, as they were before every
 chunk of replicates became one MetaBatch, and the BJ and J intervals as they
 were before a batch found them in lock-step, and REML and PL as they were
 before their rows iterated in lock-step.  The batched code must match them
-bit for bit.  Each takes a batch of one and reads its row 0.
+bit for bit.  Each takes a batch of one and reads its row 0, but
+`simulate_batch`, the replicates as they were drawn one `sample_g` at a
+time, each on a fresh generator.
 """
 
 import functools
@@ -19,7 +21,9 @@ from smdmeta.effect import EffectInterval, EffectResult
 from smdmeta.numkernel import (
     DomainError,
     NonConvergenceError,
+    RandomStream,
     chisq_quantile,
+    derive_stream_id,
     mixture_cdf,
     normal_quantile,
     t_quantile,
@@ -32,7 +36,8 @@ from smdmeta.qstat import (
     MetaBatch,
     Tau2Result,
 )
-from smdmeta.smd import b_factor, j_factor
+from smdmeta.simlab import study_sizes
+from smdmeta.smd import b_factor, j_factor, sample_g
 from smdmeta.tau2 import (
     _CAP_POINT,
     _LAGUERRE_W,
@@ -470,7 +475,8 @@ def _fixed_weight_interval(data: Row, level: float, weights: np.ndarray,
     Each endpoint is seeded by the two-moment (Satterthwaite) fit, bracketed
     by stepping the exact CDF out from the seed in growing steps, and solved
     by brentq, which finds the bracket ends' CDF values already computed.
-    The upper endpoint is infinite if the CDF is still >= alpha/2 at 2^23.
+    The upper endpoint is infinite if the CDF is still >= alpha/2 at 2^23;
+    a lower one, still >= 1 - alpha/2 there, fails the interval.
     Coefficients that are not finite, negative or all 0 fail the interval.
     """
     alpha = 1.0 - level
@@ -515,6 +521,9 @@ def _fixed_weight_interval(data: Row, level: float, weights: np.ndarray,
     targets = (alpha / 2.0, 1.0 - alpha / 2.0)
     seeds = _satterthwaite_roots(weights, data.v2, q_obs, np.array(targets))
     hi, lo = (solve(p, float(x)) for p, x in zip(targets, seeds))
+    if math.isinf(lo):
+        raise NonConvergenceError(f"CDF({_CAP_POINT:g}) still >= target "
+                                  f"{targets[1]:g}")
     cdfs = [f for _, f in sorted(known.items())]
     if any(f1 > f0 + 32.0 * _MIX_TOL for f0, f1 in zip(cdfs, cdfs[1:])):
         flags.append("nonmonotone-cdf")
@@ -737,3 +746,16 @@ def estimate_all(data: Row, level: float = 0.95) -> tuple[dict, tuple]:
     return results, tuple(failures)
 
 
+def simulate_batch(cell, rep_lo: int, rep_hi: int) -> MetaBatch:
+    """Replicates rep_lo..rep_hi - 1 of a cell, each on a fresh generator of
+    its own stream: K true effects, then one `sample_g` per study."""
+    sizes, studies = study_sizes(cell), []
+    for replicate in range(rep_lo, rep_hi):
+        sid = derive_stream_id("cell", cell.delta, cell.tau2, cell.k,
+                               cell.pattern, cell.size, cell.q, replicate)
+        gen = RandomStream(cell.seed, sid).generator()
+        deltas = cell.delta + math.sqrt(cell.tau2) * gen.standard_normal(cell.k)
+        studies.append([sample_g(gen, n_t, n_c, d)
+                        for (n_t, n_c), d in zip(sizes, deltas)])
+    return MetaBatch(sizes, np.array([[s.g for s in row] for row in studies]),
+                     np.array([[s.v2 for s in row] for row in studies]))

@@ -1,10 +1,13 @@
 import functools
 import math
 import operator
+import warnings
+from hashlib import blake2b
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.special import erfinv, gammainc
 
 from smdmeta import numkernel
@@ -16,8 +19,10 @@ from smdmeta.numkernel import (
     chisq_cdf,
     chisq_quantile,
     derive_stream_id,
+    derive_stream_ids,
     mixture_cdf,
     normal_quantile,
+    restart,
     t_quantile,
 )
 from smdmeta.smd import j_factor, sample_g
@@ -98,6 +103,34 @@ class TestRandomStream:
     def test_seed_bounds(self):
         with pytest.raises(DomainError):
             RandomStream(-1, 0)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1, 2**63, 2**63 + 11,
+                                      2**64 - 1])
+    def test_restart_draws_as_a_fresh_philox(self, seed):
+        # ids on both sides of 2^63 and within 1024 of 2^64, where
+        # Philox(key=[seed, id]) rounds through float64 (numkernel.restart);
+        # each restart follows draws that leave a half-used 32-bit word
+        def draws(gen):
+            return (gen.bit_generator.state["state"]["key"].tolist(),
+                    gen.random(5).tolist(), gen.chisquare(7.0),
+                    gen.integers(0, 2**32, 3, dtype=np.uint32).tolist())
+
+        gen = Generator(Philox(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for sid in (0, 7, 2**62 + 3, 2**63 - 1, 2**63, 2**63 + 1,
+                        2**63 + 4097, 2**64 - 1024, 2**64 - 1):
+                want = draws(Generator(Philox(key=[seed, sid])))
+                assert draws(restart(gen, seed, sid)) == want
+                assert draws(RandomStream(seed, sid).generator()) == want
+
+    def test_stream_ids_share_a_prefix(self):
+        assert derive_stream_ids(("cell", 0.5), [(3,), (4, "a"), ()]) == [
+            derive_stream_id("cell", 0.5, 3),
+            derive_stream_id("cell", 0.5, 4, "a"), derive_stream_id("cell", 0.5)]
+        # the bytes hashed are those of every label's repr and a "|" after it
+        assert derive_stream_id("cell", 0.5, 3) == int.from_bytes(
+            blake2b(b"'cell'|0.5|3|", digest_size=8).digest(), "little")
 
 
 def t_draws(gen, n_t, n_c, ncp, n):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from smdmeta import cli, numkernel, simlab
 from smdmeta import tau2 as t2
 from smdmeta.numkernel import NonConvergenceError
@@ -168,6 +169,55 @@ class TestSimulateMetaInput:
             == whole.g.tobytes()
         assert np.concatenate([b.v2 for b in rows]).tobytes() \
             == whole.v2.tobytes()
+
+
+# one cell per (K, pattern) stratum, as scripts/time_cells.py times them
+STRATUM_CELLS = [
+    SimCell(0.5, 1.0, 5, "equal", 20, 0.5),
+    SimCell(0.2, 0.5, 5, "unequal", 60, 0.75),
+    SimCell(1.0, 1.5, 10, "equal", 40, 0.75),
+    SimCell(0.5, 2.0, 10, "unequal", 100, 0.5),
+    SimCell(0.2, 0.5, 30, "equal", 100, 0.5),
+    SimCell(1.0, 1.0, 30, "unequal", 30, 0.75)]
+
+
+def same_bits(got, want):
+    return (got.arm_sizes == want.arm_sizes
+            and got.g.tobytes() == want.g.tobytes()
+            and got.v2.tobytes() == want.v2.tobytes())
+
+
+class TestSimulateBatchOracle:
+    """The array path against one `sample_g` per study on a fresh
+    generator per replicate, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [5, 2**63 + 11])
+    @pytest.mark.parametrize("cell", STRATUM_CELLS,
+                             ids=lambda c: f"{c.k}-{c.pattern}")
+    def test_strata_match_per_study_draws(self, cell, seed):
+        cell = dataclasses.replace(cell, reps=200, chunks=1, seed=seed)
+        for lo, hi in ((0, 20), (0, 200), (180, 200)):
+            assert same_bits(simulate_batch(cell, lo, hi),
+                             oracles.simulate_batch(cell, lo, hi))
+
+    def test_arm_product_past_2_53_matches(self):
+        # arms of 2^27 + 3: their product is no float, so (n_t + n_c)/(n_t
+        # n_c) on floats is not the int quotient that sample_g rounds once
+        cell = SimCell(0.3, 0.7, 5, "equal", 2**28 + 6, 0.5, reps=20,
+                       chunks=1, seed=9)
+        n_t, n_c = study_sizes(cell)[0]
+        assert (n_t + n_c) / (float(n_t) * n_c) != (n_t + n_c) / (n_t * n_c)
+        assert same_bits(simulate_batch(cell, 0, 20),
+                         oracles.simulate_batch(cell, 0, 20))
+
+    def test_seeds_past_2_63_share_keys(self):
+        # the keys keep Philox's float64 rounding (numkernel.restart):
+        # seeds 2^63 + 1 and 2^63 + 2 round alike against an id below 2^63,
+        # so 9 of these 20 replicates draw the same g under both
+        a, b = (simulate_batch(SimCell(0.5, 1.0, 5, "equal", 20, 0.5,
+                                       reps=20, chunks=1, seed=seed), 0, 20)
+                for seed in (2**63 + 1, 2**63 + 2))
+        assert (a.g == b.g).all(1).tolist().count(True) == 9
 
 
 def _fail(*args):

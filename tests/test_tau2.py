@@ -703,15 +703,24 @@ def oracle_cases(k):
     return cases
 
 
+# a BJ or J interval whose lower endpoint is past 2^23, at level 0.95
+CAP_FAILURE = "CDF(8.38861e+06) still >= target 0.975"
+
+
 class TestFixedWeightOracle:
     @pytest.mark.parametrize("k", [2, 3, 5, 10, 30, 100])
     @pytest.mark.parametrize("method", ["BJ", "J"])
     def test_endpoints_match_doubling_search(self, k, method):
-        fn, wfun = {"BJ": (bj_of, lambda d: 1.0 / d.v2[0]),
-                    "J": (j_ci_of, lambda d: 1.0 / np.sqrt(d.v2[0]))}[method]
+        fn, wfun, failure = {
+            "BJ": (bj_of, lambda d: 1.0 / d.v2[0], "BJ"),
+            "J": (j_ci_of, lambda d: 1.0 / np.sqrt(d.v2[0]), "J-interval"),
+        }[method]
         for data in oracle_cases(k):
             lo, hi, flags = reference_fixed_weight_interval(data, 0.95,
                                                             wfun(data))
+            if math.isinf(lo):  # both endpoints past the cap: a failure
+                assert (failure, CAP_FAILURE) in estimate_all(data)[0][1]
+                continue
             ci = fn(data)
             assert ci.flags == flags
             for ref, new in ((lo, ci.lo), (hi, ci.hi)):
@@ -721,8 +730,18 @@ class TestFixedWeightOracle:
                     assert abs(new - ref) <= 2 * (1e-6 + 1e-5 * ref)
 
     def test_cap_case_flags_upper_beyond_cap(self):
-        ci = bj_of(oracle_cases(5)[-1])
-        assert math.isinf(ci.hi) and ci.flags == ("upper-beyond-cap",)
+        # at K = 100 only the upper endpoint is past 2^23
+        ci = bj_of(oracle_cases(100)[-1])
+        assert 0.0 < ci.lo < 2.0 ** 23 and math.isinf(ci.hi)
+        assert ci.flags == ("upper-beyond-cap",)
+
+    def test_lower_endpoint_past_the_cap_fails(self):
+        # at K = 5 the CDF is still >= 0.975 at 2^23, so BJ and J fail there
+        # as the Q-profile does at its cap, and print no [inf, inf]
+        (results, failures), = estimate_all(oracle_cases(5)[-1])
+        assert ("BJ", CAP_FAILURE) in failures
+        assert ("J-interval", CAP_FAILURE) in failures
+        assert ("QP", "Q(1e+07) still >= target 11.1433") in failures
 
 
 class TestCiPL:
