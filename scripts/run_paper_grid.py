@@ -33,7 +33,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True, help="results CSV path")
     parser.add_argument("--reps", type=int, default=2000)
-    parser.add_argument("--chunks", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=usable_cores())
     parser.add_argument("--deltas", default=",".join(f"{d:g}" for d in DELTAS))
@@ -50,7 +49,6 @@ def main() -> int:
         "--nbar", ",".join(str(n) for n in UNEQUAL_SIZES),
         "--q", ",".join(f"{q:g}" for q in QS),
         "--reps", str(args.reps),
-        "--chunks", str(args.chunks),
         "--seed", str(args.seed),
         "--threads", str(args.threads),
         "--out", args.out,

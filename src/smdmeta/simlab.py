@@ -1,9 +1,9 @@
 """Monte-Carlo simulation lab: parameter grid, exact data generation,
-deterministic chunked replication, and bias/coverage/MSE metrics.
+deterministic replication, and bias/coverage/MSE metrics.
 
 Replicate streams are keyed by (seed, cell coordinates, replicate index)
-only, so results are bit-identical for a fixed seed no matter how the
-replications are chunked or scheduled.  Chunks split a cell across
+only, so results are bit-identical for a fixed seed no matter how a cell
+is split or scheduled.  A cell's replicate count alone splits it across
 workers; each worker's share is drawn straight into MetaBatches of at most
 200 replicates, (R, K) arrays of g and v^2, each estimated at once, with
 rows bit-identical to one replicate at a time; `analyze` runs the same
@@ -73,14 +73,13 @@ class SimCell:
     size: int     # n for equal, mean size nbar for unequal
     q: float      # proportion of each study in the control arm
     reps: int = 2000
-    chunks: int = 10
     seed: int = 0
 
     def __post_init__(self):
         # one spelling per value: 20.0 and np.int64(20) are written as 20
         for fld, cast in (("k", int), ("size", int), ("reps", int),
-                          ("chunks", int), ("seed", int), ("delta", float),
-                          ("tau2", float), ("q", float)):
+                          ("seed", int), ("delta", float), ("tau2", float),
+                          ("q", float)):
             value = getattr(self, fld)
             try:
                 number = cast(value)
@@ -101,11 +100,8 @@ class SimCell:
             raise GridValidationError("q", self.q)
         if not 0 <= self.seed < 2**64:
             raise GridValidationError("seed", self.seed)
-        if self.reps <= 0 or self.chunks <= 0:
-            raise GridValidationError("reps/chunks", (self.reps, self.chunks))
-        if self.reps % self.chunks != 0:
-            raise GridValidationError(
-                "chunks", f"{self.chunks} does not divide reps={self.reps}")
+        if self.reps <= 0:
+            raise GridValidationError("reps", self.reps)
         if self.pattern == "unequal":
             if self.size not in UNEQUAL_SIZES:
                 raise GridValidationError("size (unequal nbar)", self.size)
@@ -162,7 +158,6 @@ class GridConfig:
     unequal_sizes: tuple[int, ...] = tuple(UNEQUAL_SIZES)
     qs: tuple[float, ...] = QS
     reps: int = 2000
-    chunks: int = 10
     seed: int = 0
 
 
@@ -177,7 +172,7 @@ def expand_grid(config: GridConfig, allow_custom: bool = False) -> list[SimCell]
                 for pattern, size in size_specs:
                     for q in config.qs:
                         cell = SimCell(delta, tau2, k, pattern, size, q,
-                                       config.reps, config.chunks, config.seed)
+                                       config.reps, config.seed)
                         validate_cell(cell, allow_custom)
                         cells.append(cell)
     return cells
@@ -285,7 +280,7 @@ def estimate_all(batch: MetaBatch, level: float = 0.95, tau2=None) -> list:
 
 @dataclass
 class RawCellResult:
-    """Per-replicate estimator outputs for one cell (or one chunk of it), in
+    """Per-replicate estimator outputs for one cell (or one batch of it), in
     replicate order; NaN marks a non-convergent replicate for that
     estimator."""
 
@@ -317,7 +312,7 @@ def simulate_batch(cell: SimCell, rep_lo: int, rep_hi: int) -> MetaBatch:
     m, j, b, root, inv = map(np.array, zip(*map(terms.get, sizes)))
     dfs, (normal, z, x) = m.tolist(), np.empty((3, rep_hi - rep_lo, cell.k))
     gen = RandomStream(cell.seed, 0).generator()  # restarted per replicate
-    # keyed by coordinates, not reps or chunks: more reps extend a cell
+    # keyed by coordinates, not reps: more reps extend a cell
     for row, sid in enumerate(derive_stream_ids(
             ("cell", cell.delta, cell.tau2, cell.k, cell.pattern, cell.size,
              cell.q), ((r,) for r in range(rep_lo, rep_hi)))):
@@ -383,24 +378,21 @@ _MIN_SHARE = 50
 
 def run_cell_raw(cell: SimCell, level: float = 0.95,
                  threads: int = 1) -> RawCellResult:
-    """All replicates of one cell; chunks split it across workers.
+    """All replicates of one cell, split across workers by reps alone.
 
-    With w = min(threads, chunks, usable_cores(), max(1, reps //
-    _MIN_SHARE)), so that no helper is forked for less work than its start
-    costs, each worker takes one contiguous run of whole chunks, the caller
-    the first and w - 1 helper processes the rest, and estimates its share
-    in batches of at most _BATCH_REPS replicates.  Each replicate's stream
-    depends only on (seed, cell, replicate), each row of a batch is
-    estimated as if alone, and the shares are concatenated in replicate
-    order, so the result is identical for any chunk count, worker count and
-    batch size.  A REML estimate that stopped at max_iter is pooled into
-    bias and coverage as an ordinary estimate, and PL is built around it.
+    With w = min(threads, usable_cores(), max(1, reps // _MIN_SHARE)), so
+    that no helper is forked for less work than its start costs, worker h
+    runs replicates h reps // w .. (h + 1) reps // w - 1, the caller share 0
+    and w - 1 helper processes the rest, each in batches of at most
+    _BATCH_REPS replicates.  Each replicate's stream depends only on (seed,
+    cell, replicate), each row of a batch is estimated as if alone, and the
+    shares are concatenated in replicate order, so the result is identical
+    for any worker count and batch size.  A REML estimate that stopped at
+    max_iter is pooled into bias and coverage as an ordinary estimate, and
+    PL is built around it.
     """
-    workers = min(threads, cell.chunks, usable_cores(),
-                  max(1, cell.reps // _MIN_SHARE))
-    # worker h runs chunks ceil(h c / w) .. ceil((h + 1) c / w) - 1
-    ends = [-(-h * cell.chunks // workers) * (cell.reps // cell.chunks)
-            for h in range(workers + 1)]
+    workers = min(threads, usable_cores(), max(1, cell.reps // _MIN_SHARE))
+    ends = [h * cell.reps // workers for h in range(workers + 1)]
     tasks = [(cell, lo, hi, level) for lo, hi in zip(ends, ends[1:])]
     helpers = []
     with one_blas_thread():  # helpers inherit one thread and start none
@@ -532,5 +524,5 @@ def run_cell(cell: SimCell, level: float = 0.95, threads: int = 1) -> CellReport
 
 def run_grid(cells: list[SimCell], level: float = 0.95,
              threads: int = 1) -> list[CellReport]:
-    """Run many cells; chunks within each cell execute in parallel."""
+    """Run many cells one at a time; a cell's shares run in parallel."""
     return [run_cell(cell, level, threads) for cell in cells]

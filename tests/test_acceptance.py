@@ -47,7 +47,7 @@ def sim():
         key = (delta, tau2, k, n, q, reps)
         if key not in cache:
             cell = SimCell(delta, tau2, k, "equal", n, q,
-                           reps=reps, chunks=10, seed=SEED)
+                           reps=reps, seed=SEED)
             cache[key] = run_cell_raw(cell)
         return cache[key]
 

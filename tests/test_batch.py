@@ -195,9 +195,9 @@ class TestBatchedRows:
             assert key(ssw.variance) == key(oracles.ssw_variance(data, 0.3))
 
 
-CELLS = [SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=6, chunks=1, seed=3),
-         SimCell(1.0, 2.0, 10, "unequal", 30, 0.75, reps=6, chunks=1, seed=3),
-         SimCell(0.0, 0.0, 5, "unequal", 160, 0.5, reps=6, chunks=1, seed=3)]
+CELLS = [SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=6, seed=3),
+         SimCell(1.0, 2.0, 10, "unequal", 30, 0.75, reps=6, seed=3),
+         SimCell(0.0, 0.0, 5, "unequal", 160, 0.5, reps=6, seed=3)]
 
 
 class TestEstimateAllBatch:

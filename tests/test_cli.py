@@ -289,7 +289,7 @@ class TestAnalyze:
 
 
 SIM_FLAGS = ["--delta", "0", "--tau2", "0", "--k", "5", "--n", "20",
-             "--q", "0.5", "--reps", "40", "--chunks", "4", "--seed", "7"]
+             "--q", "0.5", "--reps", "40", "--seed", "7"]
 
 
 # SHA-256 of the CSV from GOLDEN_FLAGS; any change to a simulated number or
@@ -349,7 +349,7 @@ class TestSimulate:
     @pytest.mark.parametrize("extra", [
         ["--allow-custom", "--tau2", "-1"],
         ["--allow-custom", "--k", "6", "--nbar", "30"],
-        ["--reps", "3", "--chunks", "2"],
+        ["--reps", "0"],
         ["--allow-custom", "--q", "nan"], ["--allow-custom", "--k", "1"],
         ["--allow-custom", "--n", "4"], ["--allow-custom", "--delta", "nan"],
         ["--allow-custom", "--tau2", "inf"], ["--seed", "-3"],
@@ -397,6 +397,33 @@ class TestSimulate:
         assert "--out" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    def test_out_naming_a_directory_is_input_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # it used to run every cell and only then fail at the rename
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell ran before --out was checked")
+
+        monkeypatch.setattr(simlab, "run_grid", no_run)
+        assert main(["simulate", *SIM_FLAGS, "--out", str(tmp_path)]) == 2
+        assert f"--out: {tmp_path} is a directory" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_reps_need_no_divisor(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["simulate", *SIM_FLAGS, "--reps", "25",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text().splitlines()[1].endswith(",25,7")
+
+    def test_chunks_flag_is_parsed_and_ignored(self, tmp_path, capsys):
+        # the benchmark's argv still passes --chunks
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        flags = ["simulate", *SIM_FLAGS, "--reps", "20"]
+        assert main([*flags, "--chunks", "3", "--out", str(a)]) == 0
+        assert main([*flags, "--out", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["simulate", *SIM_FLAGS, "--out", p1]) == 0
@@ -415,8 +442,7 @@ class TestSimulate:
         path = str(tmp_path / "r.csv")
         code = main(["simulate", "--delta", "0,0.2", "--tau2", "0,0.5",
                      "--k", "5", "--n", "20", "--q", "0.5,0.75",
-                     "--reps", "4", "--chunks", "2", "--seed", "1",
-                     "--out", path])
+                     "--reps", "4", "--seed", "1", "--out", path])
         capsys.readouterr()
         assert code == 0
         import csv as _csv
@@ -427,8 +453,8 @@ class TestSimulate:
     def test_off_grid_rejected_without_allow_custom(self, tmp_path, capsys):
         path = str(tmp_path / "r.csv")
         args = ["simulate", "--delta", "0.3", "--tau2", "0", "--k", "5",
-                "--n", "20", "--q", "0.5", "--reps", "4", "--chunks", "2",
-                "--seed", "1", "--out", path]
+                "--n", "20", "--q", "0.5", "--reps", "4", "--seed", "1",
+                "--out", path]
         assert main(args) == 2
         capsys.readouterr()
         assert main([*args, "--allow-custom"]) == 0
@@ -536,8 +562,7 @@ def results_csv(tmp_path_factory):
     path = str(tmp / "results.csv")
     code = main(["simulate", "--delta", "0", "--tau2", "0,0.5",
                  "--k", "5,10,30", "--n", "20,40,100,250", "--q", "0.5",
-                 "--reps", "4", "--chunks", "2", "--seed", "3",
-                 "--out", path])
+                 "--reps", "4", "--seed", "3", "--out", path])
     assert code == 0
     return path
 
@@ -557,7 +582,7 @@ class TestPlot:
         config = simlab.GridConfig(
             deltas=(0,), tau2s=(0, 0.5), ks=tuple(np.array([5, 10, 30])),
             equal_sizes=(20.0, 40.0, 100.0, 250.0), unequal_sizes=(),
-            qs=(0.5,), reps=4, chunks=2, seed=3)
+            qs=(0.5,), reps=4, seed=3)
         path = tmp_path / "spelled.csv"
         cli.write_results_csv(str(path),
                               simlab.run_grid(simlab.expand_grid(config)))

@@ -89,21 +89,21 @@ class TestStudySizes:
         ("tau2", math.nan)])
     def test_non_number_names_its_field(self, fld, value):
         kwargs = dict(delta=0.0, tau2=0.0, k=5, pattern="equal", size=20,
-                      q=0.5, reps=4, chunks=2)
+                      q=0.5, reps=4)
         with pytest.raises(GridValidationError) as exc:
             SimCell(**{**kwargs, fld: value})
         assert exc.value.field == fld
 
     def test_numbers_are_stored_as_int_and_float(self):
         cell = SimCell(np.int64(0), 0, np.int64(5), "equal", 20.0, 0.5,
-                       reps=4.0, chunks=np.int32(2), seed=np.uint64(7))
+                       reps=4.0, seed=np.uint64(7))
         assert [type(getattr(cell, f)) for f in
-                ("delta", "tau2", "k", "size", "q", "reps", "chunks", "seed")
-                ] == [float, float, int, int, float, int, int, int]
+                ("delta", "tau2", "k", "size", "q", "reps", "seed")
+                ] == [float, float, int, int, float, int, int]
 
     def test_unequal_k_must_divide(self):
         with pytest.raises(GridValidationError):
-            SimCell(0.0, 0.0, 6, "unequal", 30, 0.5, reps=6, chunks=1)
+            SimCell(0.0, 0.0, 6, "unequal", 30, 0.5, reps=6)
 
     def test_unequal_nbar_must_be_tabled(self):
         with pytest.raises(GridValidationError) as exc:
@@ -153,9 +153,9 @@ class TestSimulateMetaInput:
 
     def test_chunking_does_not_enter_streams(self):
         a = one_replicate(
-            SimCell(0.5, 1.0, 5, "equal", 20, 0.5, reps=100, chunks=1, seed=3), 7)
+            SimCell(0.5, 1.0, 5, "equal", 20, 0.5, reps=100, seed=3), 7)
         b = one_replicate(
-            SimCell(0.5, 1.0, 5, "equal", 20, 0.5, reps=1000, chunks=10, seed=3), 7)
+            SimCell(0.5, 1.0, 5, "equal", 20, 0.5, reps=1000, seed=3), 7)
         assert same(a, b)
 
     @pytest.mark.parametrize("cell", [
@@ -195,7 +195,7 @@ class TestSimulateBatchOracle:
     @pytest.mark.parametrize("cell", STRATUM_CELLS,
                              ids=lambda c: f"{c.k}-{c.pattern}")
     def test_strata_match_per_study_draws(self, cell, seed):
-        cell = dataclasses.replace(cell, reps=200, chunks=1, seed=seed)
+        cell = dataclasses.replace(cell, reps=200, seed=seed)
         for lo, hi in ((0, 20), (0, 200), (180, 200)):
             assert same_bits(simulate_batch(cell, lo, hi),
                              oracles.simulate_batch(cell, lo, hi))
@@ -203,8 +203,7 @@ class TestSimulateBatchOracle:
     def test_arm_product_past_2_53_matches(self):
         # arms of 2^27 + 3: their product is no float, so (n_t + n_c)/(n_t
         # n_c) on floats is not the int quotient that sample_g rounds once
-        cell = SimCell(0.3, 0.7, 5, "equal", 2**28 + 6, 0.5, reps=20,
-                       chunks=1, seed=9)
+        cell = SimCell(0.3, 0.7, 5, "equal", 2**28 + 6, 0.5, reps=20, seed=9)
         n_t, n_c = study_sizes(cell)[0]
         assert (n_t + n_c) / (float(n_t) * n_c) != (n_t + n_c) / (n_t * n_c)
         assert same_bits(simulate_batch(cell, 0, 20),
@@ -215,7 +214,7 @@ class TestSimulateBatchOracle:
         # seeds 2^63 + 1 and 2^63 + 2 round alike against an id below 2^63,
         # so 9 of these 20 replicates draw the same g under both
         a, b = (simulate_batch(SimCell(0.5, 1.0, 5, "equal", 20, 0.5,
-                                       reps=20, chunks=1, seed=seed), 0, 20)
+                                       reps=20, seed=seed), 0, 20)
                 for seed in (2**63 + 1, 2**63 + 2))
         assert (a.g == b.g).all(1).tolist().count(True) == 9
 
@@ -272,8 +271,7 @@ class TestEstimateAll:
             return [t2.Tau2Result(0.7, "max_iter", 200)] * len(dls)
 
         monkeypatch.setattr(t2, "tau2_reml_batch", stopped)
-        cell = SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=4, chunks=2,
-                       seed=4)
+        cell = SimCell(0.5, 0.5, 5, "equal", 20, 0.5, reps=4, seed=4)
         (results, _), = estimate_all(one_replicate(cell, 0))
         assert results["tau2_est", "REML"].status == "max_iter"
         assert results["tau2_cover", "PL"] == t2.ci_pl_batch(
@@ -478,8 +476,8 @@ needs_fork = pytest.mark.skipif(
 
 
 def failing_chunk(on_caller, on_helper):
-    """A _run_chunk that calls on_caller() in the caller's chunk 0 and
-    on_helper() in the helper's chunk 1."""
+    """A _run_chunk that calls on_caller() in the caller's share and
+    on_helper() in the helper's."""
     original = simlab._run_chunk
 
     def chunk(cell, rep_lo, rep_hi, level):
@@ -490,21 +488,9 @@ def failing_chunk(on_caller, on_helper):
 
 
 class TestRunCell:
-    def test_chunk_count_invariance(self):
-        base = dict(delta=0.5, tau2=0.5, k=5, pattern="equal", size=20, q=0.5,
-                    reps=20, seed=11)
-        a = run_cell_raw(SimCell(chunks=1, **base))
-        b = run_cell_raw(SimCell(chunks=10, **base))
-        for attr in ("tau2_est", "tau2_trunc", "tau2_cover", "delta_est",
-                     "delta_cover"):
-            da, db = getattr(a, attr), getattr(b, attr)
-            for name in da:
-                assert np.array_equal(da[name], db[name], equal_nan=True), \
-                    (attr, name)
-
     def test_thread_count_invariance(self, small_shares):
         base = dict(delta=0.0, tau2=0.0, k=5, pattern="equal", size=20, q=0.5,
-                    reps=12, chunks=4, seed=12)
+                    reps=12, seed=12)
         a = run_cell_raw(SimCell(**base), threads=1)
         b = run_cell_raw(SimCell(**base), threads=3)
         for name in a.delta_est:
@@ -514,8 +500,7 @@ class TestRunCell:
     def test_batch_size_invariance(self, monkeypatch):
         # a share of 30 replicates in 30 batches of one, in 5 batches of at
         # most 7 (the last of 2) and in one batch of 30: the same bits
-        cell = SimCell(0.5, 1.0, 5, "unequal", 30, 0.75, reps=30, chunks=1,
-                       seed=17)
+        cell = SimCell(0.5, 1.0, 5, "unequal", 30, 0.75, reps=30, seed=17)
         runs = []
         for size in (1, 7, 200):
             monkeypatch.setattr(simlab, "_BATCH_REPS", size)
@@ -523,19 +508,18 @@ class TestRunCell:
         for run in runs[1:]:
             assert_same_bits(run, runs[0])
 
-    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch,
-                                                  small_shares):
-        # workers = min(threads, chunks, cores): the caller plus one helper
-        # per worker after the first, each with one contiguous run of chunks
+    def test_pool_has_no_more_workers_than_threads(self, monkeypatch,
+                                                   small_shares):
+        # on eight cores: the caller plus one helper per worker after the
+        # first, worker h with replicates h reps // w .. (h + 1) reps // w
         ranges = []
         use_in_process_helpers(monkeypatch, ranges)
         set_usable_cores(monkeypatch, 8)
-        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=4, chunks=4,
-                       seed=12)
-        pooled = run_cell_raw(cell, threads=64)
-        assert ranges == [(1, 2), (2, 3), (3, 4)]
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=6, seed=12)
+        pooled = run_cell_raw(cell, threads=4)
+        assert ranges == [(1, 3), (3, 4), (4, 6)]
         halved = run_cell_raw(cell, threads=2)
-        assert ranges == [(1, 2), (2, 3), (3, 4), (2, 4)]
+        assert ranges == [(1, 3), (3, 4), (4, 6), (3, 6)]
         serial = run_cell_raw(cell, threads=1)
         assert_same_bits(pooled, serial)
         assert_same_bits(halved, serial)
@@ -544,17 +528,15 @@ class TestRunCell:
                              [(2, [(32, 64)]), (1, []), (None, [])])
     def test_pool_has_no_more_workers_than_cores(self, monkeypatch, cores,
                                                  sizes, small_shares):
-        # --threads 64 --chunks 64 on two cores: one helper with the second
-        # half, not 63; one core (or an unknown count) runs the chunks in
-        # this process
+        # --threads 64 on two cores: one helper with the second half, not
+        # 63; one core (or an unknown count) runs the cell in this process
         made = []
         use_in_process_helpers(monkeypatch, made)
         set_usable_cores(monkeypatch, cores)
-        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=64, chunks=64,
-                       seed=12)
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=64, seed=12)
         pooled = run_cell_raw(cell, threads=64)
         assert made == sizes  # each helper's replicate range
-        serial = run_cell_raw(dataclasses.replace(cell, chunks=1))
+        serial = run_cell_raw(cell)
         assert_same_bits(pooled, serial)
 
     def test_cores_are_the_usable_ones_not_the_hosts(self, monkeypatch,
@@ -566,33 +548,49 @@ class TestRunCell:
         monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         assert simlab.usable_cores() == 1
-        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=4, chunks=2,
-                       seed=12)
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=4, seed=12)
         run_cell_raw(cell, threads=2)
         assert made == []
         monkeypatch.delattr(simlab.os, "sched_getaffinity")
         assert simlab.usable_cores() == 2
 
     def test_uneven_split_over_a_real_helper(self, two_cores):
-        # three chunks on two workers: the caller runs chunks 0 and 1
-        cell = SimCell(0.5, 1.0, 5, "unequal", 30, 0.75, reps=6, chunks=3,
-                       seed=21)
-        assert_same_bits(run_cell_raw(cell, threads=2),
-                         run_cell_raw(dataclasses.replace(cell, chunks=1)))
+        # seven replicates on two workers: the caller runs 0..2, the
+        # helper 3..6
+        cell = SimCell(0.5, 1.0, 5, "unequal", 30, 0.75, reps=7, seed=21)
+        assert_same_bits(run_cell_raw(cell, threads=2), run_cell_raw(cell))
+
+    def test_odd_reps_split_50_51_as_one_worker(self, monkeypatch,
+                                                two_cores):
+        # the caller runs 0..49 and a real helper 50..100, with one
+        # worker's bits
+        shares = []
+        task = simlab._chunk_task
+
+        def recorded(args):
+            shares.append(args[1:3])
+            return task(args)
+
+        monkeypatch.setattr(simlab, "_chunk_task", recorded)
+        cell = SimCell(0.2, 0.5, 5, "equal", 20, 0.75, reps=101, seed=23)
+        split = run_cell_raw(cell, threads=2)
+        assert shares == [(0, 50)]
+        assert_same_bits(split, run_cell_raw(cell))
+        assert shares == [(0, 50), (0, 101)]
 
     @pytest.mark.parametrize("reps, ranges", [
         (20, []), (40, []), (60, []), (100, [(50, 100)]),
         (200, [(100, 200)])])
     def test_no_helper_for_less_than_a_share(self, monkeypatch, reps,
                                              ranges):
-        # six cells at --threads 2 --chunks 4 on two cores: a helper per
+        # six cells at --threads 2 on two cores: a helper per
         # cell only once each worker has _MIN_SHARE replicates (the
         # benchmark's 20-replicate cells run whole in this process)
         made = []
         use_in_process_helpers(monkeypatch, made)
         set_usable_cores(monkeypatch, 2)
         simlab.run_grid([SimCell(0.5, tau2, 5, "equal", 20, 0.5, reps=reps,
-                                 chunks=4, seed=12)
+                                 seed=12)
                          for tau2 in simlab.TAU2S], threads=2)
         assert made == ranges * len(simlab.TAU2S)
 
@@ -619,8 +617,7 @@ class TestRunCell:
 
         monkeypatch.setattr(simlab, "_run_chunk",
                             failing_chunk(lambda: None, fail))
-        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
-                       seed=12)
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, seed=12)
         with pytest.raises(NonConvergenceError, match="chunk 1 failed") as err:
             run_cell_raw(cell, threads=2)
         assert err.value.error_bound == 0.25
@@ -631,8 +628,7 @@ class TestRunCell:
                                                      two_cores):
         monkeypatch.setattr(simlab, "_run_chunk",
                             failing_chunk(lambda: None, lambda: os._exit(3)))
-        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
-                       seed=12)
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, seed=12)
         with pytest.raises(RuntimeError, match="helper died"):
             run_cell_raw(cell, threads=2)
         assert multiprocessing.active_children() == []
@@ -650,7 +646,7 @@ class TestRunCell:
         with pytest.raises(NonConvergenceError, match="chunk 1 failed"):
             cli.main(["simulate", "--delta", "0", "--tau2", "0,0.5", "--k",
                       "5", "--n", "20", "--q", "0.5", "--reps", "2",
-                      "--chunks", "2", "--seed", "12", "--threads", "2",
+                      "--seed", "12", "--threads", "2",
                       "--out", str(tmp_path / "results.csv")])
         assert multiprocessing.active_children() == []
         assert os.listdir(tmp_path) == []
@@ -664,8 +660,7 @@ class TestRunCell:
 
         monkeypatch.setattr(simlab, "_run_chunk",
                             failing_chunk(interrupt, lambda: time.sleep(60)))
-        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
-                       seed=12)
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, seed=12)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_cell_raw(cell, threads=2)
@@ -689,8 +684,7 @@ class TestRunCell:
             return original(batch, level, tau2)
 
         monkeypatch.setattr(simlab, "estimate_all", on_one_thread)
-        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, chunks=2,
-                       seed=12)
+        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, seed=12)
         before = get()
         try:
             put(2)
@@ -701,7 +695,7 @@ class TestRunCell:
 
     def test_report_shape(self):
         report = run_cell(SimCell(0.5, 0.5, 5, "equal", 20, 0.5,
-                                  reps=20, chunks=2, seed=13))
+                                  reps=20, seed=13))
         assert isinstance(report, CellReport)
         assert 0.0 <= report.value("QP", "tau2_coverage") <= 1.0
         assert report.value("DL", "tau2_trunc_rate") >= 0.0
@@ -727,7 +721,7 @@ class TestMetrics:
         )
 
     def test_zero_bias_zero_mse(self):
-        cell = SimCell(1.0, 1.0, 5, "equal", 20, 0.5, reps=3, chunks=1)
+        cell = SimCell(1.0, 1.0, 5, "equal", 20, 0.5, reps=3)
         raw = self._raw(cell, np.array([1.0, 1.0, 1.0]), np.ones(3))
         report = metrics(raw)
         assert report.value("IV-DL", "delta_bias") == 0.0
@@ -735,14 +729,14 @@ class TestMetrics:
         assert report.value("DL", "tau2_bias") == 0.0
 
     def test_always_covering_interval(self):
-        cell = SimCell(0.0, 0.5, 5, "equal", 20, 0.5, reps=4, chunks=1)
+        cell = SimCell(0.0, 0.5, 5, "equal", 20, 0.5, reps=4)
         raw = self._raw(cell, np.zeros(4), np.ones(4))
         report = metrics(raw)
         assert report.value("QP", "tau2_coverage") == 1.0
         assert report.value("HKSJ", "delta_coverage") == 1.0
 
     def test_coverage_se_formula(self):
-        cell = SimCell(0.0, 0.5, 5, "equal", 20, 0.5, reps=4, chunks=1)
+        cell = SimCell(0.0, 0.5, 5, "equal", 20, 0.5, reps=4)
         raw = self._raw(cell, np.zeros(4), np.array([1.0, 0.0, 1.0, 1.0]))
         report = metrics(raw)
         p = 0.75
@@ -750,7 +744,7 @@ class TestMetrics:
             math.sqrt(p * (1 - p) / 4))
 
     def test_nan_exclusion_counts(self):
-        cell = SimCell(0.0, 0.5, 5, "equal", 20, 0.5, reps=4, chunks=1)
+        cell = SimCell(0.0, 0.5, 5, "equal", 20, 0.5, reps=4)
         est = np.array([0.1, np.nan, 0.3, 0.2])
         raw = self._raw(cell, est, np.ones(4))
         raw.n_failed = {"BJ": 1}
