@@ -9,11 +9,10 @@ script runs one fixed cell per (K, pattern) stratum of the grid as
     smdmeta simulate --reps 200 --threads N --seed <pair>
 
 with N from --threads (by default 1: one batch of 200 in one process; a
-larger N lets min(N, usable cores, 4) workers split the cell, as many as
-a tree that still splits cells into 10 default chunks uses for N <= 10)
-in both source trees, in 10 alternating pairs: pair i runs seed i on both
-sides, and the side that runs first alternates from pair to pair, so
-drift in machine speed falls on both sides alike.  Each run is a fresh process that
+larger N lets min(N, usable cores, 4) workers split the cell) in both
+source trees, in 10 alternating pairs: pair i runs seed i on both sides,
+and the side that runs first alternates from pair to pair, so drift in
+machine speed falls on both sides alike.  Each run is a fresh process that
 imports `smdmeta` from its tree's `src/` and times only the `simulate`
 call.  Every run is printed as one JSON line, in the form
 `bench_pairs.py` records its runs, with its ms per replicate as the one

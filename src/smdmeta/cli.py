@@ -388,9 +388,12 @@ def cmd_plot(args) -> int:
         elif metric == "delta_mse_ratio":
             reference = 1.0
         title = (f"{metric}  |  delta={delta:g}, q={q:g}, {family} sizes")
-        svg = svgplot.figure_svg(title, list(sizes), ks, series, estimators,
-                                 reference)
         name = f"{metric}_delta{delta:g}_q{q:g}_{family}.svg"
+        try:
+            svg = svgplot.figure_svg(title, list(sizes), ks, series,
+                                     estimators, reference)
+        except ValueError as exc:
+            raise CliError(f"figure {name}: {exc}", EXIT_INPUT)
         path = os.path.join(args.out_dir, name)
         with open(path, "w") as fh:
             fh.write(svg)

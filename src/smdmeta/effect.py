@@ -62,9 +62,8 @@ class EffectInterval:
 def effect_iv_batch(batch: MetaBatch, tau2s: list[Tau2Result]) -> list:
     """Inverse-variance weighted means, weights 1/(v_i^2 + tau2) at each
     tau2 estimate; variance estimated conventionally as 1/sum(w)."""
-    w = 1.0 / (batch.v2 + np.array([[t.value] for t in tau2s]))
-    sum_w = w.sum(-1)
-    mean = (w * batch.g).sum(-1) / sum_w
+    _, sum_w, mean, _ = _row_fits(batch.g, batch.v2,
+                                  np.array([t.value for t in tau2s]))
     return [EffectResult(*args) for args in zip(mean.tolist(),
                                                  (1.0 / sum_w).tolist())]
 
@@ -110,7 +109,7 @@ def ci_hksj_batch(batch: MetaBatch, tau2s: list[Tau2Result],
     than raised, so simulation coverage accounting can proceed.
     """
     center = np.array([iv.value for iv in ivs])
-    # _row_fits' mean is effect_iv_batch's, bit for bit: terms w (g - center)^2
+    # effect_iv_batch's mean is _row_fits', so terms are w (g - center)^2
     _, sum_w, _, terms = _row_fits(batch.g, batch.v2,
                                    np.array([t.value for t in tau2s]))
     var_star = terms.sum(-1) / ((batch.k - 1) * sum_w)

@@ -119,7 +119,7 @@ def solve_q_roots(g: np.ndarray, v2: np.ndarray, targets) -> list:
     >= b are decided without Q.  A computed Q is within rho Q + S0 e^2 of
     the exact one: rho = (K + 6) eps (weights, sum of K nonnegative terms),
     e = (K + 1) eps max|g| (the mean), S0 = sum 1/v^2 >= sum w; margin =
-    4 rho target + 2 S0 e^2.  A round evaluates every row's next points in
+    4 rho target + 2 S0 e^2.  A round evaluates every row's next point in
     one (n, K) call; the rows walk on floats.
     """
     targets = [float(t) for t in targets]
@@ -151,11 +151,11 @@ def solve_q_roots(g: np.ndarray, v2: np.ndarray, targets) -> list:
 
 
 def _lockstep(walks: dict, evaluate) -> dict:
-    """Run the generators `walks` together: each yields the points it needs,
-    one `evaluate(keys, points)` call per round returns the values at all
-    of them, in order, and each walk is sent its own; returns what each
-    walk returned, or the first NonConvergenceError it was sent, by key in
-    the order of walks."""
+    """Run the generators `walks` together: each yields the one point it
+    needs next, one `evaluate(keys, points)` call per round returns the
+    values at all of them, in order, and each walk is sent its own; returns
+    what each walk returned, or the NonConvergenceError it would have been
+    sent, by key in the order of walks."""
     results, asks = {}, {}
     for i, walk in walks.items():
         try:
@@ -163,16 +163,13 @@ def _lockstep(walks: dict, evaluate) -> dict:
         except StopIteration as stop:
             results[i] = stop.value
     while asks:
-        values = iter(evaluate([i for i in asks for _ in asks[i]],
-                               [t for points in asks.values() for t in points]))
-        for i, points in list(asks.items()):
-            sent = [next(values) for _ in points]
-            failed = [v for v in sent if isinstance(v, NonConvergenceError)]
+        keys = list(asks)
+        for i, value in zip(keys, evaluate(keys, list(asks.values()))):
             try:
-                if not failed:
-                    asks[i] = walks[i].send(sent)
+                if not isinstance(value, NonConvergenceError):
+                    asks[i] = walks[i].send(value)
                     continue
-                results[i] = failed[0]
+                results[i] = value
             except StopIteration as stop:
                 results[i] = stop.value
             del asks[i]
@@ -181,18 +178,17 @@ def _lockstep(walks: dict, evaluate) -> dict:
 
 def _walk(target: float, margin: float, q: float, dq: float, hi: float):
     """One row of solve_q_roots from Q(0) = q > target, of slope dq, and the
-    first doubling point hi: yields the points it needs Q at, is sent their
-    (Q, dQ) pairs, and returns its outcome."""
+    first doubling point hi: yields each point it needs Q at, is sent the
+    (Q, dQ) pair there, and returns its outcome."""
     tol = _REL_TOL * target
     a, b = 0.0, math.inf  # proven: Q(a) above and Q(b) below target -+ tol
 
-    def prove(points, values):
+    def prove(t, qt):
         nonlocal a, b
-        for t, (qt, _) in zip(points, values):
-            if qt > target + tol + margin:
-                a = max(a, t)
-            elif qt < target - tol - margin:
-                b = min(b, t)
+        if qt > target + tol + margin:
+            a = max(a, t)
+        elif qt < target - tol - margin:
+            b = min(b, t)
 
     # Newton on 1/Q from Q >= target does not overshoot where 1/Q is concave.
     # Its error squares: within 1e-4 target, probe at Q ~ target -+ 1.5 tol.
@@ -202,21 +198,21 @@ def _walk(target: float, margin: float, q: float, dq: float, hi: float):
             break
         x_next = x + (target - q) / target * q / dq
         if abs(q - target) <= 1e-4 * target:
-            probes = [t for t in (x_next - 1.5 * tol / dq,
-                                  x_next + 1.5 * tol / dq) if a < t < b]
-            if probes:
-                prove(probes, (yield probes))
+            for t in [t for t in (x_next - 1.5 * tol / dq,
+                                  x_next + 1.5 * tol / dq) if a < t < b]:
+                prove(t, (yield t)[0])
             break
         top = min(b, BRACKET_CAP)
         x = x_next if a < x_next < top else 0.5 * (a + top)
-        prove([x], values := (yield [x]))
-        (q, dq), = values
+        q, dq = yield x
+        prove(x, q)
 
     lo = 0.0
     while not hi >= b:  # double while Q(hi) >= target
         if not hi <= a:
-            prove([hi], values := (yield [hi]))
-            if not values[0][0] >= target:
+            q, _ = yield hi
+            prove(hi, q)
+            if not q >= target:
                 break
         lo, hi = hi, 2.0 * hi
         if hi > BRACKET_CAP:
@@ -227,12 +223,12 @@ def _walk(target: float, margin: float, q: float, dq: float, hi: float):
         mid = 0.5 * (lo + hi)
         above = mid <= a
         if a < mid < b:
-            prove([mid], values := (yield [mid]))
-            if abs(values[0][0] - target) <= tol:
+            q, _ = yield mid
+            prove(mid, q)
+            if abs(q - target) <= tol:
                 return Tau2Result(mid, "interior", it)
-            above = values[0][0] > target
+            above = q > target
         lo, hi = (mid, hi) if above else (lo, mid)
     return NonConvergenceError(
         f"bisection did not reach |Q - target| <= {tol:g} in {_MAX_BISECT} "
         f"steps; bracket [{lo:g}, {hi:g}]")
-

@@ -79,9 +79,9 @@ def figure_svg(title: str, sizes: list[int], ks: list[int],
     panel_h = (_H - _MARGIN_T - _MARGIN_B - (n_rows - 1) * _GAP_Y) / n_rows
 
     xs = sorted({x for pts in series.values() for x, _ in pts})
-    ys = [y for pts in series.values() for _, y in pts if not math.isnan(y)]
+    ys = [y for pts in series.values() for _, y in pts if math.isfinite(y)]
     if not xs or not ys:
-        raise ValueError("nothing to plot")
+        raise ValueError("no finite value to plot")
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -90,6 +90,8 @@ def figure_svg(title: str, sizes: list[int], ks: list[int],
         y_lo, y_hi = min(y_lo, reference), max(y_hi, reference)
     pad = 0.06 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not math.isfinite(y_hi - y_lo):
+        raise ValueError("values span more than the float range")
 
     def sx(x, px0):
         return px0 + (x - x_lo) / (x_hi - x_lo) * panel_w
@@ -153,7 +155,7 @@ def figure_svg(title: str, sizes: list[int], ks: list[int],
                 color, dash = ESTIMATOR_STYLES.get(name, _FALLBACK_STYLE)
                 dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
                 coords = " ".join(f"{sx(x, px0):.2f},{sy(y, py0):.2f}"
-                                  for x, y in pts if not math.isnan(y))
+                                  for x, y in pts if math.isfinite(y))
                 parts.append(f'<polyline points="{coords}" fill="none" '
                              f'stroke="{color}" stroke-width="1.6"{dash_attr}/>')
     parts.append(f'<text x="{_W / 2}" y="{_H - 10}" font-size="12" '

@@ -147,18 +147,18 @@ def _restricted_fits(g: np.ndarray, v2: np.ndarray, steps: bool = False):
 
 
 def _reml_walk(t: float):
-    """One row of `tau2_reml_batch` from t: a walk that yields [tau2] and is
-    sent [(l, sum w^2, sum w^2 ((g - mean)^2 - v^2), sum w)] there."""
-    (l_cur, sum_w2, num, sum_w), = yield [t]
+    """One row of `tau2_reml_batch` from t: a walk that yields each tau2 and
+    is sent (l, sum w^2, sum w^2 ((g - mean)^2 - v^2), sum w) there."""
+    l_cur, sum_w2, num, sum_w = yield t
     for it in range(1, _REML_MAX_ITER + 1):
         if not sum_w2 > 0:
             return NonConvergenceError(f"sum w^2 underflowed at tau2 = {t:g}")
         prop = max(0.0, num / sum_w2 + 1.0 / sum_w)
-        (l_prop, *fit), = yield [prop]
+        l_prop, *fit = yield prop
         halvings = 0
         while l_prop < l_cur - 1e-13 and halvings < 30:
             prop = 0.5 * (prop + t)
-            (l_prop, *fit), = yield [prop]
+            l_prop, *fit = yield prop
             halvings += 1
         done = abs(prop - t) <= _REML_TOL * (1.0 + prop)
         t, l_cur, (sum_w2, num, sum_w) = prop, l_prop, fit
@@ -460,13 +460,16 @@ def _satterthwaite_roots(w: np.ndarray, v2: np.ndarray, q_obs: np.ndarray,
             for row in z]
 
 
-def _brentq(xa: float, xb: float, fa: float, fb: float, target: float,
+def _brentq(xa: float, xb: float, fa: float, fb: float, f,
             xtol: float = 1e-6, rtol: float = 1e-5, maxiter: int = 100):
-    """scipy.optimize.brentq (its brentq.c, step for step) on f = F - target
-    from a bracket [xa, xb] where f changes sign, fa = f(xa), fb = f(xb), as
-    a walk: yields [x] for each next x and is sent [F(x)]; returns the root,
-    or a NonConvergenceError after maxiter iterations."""
+    """scipy.optimize.brentq (its brentq.c, step for step) as a walk from a
+    bracket [xa, xb] where the function changes sign, fa and fb its values
+    there: yields each next x and is sent the raw value there, which f turns
+    into the function's; returns the root, or a NonConvergenceError after
+    maxiter steps or at a NaN function value, on which scipy raises."""
     xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    if math.isnan(fpre) or math.isnan(fcur):
+        return NonConvergenceError("f is NaN at a bracket end")
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
     xblk = fblk = spre = scur = 0.0
@@ -495,21 +498,22 @@ def _brentq(xa: float, xb: float, fa: float, fb: float, target: float,
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = (yield [xcur])[0] - target
+        if math.isnan(fcur := f((yield xcur))):
+            return NonConvergenceError(f"f is NaN at {xcur:g}")
     return NonConvergenceError(f"brentq did not converge in {maxiter} steps")
 
 
 def _endpoint(target: float, seed: float):
-    """One endpoint as a walk that yields [tau2] and is sent [CDF(tau2)]:
-    0 if the CDF at 0 is <= target; else stepping out from the seed by
-    _SEED_STEP, then 4x, 16x, ... that, to a bracket, and brentq on CDF -
+    """One endpoint as a walk that yields each tau2 and is sent the CDF
+    there: 0 if the CDF at 0 is <= target; else stepping out from the seed
+    by _SEED_STEP, then 4x, 16x, ... that, to a bracket, and brentq on CDF -
     target in it; infinite if the CDF is still >= target at 2^23.  A NaN
     seed (the fit's traces overflowed) is taken as 1."""
-    f, = yield [0.0]
+    f = yield 0.0
     if f <= target:
         return 0.0
     x, step = min(seed, _CAP_POINT) if seed == seed else 1.0, _SEED_STEP
-    f, = yield [x]
+    f = yield x
     up = f >= target
     sign = 1.0 if up else -1.0
     while (f >= target) == up:
@@ -517,9 +521,9 @@ def _endpoint(target: float, seed: float):
             return math.inf
         prev, f_prev, x = x, f, min(x * (1.0 + step) ** sign, _CAP_POINT)
         step *= 4.0
-        f, = yield [x]
+        f = yield x
     (a, fa), (b, fb) = sorted([(prev, f_prev - target), (x, f - target)])
-    return (yield from _brentq(a, b, fa, fb, target))
+    return (yield from _brentq(a, b, fa, fb, lambda cdf: cdf - target))
 
 
 def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
@@ -660,14 +664,12 @@ ci_bj_batch, ci_jackson_batch = map(_reader, range(2))
 
 def _pl_walk(center: float, crit: float, level: float):
     """One row of `ci_pl_batch` around the REML estimate center: a walk that
-    yields the tau2 it needs and is sent l there.  Each endpoint is brentq's
-    root (xtol 1e-10, rtol 1e-8) of h = 2 (l_hat - l) - crit in a bracket
-    where h changes sign; a NaN h, on which scipy's brentq raises, fails
-    the interval."""
-    if center:
-        l_hat, l_zero = yield [center, 0.0]
-    else:
-        l_hat = l_zero = (yield [0.0])[0]
+    yields each tau2 it needs and is sent l there.  Each endpoint is
+    brentq's root (xtol 1e-10, rtol 1e-8) of h = 2 (l_hat - l) - crit in a
+    bracket where h changes sign; a NaN h, on which scipy's brentq raises,
+    fails the interval."""
+    l_hat = yield center
+    l_zero = (yield 0.0) if center else l_hat
     if l_zero > l_hat:
         # fixed point stopped short of the boundary maximum
         center, l_hat = 0.0, l_zero
@@ -677,17 +679,12 @@ def _pl_walk(center: float, crit: float, level: float):
 
     def root(a: float, b: float, la: float, lb: float):
         """h's root in [a, b], where l is la and lb, or its failure."""
-        where = f"profile-likelihood endpoint in [{a:g}, {b:g}]"
-        search = _brentq(a, b, h(la), h(lb), 0.0, 1e-10, 1e-8)
-        sent, values = None, [h(la), h(lb)]
-        try:
-            while not any(map(math.isnan, values)):
-                x, = search.send(sent)
-                sent = values = [h((yield [x])[0])]
-        except StopIteration as stop:
-            return NonConvergenceError(f"{where}: convergence error") \
-                if isinstance(stop.value, NonConvergenceError) else stop.value
-        return NonConvergenceError(f"{where}: h is NaN")
+        x = yield from _brentq(a, b, h(la), h(lb), h, 1e-10, 1e-8)
+        if not isinstance(x, NonConvergenceError):
+            return x
+        return NonConvergenceError(
+            f"profile-likelihood endpoint in [{a:g}, {b:g}]: " + (
+                "h is NaN" if "NaN" in str(x) else "convergence error"))
 
     lo, flags = 0.0, []
     if not h(l_zero) <= 0.0:
@@ -695,7 +692,7 @@ def _pl_walk(center: float, crit: float, level: float):
         if isinstance(lo, NonConvergenceError):
             return lo
     br_lo, l_lo, br = center, l_hat, max(1.0, 2.0 * center)
-    while h(l_br := (yield [br])[0]) <= 0.0:
+    while h(l_br := (yield br)) <= 0.0:
         br_lo, l_lo, br = br, l_br, 2.0 * br
         if br > BRACKET_CAP:
             hi = math.inf

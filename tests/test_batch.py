@@ -365,14 +365,15 @@ class TestFixedWeightBatch:
 
 
 def walk_brentq(f, a, b, **kwargs):
-    """The brentq walk driven by f from [a, b]: its outcome and the points
-    it asked, after a and b."""
-    walk, points = tau2._brentq(a, b, f(a), f(b), 0.0, **kwargs), []
+    """The brentq walk on f from [a, b], sent each point it asks for as the
+    raw value there (the walk applies f): its outcome and the points it
+    asked, after a and b."""
+    walk, points = tau2._brentq(a, b, f(a), f(b), f, **kwargs), []
     try:
-        x, = next(walk)
+        x = next(walk)
         while True:
             points.append(x)
-            x, = walk.send([f(x)])
+            x = walk.send(x)
     except StopIteration as stop:
         return stop.value, points
 
@@ -569,10 +570,10 @@ class TestRemlPlBatch:
         crit = oracles.chisq_quantile(0.95, 1.0)
         walk, asked = tau2._pl_walk(1.0, crit, 0.95), []
         try:
-            points = next(walk)
+            t = next(walk)
             while True:
-                asked += points
-                points = walk.send([loglik(t) for t in points])
+                asked.append(t)
+                t = walk.send(loglik(t))
         except StopIteration as stop:
             out = stop.value
         with pytest.raises(ValueError, match="is NaN") as raised:

@@ -567,6 +567,20 @@ def results_csv(tmp_path_factory):
     return path
 
 
+def with_values(path, tmp_path, metric, values):
+    """A copy of the results file at path whose first rows of metric hold
+    values, in order."""
+    lines = Path(path).read_text().splitlines()
+    at = RESULTS_HEADER.index("value")
+    rows = [i for i, line in enumerate(lines)
+            if line.split(",")[RESULTS_HEADER.index("metric")] == metric]
+    for i, value in zip(rows, values):
+        fields = lines[i].split(",")
+        fields[at] = value
+        lines[i] = ",".join(fields)
+    return write(tmp_path / "edited.csv", "\n".join(lines) + "\n")
+
+
 class TestPlot:
     def test_reads_a_results_file_with_a_byte_order_mark(self, tmp_path,
                                                          results_csv, capsys):
@@ -639,6 +653,37 @@ class TestPlot:
             main(["plot", "--results", results_csv, "--metric", "tau2_bias",
                   "--out-dir", str(tmp_path / "f"), flag, "abc"])
         assert exc.value.code == 2
+
+    def test_figure_with_no_finite_value_is_input_error(self, tmp_path,
+                                                        capsys):
+        # one replicate per cell: every MSE ratio of the figure is NaN
+        path = str(tmp_path / "one.csv")
+        assert main(["simulate", "--delta", "0", "--tau2", "0", "--k",
+                     "5,10,30", "--n", "20,40,100,250", "--q", "0.5",
+                     "--reps", "1", "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["plot", "--results", path, "--metric", "delta_mse_ratio",
+                     "--out-dir", str(tmp_path / "f")]) == 2
+        assert "figure delta_mse_ratio_delta0_q0.5_equal-main.svg: " \
+            "no finite value to plot" in capsys.readouterr().err
+
+    def test_infinite_value_is_skipped(self, tmp_path, results_csv, capsys):
+        edited = with_values(results_csv, tmp_path, "tau2_bias", ["inf"])
+        out_dir = tmp_path / "f"
+        assert main(["plot", "--results", edited, "--metric", "tau2_bias",
+                     "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        svg, = [path.read_text() for path in out_dir.iterdir()]
+        assert "inf" not in svg and "nan" not in svg and "polyline" in svg
+
+    def test_values_past_the_float_range_are_input_error(
+            self, tmp_path, results_csv, capsys):
+        edited = with_values(results_csv, tmp_path, "tau2_bias",
+                             ["1e308", "-1e308"])
+        assert main(["plot", "--results", edited, "--metric", "tau2_bias",
+                     "--out-dir", str(tmp_path / "f")]) == 2
+        assert "figure tau2_bias_delta0_q0.5_equal-main.svg: values span " \
+            "more than the float range" in capsys.readouterr().err
 
     def test_non_numeric_results_value_is_input_error(self, tmp_path,
                                                       results_csv, capsys):

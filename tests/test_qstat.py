@@ -358,3 +358,42 @@ class TestSolverMatchesPlainBisection:
             mean_evaluations[solver] = evaluations[0] / solves
         assert mean_evaluations[solve] <= 10.0
         assert mean_evaluations[reference_solve_q_equals] > 25.0
+
+
+class TestLockstep:
+    def test_rounds_failures_and_order(self):
+        # walks end at once, on their last value, or on a failure, in an
+        # order other than theirs; each round asks one point per live walk
+        rounds, resumed = [], []
+
+        def evaluate(keys, points):
+            rounds.append((keys, points))
+            return [NonConvergenceError(f"no value at {t:g}") if t < 0.0
+                    else 10.0 * t for t in points]
+
+        def total(n):  # asks 1, ..., n and returns the sum of the values
+            out = 0.0
+            for t in range(1, n + 1):
+                out += yield float(t)
+            return out
+
+        def failing():
+            yield 1.0
+            yield -1.0
+            resumed.append(True)
+            return "resumed"
+
+        def at_once():
+            return "at once"
+            yield
+
+        out = qstat._lockstep({"c": total(3), "now": at_once(),
+                               "f": failing(), "b": total(1)}, evaluate)
+        assert list(out) == ["c", "now", "f", "b"]
+        assert out["c"] == 60.0 and out["b"] == 10.0
+        assert out["now"] == "at once"
+        assert isinstance(out["f"], NonConvergenceError)
+        assert str(out["f"]) == "no value at -1"
+        assert not resumed
+        assert rounds == [(["c", "f", "b"], [1.0, 1.0, 1.0]),
+                          (["c", "f"], [2.0, -1.0]), (["c"], [3.0])]

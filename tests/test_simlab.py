@@ -594,19 +594,18 @@ class TestRunCell:
                          for tau2 in simlab.TAU2S], threads=2)
         assert made == ranges * len(simlab.TAU2S)
 
-    def test_results_bytes_do_not_depend_on_threads_or_chunks(
-            self, monkeypatch, two_cores, tmp_path):
+    def test_results_bytes_do_not_depend_on_threads(self, monkeypatch,
+                                                    two_cores, tmp_path):
         set_usable_cores(monkeypatch, 3)
         written = set()
         for threads in (1, 2, 3):
-            for chunks in (1, 4, 10):
-                out = tmp_path / f"{threads}-{chunks}.csv"
-                assert cli.main([
-                    "simulate", "--delta", "0.5", "--tau2", "0,1", "--k", "5",
-                    "--n", "20", "--nbar", "30", "--q", "0.5", "--reps",
-                    "200", "--chunks", str(chunks), "--seed", "12",
-                    "--threads", str(threads), "--out", str(out)]) == 0
-                written.add(out.read_bytes())
+            out = tmp_path / f"{threads}.csv"
+            assert cli.main([
+                "simulate", "--delta", "0.5", "--tau2", "0,1", "--k", "5",
+                "--n", "20", "--nbar", "30", "--q", "0.5", "--reps", "200",
+                "--seed", "12", "--threads", str(threads),
+                "--out", str(out)]) == 0
+            written.add(out.read_bytes())
         assert len(written) == 1
 
     @needs_fork

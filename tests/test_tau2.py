@@ -575,9 +575,9 @@ OVERFLOWING_SEEDS = MetaBatch.of([
 class TestSatterthwaiteSeed:
     def test_nan_seed_steps_out_from_one(self):
         walk = tau2._endpoint(0.025, math.nan)
-        assert next(walk) == [0.0]
-        assert walk.send([0.5]) == [1.0]
-        assert walk.send([0.5]) == [1.05]
+        assert next(walk) == 0.0
+        assert walk.send(0.5) == 1.0
+        assert walk.send(0.5) == 1.05
 
     def test_overflowing_fit_gives_honest_failures(self):
         # the walks used to ask for the CDF at tau2 = nan
