@@ -10,6 +10,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -335,6 +336,8 @@ def cmd_plot(args) -> int:
             key = (float(r["delta"]), float(r["q"]), r["pattern"],
                    int(r["n_bar"]), int(r["k"]), r["estimator"])
             point = (float(r["tau2"]), float(r["value"]))
+            if not math.isfinite(point[0]):
+                raise ValueError(f"tau2 is {r['tau2']}")
         except (TypeError, ValueError) as exc:
             raise CliError(f"results row {line_no}: {exc}", EXIT_INPUT)
         data.setdefault(key, []).append(point)

@@ -8,7 +8,7 @@ workers; each worker's share is drawn straight into MetaBatches of at most
 200 replicates, (R, K) arrays of g and v^2, each estimated at once, with
 rows bit-identical to one replicate at a time; `analyze` runs the same
 battery on a batch of one.  Given a cell's true tau^2, the battery decides
-the QP, KDB, BJ and J coverages from the test each interval inverts.
+the QP, KDB, BJ, J and PL coverages from the test each interval inverts.
 Batches return per-replicate arrays and all aggregation happens once, in
 global replicate order.
 """
@@ -185,12 +185,12 @@ def expand_grid(config: GridConfig, allow_custom: bool = False) -> list[SimCell]
 # One row per estimator, in run order: (failure name, kind, output name,
 # module, function, prerequisites).  A row's key is (kind, output name); its
 # prerequisites, keys of earlier rows, follow the data as arguments, then the
-# level on "_cover" rows, and the level and the true tau^2 (or None) on the
-# Q-root row, which solves every Q(tau^2) = target of a replicate for the
-# rows that read it, and on the fixed-weight row, which finds the BJ and J
-# intervals together.  Every function is a `*_batch` function: it takes the
-# MetaBatch and a list per prerequisite, and returns a result or
-# NonConvergenceError per replicate.
+# level on "delta_cover" rows, and the level and the true tau^2 (or None) on
+# "tau2_cover" rows, on the Q-root row, which solves every Q(tau^2) = target
+# of a replicate for the rows that read it, and on the fixed-weight row,
+# which finds the BJ and J intervals together.  Every function is a
+# `*_batch` function: it takes the MetaBatch and a list per prerequisite,
+# and returns a result or NonConvergenceError per replicate.
 # Functions are looked up by name on each call, so a patched module
 # attribute (a tracing span, a test double) is what runs.
 ROOTS = ("q_roots", "Q-roots")
@@ -235,8 +235,8 @@ def estimate_all(batch: MetaBatch, level: float = 0.95, tau2=None) -> list:
     the replicates ready for it (one input is a batch of one); returns one
     (results, failures) pair per replicate, in batch order, results keyed
     by (kind, output name).  Given the true tau2 (as `simulate` gives it),
-    the QP, BJ, J and KDB results are whether each interval holds it,
-    decided from the test the interval inverts; PL's is the interval.
+    each tau2 interval's result is whether the interval holds it, decided
+    from the test the interval inverts, with no endpoint search.
 
     A row that fails with NonConvergenceError is recorded in failures under
     its failure name, never silently dropped, and has no result.  A row
@@ -258,8 +258,8 @@ def estimate_all(batch: MetaBatch, level: float = 0.95, tau2=None) -> list:
             if not ready:
                 continue
             args = [[results[i][key] for i in ready] for key in prereqs]
-            extra = (level, tau2) if kind in (ROOTS[0], FIXED[0]) \
-                else (level,) if kind.endswith("_cover") else ()
+            extra = (level,) if kind == "delta_cover" else (level, tau2) \
+                if kind in (ROOTS[0], FIXED[0], "tau2_cover") else ()
             try:
                 outs = getattr(module, function)(
                     batch if len(ready) == len(batch) else batch.rows(ready),
@@ -388,8 +388,7 @@ def run_cell_raw(cell: SimCell, level: float = 0.95,
     cell, replicate), each row of a batch is estimated as if alone, and the
     shares are concatenated in replicate order, so the result is identical
     for any worker count and batch size.  A REML estimate that stopped at
-    max_iter is pooled into bias and coverage as an ordinary estimate, and
-    PL is built around it.
+    max_iter is pooled as an ordinary one, PL's coverage test included.
     """
     workers = min(threads, usable_cores(), max(1, cell.reps // _MIN_SHARE))
     ends = [h * cell.reps // workers for h in range(workers + 1)]
@@ -476,8 +475,8 @@ def metrics(raw: RawCellResult) -> CellReport:
     Monte-Carlo standard errors (coverage SE is sqrt(p(1-p)/R)).
 
     NaN entries (failed estimators) are left out.  A REML estimate that
-    stopped at max_iter is not NaN: it counts in REML's bias and in PL's
-    coverage like any other estimate.
+    stopped at max_iter is not NaN: it counts in REML's bias, and PL's
+    coverage is tested from it, like any other estimate.
     """
     cell = raw.cell
     rows: list[MetricRow] = []

@@ -83,12 +83,14 @@ def figure_svg(title: str, sizes: list[int], ks: list[int],
     if not xs or not ys:
         raise ValueError("no finite value to plot")
     x_lo, x_hi = min(xs), max(xs)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    if x_hi - x_lo <= 1e-9 * abs(x_lo):  # one tau^2, as far as ticks tell
+        x_hi = x_lo + max(1.0, abs(x_lo))
     y_lo, y_hi = min(ys), max(ys)
     if reference is not None:
         y_lo, y_hi = min(y_lo, reference), max(y_hi, reference)
-    pad = 0.06 * (y_hi - y_lo or 1.0)
+    # a span too narrow for ticks is padded by the values' size, at least 1
+    size = max(1.0, abs(y_lo), abs(y_hi))
+    pad = 0.06 * (y_hi - y_lo if y_hi - y_lo > 1e-9 * size else size)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     if not math.isfinite(y_hi - y_lo):
         raise ValueError("values span more than the float range")

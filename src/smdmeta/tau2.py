@@ -16,8 +16,8 @@ code over a MetaBatch (one input is a batch of one), one result or failure
 per replicate, whose searches run in lock-step: each REML iteration, PL or
 BJ/J endpoint search is a walk that yields the tau2 it needs, and a round
 evaluates every walk's restricted log-likelihood or mixture CDF together.
-Given the true tau2, as in `simulate`, the QP, KDB, BJ and J rows search
-for no endpoint: each decides coverage from the test its interval inverts.
+Given the true tau2, as in `simulate`, no interval row searches for an
+endpoint: each decides coverage from the test its interval inverts.
 """
 
 from __future__ import annotations
@@ -383,9 +383,9 @@ def _q_profile(lo, hi, level: float):
 
 def _covers(stat: float, lower: float, upper: float, truth: float):
     """Whether {tau2 >= 0 : lower <= stat(tau2) <= upper} holds truth, from
-    stat(truth) alone, for stat decreasing in tau2; a non-finite stat fails.
-    As the endpoint searches set the lower endpoint to 0 when stat(0) <=
-    upper, truth = 0 is held exactly then."""
+    stat(truth) alone; a non-finite stat fails.  For stat decreasing in
+    tau2, as the endpoint searches set the lower endpoint to 0 when stat(0)
+    <= upper, truth = 0 is held exactly then."""
     if not math.isfinite(stat):
         return NonConvergenceError(f"statistic is {stat} at tau2 = {truth:g}")
     return bool(stat <= upper and (truth == 0.0 or stat >= lower))
@@ -708,11 +708,22 @@ def _pl_walk(center: float, crit: float, level: float):
     return Tau2Interval(lo, hi, level, tuple(flags))
 
 
-def ci_pl_batch(batch: MetaBatch, remls: list, level: float) -> list:
+def ci_pl_batch(batch: MetaBatch, remls: list, level: float,
+                truth=None) -> list:
     """Profile-likelihood interval around each reml, the `tau2_reml_batch`
     estimate, { tau2 >= 0 : 2 (l(tau2_REML) - l(tau2)) <= chi2_{1; level} };
-    the rows search in lock-step."""
+    the rows search in lock-step.  Given the true tau2 `truth`, whether each
+    holds it, with no search: `_covers` on that statistic at truth, from one
+    fit per row at the estimate, 0 and truth (a failed fit fails the row)."""
     crit = chisq_quantile(level, 1.0)
-    return list(_lockstep(
-        {i: _pl_walk(r.value, crit, level) for i, r in enumerate(remls)},
-        _restricted_fits(batch.g, batch.v2)).values())
+    loglik = _restricted_fits(batch.g, batch.v2)
+    if truth is None:
+        return list(_lockstep(
+            {i: _pl_walk(r.value, crit, level) for i, r in enumerate(remls)},
+            loglik).values())
+    fits = iter(loglik([i for i in range(len(remls)) for _ in range(3)],
+                       [t for r in remls for t in (r.value, 0.0, truth)]))
+    # the walk's l_hat: max keeps l(estimate), even NaN, unless l(0) > it
+    return [next((v for v in fit if isinstance(v, NonConvergenceError)), None)
+            or _covers(2.0 * (max(fit[:2]) - fit[2]), -math.inf, crit, truth)
+            for fit in zip(fits, fits, fits)]

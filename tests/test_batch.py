@@ -739,23 +739,46 @@ STRATUM_CELLS = [
     SimCell(1.0, 1.0, 30, "unequal", 30, 0.75, seed=21)]
 
 
-def endpoint_tol(t):
+def endpoint_tol(t, name):
     """How far from an endpoint the two routes may disagree: brentq's
-    xtol + rtol t, twice."""
-    return 2.0 * (1e-6 + 1e-5 * t)
+    xtol + rtol t, twice (1e-10 and 1e-8 in PL's brentq, else 1e-6 and
+    1e-5)."""
+    xtol, rtol = (1e-10, 1e-8) if name == "PL" else (1e-6, 1e-5)
+    return 2.0 * (xtol + rtol * t)
+
+
+def pl_both_ways(batch, truths, level):
+    """{truth: [(PL interval or failure, decision or failure), ...]} over
+    the rows whose DL and REML estimates did not fail, as estimate_all
+    runs PL."""
+    dls = tau2.tau2_dl_batch(batch)
+    rows = [i for i, dl in enumerate(dls)
+            if not isinstance(dl, NonConvergenceError)]
+    remls = tau2.tau2_reml_batch(batch.rows(rows), [dls[i] for i in rows]) \
+        if rows else []
+    rows = [i for i, r in zip(rows, remls)
+            if not isinstance(r, NonConvergenceError)]
+    remls = [r for r in remls if not isinstance(r, NonConvergenceError)]
+    if not rows:
+        return {t: [] for t in truths}
+    sub = batch.rows(rows)
+    found = tau2.ci_pl_batch(sub, remls, level)
+    return {t: list(zip(found, tau2.ci_pl_batch(sub, remls, level, t)))
+            for t in truths}
 
 
 def covered_both_ways(batch, truths, level=0.95):
-    """Per truth, replicate and interval (QP, KDB, BJ, J): (truth, name, the
-    interval or its failure, the decision at truth or its failure), after
-    checking that the point entries of both routes are bit for bit the
-    same."""
+    """Per truth, replicate and interval (QP, KDB, BJ, J, then PL on the
+    rows with a REML estimate): (truth, name, the interval or its failure,
+    the decision at truth or its failure), after checking that the point
+    entries of both routes are bit for bit the same."""
     with np.errstate(all="ignore"):  # as estimate_all runs the rows
         found = tau2.q_roots_batch(batch, level)
         fixed = tau2.fixed_weight_batch(batch, level)
         tested = {t: (tau2.q_roots_batch(batch, level, t),
                       tau2.fixed_weight_batch(batch, level, t))
                   for t in truths}
+        pl = pl_both_ways(batch, truths, level)
     out = []
     for truth, (tested, fixed_tested) in tested.items():
         for i, (roots, decided) in enumerate(zip(found, tested)):
@@ -766,7 +789,13 @@ def covered_both_ways(batch, truths, level=0.95):
                     in zip(("QP", "KDB")[:len(roots) // 2], (2, 4))]
             out += [(truth, name, ci, cover) for name, ci, cover
                     in zip(("BJ", "J"), fixed[i], fixed_tested[i])]
+        out += [(truth, "PL", ci, cover) for ci, cover in pl[truth]]
     return out
+
+
+def near_endpoint(truth, name, ci):
+    return min(abs(truth - ci.lo), abs(truth - ci.hi)) \
+        <= endpoint_tol(truth, name)
 
 
 class TestCoverageByTest:
@@ -774,6 +803,7 @@ class TestCoverageByTest:
     def test_strata_agree_with_contains(self, cell):
         # every (K, pattern) stratum at its own tau2 and at 0, with a
         # degenerate (all g equal, q = 0) and an overflowing row added
+        # (whose DL fails, so it has no PL)
         batch = simulate_batch(cell, 0, 40)
         sizes = batch.arm_sizes
         extra = [MetaBatch(sizes, np.full((1, cell.k), 0.4), batch.v2[:1]),
@@ -790,15 +820,17 @@ class TestCoverageByTest:
                 continue
             assert isinstance(cover, bool)
             seen.add((ci.contains(truth), cover))
+            seen.add((name, cover))
             if ci.contains(truth) != cover:  # never at 0: the same test
-                assert truth > 0 and min(abs(truth - ci.lo), abs(
-                    truth - ci.hi)) <= endpoint_tol(truth)
-        assert {"failed", (True, True), (False, False)} <= seen
+                assert truth > 0 and near_endpoint(truth, name, ci)
+        assert {"failed", (True, True), (False, False), ("PL", True),
+                ("PL", False)} <= seen
 
     def test_degenerate_row_is_covered_only_at_zero(self):
+        # by the Q-based intervals; its likelihood is not degenerate
         data = meta([0.4] * 4, [0.25] * 4)
-        decisions = [(truth, cover) for truth, _, _, cover in
-                     covered_both_ways(data, (0.0, 0.5))]
+        decisions = [(truth, cover) for truth, name, _, cover in
+                     covered_both_ways(data, (0.0, 0.5)) if name != "PL"]
         assert decisions == [(0.0, True)] * 4 + [(0.5, False)] * 4
 
     @pytest.mark.parametrize("seed, per_study", [(11, False), (12, True)])
@@ -807,7 +839,8 @@ class TestCoverageByTest:
         # tolerance (a J row whose coefficients span more than 1/eps fails
         # on both).  A lower Q-profile endpoint past the bracket cap fails
         # the search, and the test finds the truth below it.  The truth
-        # cycles through 0, 0.5, 1e3.
+        # cycles through 0, 0.5, 1e3.  No PL row here fails on either
+        # route, so both must answer.
         seen = collections.Counter()
         for i, rows in enumerate(fuzz_inputs(np.random.default_rng(seed),
                                              per_study)):
@@ -818,15 +851,79 @@ class TestCoverageByTest:
                     assert cover is False or isinstance(
                         cover, NonConvergenceError)
                     seen["beyond cap"] += 1
+                if name == "PL":
+                    assert isinstance(cover, bool) and not isinstance(
+                        ci, NonConvergenceError), (rows, truth, ci, cover)
                 if isinstance(ci, NonConvergenceError) \
                         or isinstance(cover, NonConvergenceError):
                     continue
                 seen[name] += 1
-                assert ci.contains(truth) == cover or min(
-                    abs(truth - ci.lo), abs(truth - ci.hi)) \
-                    <= endpoint_tol(truth), (rows, truth, name, ci, cover)
+                assert ci.contains(truth) == cover or (
+                    truth > 0 or name != "PL") and near_endpoint(
+                    truth, name, ci), (rows, truth, name, ci, cover)
         assert min(seen[name] for name in ("QP", "KDB", "BJ", "J")) > 30
+        assert seen["PL"] >= 5  # few of these inputs have a REML estimate
         assert seen["beyond cap"] > 100
+
+    def test_reml_pl_inputs_agree_with_contains(self):
+        # PL's rarer paths (REML_PL_INPUTS) at 0, 0.5 and 1e3 (two REMLs
+        # fail and leave no PL).  On the last input the walk fails, its
+        # lower brentq in [0, 3.8e84] out of steps, and the test, needing
+        # no endpoint, does not cover.  The decisions agree, but for one.
+        # The 20 equal g of 5.9e92 have Q = 0 at every tau2 in exact
+        # arithmetic; in floats the uncentered mean's rounding gives Q(0)
+        # = 2.3e278 and Q = 1.8e70 at the REML estimate 1.3e86, while at
+        # 0.5 all weights are equal and Q is 0.  So l(0.5) = 5.09 is above
+        # l at the estimate: the walk from the estimate finds [3.4e85, inf)
+        # and the test at 0.5 covers, far from either endpoint.
+        seen = collections.Counter()
+        for gs, v2s in REML_PL_INPUTS:
+            with np.errstate(all="ignore"):
+                pl = pl_both_ways(meta(gs, v2s), (0.0, 0.5, 1e3), 0.95)
+            for truth, pairs in pl.items():
+                for ci, cover in pairs:
+                    assert not isinstance(cover, NonConvergenceError)
+                    if isinstance(ci, NonConvergenceError):
+                        assert gs == REML_PL_INPUTS[-1][0] and str(ci) == (
+                            "profile-likelihood endpoint in [0, 3.80657e+84]"
+                            ": convergence error")
+                        seen["walk failed", cover] += 1
+                    elif ci.contains(truth) != cover:
+                        assert (gs[0], truth) == (5.930636287253617e+92, 0.5)
+                        seen["rounding"] += 1
+                    else:
+                        seen[cover] += 1
+        assert seen == {True: 7, False: 13, ("walk failed", False): 3,
+                        "rounding": 1}
+
+    def test_pl_centers_off_the_maximum_agree_with_contains(self):
+        # l_hat is l at the center, or l(0) where that is larger, on both
+        # routes: centers past the maximum (at 0 for equal g) or short of it
+        batch = simulate_batch(STRATUM_CELLS[2], 0, 20)
+        batch = stack([MetaBatch(batch.arm_sizes, np.full((1, 10), 0.4),
+                                 batch.v2[:1]), batch])
+        seen = set()
+        for center in (0.0, 0.3, 1.0, 5.0):
+            remls = [qstat.Tau2Result(center, "interior")] * len(batch)
+            found = tau2.ci_pl_batch(batch, remls, 0.95)
+            for truth in (0.0, 0.2, 0.5, 1.0, 3.0, 10.0):
+                for ci, cover in zip(found, tau2.ci_pl_batch(
+                        batch, remls, 0.95, truth)):
+                    seen.add((ci.lo == 0.0, cover))
+                    assert ci.contains(truth) == cover or truth > 0 \
+                        and near_endpoint(truth, "PL", ci)
+        assert len(seen) == 4
+
+    @pytest.mark.parametrize("cell", [
+        SimCell(0.5, 0.0, 5, "equal", 20, 0.5, seed=21), STRATUM_CELLS[5]])
+    def test_estimate_all_pl_column_is_the_walk_s(self, cell):
+        # simulate's battery, given the truth, and analyze's, given none
+        batch = simulate_batch(cell, 0, 200)
+        tested, found = (simlab.estimate_all(batch, 0.95, truth)
+                         for truth in (cell.tau2, None))
+        assert [r["tau2_cover", "PL"] for r, _ in tested] == [
+            r["tau2_cover", "PL"].contains(cell.tau2) for r, _ in found]
+        assert [f for _, f in tested] == [f for _, f in found] == [()] * 200
 
 
 def count_targets(monkeypatch):

@@ -1,6 +1,7 @@
 import ctypes
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smdmeta import cli, numkernel, simlab
+from smdmeta import cli, numkernel, simlab, svgplot
 from smdmeta import tau2 as t2
 from smdmeta.cli import RESULTS_HEADER, main
 
@@ -567,11 +568,11 @@ def results_csv(tmp_path_factory):
     return path
 
 
-def with_values(path, tmp_path, metric, values):
+def with_values(path, tmp_path, metric, values, column="value"):
     """A copy of the results file at path whose first rows of metric hold
-    values, in order."""
+    values in column, in order."""
     lines = Path(path).read_text().splitlines()
-    at = RESULTS_HEADER.index("value")
+    at = RESULTS_HEADER.index(column)
     rows = [i for i, line in enumerate(lines)
             if line.split(",")[RESULTS_HEADER.index("metric")] == metric]
     for i, value in zip(rows, values):
@@ -684,6 +685,40 @@ class TestPlot:
                      "--out-dir", str(tmp_path / "f")]) == 2
         assert "figure tau2_bias_delta0_q0.5_equal-main.svg: values span " \
             "more than the float range" in capsys.readouterr().err
+
+    def test_non_finite_tau2_is_input_error_naming_the_row(
+            self, tmp_path, results_csv, capsys):
+        # it ended in an OverflowError traceback from the tick spacing
+        edited = with_values(results_csv, tmp_path, "tau2_bias", ["inf"],
+                             "tau2")
+        row = next(i for i, line in enumerate(open(edited), start=1)
+                   if ",inf," in line)
+        assert main(["plot", "--results", edited, "--metric", "tau2_bias",
+                     "--out-dir", str(tmp_path / "f")]) == 2
+        assert f"results row {row}: tau2 is inf" in capsys.readouterr().err
+
+    def test_large_constant_figure_renders(self, tmp_path, results_csv,
+                                           capsys):
+        # a 0.06 pad (or 1.0) is absorbed by 1e20: it exited 2 with "math
+        # domain error"; a truncation rate has no reference line
+        edited = with_values(results_csv, tmp_path, "tau2_trunc_rate",
+                             ["1e20"] * 5 * 24)
+        out_dir = tmp_path / "f"
+        assert main(["plot", "--results", edited, "--metric",
+                     "tau2_trunc_rate", "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        svg, = [path.read_text() for path in out_dir.iterdir()]
+        assert ">1e+20</text>" in svg and "polyline" in svg
+
+    @pytest.mark.parametrize("points", [
+        [(0.0, 1e20), (1.0, np.nextafter(1e20, math.inf))],
+        [(1e20, 1.0), (np.nextafter(1e20, math.inf), 2.0)], [(1e20, 1.0)]])
+    def test_figure_of_adjacent_floats_renders(self, points):
+        # ticks finer than the floats between two values never advanced,
+        # and a 1.0 span was absorbed by one tau2 of 1e20 (math domain error)
+        svg = svgplot.figure_svg("t", [20], [5], {(20, 5, "DL"): points},
+                                 ["DL"])
+        assert ">1e+20</text>" in svg
 
     def test_non_numeric_results_value_is_input_error(self, tmp_path,
                                                       results_csv, capsys):
