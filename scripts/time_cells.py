@@ -18,8 +18,10 @@ call.  Every run is printed as one JSON line, in the form
 `bench_pairs.py` records its runs, with its ms per replicate as the one
 metric.  Per cell one more line holds `bench_pairs.summarize`'s summary of
 ms per replicate (better lower, with the bound of the change's
-`norm_reps_per_s`) and whether every pair's two results CSVs are
-byte-identical; the exit code is 1 if any pair's are not.
+`norm_reps_per_s`), whether every pair's two results CSVs are
+byte-identical and, under `differing_rows`, per seed whose pair's are not,
+the "estimator metric" rows that differ (a coverage that moved, say); the
+exit code is 1 if any pair's are not byte-identical.
 
 Example:
 
@@ -28,6 +30,8 @@ Example:
 """
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -76,6 +80,17 @@ def simulate_argv(cell, reps: int, seed: int, out: str,
             "--seed", str(seed), "--out", out]
 
 
+def differing_rows(parent_csv: str, change_csv: str) -> list[str]:
+    """The "estimator metric" rows whose fields differ between two results
+    CSV texts of one cell, or that only one of them has, in sorted order."""
+    def rows(text):
+        return {(r["estimator"], r["metric"]): r
+                for r in csv.DictReader(io.StringIO(text))}
+    a, b = rows(parent_csv), rows(change_csv)
+    return [f"{est} {metric}" for est, metric in sorted(a.keys() | b.keys())
+            if a.get((est, metric)) != b.get((est, metric))]
+
+
 def run_once(tree: str, cell, reps: int, seed: int, out: str,
              threads: int = 1) -> float:
     """Seconds one `simulate` call of `tree` took on cell."""
@@ -93,9 +108,9 @@ def time_cell(cell, parent: str, change: str, pairs: int, reps: int,
               metric: dict, work: str,
               threads: int = 1) -> tuple[list[dict], dict]:
     """Alternating pairs on one cell, seeds 1..pairs: the runs, and their
-    summary with whether the two sides wrote the same bytes in every
-    pair."""
-    runs, identical = [], True
+    summary with whether the two sides wrote the same bytes in every pair
+    and, per seed whose pair did not, the rows that differ."""
+    runs, identical, differing = [], True, {}
     for seed in range(1, pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         written = {}
@@ -110,12 +125,15 @@ def time_cell(cell, parent: str, change: str, pairs: int, reps: int,
                          "seconds": seconds,
                          "result": {"metrics": {metric["name"]: {
                              "value": 1000.0 * seconds / reps}}}})
-        with open(written["parent"], "rb") as a, \
-                open(written["change"], "rb") as b:
-            identical &= a.read() == b.read()
+        with open(written["parent"]) as a, open(written["change"]) as b:
+            texts = a.read(), b.read()
+        if texts[0] != texts[1]:
+            identical = False
+            differing[seed] = differing_rows(*texts)
     row, = summarize(runs, "time_cells", cell_name(cell),
                      list(range(1, pairs + 1)), [metric])
-    return runs, {**row, "threads": threads, "csv_identical": identical}
+    return runs, {**row, "threads": threads, "csv_identical": identical,
+                  "differing_rows": differing}
 
 
 def main(argv=None) -> int:

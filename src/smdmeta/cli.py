@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from . import simlab, svgplot
-from .numkernel import DomainError, one_blas_thread
+from .numkernel import DomainError
 from .qstat import MetaBatch
 from .smd import ArmSummary, Study, hedges_g
 
@@ -218,8 +218,7 @@ def cmd_analyze(args) -> int:
             raise CliError(f"unknown delta interval method '{name}'",
                            EXIT_INPUT)
     data = read_analysis_csv(args.input)
-    with one_blas_thread():
-        (results, failures), = simlab.estimate_all(data, args.level)
+    (results, failures), = simlab.estimate_all(data, args.level)
     payload = _analysis_payload(results, failures, args.level, tau2_methods,
                                 delta_methods)
     if args.format == "json":

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import effect as eff
 from . import tau2 as t2
-from .numkernel import (NonConvergenceError, RandomStream,
-                        derive_stream_ids, one_blas_thread, restart)
+from .numkernel import (DomainError, NonConvergenceError, RandomStream,
+                        derive_stream_ids, restart)
 from .qstat import MetaBatch
 from .smd import MAX_ARM_SIZE, b_factor, j_factor
 
@@ -300,6 +300,7 @@ _FIELDS = dict(_OUTPUT_NAMES, tau2_trunc=TAU2_POINT)
 _BATCH_REPS = 200
 
 
+@np.errstate(all="ignore")  # an overflow fails MetaBatch's finite check
 def simulate_batch(cell: SimCell, rep_lo: int, rep_hi: int) -> MetaBatch:
     """Generate replicates rep_lo..rep_hi - 1 of a cell as one batch, each
     from its own stream: true effects delta_i ~ N(delta, tau2), then per
@@ -322,7 +323,11 @@ def simulate_batch(cell: SimCell, rep_lo: int, rep_hi: int) -> MetaBatch:
             z[row, i], x[row, i] = gen.standard_normal(), gen.chisquare(df)
     deltas = cell.delta + math.sqrt(cell.tau2) * normal
     g = j * ((z + root * deltas) / np.sqrt(x / m)) / root
-    return MetaBatch(sizes, g, inv + b * g * g)
+    try:
+        return MetaBatch(sizes, g, inv + b * g * g)
+    except DomainError as exc:
+        raise DomainError(f"cell {cell.delta:g}, {cell.tau2:g}, {cell.k}, "
+                          f"{cell.pattern}, {cell.size}, {cell.q:g}: {exc}")
 
 
 def _run_chunk(cell: SimCell, rep_lo: int, rep_hi: int,
@@ -394,27 +399,26 @@ def run_cell_raw(cell: SimCell, level: float = 0.95,
     ends = [h * cell.reps // workers for h in range(workers + 1)]
     tasks = [(cell, lo, hi, level) for lo, hi in zip(ends, ends[1:])]
     helpers = []
-    with one_blas_thread():  # helpers inherit one thread and start none
-        try:
-            for task in tasks[1:]:
-                recv, send = Pipe(duplex=False)
-                proc = Process(target=_helper, args=(send, task))
-                proc.start()
-                helpers.append((proc, recv))
-                send.close()  # so a helper that dies leaves recv at EOF
-            parts = _chunk_task(tasks[0])
-            for proc, recv in helpers:
-                try:  # before join: a share can outgrow the pipe buffer
-                    share = recv.recv()
-                except EOFError:
-                    share = RuntimeError("a simulation helper died")
-                if isinstance(share, BaseException):
-                    raise share
-                parts += share
-        finally:  # none outlives the call; one that has sent has no work left
-            for proc, _ in helpers:
-                proc.terminate()
-                proc.join()
+    try:
+        for task in tasks[1:]:
+            recv, send = Pipe(duplex=False)
+            proc = Process(target=_helper, args=(send, task))
+            proc.start()
+            helpers.append((proc, recv))
+            send.close()  # so a helper that dies leaves recv at EOF
+        parts = _chunk_task(tasks[0])
+        for proc, recv in helpers:
+            try:  # before join: a share can outgrow the pipe buffer
+                share = recv.recv()
+            except EOFError:
+                share = RuntimeError("a simulation helper died")
+            if isinstance(share, BaseException):
+                raise share
+            parts += share
+    finally:  # none outlives the call; one that has sent has no work left
+        for proc, _ in helpers:
+            proc.terminate()
+            proc.join()
     n_failed: dict[str, int] = {}
     for part in parts:
         for name, cnt in part.n_failed.items():
@@ -470,6 +474,7 @@ def _prop_se(x: np.ndarray) -> tuple[float, float]:
     return p, math.sqrt(p * (1.0 - p) / ok.size)
 
 
+@np.errstate(all="ignore")  # an overflowing mean or SE is inf, silently
 def metrics(raw: RawCellResult) -> CellReport:
     """Aggregate per-replicate outputs into bias / coverage / MSE rows with
     Monte-Carlo standard errors (coverage SE is sqrt(p(1-p)/R)).

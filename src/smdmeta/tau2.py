@@ -33,7 +33,6 @@ from .numkernel import (
     NonConvergenceError,
     chisq_quantile,
     mixture_cdfs,
-    symmetric_eigenvalues,
 )
 from .qstat import (
     BRACKET_CAP,
@@ -445,10 +444,10 @@ def _satterthwaite_roots(w: np.ndarray, v2: np.ndarray, q_obs: np.ndarray,
     tau2."""
     s = w.sum(-1)[:, None]
     w2 = w * w
-    pw = np.stack((np.ones_like(v2), v2, v2 * v2), axis=1)
-    a0, a1 = (pw[:, :2] @ (w - w2 / s)[..., None])[..., 0].T
-    b0, b1, b2 = (pw @ (w2 - 2.0 * w2 * w / s)[..., None])[..., 0].T
-    c0, c1 = (pw[:, :2] @ w2[..., None])[..., 0].T
+    pw = (1.0, v2, v2 * v2)
+    a0, a1 = ((v * (w - w2 / s)).sum(-1) for v in pw[:2])
+    b0, b1, b2 = ((v * (w2 - 2.0 * w2 * w / s)).sum(-1) for v in pw)
+    c0, c1 = ((v * w2).sum(-1) for v in pw[:2])
     t = _SEED_GRID
     tr1 = a1[:, None] + a0[:, None] * t
     tr2 = b2[:, None] + (2.0 * b1[:, None] + b0[:, None] * t) * t \
@@ -531,65 +530,37 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
     """BJ intervals on the first n_bj rows of g, v2 (n, K), J intervals on
     the others, in lock-step: per row the interval or its failure.
 
-    Under the model, Q_obs = sum w (g - gbar_w)^2 is a quadratic form in the
-    g's whose distribution at a given tau2 is a chi-square mixture with
-    coefficients the nonzero eigenvalues of D(tau2)^{1/2} A D(tau2)^{1/2},
-    A = diag(w) - w w'/sum w, D = diag(v^2 + tau2).  For BJ's w = 1/v^2
-    they are 1 + tau2 mu, mu the K - 1 nonzero eigenvalues of A; J's
-    w = 1/v takes one eigendecomposition per tau2.  Each endpoint is seeded
-    by the two-moment (Satterthwaite) fit and found by `_endpoint`, and a
-    lower one past 2^23 fails the interval; a row's two endpoints share its
-    CDFs.  A round evaluates every CDF the walks still need and has not met:
-    one stacked eigendecomposition for the J rows, one `mixture_cdfs` call
-    for all.
+    Under the model, Q_obs = sum w (g - gbar_w)^2 is a chi-square mixture
+    whose coefficients are the nonzero eigenvalues of D^{1/2} A D^{1/2},
+    A = diag(w) - w w'/sum w, D = diag(v^2 + tau2): in `mixture_cdfs`'s
+    rank-one form c = w (v^2 + tau2), p = w / sum w.  BJ (w = 1/v^2) forms
+    c as 1 + tau2 w, all 1 at tau2 = 0; J has w = 1/v.  Each endpoint is
+    seeded by the two-moment (Satterthwaite) fit and found by `_endpoint`,
+    and a lower one past 2^23 fails the interval; a row's two endpoints
+    share its CDFs.  A round evaluates every CDF the walks still need and
+    has not met, in one `mixture_cdfs` call.
 
     Given the true tau2 `truth`, per row whether the interval holds it: the
-    CDF of Q_obs decreases in tau2 (BJ's coefficients are 1 + tau2 mu; for
-    J by Anderson's theorem), so `_covers` decides from one CDF at truth.
+    CDF of Q_obs decreases in tau2 (by Anderson's theorem), so `_covers`
+    decides from one CDF at truth.
     """
     alpha = 1.0 - level
     targets = (alpha / 2.0, 1.0 - alpha / 2.0)
-    k = g.shape[1]
     w = np.concatenate([1.0 / v2[:n_bj], 1.0 / np.sqrt(v2[n_bj:])])
     sum_w = w.sum(-1)
     q_obs = (w * (g - ((w * g).sum(-1) / sum_w)[:, None]) ** 2).sum(-1)
-    a_mat = np.where(np.eye(k, dtype=bool), w[:, :, None], 0.0) \
-        - w[:, :, None] * w[:, None, :] / sum_w[:, None, None]
-    mu = symmetric_eigenvalues(a_mat[:n_bj])[:, :0:-1]
+    base = np.concatenate([np.ones_like(v2[:n_bj]), w[n_bj:] * v2[n_bj:]])
+    p = w / sum_w[:, None]
 
     def cdfs(pairs) -> dict:
         """F_tau2(Q_obs) of each (row, tau2) of pairs, or its failure."""
-        bj = [key for key in pairs if key[0] < n_bj]
-        jr = [key for key in pairs if key[0] >= n_bj]
-        lams, spread = [], {}
-        if bj:
-            rows, t = zip(*bj)
-            lams.append(1.0 + np.array(t)[:, None] * mu[list(rows)])
-        if jr:
-            rows, t = map(list, zip(*jr))
-            droot = np.sqrt(v2[rows] + np.array(t)[:, None])
-            lam = np.maximum(0.0, symmetric_eigenvalues(
-                a_mat[rows] * (droot[:, :, None] * droot[:, None, :])
-            )[:, :0:-1])
-            # descending; past a spread of 1/eps the last has no right digit
-            spread = {key: ends for key, ends in zip(jr, zip(
-                lam[:, -1].tolist(), lam[:, 0].tolist()))
-                if ends[0] < 2.0 ** -52 * ends[1] < math.inf}
-            if spread:  # NaN rows fail in mixture_cdfs at once
-                lam[[key in spread for key in jr]] = np.nan
-            lams.append(lam)
-        if not lams:
-            return {}
-        lam = np.concatenate(lams) if len(lams) > 1 else lams[0]
-        return {(i, t): value if not isinstance(
-            value, DomainError) else NonConvergenceError(
-            f"mixture coefficients at tau2 = {t:g} " + (
-                "span %.3g to %.3g, more than 1/eps" % spread[i, t]
-                if (i, t) in spread
-                else "are negative or all 0" if np.isfinite(row).all()
-                else "overflowed"))
-            for (i, t), row, value in zip(bj + jr, lam, mixture_cdfs(
-                q_obs[[i for i, _ in bj + jr]], lam, _MIX_TOL))}
+        rows = [i for i, _ in pairs]
+        c = base[rows] + np.array([t for _, t in pairs])[:, None] * w[rows]
+        return {(i, t): NonConvergenceError(
+            f"mixture coefficients at tau2 = {t:g} overflowed")
+            if isinstance(value, DomainError) else value
+            for (i, t), value in zip(pairs, mixture_cdfs(
+                q_obs[rows], c, p[rows], _MIX_TOL))}
 
     out, live = [None] * len(g), []
     for i, q in enumerate(q_obs.tolist()):
@@ -623,8 +594,8 @@ def _fixed_weight_intervals(g: np.ndarray, v2: np.ndarray, n_bj: int,
     seeds = _satterthwaite_roots(w, v2, q_obs, np.array(targets))
     known, failed, walks = {i: {} for i in live}, {}, {}
     for i in live:
-        for end, (p, seed) in enumerate(zip(targets, seeds[i])):
-            walks[i, end] = _endpoint(p, seed)
+        for end, (target, seed) in enumerate(zip(targets, seeds[i])):
+            walks[i, end] = _endpoint(target, seed)
     ends = _lockstep(walks, walk_cdfs)
     for i, cached in known.items():
         hi, lo = ends[i, 0], ends[i, 1]

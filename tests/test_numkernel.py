@@ -21,6 +21,7 @@ from smdmeta.numkernel import (
     derive_stream_id,
     derive_stream_ids,
     mixture_cdf,
+    mixture_cdfs,
     normal_quantile,
     restart,
     t_quantile,
@@ -234,23 +235,39 @@ class TestMixtureCdf:
             mixture_cdf(2.0, np.array([1.5, 0.4]))
 
 
-def reference_ruben_cdf(x, lam, tol, max_terms):
+def ruben(x, lam, tol, max_terms):
+    """`_ruben_cdf` on the rows of given coefficients lam (M, n), in the
+    rank-one form `mixture_cdf` gives them."""
+    c = np.hstack([lam, lam.min(1, keepdims=True)])
+    p = np.zeros_like(c)
+    p[:, -1] = 1.0
+    return _ruben_cdf(x, c, p, tol, max_terms)
+
+
+def reference_ruben_cdf(x, lam, tol, max_terms, sums=None):
     """The per-term Ruben series loop that `_ruben_cdf` replaced, kept as its
-    oracle, checking the sharper tail bound every 8 terms.  Returns (p, bound,
-    number of terms, 1 - sum of the series coefficients)."""
-    beta = lam.min()
-    nu = lam.size
+    oracle, checking the sharper tail bound every 8 terms: on the
+    coefficients lam, or, given `sums`, on the (nu, beta, log a_0,
+    g_1..g_max_terms) of a rank-one row.  Returns (p, bound, number of
+    terms, 1 - sum of the series coefficients)."""
+    if sums is None:
+        beta, nu = lam.min(), lam.size
+        t, log_a0 = 1.0 - beta / lam, 0.5 * float(np.log(beta / lam).sum())
+    else:
+        nu, beta, log_a0, given = sums
     y = x / beta
-    t = 1.0 - beta / lam
     a = np.empty(max_terms + 1)
     g = np.empty(max_terms + 1)
-    a[0] = math.exp(0.5 * float(np.log(beta / lam).sum()))
+    a[0] = math.exp(log_a0)
     asum = a[0]
-    tpow = np.ones_like(lam)
+    tpow = 1.0
     nterms = None
     for k in range(1, max_terms + 1):
-        tpow *= t
-        g[k] = tpow.sum()
+        if sums is None:
+            tpow = tpow * t
+            g[k] = tpow.sum()
+        else:
+            g[k] = given[k - 1]
         a[k] = float(np.dot(g[1:k + 1], a[k - 1::-1])) / (2.0 * k)
         asum += a[k]
         if 1.0 - asum <= 0.5 * tol:
@@ -287,7 +304,7 @@ class TestRubenSeriesOracle:
         for x in np.quantile(draws, [0.01, 0.5, 0.99]):
             for tol in (1e-6, 1e-5):
                 ref = reference_ruben_cdf(float(x), lam, tol, 8000)
-                new = _ruben_cdf(np.array([x]), lam[None], tol, 8000)[0]
+                new = ruben(np.array([x]), lam[None], tol, 8000)[0]
                 assert (ref is None) == (new is None)
                 if ref is not None:
                     assert new[0] == pytest.approx(ref[0], abs=1e-13)
@@ -300,7 +317,7 @@ class TestRubenSeriesOracle:
         # stopped by the sharper bound at 24 terms, with 1 - sum(a_k) far
         # above tol/2: a check every 32 terms would have gone on to 32
         assert ref[2] == 24 and ref[3] > 0.5 and ref[1] > 0.0
-        new = _ruben_cdf(np.array([x]), lam[None], 1e-6, 8000)[0]
+        new = ruben(np.array([x]), lam[None], 1e-6, 8000)[0]
         assert new[0] == pytest.approx(ref[0], abs=1e-13)
         assert new[1] == pytest.approx(ref[1], abs=1e-13)
 
@@ -309,14 +326,14 @@ class TestRubenSeriesOracle:
         x = float(np.quantile(draws, 0.99))
         ref = reference_ruben_cdf(x, lam, 1e-6, 8000)
         assert ref[2] > 64
-        new = _ruben_cdf(np.array([x]), lam[None], 1e-6, 8000)[0]
+        new = ruben(np.array([x]), lam[None], 1e-6, 8000)[0]
         assert new[0] == pytest.approx(ref[0], abs=1e-13)
 
     def test_max_terms_exhausted_returns_none(self):
         lam, draws = seeded_mixture(5, 1e3, seed=3)
         x = float(np.quantile(draws, 0.99))
         assert reference_ruben_cdf(x, lam, 1e-6, 40) is None
-        assert _ruben_cdf(np.array([x]), lam[None], 1e-6, 40)[0] is None
+        assert ruben(np.array([x]), lam[None], 1e-6, 40)[0] is None
 
 
 
@@ -361,9 +378,9 @@ class TestRubenRounds:
     def test_every_row_equals_the_row_alone(self, rows):
         x, lam = seeded_round(rows, seed=rows)
         for tol, max_terms in ((1e-6, 8000), (1e-5, 8000), (1e-6, 50)):
-            together = _ruben_cdf(x, lam, tol, max_terms)
+            together = ruben(x, lam, tol, max_terms)
             for i, row in enumerate(together):
-                alone, = _ruben_cdf(x[i:i + 1], lam[i:i + 1], tol, max_terms)
+                alone, = ruben(x[i:i + 1], lam[i:i + 1], tol, max_terms)
                 assert row == alone, (i, tol, max_terms)
 
     def test_rounds_reach_past_40_and_64_terms(self):
@@ -384,9 +401,9 @@ class TestRubenRounds:
         # in order (numpy 2.4 does so at k = 8)
         x, lam = seeded_round(_RUBEN_ROUND_ROWS, seed=0)
         assert first_pairwise_miss(lam, 40) is not None
-        together = _ruben_cdf(x, lam, 1e-6, 8000)
+        together = ruben(x, lam, 1e-6, 8000)
         for i, row in enumerate(together):
-            assert row == _ruben_cdf(x[i:i + 1], lam[i:i + 1], 1e-6, 8000)[0]
+            assert row == ruben(x[i:i + 1], lam[i:i + 1], 1e-6, 8000)[0]
             ref = reference_ruben_cdf(float(x[i]), lam[i], 1e-6, 8000)
             assert row[0] == pytest.approx(ref[0], abs=1e-13)
 
@@ -404,7 +421,7 @@ class TestRubenHopelessRows:
                               spreads=(2.0, 1e6))
         kinds = set()
         for tol in (1e-6, 1e-5):
-            for xi, row, new in zip(x, lam, _ruben_cdf(x, lam, tol,
+            for xi, row, new in zip(x, lam, ruben(x, lam, tol,
                                                        max_terms)):
                 ref = reference_ruben_cdf(float(xi), row, tol, max_terms)
                 assert (new is None) == (ref is None)
@@ -428,7 +445,7 @@ class TestRubenHopelessRows:
         monkeypatch.setattr(numkernel, "gammainc", counted)
         for rows in (1, _RUBEN_ROUND_ROWS):
             calls.clear()
-            assert _ruben_cdf(np.full(rows, x), np.tile(lam, (rows, 1)), 1e-6,
+            assert ruben(np.full(rows, x), np.tile(lam, (rows, 1)), 1e-6,
                               8000) == [None] * rows
             # the bound, the checks of the first 40 terms and the closing F,
             # where the series would check its bound every 8 terms to 8,000
@@ -439,7 +456,7 @@ def test_series_sums_add_in_order():
     # Ruben's recurrence adds its products one after another, as sum() did
     # up to Python 3.11; sum() compensates from 3.12 on, which gives
     # 0x1.ff64748301d33p-1 here
-    (p, _), = _ruben_cdf(np.array([100.0]), np.array([[1.0, 2.0, 3.0, 5.0,
+    (p, _), = ruben(np.array([100.0]), np.array([[1.0, 2.0, 3.0, 5.0,
                                                         8.0]]), 1e-6, 8000)
     assert p.hex() == "0x1.ff64748301d35p-1"
 
@@ -483,3 +500,182 @@ class TestMixtureCdfCertificate:
             exact = mpmath_ruben_cdf(float(x), lam)
             for tol in (1e-6, 1e-5):
                 assert abs(mixture_cdf(float(x), lam, tol) - exact) <= tol
+
+
+# ---------------------------------------------------------------------------
+# the rank-one form of a fixed-weights Q
+# ---------------------------------------------------------------------------
+
+def fixed_weight_row(rng, k, spread, kind, weighting, tau2):
+    """c and p of a BJ (w = 1/v^2) or J (w = 1/v) row at tau2, formed as
+    `tau2._fixed_weight_intervals` forms them, and the matrix D^{1/2} A
+    D^{1/2} they stand for.  The v^2 are log-uniform over `spread`, all
+    equal, or half of them equal ("repeated")."""
+    v2 = np.exp(rng.uniform(0.0, math.log(spread), k)) \
+        * 10 ** rng.uniform(-2.0, 1.0)
+    v2[0], v2[-1] = v2.min(), v2.min() * spread
+    if kind == "equal":
+        v2[:] = v2[0]
+    elif kind == "repeated":
+        v2[:k // 2] = v2[0]
+    w = 1.0 / v2 if weighting == "BJ" else 1.0 / np.sqrt(v2)
+    c = 1.0 + tau2 * w if weighting == "BJ" else w * (v2 + tau2)
+    droot = np.sqrt(v2 + tau2)
+    dense = (np.diag(w) - np.outer(w, w) / w.sum()) * np.outer(droot, droot)
+    return c, w / w.sum(), dense
+
+
+def rank_one_sums(c, p, terms):
+    """log a_0 and g_1..g_terms of Ruben's series for the row (c, p), from
+    the identity `_ruben_cdf` states, its convolutions by np.dot."""
+    beta = c.min()
+    r, q = 1.0 - beta / c, p * beta / c
+    powers = r[:, None] ** np.arange(1.0, terms + 1)
+    b = q @ powers / q.sum()
+    m = np.zeros(terms)
+    for k in range(1, terms + 1):
+        m[k - 1] = k * b[k - 1] - np.dot(m[:k - 1], b[:k - 1][::-1])
+    return 0.5 * (np.log(beta / c).sum() - np.log(q.sum())), \
+        powers.sum(0) - m
+
+
+def eigen_sums(lam, beta, terms):
+    """log a_0 and g_1..g_terms from the nonzero eigenvalues lam."""
+    t = 1.0 - beta / lam
+    return 0.5 * np.log(beta / lam).sum(), \
+        (t[:, None] ** np.arange(1.0, terms + 1)).sum(0)
+
+
+def mp_eigenvalues(c, p):
+    """The nonzero eigenvalues of diag(c) - s s', s = sqrt(c p), p scaled to
+    sum to 1 exactly, from mpmath's eigsy at 40 digits (the zero left out),
+    ascending, as floats."""
+    with mpmath.workdps(40):
+        total = mpmath.fsum(mpmath.mpf(b) for b in p.tolist())
+        s = [mpmath.sqrt(mpmath.mpf(a) * mpmath.mpf(b) / total)
+             for a, b in zip(c.tolist(), p.tolist())]
+        mat = mpmath.matrix([[(mpmath.mpf(c[i]) if i == j else 0)
+                              - s[i] * s[j] for j in range(len(c))]
+                             for i in range(len(c))])
+        values = mpmath.eigsy(mat, eigvals_only=True)
+        return np.array(sorted(float(v) for v in values)[1:])
+
+
+def one_row_cdf(x, c, p, tol):
+    return mixture_cdfs(np.array([x]), c[None], p[None], tol)[0]
+
+
+class TestRankOneSeries:
+    @pytest.mark.parametrize("weighting", ["BJ", "J"])
+    @pytest.mark.parametrize("kind", ["spread", "equal", "repeated"])
+    def test_power_sums_match_dense_eigenvalues(self, weighting, kind):
+        # K 2-100 with c within a spread of about 10, where eigvalsh's
+        # smallest eigenvalues keep their digits; its log a_0 then carries
+        # its own rounding, about eps K max(c) / min(c)
+        rng = np.random.default_rng(len(kind) + len(weighting))
+        for k in (2, 3, 5, 10, 30, 60, 100):
+            for tau2 in (0.0, 0.5, 4.0):
+                c, p, dense = fixed_weight_row(rng, k, 10.0, kind,
+                                               weighting, tau2)
+                log_a0, g = rank_one_sums(c, p, 40)
+                ref_a0, ref_g = eigen_sums(np.linalg.eigvalsh(dense)[1:],
+                                           c.min(), 40)
+                assert abs(log_a0 - ref_a0) <= 1e-13 + 2.2e-16 * k * (
+                    c.max() / c.min())
+                assert np.abs(g - ref_g).max() <= 1e-14 * k
+
+    def test_power_sums_match_40_digit_eigenvalues(self):
+        # c spreads up to 1e12, where eigvalsh's smallest eigenvalues have
+        # lost their digits: J's c = sqrt(v^2) at tau2 = 0 and BJ's
+        # 1 + tau2 w at tau2 = 1e6
+        rng = np.random.default_rng(41)
+        for k in (2, 3, 5, 8):
+            for kind in ("spread", "repeated"):
+                for weighting, spread, tau2 in (("J", 1e24, 0.0),
+                                                ("J", 1e8, 3.0),
+                                                ("BJ", 1e12, 1e6)):
+                    c, p, _ = fixed_weight_row(rng, k, spread, kind,
+                                               weighting, tau2)
+                    log_a0, g = rank_one_sums(c, p, 40)
+                    ref_a0, ref_g = eigen_sums(mp_eigenvalues(c, p),
+                                               c.min(), 40)
+                    assert abs(log_a0 - ref_a0) <= 1e-13
+                    assert np.abs(g - ref_g).max() <= 1e-14 * k
+
+    def test_kernel_runs_the_identity(self):
+        # the series of `_ruben_cdf` on rank-one rows against the per-term
+        # loop fed with rank_one_sums, alone and in a round
+        rng = np.random.default_rng(43)
+        rows, xs = [], []
+        for i in range(2 * _RUBEN_ROUND_ROWS):
+            c, p, dense = fixed_weight_row(rng, 6, 30.0, "spread",
+                                           ("BJ", "J")[i % 2], 0.7)
+            rows.append((c, p))
+            xs.append(np.trace(dense) * rng.uniform(0.3, 2.5))
+        c, p = (np.array(v) for v in zip(*rows))
+        together = _ruben_cdf(np.array(xs), c, p, 1e-6, 8000)
+        for i, (x, new) in enumerate(zip(xs, together)):
+            assert new == _ruben_cdf(np.array([x]), c[i:i + 1], p[i:i + 1],
+                                     1e-6, 8000)[0]
+            sums = (c.shape[1] - 1, c[i].min(),
+                    *rank_one_sums(c[i], p[i], 8000))
+            ref = reference_ruben_cdf(x, None, 1e-6, 8000, sums)
+            assert new[0] == pytest.approx(ref[0], abs=1e-13)
+            assert new[1] == pytest.approx(ref[1], abs=1e-13)
+
+    def test_long_and_ill_conditioned_rows_within_tol_of_40_digit_series(
+            self):
+        # long: spreads of 300 and 1e3, thousands of terms; ill-conditioned:
+        # a study of relative weight 1e-12, and c repeated but for one
+        rng = np.random.default_rng(47)
+        cases = [fixed_weight_row(rng, 8, 300.0, "spread", "BJ", 1.0)[:2],
+                 fixed_weight_row(rng, 5, 1e6, "spread", "J", 0.0)[:2],
+                 fixed_weight_row(rng, 12, 10.0, "repeated", "J", 2.0)[:2]]
+        c = np.array([1.0, 3.0, 7.0, 20.0])
+        cases.append((c, np.array([0.5, 0.3, 0.2 - 1e-12, 1e-12])))
+        for c, p in cases:
+            lam = mp_eigenvalues(c, p)
+            for f in (0.5, 1.0, 2.0):
+                x = float(lam.sum()) * f
+                exact = mpmath_ruben_cdf(x, lam)
+                for tol in (1e-6, 1e-5):
+                    assert abs(one_row_cdf(x, c, p, tol) - exact) <= tol
+
+    def test_imhof_product_matches_dense_eigenvalues(self):
+        rng = np.random.default_rng(53)
+        for k in (2, 5, 10, 30):
+            for weighting in ("BJ", "J"):
+                c, p, dense = fixed_weight_row(rng, k, 100.0, "spread",
+                                               weighting, 0.3)
+                lam = np.linalg.eigvalsh(dense)[1:]
+                for u in 10.0 ** np.arange(-3.0, 4.0) / c.max():
+                    z = numkernel._log_char(c, p, float(u))
+                    dense_z = np.log(1.0 + 1j * lam * u).sum()
+                    assert abs(np.expm1(z - dense_z)) <= 1e-13
+                    assert z.imag == pytest.approx(
+                        np.arctan(lam * u).sum(), abs=1e-13 * k)
+
+
+class TestImhofFallback:
+    def test_a_coefficient_far_above_the_rest(self):
+        # a J row at tau2 = 0.5 whose middle coefficient is 4.49e139 and
+        # whose others are 1e120 times smaller or decoupled (p of 1e-288 or
+        # carrying the sum): P(Q <= 4.8e90) < P(4.49e139 chi2_1 <= 4.8e90)
+        # < 1e-24, which Ruben's series cannot reach
+        c = np.array([1.03523445e+19, 4.49072614e+139, 9.76568389e+147])
+        p = np.array([1.06007369e-129, 1.14012054e-288, 1.0])
+        assert one_row_cdf(4.775e90, c, p, 1e-5) <= 1e-5
+
+    def test_certifies_nothing_it_could_only_alias(self, monkeypatch):
+        # the tail bound puts the quadrature's end 5e7 periods of
+        # sin(x u / 2) away for 1e8 chi2_1 + chi2_1 + 1e-4 chi2_1 at 1e8,
+        # and 8e9 away for the second mixture at 3e12, whose CDF (0.917)
+        # quad on [0, U] alone certified as 0.500
+        def refuse(*args, **kwargs):
+            raise AssertionError("quad ran")
+
+        monkeypatch.setattr(numkernel, "quad", refuse, raising=False)
+        for x, lam in ((1e8, [1e8, 1.0, 1e-4]),
+                       (3e12, [1e12, 1e6, 1.0, 1e-3])):
+            with pytest.raises(numkernel.NonConvergenceError):
+                mixture_cdf(x, lam, 1e-5)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from smdmeta import cli, numkernel, simlab
+from smdmeta import cli, simlab
 from smdmeta import tau2 as t2
 from smdmeta.numkernel import NonConvergenceError
 from smdmeta.qstat import MetaBatch
@@ -665,32 +665,6 @@ class TestRunCell:
             run_cell_raw(cell, threads=2)
         assert multiprocessing.active_children() == []
         assert time.monotonic() - start < 30
-
-    @needs_fork
-    def test_cell_runs_on_one_blas_thread(self, monkeypatch, small_shares):
-        # the helpers, forked while the caller is on one OpenBLAS thread,
-        # inherit that count (and start no thread pool); the caller's count
-        # is back afterwards
-        functions = numkernel._blas_thread_count_functions()
-        if functions is None or simlab.usable_cores() < 2:
-            pytest.skip("no OpenBLAS thread-count functions, or one core")
-        get, put = functions
-        original = simlab.estimate_all
-
-        def on_one_thread(batch, level, tau2=None):
-            if get() != 1:
-                raise AssertionError(f"estimate_all on {get()} threads")
-            return original(batch, level, tau2)
-
-        monkeypatch.setattr(simlab, "estimate_all", on_one_thread)
-        cell = SimCell(0.0, 0.0, 5, "equal", 20, 0.5, reps=2, seed=12)
-        before = get()
-        try:
-            put(2)
-            run_cell_raw(cell, threads=2)
-            assert get() == 2
-        finally:
-            put(before)
 
     def test_report_shape(self):
         report = run_cell(SimCell(0.5, 0.5, 5, "equal", 20, 0.5,
